@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .evolve import inverse_metric_components, inverse_metric_derivative
 from .fields import SliceData
 from .geometry import make_slice
 
@@ -27,8 +28,6 @@ E_WEIGHTS = (1.0, 2.0, 1.0)
 #: Smallness threshold on sup t|gamma|_E below which the 2-sided energy
 #: equivalence is asserted rather than merely reported.
 SMALLNESS_EPS = 0.05
-
-ETA2 = np.diag([-1.0, 1.0])
 
 
 class InsufficientSpanError(ValueError):
@@ -256,48 +255,22 @@ class GammaBlock:
         return np.sqrt(self.c00 ** 2 + 2.0 * self.c0r ** 2 + self.crr ** 2)
 
 
-def _sym2(a00, a01, a11) -> np.ndarray:
-    out = np.empty(np.shape(a00) + (2, 2))
-    out[..., 0, 0] = a00
-    out[..., 0, 1] = out[..., 1, 0] = a01
-    out[..., 1, 1] = a11
-    return out
-
-
-def _sharp(m: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,...bc,cd->...ad", ETA2, m, ETA2)
-
-
 def quasilinear_gamma(comp_slices: list, eps: float) -> GammaBlock:
     """Gamma block H = (eta+h)^{-1} - eta^{-1} (2nd order) from h = eps u.
 
     comp_slices: the three component SliceData (h_00, h_0r, h_rr) on one
-    slice.  Derivatives of H follow by the chain rule from the sampled
-    first derivatives of u.
+    slice.  H and its derivatives are the component formulas of
+    `evolve.inverse_metric_components` and `evolve.inverse_metric_derivative`,
+    the latter fed the sampled first derivatives of u.
     """
-    c0, c1, c2 = comp_slices
-    h = _sym2(eps * c0.u, eps * c1.u, eps * c2.u)
-    dh_t = _sym2(eps * c0.ut, eps * c1.ut, eps * c2.ut)
-    dh_r = _sym2(eps * c0.ur, eps * c1.ur, eps * c2.ur)
-
-    def H_of(hm):
-        return -_sharp(hm) + np.einsum("...ab,bc,...cd->...ad",
-                                       _sharp(hm), ETA2, hm @ ETA2)
-
-    def dH_of(hm, dhm):
-        lin = -_sharp(dhm)
-        quad = (np.einsum("...ab,bc,...cd->...ad", _sharp(dhm), ETA2, hm @ ETA2)
-                + np.einsum("...ab,bc,...cd->...ad", _sharp(hm), ETA2, dhm @ ETA2))
-        return lin + quad
-
-    H = H_of(h)
-    Ht = dH_of(h, dh_t)
-    Hr = dH_of(h, dh_r)
-    return GammaBlock(
-        c00=H[..., 0, 0], c0r=H[..., 0, 1], crr=H[..., 1, 1],
-        dt00=Ht[..., 0, 0], dt0r=Ht[..., 0, 1], dtrr=Ht[..., 1, 1],
-        dr0r=Hr[..., 0, 1], drrr=Hr[..., 1, 1],
-    )
+    h = [eps * c.u for c in comp_slices]
+    c00, c0r, crr = inverse_metric_components(h)
+    dt00, dt0r, dtrr = inverse_metric_derivative(
+        h, [eps * c.ut for c in comp_slices])
+    _, dr0r, drrr = inverse_metric_derivative(
+        h, [eps * c.ur for c in comp_slices])
+    return GammaBlock(c00=c00, c0r=c0r, crr=crr, dt00=dt00, dt0r=dt0r,
+                      dtrr=dtrr, dr0r=dr0r, drrr=drrr)
 
 
 def quasilinear_source(comp_slices: list, eps: float) -> np.ndarray:

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import ModeField, SliceData, ProductTensorField
+from .fields import ModeField, SliceData
 from .geometry import grid_apply, make_slice
 from .internal import FlatTorus
-
-ETA2 = np.diag([-1.0, 1.0])  # Minkowski block in (t, r)
 
 
 class CFLError(ValueError):
@@ -477,29 +474,6 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
                            monitors=monitors, slices=slices, blowup_time=blow)
 
 
-def evolve_linearized_product(modes, config: EvolutionConfig,
-                              model=None, slice_s=(), slice_r_cap=None):
-    """Evolve independent modes (lam, init) in parallel; assemble the product.
-
-    Returns (ProductTensorField, list of EvolutionResult) in input order.
-    """
-    def run(entry):
-        lam, init = entry
-        return evolve_kg_radial(lam, config.n, init, config,
-                                slice_s=slice_s, slice_r_cap=slice_r_cap)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run, modes))
-    else:
-        results = [run(entry) for entry in modes]
-    product = None
-    if config.store_history:
-        product = ProductTensorField(modes=[res.field for res in results],
-                                     model=model)
-    return product, results
-
-
 # ---------------------------------------------------------------------------
 # Tiny full-grid oracle: (t, r, theta) solver on R^{1+n} x T^1
 
@@ -548,34 +522,95 @@ def evolve_full_grid_torus(n: int, torus: FlatTorus, init, config: EvolutionConf
 # Quasilinear toy with the quadratic nonlinearity Q
 
 
+def _pack_sym(a00, a0r, arr) -> np.ndarray:
+    """Symmetric (..., 2, 2) matrices from their (00, 0r, rr) components."""
+    out = np.empty(np.shape(a00) + (2, 2))
+    out[..., 0, 0] = a00
+    out[..., 0, 1] = out[..., 1, 0] = a0r
+    out[..., 1, 1] = arr
+    return out
+
+
+def inverse_metric_components(h):
+    """H = (eta + h)^{-1} - eta^{-1} to second order, component-wise.
+
+    h = (h_00, h_0r, h_rr), e.g. a (3, ...) stack.  With eta = diag(-1, 1),
+    H = -h# + (h eta h)#, # raising both indices:
+        H^00 = -h_00 - h_00^2 + h_0r^2,   H^0r = h_0r (1 + h_00 - h_rr),
+        H^rr = -h_rr + h_rr^2 - h_0r^2.
+    """
+    h00, h0r, hrr = h
+    return (-h00 - h00 * h00 + h0r * h0r, h0r * (1.0 + h00 - hrr),
+            -hrr + hrr * hrr - h0r * h0r)
+
+
+def inverse_metric_derivative(h, dh):
+    """dH = -dh# + (dh eta h)# + (h eta dh)#, the chain rule of
+    `inverse_metric_components` along a derivative dh of h:
+        dH^00 = -dh_00 - 2 h_00 dh_00 + 2 h_0r dh_0r,
+        dH^0r = dh_0r (1 + h_00 - h_rr) + h_0r (dh_00 - dh_rr),
+        dH^rr = -dh_rr + 2 h_rr dh_rr - 2 h_0r dh_0r.
+    """
+    h00, h0r, hrr = h
+    d00, d0r, drr = dh
+    return (-d00 + 2.0 * (h0r * d0r - h00 * d00),
+            d0r * (1.0 + h00 - hrr) + h0r * (d00 - drr),
+            -drr + 2.0 * (hrr * drr - h0r * d0r))
+
+
 def inverse_metric_perturbation(h: np.ndarray) -> np.ndarray:
-    """H = (eta + h)^{-1} - eta^{-1} expanded to second order in h.
+    """`inverse_metric_components` for symmetric h of shape (..., 2, 2)."""
+    return _pack_sym(*inverse_metric_components((h[..., 0, 0], h[..., 0, 1],
+                                                 h[..., 1, 1])))
 
-    h has shape (..., 2, 2) in the (t, r) block; H = -h# + (h h)# where #
-    raises both indices with eta = diag(-1, 1).
+
+def _matmul2(X, Y):
+    return [[X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
+def q_nonlinearity(h, dh_t, dh_r):
+    """The quadratic form Q_mn(dg, dg) of the reduced system, component-wise.
+
+    Q is the semilinear term of the reduced Einstein equations in harmonic
+    gauge (Lindblad & Rodnianski, Global stability of Minkowski space-time
+    in harmonic gauge, Ann. Math. 171 (2010)) on the (t, r) block:
+        Q_mn = g^cd g^ab ( d_n g_db d_a g_mc + d_m g_ca d_b g_nd
+                           - 1/2 d_n g_db d_m g_ca
+                           + d_c g_ma d_d g_nb - d_c g_ma d_b g_nd )
+             = t1_mn + t2_mn - 1/2 t3_mn + t4_mn - t5_mn.
+    h, dh_t, dh_r are the (00, 0r, rr) components of h = g - eta and of
+    d_t g, d_r g.  With G = g^{-1}, D_c = d_c g, A_c = G D_c, B_c = A_c G and
+    W_c = G^c0 A_0 + G^cr A_r (a, b, c, d over {0, r}):
+        t1_mn = B_n^00 (D_0)_0m + B_n^0r [(D_0)_rm + (D_r)_0m] + B_n^rr (D_r)_rm,
+        t2_mn = t1_nm,
+        t3_mn = B_m^00 (D_n)_00 + 2 B_m^0r (D_n)_0r + B_m^rr (D_n)_rr,
+        t4_mn = sum_c (D_c)_m0 (W_c)^0_n + (D_c)_mr (W_c)^r_n,
+        t5_mn = sum_{b,c} (A_c)^b_m (A_b)^c_n.
+    Returns (Q_00, Q_0r, Q_rr); Q is symmetric.
     """
-    eta_inv = ETA2  # eta^{-1} = eta for diag(-1, 1)
-    hsharp = np.einsum("ab,...bc,cd->...ad", eta_inv, h, eta_inv)
-    hh = np.einsum("ab,...bc,cd,...de,ef->...af", eta_inv, h, eta_inv, h, eta_inv)
-    return -hsharp + hh
+    h00, h0r, hrr = h
+    g00, grr = h00 - 1.0, hrr + 1.0
+    inv_det = 1.0 / (g00 * grr - h0r * h0r)
+    G0r = -h0r * inv_det
+    G = ((grr * inv_det, G0r), (G0r, g00 * inv_det))
+    D = [((a, b), (b, c)) for a, b, c in (dh_t, dh_r)]
+    A = [_matmul2(G, Dc) for Dc in D]
+    B = [_matmul2(Ac, G) for Ac in A]
+    W = [[[G[c][0] * A[0][i][j] + G[c][1] * A[1][i][j] for j in (0, 1)]
+          for i in (0, 1)] for c in (0, 1)]
+    t1 = {(m, n): B[n][0][0] * D[0][0][m] + B[n][0][1] * (D[0][1][m] + D[1][0][m])
+          + B[n][1][1] * D[1][1][m] for m in (0, 1) for n in (0, 1)}
 
+    def q(m, n):
+        t3 = (B[m][0][0] * D[n][0][0] + 2.0 * B[m][0][1] * D[n][0][1]
+              + B[m][1][1] * D[n][1][1])
+        t4 = (D[0][m][0] * W[0][0][n] + D[0][m][1] * W[0][1][n]
+              + D[1][m][0] * W[1][0][n] + D[1][m][1] * W[1][1][n])
+        t5 = (A[0][0][m] * A[0][0][n] + A[0][1][m] * A[1][0][n]
+              + A[1][0][m] * A[0][1][n] + A[1][1][m] * A[1][1][n])
+        return t1[m, n] + t1[n, m] - 0.5 * t3 + t4 - t5
 
-def q_nonlinearity(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """The quadratic form Q_{mu nu}(dg, dg) of the reduced system.
-
-    ginv: (..., 2, 2) inverse metric; dg: (..., 2, 2, 2) with dg[..., nu, a, b]
-    = d_nu g_{ab}.  Returns (..., 2, 2).  Five contractions:
-    g^{cd} g^{ab} ( d_n g_{db} d_a g_{mc} + d_m g_{ca} d_b g_{nd}
-                    - 1/2 d_n g_{db} d_m g_{ca}
-                    + d_c g_{ma} d_d g_{nb} - d_c g_{ma} d_b g_{nd} ).
-    """
-    opt = True
-    t1 = np.einsum("...cd,...ab,...ndb,...amc->...mn", ginv, ginv, dg, dg, optimize=opt)
-    t2 = np.einsum("...cd,...ab,...mca,...bnd->...mn", ginv, ginv, dg, dg, optimize=opt)
-    t3 = np.einsum("...cd,...ab,...ndb,...mca->...mn", ginv, ginv, dg, dg, optimize=opt)
-    t4 = np.einsum("...cd,...ab,...cma,...dnb->...mn", ginv, ginv, dg, dg, optimize=opt)
-    t5 = np.einsum("...cd,...ab,...cma,...bnd->...mn", ginv, ginv, dg, dg, optimize=opt)
-    return t1 + t2 - 0.5 * t3 + t4 - t5
+    return q(0, 0), q(0, 1), q(1, 1)
 
 
 def _ddr_last(u: np.ndarray, dr: float) -> np.ndarray:
@@ -594,15 +629,6 @@ def _d2dr2_last(u: np.ndarray, dr: float) -> np.ndarray:
     return out
 
 
-def _pack_sym(u3: np.ndarray) -> np.ndarray:
-    """(3, ...) component stack -> (..., 2, 2) symmetric matrices."""
-    out = np.empty(u3.shape[1:] + (2, 2))
-    out[..., 0, 0] = u3[0]
-    out[..., 0, 1] = out[..., 1, 0] = u3[1]
-    out[..., 1, 1] = u3[2]
-    return out
-
-
 def quasilinear_coefficients(u3: np.ndarray, v3: np.ndarray, ur3: np.ndarray,
                              eps: float):
     """H components and Q stack for the 3-component surrogate.
@@ -611,19 +637,9 @@ def quasilinear_coefficients(u3: np.ndarray, v3: np.ndarray, ur3: np.ndarray,
     packed back to the component stack.  h = eps * u; dg built from
     (d_t u = v, d_r u).
     """
-    h = _pack_sym(eps * u3)
-    H = inverse_metric_perturbation(h)
-    g = ETA2 + h
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    ginv = np.empty_like(g)
-    ginv[..., 0, 0] = g[..., 1, 1] / det
-    ginv[..., 1, 1] = g[..., 0, 0] / det
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
-    dg = np.empty(h.shape[:-2] + (2, 2, 2))
-    dg[..., 0, :, :] = _pack_sym(eps * v3)
-    dg[..., 1, :, :] = _pack_sym(eps * ur3)
-    q = q_nonlinearity(ginv, dg)
-    q3 = np.stack([q[..., 0, 0], q[..., 0, 1], q[..., 1, 1]])
+    h = eps * u3
+    H = _pack_sym(*inverse_metric_components(h))
+    q3 = np.stack(q_nonlinearity(h, eps * v3, eps * ur3))
     return H, q3
 
 

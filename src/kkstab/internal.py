@@ -48,6 +48,10 @@ class FlatTorus:
     def volume(self) -> float:
         return math.prod(self.periods)
 
+    def lattice_norm(self, k: tuple[int, ...]) -> float:
+        """|k/L|^2 = sum_j (k_j / L_j)^2; the eigenvalue is 4 pi^2 times it."""
+        return sum((kj / Lj) ** 2 for kj, Lj in zip(k, self.periods))
+
     def eigenvalue(self, k: tuple[int, ...]) -> float:
         return sum((TWO_PI * kj / Lj) ** 2 for kj, Lj in zip(k, self.periods))
 
@@ -133,13 +137,16 @@ def lichnerowicz_spectrum(
     k_bounds = [int(math.floor(math.sqrt(cutoff) * L / TWO_PI)) for L in model.periods]
     buckets: dict[float, list[tuple[int, ...]]] = {}
     for k in itertools.product(*(range(-b, b + 1) for b in k_bounds)):
-        lam = model.eigenvalue(k)
-        if lam <= cutoff + 1e-12:
-            key = round(lam, 10)
-            buckets.setdefault(key, []).append(k)
+        q = model.lattice_norm(k)
+        if TWO_PI ** 2 * q <= cutoff + 1e-12:
+            # bucket on |k/L|^2, before the 4 pi^2 factor: the sum is exact on
+            # unit and power-of-two periods, so equal lattice norms share one
+            # key; the rounding absorbs last-bit differences for other periods
+            buckets.setdefault(round(q, 9), []).append(k)
     entries = tuple(
-        SpectrumEntry(lam=float(lam), multiplicity=len(ks) * tmult, labels=tuple(sorted(ks)))
-        for lam, ks in sorted(buckets.items())
+        SpectrumEntry(lam=TWO_PI ** 2 * model.lattice_norm(ks[0]),
+                      multiplicity=len(ks) * tmult, labels=tuple(sorted(ks)))
+        for _, ks in sorted(buckets.items())
     )
     return ModeSpectrum(entries=entries, cutoff=cutoff, d=model.d)
 

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kkstab import energy
@@ -52,6 +53,24 @@ class TestSpectrum:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_one_entry_per_lattice_norm(self, tmp_path):
+        """Unit 3-torus, lmax 12: one entry for each of the 363 values of
+        |k|^2 <= 432, with multiplicity 6 x its lattice points.  Equal norms
+        such as 74 = |(8,3,1)|^2 = |(7,5,0)|^2 are never split."""
+        code, out = run_cli(["spectrum", "--d", "3", "--periods", "1,1,1",
+                             "--lmax", "12"], tmp_path, "t3")
+        assert code == 0
+        rows = [ln.split() for ln in
+                (out / "spectrum.txt").read_text().splitlines()[1:] if ln.strip()]
+        k = np.arange(-20, 21)
+        k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2
+              + k[None, None, :] ** 2).ravel()
+        values, points = np.unique(k2[k2 <= 3 * 12 ** 2], return_counts=True)
+        assert len(rows) == len(values) == 363
+        for (lam, mult), q, count in zip(rows, values, points):
+            assert float(lam) == pytest.approx(4 * np.pi ** 2 * q, rel=1e-12)
+            assert int(mult) == 6 * count
+
     def test_resolved_config_written(self, tmp_path):
         _, out = run_cli(["spectrum", "--lmax", "2"], tmp_path, "rc")
         cp = configparser.ConfigParser()
@@ -94,6 +113,29 @@ class TestEnergy:
         rows = (out / "estimates.csv").read_text().splitlines()[1:]
         for s in slices:
             assert sum(float(row.split(",")[1]) == s for row in rows) == 4
+
+
+    def test_defaults_exit_0(self, tmp_path):
+        """Every default slice lies inside the default run."""
+        code, out = run_cli(["energy"], tmp_path, "d")
+        assert code == 0
+        report = energy.read_report(out / "energy-report.json")
+        assert sorted(float(s) for s in report["energies"]) == [4.0, 8.0, 10.0]
+
+
+class TestSchwarzschild:
+    def test_defaults_follow_the_tail(self, tmp_path):
+        """gauge.csv on the defaults (n = 9, cs = 0.1, 12 radii in [20, 200]):
+        every metric deviation is nonzero and within 1% of cs r^-(n-2)."""
+        code, out = run_cli(["schwarzschild"], tmp_path, "g")
+        assert code == 0
+        lines = (out / "gauge.csv").read_text().splitlines()
+        assert lines[0] == "r,metric_deviation,wave_gauge_residual"
+        rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+        assert len(rows) == 12
+        for r, dev, _ in rows:
+            assert dev > 0.0
+            assert abs(dev / (0.1 * r ** -7) - 1.0) <= 0.01
 
 
 class TestConfigPrecedence:

@@ -1,5 +1,7 @@
 """Tests for hyperboloidal energies, the estimate suite and decay fits."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,82 @@ class TestDecayFit:
         et, eu = envelope(t, u)
         fit = decay_fit(1 + et, eu)
         assert fit.exponent == pytest.approx(-2.0, abs=0.05)
+
+
+ETA2 = np.diag([-1.0, 1.0])
+
+
+def _sym2(a00, a01, a11):
+    out = np.empty(np.shape(a00) + (2, 2))
+    out[..., 0, 0] = a00
+    out[..., 0, 1] = out[..., 1, 0] = a01
+    out[..., 1, 1] = a11
+    return out
+
+
+def _sharp(m):
+    return np.einsum("ab,...bc,cd->...ad", ETA2, m, ETA2)
+
+
+def _sharp_prod(x, y):
+    """(x eta y)# = eta x eta y eta."""
+    return np.einsum("ab,...bc,cd,...de,ef->...af", ETA2, x, ETA2, y, ETA2)
+
+
+def quasilinear_gamma_einsum(comp_slices, eps):
+    """Oracle: H = -h# + (h eta h)# and its chain rule
+    dH = -dh# + (dh eta h)# + (h eta dh)#, by generic contraction."""
+    c0, c1, c2 = comp_slices
+    h = _sym2(eps * c0.u, eps * c1.u, eps * c2.u)
+    dh_t = _sym2(eps * c0.ut, eps * c1.ut, eps * c2.ut)
+    dh_r = _sym2(eps * c0.ur, eps * c1.ur, eps * c2.ur)
+
+    def dH_of(dhm):
+        return -_sharp(dhm) + _sharp_prod(dhm, h) + _sharp_prod(h, dhm)
+
+    return -_sharp(h) + _sharp_prod(h, h), dH_of(dh_t), dH_of(dh_r)
+
+
+def _random_components(rng, shape, scale=1.0):
+    return [SimpleNamespace(**{k: scale * rng.uniform(-1, 1, shape)
+                               for k in ("u", "ut", "ur")}) for _ in range(3)]
+
+
+class TestQuasilinearGammaOracle:
+    @pytest.mark.parametrize("shape", [(), (385,), (40, 200)])
+    def test_matches_einsum(self, shape):
+        """Component-wise H, d_t H, d_r H against the einsum oracle to 1e-14
+        relative, with |eps u| up to 0.1."""
+        comps = _random_components(np.random.default_rng(21), shape)
+        g = en.quasilinear_gamma(comps, 0.1)
+        H, Ht, Hr = quasilinear_gamma_einsum(comps, 0.1)
+        pairs = [(g.c00, H[..., 0, 0]), (g.c0r, H[..., 0, 1]), (g.crr, H[..., 1, 1]),
+                 (g.dt00, Ht[..., 0, 0]), (g.dt0r, Ht[..., 0, 1]),
+                 (g.dtrr, Ht[..., 1, 1]), (g.dr0r, Hr[..., 0, 1]),
+                 (g.drrr, Hr[..., 1, 1])]
+        for got, want in pairs:
+            assert np.shape(got) == shape
+        for block, got_keys in ((H, pairs[:3]), (Ht, pairs[3:6]), (Hr, pairs[6:])):
+            scale = np.max(np.abs(block))
+            for got, want in got_keys:
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    def test_gamma_is_the_inverse_metric_expansion(self):
+        """H and d_t H against the exact (eta + h)^{-1} - eta and its
+        derivative -g^{-1} dh g^{-1}.  At |h|, |dh| <= 1e-3 the second-order
+        expansion misses them by O(|h|^3), O(|h|^2 |dh|) ~ 1e-9; a wrong
+        quadratic term, such as (h h)# for (h eta h)#, misses by ~1e-6."""
+        comps = _random_components(np.random.default_rng(22), (50,), 1e-3)
+        g = en.quasilinear_gamma(comps, 1.0)
+        h = _sym2(*(c.u for c in comps))
+        dh = _sym2(*(c.ut for c in comps))
+        ginv = np.linalg.inv(ETA2 + h)
+        exact = ginv - ETA2
+        exact_dt = -ginv @ dh @ ginv
+        for got, i, j in ((g.c00, 0, 0), (g.c0r, 0, 1), (g.crr, 1, 1)):
+            assert np.max(np.abs(got - exact[:, i, j])) < 1e-8
+        for got, i, j in ((g.dt00, 0, 0), (g.dt0r, 0, 1), (g.dtrr, 1, 1)):
+            assert np.max(np.abs(got - exact_dt[:, i, j])) < 1e-8
 
 
 class TestQuasilinearGammaBridge:

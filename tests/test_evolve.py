@@ -212,6 +212,83 @@ class TestQuasilinearToy:
         assert np.max(np.abs(approx - exact)) < 1e-8
 
 
+ETA2 = np.diag([-1.0, 1.0])
+#: component shapes of the oracle draws: one point, a right-hand side of
+#: 385 nodes, and a commuted-source (nt, nr) history
+ORACLE_SHAPES = [(), (385,), (40, 200)]
+ORACLE_RTOL = 1e-14
+
+
+def _pack(u3):
+    out = np.empty(np.shape(u3[0]) + (2, 2))
+    out[..., 0, 0] = u3[0]
+    out[..., 0, 1] = out[..., 1, 0] = u3[1]
+    out[..., 1, 1] = u3[2]
+    return out
+
+
+def inverse_metric_einsum(h):
+    """Oracle: H = -h# + (h eta h)# by generic index contraction."""
+    hsharp = np.einsum("ab,...bc,cd->...ad", ETA2, h, ETA2)
+    hh = np.einsum("ab,...bc,cd,...de,ef->...af", ETA2, h, ETA2, h, ETA2)
+    return -hsharp + hh
+
+
+def q_einsum(ginv, dg):
+    """Oracle: the five contractions of Q with dg[..., nu, a, b] = d_nu g_ab."""
+    opt = True
+    t1 = np.einsum("...cd,...ab,...ndb,...amc->...mn", ginv, ginv, dg, dg, optimize=opt)
+    t2 = np.einsum("...cd,...ab,...mca,...bnd->...mn", ginv, ginv, dg, dg, optimize=opt)
+    t3 = np.einsum("...cd,...ab,...ndb,...mca->...mn", ginv, ginv, dg, dg, optimize=opt)
+    t4 = np.einsum("...cd,...ab,...cma,...dnb->...mn", ginv, ginv, dg, dg, optimize=opt)
+    t5 = np.einsum("...cd,...ab,...cma,...bnd->...mn", ginv, ginv, dg, dg, optimize=opt)
+    return t1 + t2 - 0.5 * t3 + t4 - t5
+
+
+def quasilinear_coefficients_einsum(u3, v3, ur3, eps):
+    h = _pack(eps * u3)
+    ginv = np.linalg.inv(ETA2 + h)
+    dg = np.stack([_pack(eps * v3), _pack(eps * ur3)], axis=-3)
+    q = q_einsum(ginv, dg)
+    return inverse_metric_einsum(h), np.stack([q[..., 0, 0], q[..., 0, 1], q[..., 1, 1]])
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestClosedFormOracle:
+    """The component formulas against the generic einsum contractions, on
+    seeded draws with |eps u| up to 0.1."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_inverse_metric_matches_einsum(self, shape):
+        rng = np.random.default_rng(11)
+        h = _pack(rng.uniform(-0.1, 0.1, (3,) + shape))
+        got = ev.inverse_metric_perturbation(h)
+        assert got.shape == h.shape
+        assert _rel_err(got, inverse_metric_einsum(h)) <= ORACLE_RTOL
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_coefficients_match_einsum(self, shape):
+        rng = np.random.default_rng(12)
+        u3, v3, ur3 = (rng.uniform(-1.0, 1.0, (3,) + shape) for _ in range(3))
+        H, q3 = ev.quasilinear_coefficients(u3, v3, ur3, 0.1)
+        H_o, q3_o = quasilinear_coefficients_einsum(u3, v3, ur3, 0.1)
+        assert H.shape == shape + (2, 2) and q3.shape == (3,) + shape
+        assert _rel_err(H, H_o) <= ORACLE_RTOL
+        assert _rel_err(q3, q3_o) <= ORACLE_RTOL
+
+    def test_q_is_symmetric_in_the_oracle(self):
+        """Packing Q as (00, 0r, rr) drops nothing: Q_r0 = Q_0r."""
+        rng = np.random.default_rng(13)
+        h = _pack(rng.uniform(-0.1, 0.1, (3, 50)))
+        dg = np.stack([_pack(rng.uniform(-0.1, 0.1, (3, 50))) for _ in range(2)],
+                      axis=-3)
+        q = q_einsum(np.linalg.inv(ETA2 + h), dg)
+        assert np.allclose(q[..., 0, 1], q[..., 1, 0], rtol=1e-13, atol=0.0)
+
+
 @pytest.fixture(scope="module")
 def quasi_run():
     cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=12.0,
