@@ -141,6 +141,14 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_evolve(cfg: dict, outdir: Path) -> int:
+    """Run one radial evolution and write its artifacts.
+
+    monitors.csv holds the monitor series and evolve-report.json the decay
+    fit.  final-field.bin is a snapshot (`fields.write_snapshot`) of the whole
+    stored (u, v) history (every EvolutionConfig.store_every-th step), not
+    only the last time step: `fields.read_snapshot` gives it back as a
+    ModeField.
+    """
     n, lam = int(cfg["n"]), float(cfg["lam"])
     slice_s = _float_list(cfg["slice_s"])
     config = evolve_mod.EvolutionConfig(

@@ -110,19 +110,19 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     rp, rm = coeff
     out = np.empty_like(u)
     inv_dr2 = 1.0 / dr ** 2
-    out[..., 1:-1] = (rp * (u[..., 2:] - u[..., 1:-1])
-                      - rm * (u[..., 1:-1] - u[..., :-2])) * inv_dr2
-    out[..., 0] = n * 2.0 * (u[..., 1] - u[..., 0]) * inv_dr2
+    d = u[..., 1:] - u[..., :-1]
+    out[..., 1:-1] = (rp * d[..., 1:] - rm * d[..., :-1]) * inv_dr2
+    out[..., 0] = n * 2.0 * d[..., 0] * inv_dr2
     out[..., -1] = 0.0
     return out
 
 
-def _stencil_sample(row: np.ndarray, cols: np.ndarray, b: int, dr: float) -> np.ndarray:
-    """b-th radial derivative at the given columns, even extension at r=0."""
-    top = row.shape[-1] - 1
+def _radial_stencil(g: np.ndarray, b: int, dr: float) -> np.ndarray:
+    """b-th radial derivative from a (..., 5, m) gather at column offsets
+    -2..2 (even extension at r=0, clamped at the grid edge)."""
 
     def at(off):
-        return row[..., np.minimum(np.abs(cols + off), top)]
+        return g[..., off + 2, :]
 
     if b == 0:
         return at(0)
@@ -137,6 +137,11 @@ def _stencil_sample(row: np.ndarray, cols: np.ndarray, b: int, dr: float) -> np.
     raise ValueError(f"unsupported radial derivative order {b}")
 
 
+_STENCIL_OFFSETS = np.arange(-2, 3)[:, None]
+_EYE4 = np.eye(4)
+_DIAG4 = (np.arange(4), np.arange(4))
+
+
 class SliceSampler:
     """Captures hyperboloid samples from a rolling four-step window.
 
@@ -145,6 +150,11 @@ class SliceSampler:
     window the node's values and radial derivatives are interpolated
     (4-point Lagrange in t) and stored.  Works for forward and backward
     sweeps; the done-mask accumulates across both.
+
+    The nodes of all slices share one concatenated store per (u|v, order),
+    searched through one t*-sorted index; each entry's "cols", "done" and
+    "store" arrays are views into it.  u is captured to radial order max_b,
+    v = d_t u below max(max_b, 1).
     """
 
     def __init__(self, targets, n: int, dr: float, max_b: int = 2,
@@ -154,22 +164,26 @@ class SliceSampler:
         self.max_b = max_b
         self._buf: deque = deque(maxlen=4)
         self._first_window = False
+        slcs = [make_slice(s, n, dr, r_cap=r_cap(s) if callable(r_cap) else r_cap)
+                for s in targets]
+        self._tstar = np.concatenate([slc.t for slc in slcs] or [np.empty(0)])
+        self._cols = np.round(np.concatenate([slc.r for slc in slcs] or [np.empty(0)])
+                              / dr).astype(int)
+        self._order = np.argsort(self._tstar, kind="stable")
+        self._tsorted = self._tstar[self._order]
+        self._done = np.zeros(self._tstar.shape, dtype=bool)
+        self._n_orders = {"u": max_b + 1, "v": max(max_b, 1)}
+        self._store = {(f, b): np.zeros(leading_shape + self._tstar.shape)
+                       for f, nb in self._n_orders.items() for b in range(nb)}
         self.entries = []
-        for s in targets:
-            cap = r_cap(s) if callable(r_cap) else r_cap
-            slc = make_slice(s, n, dr, r_cap=cap)
-            cols = np.round(slc.r / dr).astype(int)
-            store = {
-                ("u", b): np.zeros(leading_shape + slc.r.shape)
-                for b in range(max_b + 1)
-            }
-            store.update({
-                ("v", b): np.zeros(leading_shape + slc.r.shape)
-                for b in range(max_b + 1)
-            })
+        start = 0
+        for s, slc in zip(targets, slcs):
+            sel = slice(start, start + len(slc.r))
+            start = sel.stop
             self.entries.append({
-                "s": s, "slc": slc, "cols": cols, "tstar": slc.t,
-                "done": np.zeros(slc.r.shape, dtype=bool), "store": store,
+                "s": s, "slc": slc, "cols": self._cols[sel], "tstar": slc.t,
+                "done": self._done[sel],
+                "store": {key: arr[..., sel] for key, arr in self._store.items()},
             })
 
     def t_range_needed(self) -> tuple[float, float]:
@@ -185,43 +199,39 @@ class SliceSampler:
         self._buf.append((t, u, v))
         if len(self._buf) < 4:
             return
-        times = np.array([b[0] for b in self._buf])
+        times = [b[0] for b in self._buf]
         if self._first_window:
             lo, hi = min(times[:3]), max(times[:3])
             self._first_window = False
         else:
             lo, hi = sorted((times[1], times[2]))
-        for entry in self.entries:
-            tstar = entry["tstar"]
-            i0 = np.searchsorted(tstar, lo, side="left")
-            i1 = np.searchsorted(tstar, hi, side="left")
-            if i1 <= i0:
-                continue
-            sel = slice(i0, i1)
-            pend = ~entry["done"][sel]
-            if not pend.any():
-                continue
-            idx = np.arange(i0, i1)[pend]
-            tq = tstar[idx]
-            cols = entry["cols"][idx]
-            # Lagrange weights over the four buffered times
-            w = []
-            for i in range(4):
-                num = np.ones_like(tq)
-                for j in range(4):
-                    if j != i:
-                        num *= (tq - times[j]) / (times[i] - times[j])
-                w.append(num)
-            store = entry["store"]
-            for b in range(self.max_b + 1):
-                acc = sum(wi * _stencil_sample(buf[1], cols, b, self.dr)
-                          for wi, buf in zip(w, self._buf))
-                store[("u", b)][..., idx] = acc
-            for b in range(max(self.max_b, 1)):
-                acc = sum(wi * _stencil_sample(buf[2], cols, b, self.dr)
-                          for wi, buf in zip(w, self._buf))
-                store[("v", b)][..., idx] = acc
-            entry["done"][idx] = True
+        i0, i1 = np.searchsorted(self._tsorted, (lo, hi), side="left")
+        if i1 <= i0:
+            return
+        idx = self._order[i0:i1]
+        idx = idx[~self._done[idx]]
+        if not len(idx):
+            return
+        # Lagrange weights over the four buffered times: w_i is the product
+        # over j of (t* - t_j) / (t_i - t_j), with the j = i ratio set to 1.0
+        # (exact); the eye keeps the diagonal of den away from zero
+        times = np.array(times)
+        den = times[:, None] - times + _EYE4
+        ratio = (self._tstar[idx] - times[:, None]) / den[:, :, None]
+        ratio[_DIAG4] = 1.0
+        w = ratio[:, 0] * ratio[:, 1] * ratio[:, 2] * ratio[:, 3]
+        w = w.reshape((4,) + (1,) * u.ndim + w.shape[1:])
+        # one (5, m) neighbourhood gather per buffered u and v row
+        gather = np.minimum(np.abs(self._cols[idx] + _STENCIL_OFFSETS), u.shape[-1] - 1)
+        rows = np.stack([buf[pos][..., gather] for buf in self._buf for pos in (1, 2)])
+        rows = rows.reshape((4, 2) + rows.shape[1:])
+        for b in range(self.max_b + 1):
+            # the weighted sum in buffer order, as a sum over the first axis
+            acc = sum(w * _radial_stencil(rows, b, self.dr))
+            self._store["u", b][..., idx] = acc[0]
+            if b < self._n_orders["v"]:
+                self._store["v", b][..., idx] = acc[1]
+        self._done[idx] = True
 
     def raw_results(self, strict: bool = True) -> dict:
         out = {}
@@ -277,6 +287,27 @@ def _support_radius(u: np.ndarray, dr: float, tol: float = 1e-12) -> float:
         return 0.0
     nz = np.nonzero(row > tol * m)[0]
     return float(nz[-1]) * dr if len(nz) else 0.0
+
+
+class _History:
+    """Decimated rows of a sweep, written into arrays sized for the whole run.
+
+    Rows come at steps 0, every, 2 every, ...; indexing by field name gives
+    the rows written so far, fewer than allocated after an early return.
+    """
+
+    def __init__(self, n_steps: int, every: int, shape: tuple, fields=("u", "v")):
+        self.t: list[float] = []
+        self._rows = {f: np.empty((n_steps // every + 1,) + shape) for f in fields}
+
+    def record(self, t: float, **rows) -> None:
+        k = len(self.t)
+        self.t.append(t)
+        for f, row in rows.items():
+            self._rows[f][k] = row
+
+    def __getitem__(self, f: str) -> np.ndarray:
+        return self._rows[f][:len(self.t)]
 
 
 def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
@@ -427,13 +458,12 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     for ro in config.observers:
         mon[f"obs_r{ro:g}"] = []
     obs_cols = [int(round(ro / dr)) for ro in config.observers]
-    history = {"t": [], "u": [], "v": []} if config.store_history else None
+    history = (_History(n_steps, config.store_every, u0.shape)
+               if config.store_history else None)
 
     def on_monitor(j, t, u, v):
-        if config.store_history and j % config.store_every == 0:
-            history["t"].append(t)
-            history["u"].append(u.copy())
-            history["v"].append(v.copy())
+        if history is not None and j % config.store_every == 0:
+            history.record(t, u=u, v=v)
         if j % config.monitor_every == 0:
             mon["t"].append(t)
             mon["sup"].append(float(np.max(np.abs(u))))
@@ -462,11 +492,12 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
                        accel, sampler)
 
     field_out = None
-    if config.store_history:
+    if history is not None:
+        tt = history.t
         field_out = ModeField(
-            lam=lam, n=n, t0=history["t"][0], dt=history["t"][1] - history["t"][0]
-            if len(history["t"]) > 1 else dt * config.store_every,
-            dr=dr, u=np.array(history["u"]), v=np.array(history["v"]),
+            lam=lam, n=n, t0=tt[0],
+            dt=tt[1] - tt[0] if len(tt) > 1 else dt * config.store_every,
+            dr=dr, u=history["u"], v=history["v"],
         )
     slices = sampler.slice_data(lam) if sampler is not None else {}
     monitors = {k: np.array(vals) for k, vals in mon.items()}
@@ -505,17 +536,15 @@ def evolve_full_grid_torus(n: int, torus: FlatTorus, init, config: EvolutionConf
         lap_th = np.fft.irfft(minus_k2 * np.fft.rfft(u, axis=0), n=m_theta, axis=0)
         return lap_r + lap_th
 
-    ts, hist = [], []
+    n_steps = int(math.ceil((config.t_end - config.t_start) / dt - 1e-9))
+    history = _History(n_steps, config.store_every, u.shape, fields=("u",))
 
     def on_monitor(j, t, u, v):
-        ts.append(t)
-        hist.append(u.copy())
+        history.record(t, u=u)
 
-    n_steps = int(math.ceil((config.t_end - config.t_start) / dt - 1e-9))
-    u, v, t, _, _ = _run_sweep(u, v, config.t_start, n_steps, dt, accel, None,
-                               on_monitor=on_monitor,
-                               monitor_every=config.store_every)
-    return np.array(ts), np.array(hist)
+    _run_sweep(u, v, config.t_start, n_steps, dt, accel, None,
+               on_monitor=on_monitor, monitor_every=config.store_every)
+    return np.array(history.t), history["u"]
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +731,12 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
 
     mon = {k: [] for k in ("t", "sup", "support_radius")}
-    history = {"t": [], "u": [], "v": []} if config.store_history else None
+    history = (_History(n_steps, config.store_every, u0.shape)
+               if config.store_history else None)
 
     def on_monitor(j, t, u, v):
-        if config.store_history and j % config.store_every == 0:
-            history["t"].append(t)
-            history["u"].append(u.copy())
-            history["v"].append(v.copy())
+        if history is not None and j % config.store_every == 0:
+            history.record(t, u=u, v=v)
         if j % config.monitor_every == 0:
             mon["t"].append(t)
             mon["sup"].append(float(np.max(np.abs(u))))
@@ -730,10 +758,10 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
                        accel, sampler)
 
     comp_fields = None
-    if config.store_history and history["t"]:
-        tt = history["t"]
+    if history is not None:
+        tt = history.t
         dts = tt[1] - tt[0] if len(tt) > 1 else dt * config.store_every
-        uu, vv = np.array(history["u"]), np.array(history["v"])
+        uu, vv = history["u"], history["v"]
         comp_fields = [ModeField(lam=lam, n=n, t0=tt[0], dt=dts, dr=dr,
                                  u=uu[:, c], v=vv[:, c]) for c in range(3)]
     comp_slices = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,8 +364,9 @@ def write_snapshot(path, field_: ModeField) -> None:
         header.write(f"dt={field_.dt!r} dr={field_.dr!r} t0={field_.t0!r}\n")
         header.write(f"shape={field_.u.shape[0]}x{field_.u.shape[1]}\n")
         fh.write(header.getvalue().encode())
-        fh.write(np.ascontiguousarray(field_.u, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(field_.v, dtype="<f8").tobytes())
+        # memoryview writes the array's own buffer: no bytes copy of the payload
+        fh.write(memoryview(np.ascontiguousarray(field_.u, dtype="<f8")))
+        fh.write(memoryview(np.ascontiguousarray(field_.v, dtype="<f8")))
 
 
 def read_snapshot(path) -> ModeField:
@@ -376,6 +378,12 @@ def read_snapshot(path) -> ModeField:
         grid = dict(kv.split("=", 1) for kv in fh.readline().decode().split())
         shape = tuple(int(x) for x in fh.readline().decode().strip().split("=")[1].split("x"))
         count = shape[0] * shape[1]
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != 16 * count:
+            raise ValueError(
+                f"snapshot payload is {found} bytes, but the header shape "
+                f"{shape[0]}x{shape[1]} needs {16 * count} bytes (u and v)"
+            )
         u = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
         v = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
     return ModeField(

@@ -1,12 +1,16 @@
 """Tests for the radial evolution solvers and the quasilinear toy model."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from kkstab import evolve as ev
+from kkstab import fields
 from kkstab.evolve import (
     CFLError,
     EvolutionConfig,
+    SliceSampler,
     WindowDepthError,
     commuted_sources,
     default_pulse,
@@ -329,3 +333,163 @@ class TestEnergyMonitor:
         e = flat_slice_energy(u, np.zeros_like(u), 0.05, 3, 1.0)
         assert e > 0.0
         assert flat_slice_energy(np.zeros_like(u), np.zeros_like(u), 0.05, 3, 1.0) == 0.0
+
+
+def _stencil_sample(row, cols, b, dr):
+    """Oracle: b-th radial derivative at the given columns, even extension
+    at r=0, one gather per stencil offset."""
+    top = row.shape[-1] - 1
+
+    def at(off):
+        return row[..., np.minimum(np.abs(cols + off), top)]
+
+    if b == 0:
+        return at(0)
+    if b == 1:
+        return (at(1) - at(-1)) / (2.0 * dr)
+    if b == 2:
+        return (at(1) - 2.0 * at(0) + at(-1)) / dr ** 2
+    if b == 3:
+        return (at(2) - 2.0 * at(1) + 2.0 * at(-1) - at(-2)) / (2.0 * dr ** 3)
+    if b == 4:
+        return (at(2) - 4.0 * at(1) + 6.0 * at(0) - 4.0 * at(-1) + at(-2)) / dr ** 4
+    raise ValueError(f"unsupported radial derivative order {b}")
+
+
+class ReferenceSampler(SliceSampler):
+    """Oracle: the per-slice, per-column sampler.  Every slice has its own
+    store and searchsorted pair, and every buffered step is sampled again for
+    each derivative order with Lagrange weights built in a loop."""
+
+    def __init__(self, targets, n, dr, max_b=2, r_cap=None, leading_shape=()):
+        self.n, self.dr, self.max_b = n, dr, max_b
+        self._buf = deque(maxlen=4)
+        self._first_window = False
+        self.entries = []
+        for s in targets:
+            cap = r_cap(s) if callable(r_cap) else r_cap
+            slc = ev.make_slice(s, n, dr, r_cap=cap)
+            store = {("u", b): np.zeros(leading_shape + slc.r.shape)
+                     for b in range(max_b + 1)}
+            store.update({("v", b): np.zeros(leading_shape + slc.r.shape)
+                          for b in range(max(max_b, 1))})
+            self.entries.append({
+                "s": s, "slc": slc, "cols": np.round(slc.r / dr).astype(int),
+                "tstar": slc.t, "done": np.zeros(slc.r.shape, dtype=bool),
+                "store": store,
+            })
+
+    def observe(self, t, u, v):
+        self._buf.append((t, u, v))
+        if len(self._buf) < 4:
+            return
+        times = np.array([b[0] for b in self._buf])
+        if self._first_window:
+            lo, hi = min(times[:3]), max(times[:3])
+            self._first_window = False
+        else:
+            lo, hi = sorted((times[1], times[2]))
+        for entry in self.entries:
+            tstar = entry["tstar"]
+            i0 = np.searchsorted(tstar, lo, side="left")
+            i1 = np.searchsorted(tstar, hi, side="left")
+            if i1 <= i0:
+                continue
+            pend = ~entry["done"][i0:i1]
+            if not pend.any():
+                continue
+            idx = np.arange(i0, i1)[pend]
+            tq = tstar[idx]
+            cols = entry["cols"][idx]
+            w = []
+            for i in range(4):
+                num = np.ones_like(tq)
+                for j in range(4):
+                    if j != i:
+                        num *= (tq - times[j]) / (times[i] - times[j])
+                w.append(num)
+            store = entry["store"]
+            for f, pos in (("u", 1), ("v", 2)):
+                for b in range(self.max_b + 1 if f == "u" else max(self.max_b, 1)):
+                    store[f, b][..., idx] = sum(
+                        wi * _stencil_sample(buf[pos], cols, b, self.dr)
+                        for wi, buf in zip(w, self._buf))
+            entry["done"][idx] = True
+
+
+SAMPLE_KEYS = ("u", "ut", "ur", "urr", "utr", "urrr", "utrr", "urrrr", "utrrr")
+
+
+def _sampler_case(case, sample_derivs):
+    """Slice captures of one small run, per slice a list of SliceData (one
+    per leading component)."""
+    if case == "kg":
+        # s = 2.5 crosses t_start = 4, so the backward sweep captures too
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
+                              store_history=False, sample_derivs=sample_derivs)
+        res = evolve_kg_radial(0.5, 3, config=cfg, slice_s=(2.5, 5.0))
+        return {s: [d] for s, d in res.slices.items()}
+    cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
+                          eps=1e-3, nonlinearity="quasilinear-toy",
+                          blowup_factor=100.0, store_history=False,
+                          sample_derivs=sample_derivs)
+    if case == "quasilinear":
+        res = evolve_quasilinear_toy(cfg, slice_s=(4.5, 5.0))
+    else:
+        # the cap at r_max puts the last node on the grid edge, where the
+        # stencil's +1, +2 columns clamp; every slice clamps at the axis
+        res = evolve_quasilinear_toy(cfg, slice_s=(6.0,), slice_r_cap=14.0)
+    return res.component_slices
+
+
+class TestSliceSampler:
+    @pytest.mark.parametrize("sample_derivs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["kg", "quasilinear", "grid-edge"])
+    def test_matches_reference_bitwise(self, monkeypatch, case, sample_derivs):
+        got = _sampler_case(case, sample_derivs)
+        monkeypatch.setattr(ev, "SliceSampler", ReferenceSampler)
+        want = _sampler_case(case, sample_derivs)
+        if case == "grid-edge":
+            assert want[6.0][0].r[-1] == 14.0
+        assert got.keys() == want.keys()
+        for s in want:
+            for g, w in zip(got[s], want[s], strict=True):
+                for key in SAMPLE_KEYS:
+                    a, b = getattr(g, key), getattr(w, key)
+                    assert (a is None) == (b is None), (s, key)
+                    assert a is None or np.array_equal(a, b), (s, key)
+
+    def test_uncaptured_derivative_raises(self):
+        """v = d_t u is captured below max(sample_derivs, 1) radial orders, so
+        at sample_derivs=2 d_t d_r^2 u is not available."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_end=12.0, store_history=False)
+        data = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,)).slices[5.0]
+        assert data.utrr is None and data.utr is not None
+        with pytest.raises(fields.WindowError):
+            data.deriv(1, 2)
+
+    def test_utrr_matches_field_sampling(self):
+        """At sample_derivs=3, d_t d_r^2 u agrees with the stored history
+        interpolated the way ModeField.sample_on_hyperboloid does it."""
+        cfg = EvolutionConfig(n=3, dr=1 / 32, t_start=4.0, t_end=14.0,
+                              r_max=18.0, store_every=1, sample_derivs=3)
+        res = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,))
+        direct, f = res.slices[5.0], res.field
+        posthoc = f._interp_rows(fields._d2dr2(f.v, f.dr), direct.t,
+                                 np.round(direct.r / f.dr).astype(int))
+        assert np.max(np.abs(direct.utrr - posthoc)) < 1e-6 * np.max(np.abs(posthoc))
+
+
+class TestHistory:
+    def test_blowup_trims_history(self):
+        """An early blow-up return keeps only the rows written."""
+        cfg = EvolutionConfig(n=9, dr=1 / 16, t_start=4.0, t_end=30.0,
+                              r_max=32.0, nonlinearity="quasilinear-toy",
+                              blowup_factor=1.5, store_every=8)
+        res = evolve_quasilinear_toy(cfg, lam=0.0)
+        assert res.blowup_time is not None
+        # the step that trips the guard returns before its own row is written
+        rows = (int(round((res.blowup_time - cfg.t_start) / cfg.dt)) - 1) // 8 + 1
+        for f in res.component_fields:
+            assert f.u.shape[0] == f.v.shape[0] == rows
+            assert f.t1 <= res.blowup_time

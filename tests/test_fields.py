@@ -190,6 +190,15 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="magic"):
             read_snapshot(p)
 
+    def test_truncated_payload_rejected(self, tmp_path):
+        """A payload shorter than the header's shape names both byte counts."""
+        f = _analytic_field(nt=10, nr=12)
+        p = tmp_path / "field.kks"
+        write_snapshot(p, f)
+        p.write_bytes(p.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=r"is 1912 bytes.*10x12 needs 1920 bytes"):
+            read_snapshot(p)
+
 
 class TestProductTensorField:
     def test_lattice_consistency_enforced(self):
