@@ -4,7 +4,7 @@ Subcommands: spectrum, evolve, energy, schwarzschild, geodesic, verify.
 Option precedence: command-line flag > KKSTAB_* environment variable >
 config-file key > built-in default.  Every run writes its resolved
 configuration and the tool version beside its outputs; outputs are
-byte-stable for a fixed config and seed.
+byte-stable for a fixed config.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ class ConfigError(Exception):
 DEFAULTS = {
     "spectrum": {"d": 2, "periods": "1,1", "lmax": 5, "spectrum_file": ""},
     "evolve": {"n": 9, "lam": 0.0, "t_end": 100.0, "dr": 1.0 / 64,
-               "eps": 0.0, "seed": 0, "workers": 1, "slice_s": ""},
+               "eps": 0.0, "slice_s": ""},
     "energy": {"n": 9, "lam": 0.0, "t_end": 40.0, "dr": 1.0 / 32,
-               "slice_s": "4,8,10", "d": 2, "seed": 0, "workers": 1},
+               "slice_s": "4,8,10", "d": 2},
     "schwarzschild": {"n": 9, "cs": 0.1, "r_lo": 20.0, "r_hi": 200.0,
                       "samples": 12},
     "geodesic": {"n": 9, "cs": 0.1, "d": 2, "r0": 10.0, "lam_end": 1000.0},
-    "verify": {"suite": "trivial", "workers": 1},
+    "verify": {"suite": "trivial"},
 }
 
 
@@ -122,6 +122,8 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         data = internal.parse_spectrum_file(cfg["spectrum_file"])
     else:
         periods = tuple(_float_list(cfg["periods"]))
+        if int(cfg["d"]) != len(periods):
+            raise ConfigError(f"d={cfg['d']} but {len(periods)} periods given")
         torus = internal.FlatTorus(periods)
         lmax = int(cfg["lmax"])
         cutoff = 4 * np.pi ** 2 * lmax ** 2 * sum(1.0 / L ** 2
@@ -154,8 +156,7 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     config = evolve_mod.EvolutionConfig(
         n=n, dr=float(cfg["dr"]), t_end=float(cfg["t_end"]),
         nonlinearity="quasilinear-toy" if float(cfg["eps"]) > 0 else "linear",
-        eps=float(cfg["eps"]), store_history=True,
-        workers=int(cfg["workers"]))
+        eps=float(cfg["eps"]), store_history=True)
     if float(cfg["eps"]) > 0:
         result = evolve_mod.evolve_quasilinear_toy(
             config, lam=lam, slice_s=slice_s or None)
@@ -183,7 +184,7 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
     slice_s = _float_list(cfg["slice_s"]) or [4.0, 8.0, 10.0]
     config = evolve_mod.EvolutionConfig(
         n=n, dr=float(cfg["dr"]), t_end=float(cfg["t_end"]),
-        workers=int(cfg["workers"]), sample_derivs=3, store_history=False)
+        sample_derivs=3, store_history=False)
     result = evolve_mod.evolve_kg_radial(lam, n, None, config,
                                          slice_s=slice_s)
     energies = {s: energy_mod.hyperboloidal_energy(data)

@@ -395,12 +395,6 @@ def equivalence_threshold(data: SliceData, gamma_family, deltas) -> float | None
 # Estimate suite
 
 
-def cutoff_chi(alpha: np.ndarray) -> np.ndarray:
-    """C^2 cutoff: 1 for alpha < 1, 0 for alpha > 2, quintic in between."""
-    m = np.clip(2.0 - np.asarray(alpha, dtype=float), 0.0, 1.0)
-    return m ** 3 * (10.0 - 15.0 * m + 6.0 * m ** 2)
-
-
 @dataclass
 class EstimateRow:
     name: str

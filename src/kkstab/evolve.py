@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import ModeField, SliceData
-from .geometry import grid_apply, make_slice
+from .geometry import grid_apply, make_slice, sphere_area
 from .internal import FlatTorus
 
 
@@ -53,8 +53,9 @@ class EvolutionConfig:
     monitor_every: int = 16
     sample_derivs: int = 2
     observers: tuple[float, ...] = ()
-    workers: int = 1
-    blowup_factor: float = 10.0
+    # blow-up guard: sup|u| > blowup_factor * max|u0|; linear focusing alone
+    # lifts sup|u| 59-fold at n = 9 from the default pulse
+    blowup_factor: float = 1e3
 
     def __post_init__(self):
         if self.cfl > 0.5:
@@ -296,9 +297,9 @@ class _History:
     the rows written so far, fewer than allocated after an early return.
     """
 
-    def __init__(self, n_steps: int, every: int, shape: tuple, fields=("u", "v")):
+    def __init__(self, n_steps: int, every: int, shape: tuple):
         self.t: list[float] = []
-        self._rows = {f: np.empty((n_steps // every + 1,) + shape) for f in fields}
+        self._rows = {f: np.empty((n_steps // every + 1,) + shape) for f in ("u", "v")}
 
     def record(self, t: float, **rows) -> None:
         k = len(self.t)
@@ -315,8 +316,8 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
                cfl_check=None):
     """Shared stepping loop.  accel(t, u, v) -> dv/dt; du/dt = v.
 
-    Returns (u, v, t, blowup_time, stored) where stored collects
-    (step_index, t, u, v) tuples handed to on_monitor.
+    on_monitor(j, t, u, v) runs at step 0 and every monitor_every steps.
+    Returns the blow-up time, or None when the guard never fired.
     """
     t = t0
     if sampler is not None:
@@ -348,12 +349,12 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
             if not np.isfinite(sup):
                 raise NaNGuardError(f"non-finite field at t={t:.4f}")
             if guard_scale is not None and sup > blowup_factor * guard_scale:
-                return u, v, t, t, None
+                return t
             if cfl_check is not None:
                 cfl_check(t, u)
         if on_monitor is not None and monitor_every and j % monitor_every == 0:
             on_monitor(j, t, u, v)
-    return u, v, t, None, None
+    return None
 
 
 def _prepare_init(init, r, config):
@@ -372,17 +373,14 @@ def _prepare_init(init, r, config):
     return u0, v0
 
 
-def flat_slice_energy(u, v, dr, n, lam, area=None) -> float:
+def flat_slice_energy(u, v, dr, n, lam) -> float:
     """Energy of a flat t=const slice: int (v^2 + u_r^2 + lam u^2) r^{n-1} dr."""
-    from .geometry import sphere_area
-    if area is None:
-        area = sphere_area(n)
     r = dr * np.arange(u.shape[-1])
     ur = np.gradient(u, dr, axis=-1)
     dens = (np.abs(v) ** 2 + np.abs(ur) ** 2 + lam * np.abs(u) ** 2) * r ** (n - 1)
     w = np.full(u.shape[-1], dr)
     w[0] = w[-1] = 0.5 * dr
-    return float(area * np.sum(dens * w))
+    return float(sphere_area(n) * np.sum(dens * w))
 
 
 def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
@@ -411,6 +409,96 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
     return cap
 
 
+def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
+            slice_s=(), slice_r_cap=None, cfl_check=None):
+    """The one evolution driver of the radial, quasilinear and torus runs.
+
+    Builds the grid r, the initial data (`_prepare_init`; their leading
+    shape is the sampler's), accel = make_accel(r), the slice sampler and
+    the stored history; monitor_row(t, u, v) -> {column: value} runs every
+    config.monitor_every steps.  The forward sweep stops when sup|u| exceeds
+    config.blowup_factor * max|u0| (no guard for zero u0); unless it did,
+    a backward sweep completes the slices that reach below t_start.
+    Returns (history, monitors, sampler, blowup_time); the sampler is None
+    without slices or after a blow-up.
+    """
+    dr, dt = config.dr, config.dt
+    r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
+    u0, v0 = _prepare_init(init, r, config)
+    accel = make_accel(r)
+
+    sampler, t_end = None, config.t_end
+    if slice_s:
+        sampler = SliceSampler(sorted(slice_s), config.n, dr,
+                               max_b=max(config.sample_derivs, 1),
+                               r_cap=_auto_slice_cap(slice_r_cap, len(r), dr),
+                               leading_shape=u0.shape[:-1])
+        for entry in sampler.entries:
+            if entry["cols"].max() > len(r) - 4:
+                raise ValueError(
+                    f"slice s={entry['s']} reaches r={entry['cols'].max() * dr:.2f}, "
+                    f"beyond the grid; raise r_max or pass slice_r_cap"
+                )
+        t_end = max(t_end, sampler.t_range_needed()[1] + 4 * dt)
+    n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
+
+    history = (_History(n_steps, config.store_every, u0.shape)
+               if config.store_history else None)
+    mon: dict[str, list] = {}
+
+    def on_monitor(j, t, u, v):
+        if history is not None and j % config.store_every == 0:
+            history.record(t, u=u, v=v)
+        if monitor_row is not None and j % config.monitor_every == 0:
+            for key, val in monitor_row(t, u, v).items():
+                mon.setdefault(key, []).append(val)
+
+    # monitor callback does double duty as history recorder; force every
+    # store_every step through it
+    every = math.gcd(config.store_every, config.monitor_every)
+    blow = _run_sweep(
+        u0.copy(), v0.copy(), config.t_start, n_steps, dt, accel, sampler,
+        on_monitor=on_monitor, monitor_every=every,
+        guard_scale=float(np.max(np.abs(u0))) or None,
+        blowup_factor=config.blowup_factor, cfl_check=cfl_check,
+    )
+    if blow is not None:
+        sampler = None
+    elif sampler is not None:
+        t_lo = sampler.t_range_needed()[0]
+        if t_lo < config.t_start:
+            n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
+            _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
+                       accel, sampler)
+    monitors = {k: np.array(vals) for k, vals in mon.items()}
+    return history, monitors, sampler, blow
+
+
+def _mode_field(history: _History, lam: float, config: EvolutionConfig,
+                c=Ellipsis) -> ModeField:
+    """ModeField of the stored rows (of leading component c)."""
+    tt = history.t
+    return ModeField(
+        lam=lam, n=config.n, t0=tt[0],
+        dt=tt[1] - tt[0] if len(tt) > 1 else config.dt * config.store_every,
+        dr=config.dr, u=history["u"][:, c], v=history["v"][:, c],
+    )
+
+
+def _linear_accel(n: int, dr: float, lam: float, forcing=None, r=None):
+    """dv/dt = Lap_r u - lam u (+ forcing(t, r)) of the linear equation."""
+    if forcing is not None:
+        def accel(t, u, v):
+            return radial_laplacian(u, dr, n) - lam * u + forcing(t, r)
+    elif lam:
+        def accel(t, u, v):
+            return radial_laplacian(u, dr, n) - lam * u
+    else:
+        def accel(t, u, v):
+            return radial_laplacian(u, dr, n)
+    return accel
+
+
 def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | None = None,
                      *, forcing=None, slice_s=(), slice_r_cap=None) -> EvolutionResult:
     """Evolve (d_t^2 - Lap_r + lam) u = f from compactly supported data.
@@ -422,87 +510,28 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     """
     if config is None:
         config = EvolutionConfig(n=n)
+    if config.n != n:
+        raise ValueError(f"n={n} differs from config.n={config.n}")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     dr, dt = config.dr, config.dt
-    r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
-    u0, v0 = _prepare_init(init, r, config)
+    observers = [(f"obs_r{ro:g}", int(round(ro / dr))) for ro in config.observers]
 
-    sampler = None
-    if slice_s:
-        sampler = SliceSampler(sorted(slice_s), n, dr,
-                               max_b=config.sample_derivs,
-                               r_cap=_auto_slice_cap(slice_r_cap, len(r), dr))
-        for entry in sampler.entries:
-            if entry["cols"].max() > len(r) - 4:
-                raise ValueError(
-                    f"slice s={entry['s']} reaches r={entry['cols'].max() * dr:.2f}, "
-                    f"beyond the grid; raise r_max or pass slice_r_cap"
-                )
-    t_hi_needed = sampler.t_range_needed()[1] + 4 * dt if sampler else -np.inf
-    t_end = max(config.t_end, t_hi_needed)
-    n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
+    def monitor_row(t, u, v):
+        row = {"t": t, "sup": float(np.max(np.abs(u))),
+               "support_radius": _support_radius(np.abs(u) + dt * np.abs(v), dr),
+               "cfl_margin": 0.5 - config.cfl,
+               "energy": flat_slice_energy(u, v, dr, n, lam)}
+        row.update((name, float(np.abs(u[col]))) for name, col in observers)
+        return row
 
-    if forcing is None:
-        if lam:
-            def accel(t, u, v):
-                return radial_laplacian(u, dr, n) - lam * u
-        else:
-            def accel(t, u, v):
-                return radial_laplacian(u, dr, n)
-    else:
-        def accel(t, u, v):
-            return radial_laplacian(u, dr, n) - lam * u + forcing(t, r)
-
-    mon = {k: [] for k in ("t", "sup", "support_radius", "cfl_margin", "energy")}
-    for ro in config.observers:
-        mon[f"obs_r{ro:g}"] = []
-    obs_cols = [int(round(ro / dr)) for ro in config.observers]
-    history = (_History(n_steps, config.store_every, u0.shape)
-               if config.store_history else None)
-
-    def on_monitor(j, t, u, v):
-        if history is not None and j % config.store_every == 0:
-            history.record(t, u=u, v=v)
-        if j % config.monitor_every == 0:
-            mon["t"].append(t)
-            mon["sup"].append(float(np.max(np.abs(u))))
-            sr = _support_radius(np.abs(u) + dt * np.abs(v), dr)
-            mon["support_radius"].append(sr)
-            mon["cfl_margin"].append(0.5 - config.cfl)
-            mon["energy"].append(flat_slice_energy(u, v, dr, n, lam))
-            for name_col, col in zip(config.observers, obs_cols):
-                mon[f"obs_r{name_col:g}"].append(float(np.abs(u[col])))
-
-    # monitor callback does double duty as history recorder; force every
-    # store_every step through it
-    every = math.gcd(config.store_every, config.monitor_every)
-    u, v, t, blow, _ = _run_sweep(
-        u0.copy(), v0.copy(), config.t_start, n_steps, dt, accel, sampler,
-        on_monitor=on_monitor, monitor_every=every,
-        guard_scale=float(np.max(np.abs(u0))) or None,
-        blowup_factor=np.inf,
-    )
-
-    if sampler is not None:
-        t_lo_needed = sampler.t_range_needed()[0]
-        if t_lo_needed < config.t_start:
-            n_back = int(math.ceil((config.t_start - t_lo_needed) / dt)) + 4
-            _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
-                       accel, sampler)
-
-    field_out = None
-    if history is not None:
-        tt = history.t
-        field_out = ModeField(
-            lam=lam, n=n, t0=tt[0],
-            dt=tt[1] - tt[0] if len(tt) > 1 else dt * config.store_every,
-            dr=dr, u=history["u"], v=history["v"],
-        )
-    slices = sampler.slice_data(lam) if sampler is not None else {}
-    monitors = {k: np.array(vals) for k, vals in mon.items()}
-    return EvolutionResult(config=config, lam=lam, field=field_out,
-                           monitors=monitors, slices=slices, blowup_time=blow)
+    history, monitors, sampler, blow = _evolve(
+        config, init, lambda r: _linear_accel(n, dr, lam, forcing, r),
+        monitor_row, slice_s=slice_s, slice_r_cap=slice_r_cap)
+    return EvolutionResult(
+        config=config, lam=lam, monitors=monitors, blowup_time=blow,
+        field=_mode_field(history, lam, config) if history is not None else None,
+        slices=sampler.slice_data(lam) if sampler is not None else {})
 
 
 # ---------------------------------------------------------------------------
@@ -520,30 +549,27 @@ def evolve_full_grid_torus(n: int, torus: FlatTorus, init, config: EvolutionConf
     """
     if torus.d != 1:
         raise ValueError("full-grid oracle supports d=1 only")
-    dr, dt = config.dr, config.dt
     L = torus.periods[0]
-    r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
     theta = L * np.arange(m_theta) / m_theta
-    # theta first, radial last: the sweep's Dirichlet edge is the last axis
-    TH, R = np.meshgrid(theta, r, indexing="ij")
-    u = init[0](R, TH)
-    v = init[1](R, TH)
+
+    def on_mesh(f):
+        # theta first, radial last: the sweep's Dirichlet edge is the last axis
+        def of_r(r):
+            TH, R = np.meshgrid(theta, r, indexing="ij")
+            return f(R, TH)
+        return of_r
+
     k = 2.0 * np.pi * np.fft.rfftfreq(m_theta, d=L / m_theta)
     minus_k2 = -(k ** 2)[:, None]
 
     def accel(t, u, v):
-        lap_r = radial_laplacian(u, dr, n)
+        lap_r = radial_laplacian(u, config.dr, n)
         lap_th = np.fft.irfft(minus_k2 * np.fft.rfft(u, axis=0), n=m_theta, axis=0)
         return lap_r + lap_th
 
-    n_steps = int(math.ceil((config.t_end - config.t_start) / dt - 1e-9))
-    history = _History(n_steps, config.store_every, u.shape, fields=("u",))
-
-    def on_monitor(j, t, u, v):
-        history.record(t, u=u)
-
-    _run_sweep(u, v, config.t_start, n_steps, dt, accel, None,
-               on_monitor=on_monitor, monitor_every=config.store_every)
+    history, _, _, _ = _evolve(replace(config, store_history=True),
+                               (on_mesh(init[0]), on_mesh(init[1])),
+                               lambda r: accel)
     return np.array(history.t), history["u"]
 
 
@@ -672,6 +698,30 @@ def quasilinear_coefficients(u3: np.ndarray, v3: np.ndarray, ur3: np.ndarray,
     return H, q3
 
 
+def _quasilinear_accel(config: EvolutionConfig, lam: float):
+    """dv/dt of the surrogate; at eps = 0 the linear right-hand side."""
+    n, dr, eps = config.n, config.dr, config.eps
+    if eps == 0.0:
+        return _linear_accel(n, dr, lam)
+
+    def accel(t, u, v):
+        ur = _ddr_last(u, dr)
+        H, q3 = quasilinear_coefficients(u, v, ur, eps)
+        lap = radial_laplacian(u, dr, n)
+        urr = _d2dr2_last(u, dr)
+        vr = _ddr_last(v, dr)
+        rhs = (lap + H[..., 1, 1] * urr + 2.0 * H[..., 0, 1] * vr
+               - lam * u - eps * q3)
+        return rhs / (1.0 - H[..., 0, 0])
+
+    return accel
+
+
+def _default_pulse3(r):
+    base = default_pulse(r)
+    return np.stack([base, 0.5 * base, -base])
+
+
 def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
                            slice_s=(), slice_r_cap=None) -> EvolutionResult:
     """Quasilinear surrogate: (eta + H)^{ab} d_a d_b u - lam u = eps Q.
@@ -681,36 +731,9 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     eps = 0 the step reuses the linear right-hand side verbatim, so the run
     is bit-identical to the linear solver.
     """
-    n, dr, dt, eps = config.n, config.dr, config.dt, config.eps
-    r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
-    if init is None:
-        base = default_pulse(r)
-        u0 = np.stack([base, 0.5 * base, -base])
-        v0 = np.zeros_like(u0)
-    else:
-        u0, v0 = (np.asarray(a, dtype=float).copy() for a in init)
-
-    if eps == 0.0:
-        if lam:
-            def accel(t, u, v):
-                return radial_laplacian(u, dr, n) - lam * u
-        else:
-            def accel(t, u, v):
-                return radial_laplacian(u, dr, n)
-    else:
-        def accel(t, u, v):
-            ur = _ddr_last(u, dr)
-            H, q3 = quasilinear_coefficients(u, v, ur, eps)
-            lap = radial_laplacian(u, dr, n)
-            urr = _d2dr2_last(u, dr)
-            vr = _ddr_last(v, dr)
-            rhs = (lap + H[..., 1, 1] * urr + 2.0 * H[..., 0, 1] * vr
-                   - lam * u - eps * q3)
-            return rhs / (1.0 - H[..., 0, 0])
+    dr, eps = config.dr, config.eps
 
     def cfl_check(t, u):
-        if eps == 0.0:
-            return
         h00 = np.max(np.abs(eps * u[0]))
         hrr = np.max(np.abs(eps * u[2]))
         h0r = np.max(np.abs(eps * u[1]))
@@ -721,58 +744,26 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
                 f"margin at t={t:.3f}"
             )
 
-    sampler = None
-    if slice_s:
-        sampler = SliceSampler(sorted(slice_s), n, dr, max_b=max(config.sample_derivs, 1),
-                               r_cap=_auto_slice_cap(slice_r_cap, len(r), dr),
-                               leading_shape=(3,))
-    t_hi = sampler.t_range_needed()[1] + 4 * dt if sampler else -np.inf
-    t_end = max(config.t_end, t_hi)
-    n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
+    def monitor_row(t, u, v):
+        return {"t": t, "sup": float(np.max(np.abs(u))),
+                "support_radius": _support_radius(u, dr)}
 
-    mon = {k: [] for k in ("t", "sup", "support_radius")}
-    history = (_History(n_steps, config.store_every, u0.shape)
-               if config.store_history else None)
-
-    def on_monitor(j, t, u, v):
-        if history is not None and j % config.store_every == 0:
-            history.record(t, u=u, v=v)
-        if j % config.monitor_every == 0:
-            mon["t"].append(t)
-            mon["sup"].append(float(np.max(np.abs(u))))
-            mon["support_radius"].append(_support_radius(u, dr))
-
-    every = math.gcd(config.store_every, config.monitor_every)
-    u, v, t, blow, _ = _run_sweep(
-        u0.copy(), v0.copy(), config.t_start, n_steps, dt, accel, sampler,
-        on_monitor=on_monitor, monitor_every=every,
-        guard_scale=float(np.max(np.abs(u0))), blowup_factor=config.blowup_factor,
-        cfl_check=cfl_check,
-    )
-
-    if sampler is not None and blow is None:
-        t_lo = sampler.t_range_needed()[0]
-        if t_lo < config.t_start:
-            n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
-            _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
-                       accel, sampler)
-
-    comp_fields = None
-    if history is not None:
-        tt = history.t
-        dts = tt[1] - tt[0] if len(tt) > 1 else dt * config.store_every
-        uu, vv = history["u"], history["v"]
-        comp_fields = [ModeField(lam=lam, n=n, t0=tt[0], dt=dts, dr=dr,
-                                 u=uu[:, c], v=vv[:, c]) for c in range(3)]
+    if init is None:
+        init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
+    history, monitors, sampler, blow = _evolve(
+        config, init, lambda r: _quasilinear_accel(config, lam), monitor_row,
+        slice_s=slice_s, slice_r_cap=slice_r_cap,
+        cfl_check=cfl_check if eps != 0.0 else None)
     comp_slices = {}
-    if sampler is not None and blow is None:
+    if sampler is not None:
         for c in range(3):
             for s, data in sampler.slice_data(lam, component=c).items():
                 comp_slices.setdefault(s, []).append(data)
-    monitors = {k: np.array(vals) for k, vals in mon.items()}
-    return EvolutionResult(config=config, lam=lam, field=None, monitors=monitors,
-                           blowup_time=blow, component_fields=comp_fields,
-                           component_slices=comp_slices)
+    return EvolutionResult(
+        config=config, lam=lam, field=None, monitors=monitors, blowup_time=blow,
+        component_fields=(None if history is None else
+                          [_mode_field(history, lam, config, c) for c in range(3)]),
+        component_slices=comp_slices)
 
 
 # ---------------------------------------------------------------------------

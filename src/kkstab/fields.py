@@ -131,10 +131,6 @@ class SliceData:
             f"derivative d_t^{a} d_r^{b} not available from the captured samples"
         )
 
-    def y_derivative(self, a: int = 0, b: int = 0) -> np.ndarray:
-        """Hyperboloidal radial derivative Y u = u_r + (r/t) u_t of deriv(a, b)."""
-        return self.deriv(a, b + 1) + (self.r / self.t) * self.deriv(a + 1, b)
-
 
 # ---------------------------------------------------------------------------
 # Mode fields (gridded histories)

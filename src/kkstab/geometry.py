@@ -9,38 +9,17 @@ annihilate them exactly and are returned as exact zeros rather than errors.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-ROUNDTRIP_TOL = 1e-12
-
-#: Generator kinds accepted by apply_generator on radial data.
-RADIAL_GENERATORS = ("T", "Xr", "Z0r", "Y", "rotation")
 
 
 class DomainError(ValueError):
     """Point outside the chart's domain of validity."""
 
 
-class StencilError(IndexError):
-    """Finite-difference stencil falls outside the stored window."""
-
-
 class UnsupportedGeneratorError(ValueError):
     """Generator not meaningful for the supplied data."""
-
-
-def main_theorem_dimension_warning(n: int, context: str = "") -> None:
-    # The headline stability statement needs n >= 9; smaller n is allowed
-    # everywhere else, so warn instead of raising.
-    if n < 9:
-        warnings.warn(
-            f"spatial dimension n={n} is below the stability-theorem range "
-            f"(n >= 9){'; ' + context if context else ''}",
-            stacklevel=3,
-        )
 
 
 def to_hyperboloidal(t: float, x) -> tuple[float, np.ndarray]:
@@ -103,14 +82,6 @@ class HyperboloidSlice:
     @property
     def t(self) -> np.ndarray:
         return np.sqrt(self.s ** 2 + self.r ** 2)
-
-    @property
-    def t_max(self) -> float:
-        return t_max_on_slice(self.s)
-
-    def normal_covector(self, k: int) -> tuple[float, float]:
-        """(n_0, n_r) at node k: n_0 = 1, n_i = -x_i/t radially reduced."""
-        return 1.0, -self.r[k] / self.t[k]
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -212,56 +183,6 @@ def generator_closure_check(fields, h: float = 1e-3, points=None) -> dict:
 
 # ---------------------------------------------------------------------------
 # Generators on gridded histories
-
-
-@dataclass
-class GridWindow:
-    """A stored rectangular window of a radial field over (t, r).
-
-    values[j, k] = u(t0 + j*dt, k*dr). Used for applying generators by
-    centered finite differences; the stencil must stay interior.
-    """
-
-    t0: float
-    dt: float
-    dr: float
-    values: np.ndarray  # shape (n_t, n_r)
-
-    def t_of(self, j: int) -> float:
-        return self.t0 + j * self.dt
-
-    def point_value(self, j: int, k: int) -> float:
-        return float(self.values[j, k])
-
-    def _check_interior(self, j: int, k: int, pad: int = 1) -> None:
-        nt, nr = self.values.shape
-        if not (pad <= j < nt - pad and pad <= k < nr - pad):
-            raise StencilError(f"grid point ({j}, {k}) too close to window edge")
-
-    def d_dt(self, j: int, k: int) -> float:
-        self._check_interior(j, k)
-        return (self.values[j + 1, k] - self.values[j - 1, k]) / (2.0 * self.dt)
-
-    def d_dr(self, j: int, k: int) -> float:
-        self._check_interior(j, k)
-        return (self.values[j, k + 1] - self.values[j, k - 1]) / (2.0 * self.dr)
-
-
-def apply_generator(kind: str, window: GridWindow, j: int, k: int) -> float:
-    """Apply a generator to a gridded history at grid point (j, k)."""
-    if kind == "rotation":
-        return 0.0
-    t = window.t_of(j)
-    r = k * window.dr
-    if kind == "T":
-        return window.d_dt(j, k)
-    if kind == "Xr":
-        return window.d_dr(j, k)
-    if kind == "Z0r":
-        return t * window.d_dr(j, k) + r * window.d_dt(j, k)
-    if kind == "Y":
-        return window.d_dr(j, k) + (r / t) * window.d_dt(j, k)
-    raise UnsupportedGeneratorError(f"unknown generator kind {kind!r}")
 
 
 def grid_apply(kind: str, values: np.ndarray, dt: float, dr: float, t0: float) -> np.ndarray:

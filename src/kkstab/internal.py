@@ -25,10 +25,6 @@ class SpectrumFileError(ValueError):
     """Malformed internal-spectrum file (message carries the line number)."""
 
 
-class CutoffError(ValueError):
-    """Field content above the spectral cutoff."""
-
-
 @dataclass(frozen=True)
 class FlatTorus:
     """Flat d-torus with the given periods; Riem = 0 so the operator is -Lap."""

@@ -281,39 +281,19 @@ def harmonic_deviation(params: SchwarzschildParams, r: float,
 
 
 def harmonic_metric(params: SchwarzschildParams, point,
-                    chart: HarmonicChart | None = None,
-                    order: str = "ode", fd_step: float = 1e-2) -> MetricAtPoint:
+                    chart: HarmonicChart | None = None) -> MetricAtPoint:
     """Metric components in the harmonic chart at spatial point x.
 
-    Radial profile functions come from the ODE chart (or the leading-order
-    transform); angular structure is closed-form.  Derivatives are analytic
-    through the chart's ODE relations.
+    Radial profile functions come from the ODE chart; angular structure is
+    closed-form.  Derivatives are analytic through the chart's ODE
+    relations.
     """
     x = np.atleast_1d(np.asarray(point, dtype=float))
     if x.size == 1:
         x = np.concatenate([x, np.zeros(params.n - 1)])
     n = params.n
     r = float(np.linalg.norm(x))
-    if order == "leading":
-        # invert the algebraic transform, then reuse closed forms
-        class _Leading:
-            def rbar_of_r(self, rr):
-                rb = rr
-                for _ in range(6):
-                    rb = rr + params.cs / (2.0 * rb ** (n - 3))
-                return rb
-
-            def m(self, rb):
-                return params.cs / (2.0 * rb ** (n - 3))
-
-            def mp(self, rb):
-                return -(n - 3) * params.cs / (2.0 * rb ** (n - 2))
-
-            def mpp(self, rb):
-                return (n - 3) * (n - 2) * params.cs / (2.0 * rb ** (n - 1))
-
-        chart = _Leading()
-    elif chart is None:
+    if chart is None:
         chart = HarmonicChart(params)
     params.check_exterior(chart.rbar_of_r(r))
     (h00, dh00), (a, da), (b, db) = _radial_profiles(params, chart, r)
@@ -335,58 +315,42 @@ def harmonic_metric(params: SchwarzschildParams, point,
         dg[1 + k, 1:, 1:] = (da * xh[k] * np.eye(n)
                              + (db - da) * xh[k] * np.outer(xh, xh)
                              + (b - a) * (np.outer(dxh, xh) + np.outer(xh, dxh)))
-    return MetricAtPoint(chart=f"harmonic-{order}", x=x, g=g, ginv=ginv, dg=dg)
+    return MetricAtPoint(chart="harmonic-ode", x=x, g=g, ginv=ginv, dg=dg)
 
 
 # ---------------------------------------------------------------------------
 # Wave-gauge residual and numeric curvature
 
 
-def wave_gauge_residual_of(metric_fn, x, step: float = 1e-2,
-                           fourth_order: bool = True) -> np.ndarray:
+def wave_gauge_residual_of(metric_fn, x, step: float = 1e-2) -> np.ndarray:
     """V^c = g^{ab} Gamma^c_{ab}[g] at x (reference: Cartesian Minkowski).
 
-    metric_fn(x) -> (D, D) components; derivatives by central differences
-    of the returned components (pass a deviation-form function for accuracy
-    at the decay tail -- the constant part differentiates to zero anyway).
+    metric_fn(x) -> (D, D) components; derivatives by fourth-order central
+    differences of the returned components (pass a deviation-form function
+    for accuracy at the decay tail -- the constant part differentiates to
+    zero anyway).
     """
     x = np.asarray(x, dtype=float)
-    D = len(x)
-    g0 = metric_fn(x)
-    dg = np.zeros((D,) + g0.shape)
-    for mu in range(D):
-        e = np.zeros(D)
-        e[mu] = step
-        if fourth_order:
-            dg[mu] = (8.0 * (metric_fn(x + e) - metric_fn(x - e))
-                      - (metric_fn(x + 2 * e) - metric_fn(x - 2 * e))) / (12.0 * step)
-        else:
-            dg[mu] = (metric_fn(x + e) - metric_fn(x - e)) / (2.0 * step)
-    ginv = np.linalg.inv(g0)
-    br = (np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg)
-    gamma = 0.5 * np.einsum("cd,dab->cab", ginv, br)
-    return np.einsum("ab,cab->c", ginv, gamma)
+    ginv = np.linalg.inv(metric_fn(x))
+    return np.einsum("ab,cab->c", ginv, _christoffel_fd(metric_fn, x, step))
 
 
 def wave_gauge_residual(params: SchwarzschildParams, r: float,
-                        chart: HarmonicChart | None = None,
-                        order: str = "ode") -> np.ndarray:
+                        chart: HarmonicChart | None = None) -> np.ndarray:
     """Residual V^c = g^{ab} Gamma^c_{ab} of the chart at radius r.
 
     Uses the chart's closed-form metric derivatives, so the residual
-    reflects only the chart construction error (ODE tolerance for the
-    refined chart, the dropped series tail for the leading-order one),
-    not finite-difference noise.
+    reflects only the chart construction error (the ODE tolerance), not
+    finite-difference noise.
     """
     if params.cs == 0.0:
         return np.zeros(params.n + 1)
-    if chart is None and order == "ode":
-        chart = HarmonicChart(params)
-    mp = harmonic_metric(params, r, chart=chart, order=order)
+    mp = harmonic_metric(params, r, chart=chart)
     return np.einsum("ab,cab->c", mp.ginv, mp.christoffels)
 
 
 def _christoffel_fd(metric_fn, x, step):
+    """Gamma^c_{ab} at x from fourth-order central differences of metric_fn."""
     D = len(x)
     g0 = metric_fn(x)
     dg = np.zeros((D,) + g0.shape)
@@ -508,18 +472,6 @@ class GeodesicTrajectory:
             rb = chart.rbar_of_r(float(np.linalg.norm(self.x[i]))) \
                 if chart is not None else float(np.linalg.norm(self.x[i]))
             out[i] = self.params.f(rb) * self.v_t[i]
-        return out
-
-    def angular_momentum(self, i: int = 0, j: int = 1,
-                         chart: HarmonicChart | None = None) -> np.ndarray:
-        """Killing charge of the rotation in the (i, j) plane."""
-        if chart is None and self.params.cs > 0:
-            chart = HarmonicChart(self.params)
-        out = np.empty(len(self.lam))
-        for k in range(len(self.lam)):
-            mp = harmonic_metric(self.params, self.x[k], chart=chart)
-            gx = mp.g[1:, 1:] @ self.v_x[k]
-            out[k] = self.x[k][i] * gx[j] - self.x[k][j] * gx[i]
         return out
 
 

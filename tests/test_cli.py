@@ -71,6 +71,12 @@ class TestSpectrum:
             assert float(lam) == pytest.approx(4 * np.pi ** 2 * q, rel=1e-12)
             assert int(mult) == 6 * count
 
+    def test_d_disagreeing_with_periods_exit_2(self, tmp_path, capsys):
+        code, _ = run_cli(["spectrum", "--periods", "1"], tmp_path, "dp")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "d=2" in err[0] and "1 periods" in err[0]
+
     def test_resolved_config_written(self, tmp_path):
         _, out = run_cli(["spectrum", "--lmax", "2"], tmp_path, "rc")
         cp = configparser.ConfigParser()

@@ -164,6 +164,15 @@ class TestLinearEvolution:
         with pytest.raises(ValueError, match="slice_r_cap|grid"):
             evolve_kg_radial(0.0, 3, config=cfg, slice_s=(8.0,))
 
+    def test_blowup_guard_fires(self):
+        """config.blowup_factor guards the linear solver as it does the
+        surrogate: a growing source lifts sup|u| past 1.5 max|u0|."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
+                              store_history=False, blowup_factor=1.5)
+        res = evolve_kg_radial(0.0, 3, config=cfg,
+                               forcing=lambda t, r: t * default_pulse(r))
+        assert res.blowup_time is not None and res.blowup_time < 10.0
+
     def test_observer_columns(self):
         cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=6.0, r_max=8.0,
                               observers=(0.0, 1.0), monitor_every=4,
@@ -197,6 +206,33 @@ class TestQuasilinearToy:
             n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0, store_every=1))
         diff = np.max(np.abs(resq.component_fields[0].u - res_lin.field.u))
         assert 0.0 < diff < 1e-2
+
+    def test_default_guard_passes_linear_focusing(self):
+        """At n = 9 the default pulse focuses to about 59 max|u0| at the axis
+        by linear dynamics alone; the default blowup_factor lets it pass."""
+        cfg = EvolutionConfig(n=9, dr=1 / 32, t_start=4.0, t_end=8.0, r_max=10.0,
+                              eps=1e-3, nonlinearity="quasilinear-toy",
+                              store_history=False, monitor_every=1)
+        res = evolve_quasilinear_toy(cfg, lam=0.0)
+        assert res.monitors["sup"].max() > 10.0
+        assert res.blowup_time is None
+
+    def test_slice_beyond_grid_rejected(self):
+        """As for the linear solver: s = 6 capped at r = 17 leaves the grid
+        (r_max = 14) instead of being clamped to its edge column."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
+                              store_history=False, nonlinearity="quasilinear-toy")
+        with pytest.raises(ValueError, match="beyond the grid"):
+            evolve_quasilinear_toy(cfg, slice_s=(6.0,), slice_r_cap=17.0)
+
+    def test_initial_support_checked(self):
+        """Data reaching past t_start - 2 leave the support cone r <= t - 1."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=6.0, r_max=10.0,
+                              store_history=False, nonlinearity="quasilinear-toy")
+        r = cfg.dr * np.arange(int(cfg.r_max / cfg.dr) + 1)
+        wide = np.stack([default_pulse(r, width=3.0)] * 3)
+        with pytest.raises(ValueError, match="support radius"):
+            evolve_quasilinear_toy(cfg, init=(wide, np.zeros_like(wide)))
 
     def test_blowup_guard_fires(self):
         cfg = EvolutionConfig(n=9, dr=1 / 16, t_start=4.0, t_end=30.0,
@@ -434,12 +470,22 @@ def _sampler_case(case, sample_derivs):
                           blowup_factor=100.0, store_history=False,
                           sample_derivs=sample_derivs)
     if case == "quasilinear":
-        res = evolve_quasilinear_toy(cfg, slice_s=(4.5, 5.0))
-    else:
-        # the cap at r_max puts the last node on the grid edge, where the
-        # stencil's +1, +2 columns clamp; every slice clamps at the axis
-        res = evolve_quasilinear_toy(cfg, slice_s=(6.0,), slice_r_cap=14.0)
-    return res.component_slices
+        return evolve_quasilinear_toy(cfg, slice_s=(4.5, 5.0)).component_slices
+    # the cap at r_max puts the last node on the grid edge, where the
+    # stencil's +1, +2 columns clamp; every slice clamps at the axis.  The
+    # solvers refuse a slice that reaches the edge, so the sampler is driven
+    # through the sweep directly
+    r = cfg.dr * np.arange(int(cfg.r_max / cfg.dr) + 1)
+    base = default_pulse(r)
+    u0 = np.stack([base, 0.5 * base, -base])
+    sampler = ev.SliceSampler((6.0,), 3, cfg.dr, max_b=sample_derivs, r_cap=14.0,
+                              leading_shape=(3,))
+    t_hi = sampler.t_range_needed()[1] + 4 * cfg.dt
+    n_steps = int(np.ceil((t_hi - cfg.t_start) / cfg.dt))
+    ev._run_sweep(u0, np.zeros_like(u0), cfg.t_start, n_steps, cfg.dt,
+                  ev._quasilinear_accel(cfg, 0.0), sampler)
+    comps = [sampler.slice_data(0.0, component=c) for c in range(3)]
+    return {s: [c[s] for c in comps] for s in comps[0]}
 
 
 class TestSliceSampler:
