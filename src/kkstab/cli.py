@@ -373,10 +373,9 @@ def main(argv=None) -> int:
                    "energy": cmd_energy, "schwarzschild": cmd_schwarzschild,
                    "geodesic": cmd_geodesic, "verify": cmd_verify}[sub]
         return handler(cfg, outdir)
-    except internal.SpectrumFileError as exc:
-        print(f"kkstab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # the package's domain errors (a slice past the grid, a probe inside
+        # the horizon, a malformed spectrum file, ...) are ValueErrors
         print(f"kkstab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,10 @@
 """Hyperboloidal energies, the energy identity, and estimate verification.
 
 All quantities live on radially sampled hyperboloid slices (SliceData).
-Generator words over {T, Xr, Z0r} are expanded symbolically into
-coefficient * d_t^a d_r^b combinations, then evaluated with the slice's
-derivative closure, so boosted energies need no extra stored history.
+Generator words over {T, Xr, Z0r} are expanded by exact integer rules into
+coefficient * d_t^a d_r^b combinations, the coefficients being integer
+polynomials in (t, r), then evaluated with the slice's derivative closure,
+so boosted energies need no extra stored history.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .evolve import inverse_metric_components, inverse_metric_derivative
 from .fields import SliceData
-from .geometry import make_slice
 
 REPORT_MAGIC = "kkstab-report v1"
 
@@ -125,54 +126,53 @@ def hyperboloidal_energy(data: SliceData, gamma: dict | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Generator words on slices (symbolic coefficient expansion)
+# Generator words on slices (exact integer coefficient expansion)
+
+
+# Each radial generator as a sum of t^i r^j d_axis pieces (i, j, axis), with
+# axis 0 for d_t and 1 for d_r: Z0r = t d_r + r d_t.
+_GENERATORS = {"T": ((0, 0, 0),), "Xr": ((0, 0, 1),),
+               "Z0r": ((1, 0, 1), (0, 1, 0))}
 
 
 @functools.lru_cache(maxsize=None)
 def _word_terms(word: tuple) -> tuple:
-    """Expand Z^word into ((a, b), sympy coeff) pairs with coeff = c(t, r)."""
-    import sympy as sp
-    t, r = sp.symbols("t r", positive=True)
-    terms = {(0, 0): sp.Integer(1)}
+    """Expand Z^word u into ((a, b), ((i, j, c), ...)) terms.
+
+    The coefficient of d_t^a d_r^b u is the sum of c t^i r^j over the listed
+    monomials.  The generators act right to left by the product rule on
+    integer polynomials, so the expansion is exact; "rotation" annihilates
+    radial fields and gives the empty expansion.
+    """
+    terms = {(0, 0): Counter({(0, 0): 1})}
     for kind in reversed(word):
-        new: dict = {}
-
-        def add(key, c):
-            new[key] = sp.simplify(new.get(key, 0) + c)
-
-        for (a, b), c in terms.items():
-            if kind == "T":
-                add((a, b), sp.diff(c, t))
-                add((a + 1, b), c)
-            elif kind == "Xr":
-                add((a, b), sp.diff(c, r))
-                add((a, b + 1), c)
-            elif kind == "Z0r":
-                add((a, b), t * sp.diff(c, r) + r * sp.diff(c, t))
-                add((a, b + 1), t * c)
-                add((a + 1, b), r * c)
-            elif kind == "rotation":
-                return ()
-            else:
-                raise ValueError(f"unknown generator {kind!r}")
-        terms = {k: c for k, c in new.items() if c != 0}
-    return tuple(sorted(terms.items()))
-
-
-@functools.lru_cache(maxsize=None)
-def _coeff_fn(coeff_srepr: str):
-    import sympy as sp
-    t, r = sp.symbols("t r", positive=True)
-    expr = sp.sympify(coeff_srepr)
-    return sp.lambdify((t, r), expr, "numpy")
+        if kind == "rotation":
+            return ()
+        if kind not in _GENERATORS:
+            raise ValueError(f"unknown generator {kind!r}")
+        new = defaultdict(Counter)
+        for (a, b), poly in terms.items():
+            for p, q, axis in _GENERATORS[kind]:
+                for (i, j), c in poly.items():
+                    # t^p r^q d_axis (C d_t^a d_r^b u), C = c t^i r^j
+                    new[a + 1 - axis, b + axis][i + p, j + q] += c
+                    k = (i, j)[axis]
+                    if k:
+                        new[a, b][i + p - 1 + axis, j + q - axis] += k * c
+        terms = new
+    return tuple(sorted(
+        (key, tuple(sorted((i, j, c) for (i, j), c in poly.items() if c)))
+        for key, poly in terms.items() if any(poly.values())))
 
 
 def _eval_terms(data: SliceData, terms) -> np.ndarray:
     t, r = data.t, data.r
     out = np.zeros_like(t)
-    for (a, b), coeff in terms:
-        c = _coeff_fn(repr(coeff))(t, r)
-        out = out + np.broadcast_to(c, t.shape) * data.deriv(a, b)
+    for (a, b), monomials in terms:
+        # c * r**j * t**i left to right, as the tests' lambdified symbolic
+        # coefficients evaluate it (a zero power is an exact factor 1.0)
+        coeff = sum(c * r ** j * t ** i for i, j, c in monomials)
+        out = out + coeff * data.deriv(a, b)
     return out
 
 
@@ -349,9 +349,7 @@ def energy_identity_residual(slices: dict, s1: float, s2: float,
 
     e1, e2 = total_energy(s1), total_energy(s2)
     fluxes = np.array([flux(s) for s in ss])
-    # np.trapezoid is NumPy >= 2.0; np.trapz was removed there.
-    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
-    integral = float(trapezoid(fluxes, ss))
+    integral = float(np.trapezoid(fluxes, ss))
     scale = max(abs(e1), abs(e2), 1e-300)
     residual = abs(e1 - (e2 + integral)) / scale
     return {"s1": s1, "s2": s2, "E1": e1, "E2": e2, "flux_integral": integral,
@@ -491,52 +489,6 @@ def constants_stable(rows: list, name: str, tol: float = 0.2) -> bool:
         return False
     mid = 0.5 * (max(vals) + min(vals))
     return (max(vals) - mid) <= tol * mid
-
-
-# ---------------------------------------------------------------------------
-# Analytic slice families (closed-form fields sampled exactly on slices)
-
-
-def slice_data_from_expr(expr_str: str, s: float, n: int, dr: float,
-                         lam: float = 0.0, r_cap: float | None = None) -> SliceData:
-    """Build SliceData from a closed-form u(t, r) given as a sympy expression.
-
-    All stored derivatives are exact (symbolic differentiation), so these
-    families isolate quadrature behavior from evolution error.
-    """
-    import sympy as sp
-    t, r = sp.symbols("t r", positive=True)
-    expr = sp.sympify(expr_str, locals={"t": t, "r": r})
-    slc = make_slice(s, n, dr, r_cap=r_cap)
-    tt, rr = slc.t, slc.r
-
-    def ev(e):
-        fn = sp.lambdify((t, r), e, "numpy")
-        return np.broadcast_to(np.nan_to_num(fn(tt, rr)), tt.shape).astype(float).copy()
-
-    d = {}
-    for a in range(2):
-        for b in range(5 - a * 1):
-            d[(a, b)] = ev(sp.diff(expr, t, a, r, b))
-    return SliceData(slc=slc, lam=lam, u=d[(0, 0)], ut=d[(1, 0)], ur=d[(0, 1)],
-                     urr=d[(0, 2)], utr=d[(1, 1)], urrr=d[(0, 3)],
-                     utrr=d[(1, 2)], urrrr=d[(0, 4)], utrrr=d[(1, 3)])
-
-
-def scaling_family_slice(s: float, n: int, dr: float, q: float | None = None,
-                         lam: float = 0.0) -> SliceData:
-    """Self-similar profile u = sigma^{-q} exp(-(r/sigma)^2), sigma = sqrt(t^2-r^2).
-
-    Both sides of every suite inequality scale as the same power of s, so
-    measured constants are exactly s-independent up to quadrature error.
-    Default q = 2 beta = (n-2)/2.
-    """
-    if q is None:
-        q = (n - 2) / 2.0
-    # width sigma/sqrt(6): keeps the tail below the slice truncation radius
-    # (s^2 - 1)/2 even at s = 4
-    expr = f"(t**2 - r**2)**({-q}/2) * exp(-6*r**2/(t**2 - r**2))"
-    return slice_data_from_expr(expr, s, n, dr, lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import ModeField, SliceData
+from .fields import ModeField, SliceData, d2dr2, ddr
 from .geometry import grid_apply, make_slice, sphere_area
 from .internal import FlatTorus
 
@@ -66,6 +66,12 @@ class EvolutionConfig:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if abs(self.eps) > self.eps_max:
             raise ValueError(f"eps={self.eps} exceeds eps_max={self.eps_max}")
+
+    def check_model(self, model: str) -> None:
+        """Each entry point runs one model, which nonlinearity must name."""
+        if self.nonlinearity != model:
+            raise ValueError(f"nonlinearity={self.nonlinearity!r}, but this "
+                             f"solver runs {model!r}")
 
     @property
     def dt(self) -> float:
@@ -512,6 +518,7 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
         config = EvolutionConfig(n=n)
     if config.n != n:
         raise ValueError(f"n={n} differs from config.n={config.n}")
+    config.check_model("linear")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     dr, dt = config.dr, config.dt
@@ -549,6 +556,7 @@ def evolve_full_grid_torus(n: int, torus: FlatTorus, init, config: EvolutionConf
     """
     if torus.d != 1:
         raise ValueError("full-grid oracle supports d=1 only")
+    config.check_model("linear")
     L = torus.periods[0]
     theta = L * np.arange(m_theta) / m_theta
 
@@ -668,22 +676,6 @@ def q_nonlinearity(h, dh_t, dh_r):
     return q(0, 0), q(0, 1), q(1, 1)
 
 
-def _ddr_last(u: np.ndarray, dr: float) -> np.ndarray:
-    out = np.empty_like(u)
-    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
-    out[..., 0] = 0.0
-    out[..., -1] = 0.0
-    return out
-
-
-def _d2dr2_last(u: np.ndarray, dr: float) -> np.ndarray:
-    out = np.empty_like(u)
-    out[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dr ** 2
-    out[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / dr ** 2
-    out[..., -1] = 0.0
-    return out
-
-
 def quasilinear_coefficients(u3: np.ndarray, v3: np.ndarray, ur3: np.ndarray,
                              eps: float):
     """H components and Q stack for the 3-component surrogate.
@@ -705,11 +697,11 @@ def _quasilinear_accel(config: EvolutionConfig, lam: float):
         return _linear_accel(n, dr, lam)
 
     def accel(t, u, v):
-        ur = _ddr_last(u, dr)
+        ur = ddr(u, dr)
         H, q3 = quasilinear_coefficients(u, v, ur, eps)
         lap = radial_laplacian(u, dr, n)
-        urr = _d2dr2_last(u, dr)
-        vr = _ddr_last(v, dr)
+        urr = d2dr2(u, dr)
+        vr = ddr(v, dr)
         rhs = (lap + H[..., 1, 1] * urr + 2.0 * H[..., 0, 1] * vr
                - lam * u - eps * q3)
         return rhs / (1.0 - H[..., 0, 0])
@@ -731,6 +723,7 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     eps = 0 the step reuses the linear right-hand side verbatim, so the run
     is bit-identical to the linear solver.
     """
+    config.check_model("quasilinear-toy")
     dr, eps = config.dr, config.eps
 
     def cfl_check(t, u):
@@ -818,7 +811,7 @@ def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
 
     u3 = np.stack([f.u for f in fields])          # (3, nt, nr)
     v3 = np.stack([f.v for f in fields])
-    ur3 = _ddr_last(u3, dr)
+    ur3 = ddr(u3, dr)
     H, q3 = quasilinear_coefficients(u3, v3, ur3, eps)
 
     words = [w for ln in range(order + 1) for w in _WORDS[ln]]
@@ -828,9 +821,9 @@ def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
     def second_derivs(w3):
         wt = np.gradient(w3, dts, axis=1)
         wtt = np.gradient(wt, dts, axis=1)
-        wr = _ddr_last(w3, dr)
+        wr = ddr(w3, dr)
         wtr = np.gradient(wr, dts, axis=1)
-        wrr = _d2dr2_last(w3, dr)
+        wrr = d2dr2(w3, dr)
         return wtt, wtr, wrr
 
     def op(w3):
@@ -842,7 +835,7 @@ def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
     op_h = op(h3)
     f3, g_constant = {}, {}
     dH = np.sqrt(sum(np.gradient(H[..., a, b], dts, axis=0) ** 2
-                     + _ddr_last(H[..., a, b], dr) ** 2
+                     + ddr(H[..., a, b], dr) ** 2
                      for a in range(2) for b in range(2)))
     for w in words:
         zw_h = np.stack([_apply_word(w, h3[c], dts, dr, t0) for c in range(3)])
@@ -851,7 +844,7 @@ def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
         f3[w] = f3w
         # measured constant for |F3| <= C |dH| |Z^w dh|
         zt = np.gradient(zw_h, dts, axis=1)
-        zr = _ddr_last(zw_h, dr)
+        zr = ddr(zw_h, dr)
         zdh = np.sqrt(np.sum(zt ** 2 + zr ** 2, axis=0))
         num = np.sqrt(np.sum(f3w ** 2, axis=0))
         den = dH * zdh

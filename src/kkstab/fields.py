@@ -11,12 +11,12 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import internal as internal_mod
-from .geometry import DomainError, HyperboloidSlice, make_slice, sphere_area
+from .geometry import HyperboloidSlice, make_slice
 
 SNAPSHOT_MAGIC = "kkstab-field v1"
 
@@ -208,8 +208,8 @@ class ModeField:
                 f"outside the stored window [{self.t0}, {self.t1}]"
             )
         kq = np.round(slc.r / self.dr).astype(int)
-        ur_rows = _ddr(self.u, self.dr)
-        urr_rows = _d2dr2(self.u, self.dr)
+        ur_rows = ddr(self.u, self.dr)
+        urr_rows = d2dr2(self.u, self.dr)
         data = SliceData(
             slc=slc,
             lam=self.lam,
@@ -219,24 +219,27 @@ class ModeField:
         )
         if with_second:
             data.urr = self._interp_rows(urr_rows, t_needed, kq)
-            data.utr = self._interp_rows(_ddr(self.v, self.dr), t_needed, kq)
+            data.utr = self._interp_rows(ddr(self.v, self.dr), t_needed, kq)
         return data
 
 
-def _ddr(arr: np.ndarray, dr: float) -> np.ndarray:
-    """Centered d/dr rows with even symmetry at the axis."""
-    out = np.empty_like(arr)
-    out[:, 1:-1] = (arr[:, 2:] - arr[:, :-2]) / (2.0 * dr)
-    out[:, 0] = 0.0
-    out[:, -1] = (arr[:, -1] - arr[:, -2]) / dr
+def ddr(u: np.ndarray, dr: float) -> np.ndarray:
+    """Centered d/dr along the last axis: 0 at the axis by even symmetry, and
+    0 in the edge column, where the data vanish by the support cone."""
+    out = np.empty_like(u)
+    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
     return out
 
 
-def _d2dr2(arr: np.ndarray, dr: float) -> np.ndarray:
-    out = np.empty_like(arr)
-    out[:, 1:-1] = (arr[:, 2:] - 2.0 * arr[:, 1:-1] + arr[:, :-2]) / dr ** 2
-    out[:, 0] = 2.0 * (arr[:, 1] - arr[:, 0]) / dr ** 2  # even extension
-    out[:, -1] = out[:, -2]
+def d2dr2(u: np.ndarray, dr: float) -> np.ndarray:
+    """Centered d^2/dr^2 along the last axis: the even extension at the axis,
+    and 0 in the edge column, where the data vanish by the support cone."""
+    out = np.empty_like(u)
+    out[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dr ** 2
+    out[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / dr ** 2
+    out[..., -1] = 0.0
     return out
 
 

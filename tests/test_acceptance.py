@@ -23,7 +23,6 @@ from kkstab.energy import (
     equivalence_check,
     estimate_suite,
     hyperboloidal_energy,
-    scaling_family_slice,
 )
 from kkstab.evolve import EvolutionConfig, evolve_kg_radial, evolve_quasilinear_toy
 from kkstab.fields import mode_decompose, mode_reconstruct
@@ -37,6 +36,7 @@ from kkstab.schwarzschild import (
     integrate_geodesic,
     wave_gauge_residual,
 )
+from symbolic import scaling_family_slice
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,23 @@ class TestSchwarzschild:
             assert abs(dev / (0.1 * r ** -7) - 1.0) <= 0.01
 
 
+class TestDomainErrors:
+    """A computation refusing its input exits 2 with one stderr line, not
+    with a traceback and the exit 1 of a failed check."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["schwarzschild", "--samples", "5"], "need >= 10 positive samples"),
+        (["geodesic", "--r0", "0.1"], "inside the guarded exterior"),
+        (["energy", "--slice-s", "30"], "slice s=30.0 needs capture"),
+    ], ids=["schwarzschild", "geodesic", "energy"])
+    def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
+        code, _ = run_cli(args, tmp_path, args[0])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kkstab: ") and message in err[0]
+
+
 class TestConfigPrecedence:
     def test_env_overrides_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KKSTAB_LMAX", "2")
@@ -191,3 +208,15 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-m", "kkstab.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_energy_runs_without_sympy(self, tmp_path):
+        """The word expansion is exact integer algebra: a whole `energy` run
+        never imports sympy."""
+        script = ("import sys; from kkstab.cli import main; "
+                  f"code = main(['energy', '--n', '3', '--dr', '0.0625', "
+                  f"'--slice-s', '4,6,8', '--out', {str(tmp_path / 'e')!r}]); "
+                  "print(code, 'sympy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]

@@ -1,9 +1,11 @@
 """Tests for hyperboloidal energies, the estimate suite and decay fits."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from kkstab import energy as en
 from kkstab.energy import (
@@ -21,13 +23,13 @@ from kkstab.energy import (
     equivalence_threshold,
     estimate_suite,
     hyperboloidal_energy,
-    scaling_family_slice,
-    slice_data_from_expr,
     stress_integrand,
 )
 from kkstab.evolve import EvolutionConfig, evolve_kg_radial
-from kkstab.geometry import make_slice
+from kkstab.geometry import RADIAL_BRACKETS, make_slice
 from kkstab.fields import SliceData
+from symbolic import (R, T, monomials_of, scaling_family_slice,
+                      slice_data_from_expr, sympy_word_terms)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +161,62 @@ class TestSobolevParams:
         assert p.n_big % 2 == 0
         assert p.integrable  # beta > 3/2 iff n > 8
         assert not SobolevParams.from_dims(5, 2).integrable
+
+
+class TestWordAlgebra:
+    """The exact integer expansion of generator words, against the symbolic
+    expansion and the radial bracket relations."""
+
+    WORDS = en._words_upto(4)
+
+    @staticmethod
+    def as_poly(terms, scale=1):
+        """((a, b), ((i, j, c), ...)) terms as a {(a, b, i, j): c} map."""
+        out = Counter()
+        for (a, b), monomials in terms:
+            for i, j, c in monomials:
+                out[a, b, i, j] += scale * c
+        return out
+
+    def test_matches_sympy_expansion(self):
+        """Every word of length <= 4 over {T, Xr, Z0r} (121 words) has the
+        sympy expansion's integer coefficients exactly."""
+        assert len(self.WORDS) == 121
+        for word in self.WORDS:
+            expected = tuple((key, monomials_of(c))
+                             for key, c in sympy_word_terms(word))
+            assert en._word_terms(word) == expected, word
+
+    def test_brackets_are_the_structure_constants(self):
+        """[A, B] Z^w u = sum_G c_G Z^G Z^w u exactly, with the structure
+        constants of geometry.RADIAL_BRACKETS, for every w of length <= 2."""
+        for (a, b), combo in RADIAL_BRACKETS.items():
+            for w in en._words_upto(2):
+                defect = self.as_poly(en._word_terms((a, b) + w))
+                defect.subtract(self.as_poly(en._word_terms((b, a) + w)))
+                for g, c in combo.items():
+                    assert c == int(c)
+                    defect.subtract(self.as_poly(en._word_terms((g,) + w), int(c)))
+                assert not any(defect.values()), (a, b, w)
+
+    def test_rotation_and_unknown_generator(self, family_slice):
+        assert en._word_terms(("rotation",)) == ()
+        assert en._word_terms(("Z0r", "rotation")) == ()
+        assert en.word_energy(family_slice, ("rotation",)) == 0.0
+        with pytest.raises(ValueError, match="unknown generator"):
+            en._word_terms(("Y",))
+
+    def test_word_apply_matches_lambdified_coefficients(self, family_slice):
+        """word_apply against the sympy coefficients evaluated by lambdify,
+        to 1e-14 relative, for every word of length <= 3."""
+        t, r = family_slice.t, family_slice.r
+        for word in en._words_upto(3):
+            ref = np.zeros_like(t)
+            for (a, b), c in sympy_word_terms(word):
+                fn = sp.lambdify((T, R), c, "numpy")
+                ref = ref + np.broadcast_to(fn(t, r), t.shape) * family_slice.deriv(a, b)
+            got = en.word_apply(family_slice, word)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), word
 
 
 class TestSymbolicSlices:

@@ -19,6 +19,7 @@ from kkstab.evolve import (
     flat_slice_energy,
     radial_laplacian,
 )
+from kkstab.internal import FlatTorus
 
 
 def _dalembert_n3(pulse, t, r, t0):
@@ -51,6 +52,18 @@ class TestConfig:
     def test_unknown_nonlinearity(self):
         with pytest.raises(ValueError):
             EvolutionConfig(n=3, nonlinearity="cubic")
+
+    def test_entry_point_must_match_nonlinearity(self):
+        """The entry point selects the model, and a config naming the other
+        model is refused instead of being run as the entry point's."""
+        quasi = EvolutionConfig(n=3, t_end=5.0, nonlinearity="quasilinear-toy")
+        linear = EvolutionConfig(n=3, t_end=5.0)
+        with pytest.raises(ValueError, match="nonlinearity='quasilinear-toy'"):
+            evolve_kg_radial(0.0, 3, config=quasi)
+        with pytest.raises(ValueError, match="nonlinearity='quasilinear-toy'"):
+            ev.evolve_full_grid_torus(3, FlatTorus((1.0,)), (None, None), quasi)
+        with pytest.raises(ValueError, match="nonlinearity='linear'"):
+            evolve_quasilinear_toy(linear)
 
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
@@ -521,7 +534,7 @@ class TestSliceSampler:
                               r_max=18.0, store_every=1, sample_derivs=3)
         res = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,))
         direct, f = res.slices[5.0], res.field
-        posthoc = f._interp_rows(fields._d2dr2(f.v, f.dr), direct.t,
+        posthoc = f._interp_rows(fields.d2dr2(f.v, f.dr), direct.t,
                                  np.round(direct.r / f.dr).astype(int))
         assert np.max(np.abs(direct.utrr - posthoc)) < 1e-6 * np.max(np.abs(posthoc))
 
