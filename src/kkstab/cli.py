@@ -212,9 +212,9 @@ def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
         params.check_exterior(chart.rbar_of_r(float(r)))
         # max |g - eta| from the deviation profiles: subtracting eta from g
         # would lose the r^{-(n-2)} tail to cancellation
-        h = schwarzschild.harmonic_deviation(params, float(r), chart=chart)
+        h = schwarzschild.harmonic_deviation(chart, float(r))
         dev = max(abs(h["h00"]), abs(h["tangential"]), abs(h["radial"]))
-        v = schwarzschild.wave_gauge_residual(params, float(r), chart=chart)
+        v = schwarzschild.wave_gauge_residual(chart, float(r))
         rows.append((float(r), dev, float(np.max(np.abs(v)))))
     with open(outdir / "gauge.csv", "w") as fh:
         fh.write("r,metric_deviation,wave_gauge_residual\n")
@@ -236,7 +236,7 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
     chart = schwarzschild.HarmonicChart(params)
     d = int(cfg["d"])
     r0 = float(cfg["r0"])
-    mp = schwarzschild.harmonic_metric(params, r0, chart=chart)
+    mp = schwarzschild.harmonic_metric(chart, r0)
     # outgoing radial null velocity: -f vt^2 + g_rr vr^2 = 0
     vr = 1.0
     vt = float(np.sqrt(mp.g[1, 1] / (-mp.g[0, 0]))) * vr
@@ -245,10 +245,9 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
         v_t=vt, v_x=np.concatenate([[vr], np.zeros(params.n - 1)]),
         torus=np.zeros(d), v_torus=np.zeros(d))
     traj = schwarzschild.integrate_geodesic(
-        params, init, float(cfg["lam_end"]), chart=chart,
-        exterior_probe=True)
-    schwarzschild.write_trajectory_csv(outdir / "trajectory.csv", traj, chart)
-    drift = float(np.max(np.abs(traj.velocity_norm(chart))))
+        chart, init, float(cfg["lam_end"]), exterior_probe=True)
+    schwarzschild.write_trajectory_csv(outdir / "trajectory.csv", traj)
+    drift = float(np.max(np.abs(traj.velocity_norm())))
     r = traj.r
     drdt = np.gradient(r, traj.t)
     _write_json(outdir / "geodesic-report.json", {
@@ -303,8 +302,9 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
         assert abs(r - 9.9999995) < 1e-12
 
     def _flat_gauge():
-        params = schwarzschild.SchwarzschildParams(5, 0.0)
-        v = schwarzschild.wave_gauge_residual(params, 10.0)
+        chart = schwarzschild.HarmonicChart(
+            schwarzschild.SchwarzschildParams(5, 0.0))
+        v = schwarzschild.wave_gauge_residual(chart, 10.0)
         assert np.max(np.abs(v)) == 0.0
 
     def _hyperboloid():
@@ -378,6 +378,11 @@ def main(argv=None) -> int:
         # the horizon, a malformed spectrum file, ...) are ValueErrors
         print(f"kkstab: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (evolve_mod.NaNGuardError, schwarzschild.StepFailureError) as exc:
+        # a run that started but failed: a non-finite field or a stalled
+        # adaptive integration
+        print(f"kkstab: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
 
 
 if __name__ == "__main__":

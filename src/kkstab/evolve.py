@@ -64,8 +64,8 @@ class EvolutionConfig:
             raise ValueError("t_start < 2 leaves no room for the support cone")
         if self.nonlinearity not in ("linear", "quasilinear-toy"):
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if abs(self.eps) > self.eps_max:
-            raise ValueError(f"eps={self.eps} exceeds eps_max={self.eps_max}")
+        if not 0 <= self.eps <= self.eps_max:
+            raise ValueError(f"eps={self.eps} outside [0, eps_max={self.eps_max}]")
 
     def check_model(self, model: str) -> None:
         """Each entry point runs one model, which nonlinearity must name."""
@@ -519,8 +519,8 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     if config.n != n:
         raise ValueError(f"n={n} differs from config.n={config.n}")
     config.check_model("linear")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not lam >= 0:
+        raise ValueError(f"lam={lam} must be nonnegative")
     dr, dt = config.dr, config.dt
     observers = [(f"obs_r{ro:g}", int(round(ro / dr))) for ro in config.observers]
 

@@ -7,8 +7,9 @@ coordinates x^i = r(rbar) xhat^i are harmonic iff the radial profile solves
 
 integrated inward from the asymptotically flat end.  The deviation
 m = rbar - r is solved directly so all quantities stay accurate at the
-r^{-(n-2)} decay scale.  A leading-order algebraic transform is exposed as
-a cheap fallback.
+r^{-(n-2)} decay scale.  A HarmonicChart carries its mass and dimension, so
+every harmonic-chart function takes the chart alone.  A leading-order
+algebraic transform is exposed as a cheap fallback.
 """
 
 from __future__ import annotations
@@ -17,16 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 HORIZON_GUARD = 1.01
+R_FAR = 1e3  # the chart ODE starts here; the asymptotic profile serves beyond
 
 
 class HorizonError(ValueError):
     """Point below the guarded exterior radius."""
-
-
-class TruncationOrderError(ValueError):
-    """Requested expansion order beyond what is implemented."""
 
 
 class StepFailureError(RuntimeError):
@@ -72,6 +71,13 @@ class SchwarzschildParams:
             )
 
 
+def _christoffels(ginv, dg):
+    """Gamma^c_{ab} = 1/2 g^{cd} (d_a g_{db} + d_b g_{da} - d_d g_{ab})."""
+    # br[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
+    br = (np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg)
+    return 0.5 * np.einsum("cd,dab->cab", ginv, br)
+
+
 @dataclass
 class MetricAtPoint:
     """Metric data in a named chart: components, inverse, derivatives."""
@@ -90,50 +96,59 @@ class MetricAtPoint:
 
     @property
     def christoffels(self) -> np.ndarray:
-        """Gamma^c_{ab} = 1/2 g^{cd} (d_a g_{db} + d_b g_{da} - d_d g_{ab})."""
-        dg = self.dg
-        # br[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
-        br = (np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg)
-        return 0.5 * np.einsum("cd,dab->cab", self.ginv, br)
+        return _christoffels(self.ginv, self.dg)
 
     def lorentzian_signature(self) -> bool:
         eig = np.linalg.eigvalsh(self.g)
         return (eig < 0).sum() == 1
 
 
+def _spatial_point(point, n: int):
+    """Spatial vector x and |x|; a scalar radius is placed on the first axis."""
+    x = np.atleast_1d(np.asarray(point, dtype=float))
+    if x.size == 1:
+        x = np.concatenate([x, np.zeros(n - 1)])
+    return x, float(np.linalg.norm(x))
+
+
+def _static_metric(name: str, x, r, h00, dh00, a, da, b, db) -> MetricAtPoint:
+    """Static, spherically symmetric metric from its radial profiles.
+
+    g_00 = -1 + h00, g_ij = (1 + a) delta_ij + (b - a) xhat_i xhat_j, with
+    the radial derivatives dh00, da, db taken in the chart's radius r = |x|.
+    """
+    n = len(x)
+    xh = x / r
+    A, B = 1.0 + a, 1.0 + b
+    D = n + 1
+    g = np.zeros((D, D))
+    g[0, 0] = -1.0 + h00
+    g[1:, 1:] = A * np.eye(n) + (b - a) * np.outer(xh, xh)
+    ginv = np.zeros((D, D))
+    ginv[0, 0] = 1.0 / g[0, 0]
+    ginv[1:, 1:] = np.eye(n) / A + (1.0 / B - 1.0 / A) * np.outer(xh, xh)
+    dg = np.zeros((D, D, D))
+    for k in range(n):
+        dxh = (np.eye(n)[k] - xh[k] * xh) / r
+        dg[1 + k, 0, 0] = dh00 * xh[k]
+        dg[1 + k, 1:, 1:] = (da * xh[k] * np.eye(n)
+                             + (db - da) * xh[k] * np.outer(xh, xh)
+                             + (b - a) * (np.outer(dxh, xh) + np.outer(xh, dxh)))
+    return MetricAtPoint(chart=name, x=x, g=g, ginv=ginv, dg=dg)
+
+
 def schwarzschild_metric(params: SchwarzschildParams, point) -> MetricAtPoint:
-    """Exact metric in the Cartesianized Schwarzschild chart.
+    """Exact metric in the Cartesianized Schwarzschild (areal) chart.
 
     point: spatial vector x (the metric is static) or a scalar rbar, placed
     on the first axis.  g_00 = -f, g_ij = delta_ij + (1/f - 1) xhat_i xhat_j.
     """
-    x = np.atleast_1d(np.asarray(point, dtype=float))
-    if x.size == 1:
-        x = np.concatenate([x, np.zeros(params.n - 1)])
-    n = params.n
-    rbar = float(np.linalg.norm(x))
+    x, rbar = _spatial_point(point, params.n)
     params.check_exterior(rbar)
     f = params.f(rbar)
     fp = params.fp(rbar)
-    xh = x / rbar
-    c = 1.0 / f - 1.0
-    cp = -fp / f ** 2
-
-    D = n + 1
-    g = np.zeros((D, D))
-    g[0, 0] = -f
-    g[1:, 1:] = np.eye(n) + c * np.outer(xh, xh)
-    ginv = np.zeros((D, D))
-    ginv[0, 0] = -1.0 / f
-    ginv[1:, 1:] = np.eye(n) - (1.0 - f) * np.outer(xh, xh)
-    dg = np.zeros((D, D, D))
-    for k in range(n):
-        dg[1 + k, 0, 0] = -fp * xh[k]
-        dxh = (np.eye(n)[k] - xh[k] * xh) / rbar
-        block = (cp * xh[k] * np.outer(xh, xh)
-                 + c * (np.outer(dxh, xh) + np.outer(xh, dxh)))
-        dg[1 + k, 1:, 1:] = block
-    return MetricAtPoint(chart="schwarzschild", x=x, g=g, ginv=ginv, dg=dg)
+    return _static_metric("schwarzschild", x, rbar, 1.0 - f, -fp,
+                          0.0, 0.0, 1.0 / f - 1.0, -fp / f ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,92 +161,85 @@ class HarmonicChart:
     Integrates the deviation m = rbar - r of the harmonic radial profile
     inward from the flat end, with m ~ C_S / (2 (n-2)) rbar^{3-n}
     asymptotically (the decaying particular solution of the radial ODE).
+    The massless chart is the identity, m = 0.
     """
 
-    def __init__(self, params: SchwarzschildParams, r_far: float = 1e3,
-                 rtol: float = 1e-12):
+    def __init__(self, params: SchwarzschildParams):
         self.params = params
-        self.r_far = r_far
         n, cs = params.n, params.cs
+        self._r_min = max(params.min_radius * 0.999, 1e-6)
         self._trivial = cs == 0.0
         if self._trivial:
             return
-        r_min = max(params.min_radius * 0.999, 1e-6)
-        a = cs / (2.0 * (n - 2))
-        m0 = a * r_far ** (3 - n)
-        mp0 = a * (3 - n) * r_far ** (2 - n)
+        self._a = cs / (2.0 * (n - 2))
+        m0 = self._a * R_FAR ** (3 - n)
+        mp0 = self._a * (3 - n) * R_FAR ** (2 - n)
 
         def rhs(rb, y):
-            m, mp = y
-            f = params.f(rb)
-            fp = params.fp(rb)
-            mpp = (-cs * rb ** (1 - n)
-                   - (fp + (n - 1) * f / rb) * mp
-                   + (n - 1) * m / rb ** 2) / f
-            return [mp, mpp]
+            return [y[1], self._mpp(rb, *y)]
 
-        sol = solve_ivp(rhs, (r_far, r_min), [m0, mp0], method="DOP853",
-                        rtol=rtol, atol=1e-30, dense_output=True)
+        sol = solve_ivp(rhs, (R_FAR, self._r_min), [m0, mp0], method="DOP853",
+                        rtol=1e-12, atol=1e-30, dense_output=True)
         if not sol.success:
             raise StepFailureError(f"harmonic chart ODE failed: {sol.message}")
         self._sol = sol
-        self._r_min = r_min
+
+    def _mpp(self, rb, m, mp):
+        """m'' from the harmonic radial ODE written for m = rbar - r."""
+        n, cs = self.params.n, self.params.cs
+        f, fp = self.params.f(rb), self.params.fp(rb)
+        return (-cs * rb ** (1 - n) - (fp + (n - 1) * f / rb) * mp
+                + (n - 1) * m / rb ** 2) / f
 
     def m(self, rbar: float) -> float:
         if self._trivial:
             return 0.0
-        if rbar > self.r_far:
-            a = self.params.cs / (2.0 * (self.params.n - 2))
-            return a * rbar ** (3 - self.params.n)
+        if rbar > R_FAR:
+            return self._a * rbar ** (3 - self.params.n)
         return float(self._sol.sol(rbar)[0])
 
     def mp(self, rbar: float) -> float:
         if self._trivial:
             return 0.0
-        n = self.params.n
-        if rbar > self.r_far:
-            a = self.params.cs / (2.0 * (n - 2))
-            return a * (3 - n) * rbar ** (2 - n)
+        if rbar > R_FAR:
+            return self._a * (3 - self.params.n) * rbar ** (2 - self.params.n)
         return float(self._sol.sol(rbar)[1])
 
     def mpp(self, rbar: float) -> float:
-        if self._trivial:
-            return 0.0
-        params, n, cs = self.params, self.params.n, self.params.cs
-        m, mp = self.m(rbar), self.mp(rbar)
-        f, fp = params.f(rbar), params.fp(rbar)
-        return (-cs * rbar ** (1 - n) - (fp + (n - 1) * f / rbar) * mp
-                + (n - 1) * m / rbar ** 2) / f
+        return self._mpp(rbar, self.m(rbar), self.mp(rbar))
 
     def r_of_rbar(self, rbar: float) -> float:
         return rbar - self.m(rbar)
 
     def rbar_of_r(self, r: float) -> float:
+        """Inverse of r_of_rbar: six fixed-point steps rb <- r + m(rb) settle
+        the far field; where they have not converged (near the horizon m' is
+        not small), the root is bracketed above the chart's inner end."""
         rb = r
         for _ in range(6):
-            rb = r + self.m(rb)
-        return rb
+            rb, last = r + self.m(rb), rb
+        if abs(rb - last) <= 1e-13 * rb:
+            return rb
+        lo = self._r_min
+        if self.r_of_rbar(lo) > r:
+            raise HorizonError(
+                f"harmonic radius {r:.6g} inside the guarded exterior: the "
+                f"chart ends at r = {self.r_of_rbar(lo):.6g}")
+        hi = max(2.0 * r, lo)
+        while self.r_of_rbar(hi) < r:
+            hi *= 2.0
+        return brentq(lambda x: self.r_of_rbar(x) - r, lo, hi,
+                      xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
-def to_harmonic_chart(params: SchwarzschildParams, rbar: float,
-                      order: str = "leading",
-                      chart: HarmonicChart | None = None) -> float:
-    """Harmonic radial coordinate r(rbar).
-
-    order = "leading": algebraic fallback r = rbar - C_S / (2 rbar^{n-3});
-    order = "ode": the numerically integrated profile (gauge-exact).
-    """
+def to_harmonic_chart(params: SchwarzschildParams, rbar: float) -> float:
+    """Leading-order harmonic radius r = rbar - C_S / (2 rbar^{n-3}), the
+    algebraic fallback to the gauge-exact HarmonicChart.r_of_rbar."""
     params.check_exterior(rbar)
-    if order == "leading":
-        return rbar - params.cs / (2.0 * rbar ** (params.n - 3))
-    if order == "ode":
-        if chart is None:
-            chart = HarmonicChart(params)
-        return chart.r_of_rbar(rbar)
-    raise TruncationOrderError(f"unknown truncation order {order!r}")
+    return rbar - params.cs / (2.0 * rbar ** (params.n - 3))
 
 
-def _radial_profiles(params, chart: HarmonicChart, r: float):
+def _radial_profiles(chart: HarmonicChart, r: float):
     """Deviation-form radial profiles of the harmonic-chart metric.
 
     g_00 = -1 + h00, g_ij = (1 + a) delta_ij + (b - a) xhat_i xhat_j with
@@ -240,7 +248,7 @@ def _radial_profiles(params, chart: HarmonicChart, r: float):
     from the small deviations m, m' directly, never by subtracting O(1)
     numbers, so the r^{-(n-2)} tail survives in double precision.
     """
-    n, cs = params.n, params.cs
+    n, cs = chart.params.n, chart.params.cs
     rb = chart.rbar_of_r(r)
     m, mp, mpp = chart.m(rb), chart.mp(rb), chart.mpp(rb)
     drb_dr = 1.0 / (1.0 - mp)
@@ -265,57 +273,29 @@ def _radial_profiles(params, chart: HarmonicChart, r: float):
     return (h00, dh00), (a, da), (b, db)
 
 
-def harmonic_deviation(params: SchwarzschildParams, r: float,
-                       chart: HarmonicChart | None = None) -> dict:
+def harmonic_deviation(chart: HarmonicChart, r: float) -> dict:
     """Deviation h = g - eta of the harmonic-chart metric at radius r.
 
     Returns the scalar profiles {"h00", "tangential", "radial"} and their
     radial derivatives, computed without O(1) cancellation (usable far
     below machine epsilon relative to the identity part).
     """
-    if chart is None:
-        chart = HarmonicChart(params)
-    (h00, dh00), (a, da), (b, db) = _radial_profiles(params, chart, r)
+    (h00, dh00), (a, da), (b, db) = _radial_profiles(chart, r)
     return {"h00": h00, "tangential": a, "radial": b,
             "dh00": dh00, "dtangential": da, "dradial": db}
 
 
-def harmonic_metric(params: SchwarzschildParams, point,
-                    chart: HarmonicChart | None = None) -> MetricAtPoint:
+def harmonic_metric(chart: HarmonicChart, point) -> MetricAtPoint:
     """Metric components in the harmonic chart at spatial point x.
 
     Radial profile functions come from the ODE chart; angular structure is
     closed-form.  Derivatives are analytic through the chart's ODE
     relations.
     """
-    x = np.atleast_1d(np.asarray(point, dtype=float))
-    if x.size == 1:
-        x = np.concatenate([x, np.zeros(params.n - 1)])
-    n = params.n
-    r = float(np.linalg.norm(x))
-    if chart is None:
-        chart = HarmonicChart(params)
-    params.check_exterior(chart.rbar_of_r(r))
-    (h00, dh00), (a, da), (b, db) = _radial_profiles(params, chart, r)
-    xh = x / r
-    A, B = 1.0 + a, 1.0 + b
-    df = -dh00
-
-    D = n + 1
-    g = np.zeros((D, D))
-    g[0, 0] = -1.0 + h00
-    g[1:, 1:] = A * np.eye(n) + (b - a) * np.outer(xh, xh)
-    ginv = np.zeros((D, D))
-    ginv[0, 0] = 1.0 / g[0, 0]
-    ginv[1:, 1:] = np.eye(n) / A + (1.0 / B - 1.0 / A) * np.outer(xh, xh)
-    dg = np.zeros((D, D, D))
-    for k in range(n):
-        dxh = (np.eye(n)[k] - xh[k] * xh) / r
-        dg[1 + k, 0, 0] = -df * xh[k]
-        dg[1 + k, 1:, 1:] = (da * xh[k] * np.eye(n)
-                             + (db - da) * xh[k] * np.outer(xh, xh)
-                             + (b - a) * (np.outer(dxh, xh) + np.outer(xh, dxh)))
-    return MetricAtPoint(chart="harmonic-ode", x=x, g=g, ginv=ginv, dg=dg)
+    x, r = _spatial_point(point, chart.params.n)
+    chart.params.check_exterior(chart.rbar_of_r(r))
+    (h00, dh00), (a, da), (b, db) = _radial_profiles(chart, r)
+    return _static_metric("harmonic-ode", x, r, h00, dh00, a, da, b, db)
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +315,14 @@ def wave_gauge_residual_of(metric_fn, x, step: float = 1e-2) -> np.ndarray:
     return np.einsum("ab,cab->c", ginv, _christoffel_fd(metric_fn, x, step))
 
 
-def wave_gauge_residual(params: SchwarzschildParams, r: float,
-                        chart: HarmonicChart | None = None) -> np.ndarray:
+def wave_gauge_residual(chart: HarmonicChart, r: float) -> np.ndarray:
     """Residual V^c = g^{ab} Gamma^c_{ab} of the chart at radius r.
 
     Uses the chart's closed-form metric derivatives, so the residual
     reflects only the chart construction error (the ODE tolerance), not
-    finite-difference noise.
+    finite-difference noise.  The massless chart gives exact zeros.
     """
-    if params.cs == 0.0:
-        return np.zeros(params.n + 1)
-    mp = harmonic_metric(params, r, chart=chart)
+    mp = harmonic_metric(chart, r)
     return np.einsum("ab,cab->c", mp.ginv, mp.christoffels)
 
 
@@ -359,9 +336,7 @@ def _christoffel_fd(metric_fn, x, step):
         e[mu] = step
         dg[mu] = (8.0 * (metric_fn(x + e) - metric_fn(x - e))
                   - (metric_fn(x + 2 * e) - metric_fn(x - 2 * e))) / (12.0 * step)
-    ginv = np.linalg.inv(g0)
-    br = (np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg)
-    return 0.5 * np.einsum("cd,dab->cab", ginv, br)
+    return _christoffels(np.linalg.inv(g0), dg)
 
 
 def ricci_tensor(metric_fn, x, step: float = 1e-2) -> np.ndarray:
@@ -402,18 +377,13 @@ def constraint_residual(spatial_metric_fn, x, step: float = 1e-2,
     return ham, 0.0
 
 
-def product_slice_metric(params: SchwarzschildParams,
-                         chart: HarmonicChart | None = None, d: int = 0):
+def product_slice_metric(chart: HarmonicChart):
     """Spatial metric of a t = const slice: Schwarzschild block + flat torus."""
-    if chart is None and params.cs > 0:
-        chart = HarmonicChart(params)
+    n = chart.params.n
 
     def fn(x):
-        xs = x[:params.n]
         m = np.eye(len(x))
-        if params.cs > 0:
-            mp = harmonic_metric(params, xs, chart=chart)
-            m[:params.n, :params.n] = mp.g[1:, 1:]
+        m[:n, :n] = harmonic_metric(chart, x[:n]).g[1:, 1:]
         return m
 
     return fn
@@ -438,7 +408,7 @@ class GeodesicState:
 
 @dataclass
 class GeodesicTrajectory:
-    params: SchwarzschildParams
+    chart: HarmonicChart
     lam: np.ndarray
     t: np.ndarray
     x: np.ndarray           # (N, n)
@@ -452,44 +422,38 @@ class GeodesicTrajectory:
     def r(self) -> np.ndarray:
         return np.linalg.norm(self.x, axis=1)
 
-    def velocity_norm(self, chart: HarmonicChart | None = None) -> np.ndarray:
+    def velocity_norm(self) -> np.ndarray:
         """g(dot gamma, dot gamma) along the flow (drift diagnostic)."""
-        if chart is None and self.params.cs > 0:
-            chart = HarmonicChart(self.params)
         out = np.empty(len(self.lam))
         for i in range(len(self.lam)):
-            mp = harmonic_metric(self.params, self.x[i], chart=chart)
+            mp = harmonic_metric(self.chart, self.x[i])
             v = np.concatenate([[self.v_t[i]], self.v_x[i]])
             out[i] = v @ mp.g @ v + np.dot(self.v_torus[i], self.v_torus[i])
         return out
 
-    def energy(self, chart: HarmonicChart | None = None) -> np.ndarray:
+    def energy(self) -> np.ndarray:
         """Killing charge -g(dot gamma, d_t)."""
-        if chart is None and self.params.cs > 0:
-            chart = HarmonicChart(self.params)
         out = np.empty(len(self.lam))
         for i in range(len(self.lam)):
-            rb = chart.rbar_of_r(float(np.linalg.norm(self.x[i]))) \
-                if chart is not None else float(np.linalg.norm(self.x[i]))
-            out[i] = self.params.f(rb) * self.v_t[i]
+            rb = self.chart.rbar_of_r(float(np.linalg.norm(self.x[i])))
+            out[i] = self.chart.params.f(rb) * self.v_t[i]
         return out
 
 
-def integrate_geodesic(params: SchwarzschildParams, init: GeodesicState,
-                       lam_end: float, chart: HarmonicChart | None = None,
-                       rtol: float = 1e-12, atol: float = 1e-14,
-                       exterior_probe: bool = False,
+def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
+                       lam_end: float, exterior_probe: bool = False,
                        n_output: int = 400) -> GeodesicTrajectory:
     """Integrate the geodesic equation on harmonic Schwarzschild x torus.
 
     Causal initial velocity required.  Launch points outside |x| <= t - 2
     must be flagged as exterior probes.  Terminates on horizon capture.
+    Flat space (C_S = 0) skips the metric, so it may launch at the origin.
     """
+    params = chart.params
     n, d = params.n, len(init.torus)
-    if chart is None and params.cs > 0:
-        chart = HarmonicChart(params)
-    mp0 = harmonic_metric(params, init.x, chart=chart) if params.cs > 0 else None
-    g0 = mp0.g if mp0 is not None else np.diag([-1.0] + [1.0] * n)
+    flat = params.cs == 0.0
+    g0 = (np.diag([-1.0] + [1.0] * n) if flat
+          else harmonic_metric(chart, init.x).g)
     v0 = np.concatenate([[init.v_t], init.v_x])
     norm0 = v0 @ g0 @ v0 + np.dot(init.v_torus, init.v_torus)
     if norm0 > 1e-10:
@@ -499,28 +463,20 @@ def integrate_geodesic(params: SchwarzschildParams, init: GeodesicState,
             "launch point outside |x| <= t - 2; pass exterior_probe=True"
         )
 
-    def christoffels_at(xs):
-        if params.cs == 0.0:
-            return None
-        mpt = harmonic_metric(params, xs, chart=chart)
-        return mpt.christoffels
-
     def rhs(lam, y):
         xs = y[1:1 + n]
         vt = y[1 + n + d]
         vx = y[2 + n + d:2 + 2 * n + d]
         vth = y[2 + 2 * n + d:]
         dv = np.zeros(1 + n)
-        gam = christoffels_at(xs)
-        if gam is not None:
+        if not flat:
+            gam = harmonic_metric(chart, xs).christoffels
             v = np.concatenate([[vt], vx])
             dv = -np.einsum("cab,a,b->c", gam, v, v)
         return np.concatenate([[vt], vx, vth, dv, np.zeros(d)])
 
     def horizon(lam, y):
-        xs = y[1:1 + n]
-        r = np.linalg.norm(xs)
-        rb = chart.rbar_of_r(float(r)) if chart is not None else r
+        rb = chart.rbar_of_r(float(np.linalg.norm(y[1:1 + n])))
         # stop slightly above the hard exterior guard so trial evaluations
         # of the right-hand side never cross it during the capture step
         return rb - 1.05 * params.min_radius
@@ -531,29 +487,26 @@ def integrate_geodesic(params: SchwarzschildParams, init: GeodesicState,
                          [init.v_t], init.v_x, init.v_torus])
     t_eval = np.linspace(init.lam, lam_end, n_output)
     sol = solve_ivp(rhs, (init.lam, lam_end), y0, method="DOP853",
-                    rtol=rtol, atol=atol, events=horizon, t_eval=t_eval)
+                    rtol=1e-12, atol=1e-14, events=horizon, t_eval=t_eval)
     if sol.status == -1:
         raise StepFailureError(f"geodesic integration failed: {sol.message}")
     captured = sol.status == 1
     Y = sol.y
     return GeodesicTrajectory(
-        params=params, lam=sol.t, t=Y[0], x=Y[1:1 + n].T,
+        chart=chart, lam=sol.t, t=Y[0], x=Y[1:1 + n].T,
         torus=Y[1 + n:1 + n + d].T, v_t=Y[1 + n + d],
         v_x=Y[2 + n + d:2 + 2 * n + d].T, v_torus=Y[2 + 2 * n + d:].T,
         captured=captured,
     )
 
 
-def write_trajectory_csv(path, traj: GeodesicTrajectory,
-                         chart: HarmonicChart | None = None) -> None:
-    if chart is None and traj.params.cs > 0:
-        chart = HarmonicChart(traj.params)
+def write_trajectory_csv(path, traj: GeodesicTrajectory) -> None:
     r = traj.r
     drdt = np.gradient(r, traj.t) if len(r) > 2 else np.zeros_like(r)
-    gnorm = traj.velocity_norm(chart)
-    energy = traj.energy(chart)
+    gnorm = traj.velocity_norm()
+    energy = traj.energy()
     with open(path, "w") as fh:
-        fh.write(f"# n={traj.params.n} cs={traj.params.cs!r} "
+        fh.write(f"# n={traj.chart.params.n} cs={traj.chart.params.cs!r} "
                  f"captured={int(traj.captured)}\n")
         fh.write("lam,t,r,drdt,gnorm,energy\n")
         for i in range(len(traj.lam)):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kkstab import energy
+from kkstab import energy, evolve, schwarzschild
 from kkstab.cli import main
 
 
@@ -144,6 +144,23 @@ class TestSchwarzschild:
             assert abs(dev / (0.1 * r ** -7) - 1.0) <= 0.01
 
 
+class TestGeodesic:
+    def test_near_horizon_probe(self, tmp_path):
+        """Outgoing radial null ray from r0 = 1.2 at n = 5, C_S = 1 (horizon
+        at rbar = 1), where the chart's inverse radius needs its bracketed
+        root: exit 0, both artifacts, constant Killing energy."""
+        code, out = run_cli(["geodesic", "--n", "5", "--cs", "1", "--r0",
+                             "1.2", "--lam-end", "50"], tmp_path, "g")
+        assert code == 0
+        report = json.loads((out / "geodesic-report.json").read_text())
+        assert not report["captured"] and report["t_monotone"]
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[1] == "lam,t,r,drdt,gnorm,energy"
+        e = np.array([float(ln.split(",")[5]) for ln in lines[2:]])
+        assert len(e) == 400
+        assert np.max(np.abs(e / e[0] - 1.0)) <= 1e-9
+
+
 class TestDomainErrors:
     """A computation refusing its input exits 2 with one stderr line, not
     with a traceback and the exit 1 of a failed check."""
@@ -152,13 +169,46 @@ class TestDomainErrors:
         (["schwarzschild", "--samples", "5"], "need >= 10 positive samples"),
         (["geodesic", "--r0", "0.1"], "inside the guarded exterior"),
         (["energy", "--slice-s", "30"], "slice s=30.0 needs capture"),
-    ], ids=["schwarzschild", "geodesic", "energy"])
+        (["evolve", "--eps", "-0.001", "--n", "3", "--t-end", "10", "--dr",
+          "0.0625"], "eps=-0.001 outside"),
+        (["evolve", "--lambda", "nan", "--n", "3", "--t-end", "8", "--dr",
+          "0.0625"], "lam=nan must be nonnegative"),
+    ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
+            "evolve-lambda"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("kkstab: ") and message in err[0]
+
+
+class TestRuntimeFailures:
+    """A run that starts but fails (non-finite field, stalled integration)
+    exits 1 with one stderr line, not with a traceback."""
+
+    @staticmethod
+    def _raise(exc):
+        def fail(*args, **kwargs):
+            raise exc
+        return fail
+
+    def test_nan_guard_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evolve, "_run_sweep", self._raise(
+            evolve.NaNGuardError("non-finite field at t=5.0000")))
+        code, _ = run_cli(["evolve", "--n", "3", "--t-end", "8", "--dr",
+                           "0.0625"], tmp_path, "e")
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["kkstab: non-finite field at t=5.0000"]
+
+    def test_step_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(schwarzschild, "integrate_geodesic", self._raise(
+            schwarzschild.StepFailureError("geodesic integration failed")))
+        code, _ = run_cli(["geodesic", "--lam-end", "10"], tmp_path, "g")
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["kkstab: geodesic integration failed"]
 
 
 class TestConfigPrecedence:

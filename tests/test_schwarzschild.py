@@ -10,7 +10,6 @@ from kkstab.schwarzschild import (
     HorizonError,
     MetricAtPoint,
     SchwarzschildParams,
-    TruncationOrderError,
     constraint_residual,
     harmonic_deviation,
     harmonic_metric,
@@ -95,13 +94,13 @@ class TestHarmonicChart:
     def test_pinned_leading_example(self):
         """r(10) for C_S = 1, n = 9: leading transform gives 10 - 1/(2e6)."""
         p = SchwarzschildParams(n=9, cs=1.0)
-        r = to_harmonic_chart(p, 10.0, order="leading")
+        r = to_harmonic_chart(p, 10.0)
         assert r == pytest.approx(9.9999995, abs=1e-9)
 
     def test_ode_chart_matches_leading_far_out(self, chart):
         for rbar in (50.0, 200.0):
-            r_lead = to_harmonic_chart(P, rbar, order="leading")
-            r_ode = to_harmonic_chart(P, rbar, order="ode", chart=chart)
+            r_lead = to_harmonic_chart(P, rbar)
+            r_ode = chart.r_of_rbar(rbar)
             assert abs(r_lead - r_ode) < 1e-10 * rbar
 
     def test_roundtrip(self, chart):
@@ -109,9 +108,19 @@ class TestHarmonicChart:
             r = chart.r_of_rbar(rbar)
             assert chart.rbar_of_r(r) == pytest.approx(rbar, rel=1e-10)
 
-    def test_unknown_order(self):
-        with pytest.raises(TruncationOrderError):
-            to_harmonic_chart(P, 10.0, order="nnlo")
+    @pytest.mark.parametrize("r", [0.9, 0.95, 0.9932, 1.2, 2.0])
+    def test_inverse_converges_near_horizon(self, r):
+        """n = 5, C_S = 1 (horizon at rbar = 1): m' is not small there, so
+        fixed-point steps alone do not invert r_of_rbar."""
+        ch = HarmonicChart(SchwarzschildParams(n=5, cs=1.0))
+        rb = ch.rbar_of_r(r)
+        assert rb >= ch.params.horizon_radius
+        assert abs(ch.r_of_rbar(rb) - r) <= 1e-12
+
+    def test_inverse_refuses_inside_chart(self):
+        ch = HarmonicChart(SchwarzschildParams(n=5, cs=1.0))
+        with pytest.raises(HorizonError, match="inside the guarded exterior"):
+            ch.rbar_of_r(0.1)
 
     def test_mass_profile_asymptote(self, chart):
         """m(r) ~ C_S r^{3-n} / (2(n-2)) far out."""
@@ -126,7 +135,7 @@ class TestHarmonicDeviation:
         radii = np.geomspace(20.0, 200.0, 8)
         mags = []
         for r in radii:
-            dev = harmonic_deviation(P, r, chart)
+            dev = harmonic_deviation(chart, r)
             mags.append(np.sqrt(dev["h00"] ** 2 + dev["tangential"] ** 2
                                 + dev["radial"] ** 2))
         slope = np.polyfit(np.log(radii), np.log(mags), 1)[0]
@@ -135,7 +144,7 @@ class TestHarmonicDeviation:
     def test_wave_gauge_residual_steeper(self, chart):
         """|V| decays faster than r^{-(n-1)} on the ODE chart."""
         radii = np.geomspace(20.0, 200.0, 8)
-        vals = np.array([np.linalg.norm(wave_gauge_residual(P, r, chart))
+        vals = np.array([np.linalg.norm(wave_gauge_residual(chart, r))
                          for r in radii])
         # residuals sit at denormal scale; some radii underflow to exact zero
         keep = vals > 0
@@ -155,15 +164,15 @@ class TestHarmonicDeviation:
     def test_metric_consistency_with_deviation(self, chart):
         """harmonic_metric assembles exactly eta + deviation profiles."""
         r = 25.0
-        mp = harmonic_metric(P, r, chart=chart)
-        dev = harmonic_deviation(P, r, chart)
+        mp = harmonic_metric(chart, r)
+        dev = harmonic_deviation(chart, r)
         assert mp.g[0, 0] == pytest.approx(-1.0 + dev["h00"], rel=1e-12)
         # x on the first axis: radial direction is index 1
         assert mp.g[1, 1] == pytest.approx(1.0 + dev["radial"], rel=1e-12)
         assert mp.g[2, 2] == pytest.approx(1.0 + dev["tangential"], rel=1e-12)
 
     def test_harmonic_vacuum_ricci(self, chart):
-        fn = lambda x: harmonic_metric(P, x[1:], chart=chart).g
+        fn = lambda x: harmonic_metric(chart, x[1:]).g
         x = np.zeros(10)
         x[1] = 5.0
         assert abs(scalar_curvature(fn, x, step=1e-2)) < 1e-5
@@ -171,7 +180,7 @@ class TestHarmonicDeviation:
 
 class TestConstraint:
     def test_time_symmetric_slice(self, chart):
-        fn = product_slice_metric(P, chart, d=0)
+        fn = product_slice_metric(chart)
         x = np.zeros(9)
         x[0] = 5.0
         ham, mom = constraint_residual(fn, x, step=1e-2)
@@ -179,7 +188,7 @@ class TestConstraint:
         assert mom == 0.0
 
     def test_extrinsic_curvature_unsupported(self, chart):
-        fn = product_slice_metric(P, chart, d=0)
+        fn = product_slice_metric(chart)
         with pytest.raises(ValueError, match="kappa"):
             constraint_residual(fn, np.array([5.0] + [0.0] * 8), kappa=1.0)
 
@@ -190,28 +199,28 @@ def null_radial():
     ch = HarmonicChart(p)
     x0 = np.zeros(9)
     x0[0] = 10.0
-    mp = harmonic_metric(p, x0, chart=ch)
+    mp = harmonic_metric(ch, x0)
     vx = np.zeros(9)
     vx[0] = 1.0
     vt = np.sqrt(mp.g[1, 1] / -mp.g[0, 0])
     init = GeodesicState(t=50.0, x=x0, v_t=vt, v_x=vx)
-    return p, ch, integrate_geodesic(p, init, lam_end=1500.0, chart=ch)
+    return integrate_geodesic(ch, init, lam_end=1500.0)
 
 
 class TestGeodesics:
 
     def test_t_monotone(self, null_radial):
-        _, _, traj = null_radial
+        traj = null_radial
         assert np.all(np.diff(traj.t) > 0)
 
     def test_null_norm_drift(self, null_radial):
-        _, ch, traj = null_radial
-        drift = np.abs(traj.velocity_norm(ch))
+        traj = null_radial
+        drift = np.abs(traj.velocity_norm())
         per_lam = drift.max() / (traj.lam[-1] - traj.lam[0])
         assert per_lam < 1e-8
 
     def test_outgoing_speed_limit(self, null_radial):
-        _, _, traj = null_radial
+        traj = null_radial
         r = traj.r
         drdt = np.gradient(r, traj.t)
         late = r > 1e3
@@ -219,8 +228,8 @@ class TestGeodesics:
         assert np.max(np.abs(drdt[late] - 1.0)) < 1e-3
 
     def test_energy_conserved(self, null_radial):
-        _, ch, traj = null_radial
-        e = traj.energy(ch)
+        traj = null_radial
+        e = traj.energy()
         assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-9
 
     def test_spacelike_velocity_rejected(self):
@@ -229,7 +238,7 @@ class TestGeodesics:
         vx[0] = 2.0
         init = GeodesicState(t=50.0, x=np.zeros(9), v_t=1.0, v_x=vx)
         with pytest.raises(ValueError, match="spacelike"):
-            integrate_geodesic(p, init, lam_end=10.0)
+            integrate_geodesic(HarmonicChart(p), init, lam_end=10.0)
 
     def test_launch_cone_guard(self):
         p = SchwarzschildParams(n=9, cs=0.0)
@@ -239,19 +248,19 @@ class TestGeodesics:
         vx[0] = 1.0
         init = GeodesicState(t=4.0, x=x0, v_t=1.0, v_x=vx)
         with pytest.raises(ValueError, match="exterior_probe"):
-            integrate_geodesic(p, init, lam_end=10.0)
+            integrate_geodesic(HarmonicChart(p), init, lam_end=10.0)
 
     def test_horizon_capture(self):
         p = SchwarzschildParams(n=5, cs=1.0)  # horizon at rbar = 1
         ch = HarmonicChart(p)
         x0 = np.zeros(5)
         x0[0] = 3.0
-        mp = harmonic_metric(p, x0, chart=ch)
+        mp = harmonic_metric(ch, x0)
         vx = np.zeros(5)
         vx[0] = -1.0
         vt = np.sqrt(mp.g[1, 1] / -mp.g[0, 0])
         init = GeodesicState(t=50.0, x=x0, v_t=vt, v_x=vx)
-        traj = integrate_geodesic(p, init, lam_end=100.0, chart=ch,
+        traj = integrate_geodesic(ch, init, lam_end=100.0,
                                   exterior_probe=True)
         assert traj.captured
 
@@ -263,7 +272,7 @@ class TestGeodesics:
         vx = np.zeros(9)
         init = GeodesicState(t=50.0, x=x0, v_t=1.0, v_x=vx,
                              torus=np.array([0.0]), v_torus=np.array([1.0]))
-        traj = integrate_geodesic(p, init, lam_end=5.0)
+        traj = integrate_geodesic(HarmonicChart(p), init, lam_end=5.0)
         assert np.allclose(traj.v_torus, 1.0)
         assert traj.torus[-1, 0] == pytest.approx(5.0, rel=1e-9)
 
@@ -276,7 +285,8 @@ class TestTrajectoryCsv:
         vx = np.zeros(9)
         vx[0] = 1.0
         init = GeodesicState(t=50.0, x=x0, v_t=1.0, v_x=vx)
-        traj = integrate_geodesic(p, init, lam_end=3.0, n_output=10)
+        traj = integrate_geodesic(HarmonicChart(p), init, lam_end=3.0,
+                                  n_output=10)
         path = tmp_path / "traj.csv"
         sw.write_trajectory_csv(path, traj)
         lines = path.read_text().splitlines()
