@@ -1,24 +1,23 @@
 """Hyperboloidal energies, the energy identity, and estimate verification.
 
 All quantities live on radially sampled hyperboloid slices (SliceData).
-Generator words over {T, Xr, Z0r} are expanded by exact integer rules into
-coefficient * d_t^a d_r^b combinations, the coefficients being integer
-polynomials in (t, r), then evaluated with the slice's derivative closure,
+Generator words over {T, Xr, Z0r} act through the exact expansion of
+`geometry._word_terms`, evaluated here with the slice's derivative closure,
 so boosted energies need no extra stored history.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .evolve import inverse_metric_components, inverse_metric_derivative
+from .evolve import (inverse_metric_components, inverse_metric_derivative,
+                     quasilinear_coefficients)
 from .fields import SliceData
+from .geometry import _eval_terms, _word_terms, _words_upto
 
 REPORT_MAGIC = "kkstab-report v1"
 
@@ -129,56 +128,9 @@ def hyperboloidal_energy(data: SliceData, gamma: dict | None = None) -> float:
 # Generator words on slices (exact integer coefficient expansion)
 
 
-# Each radial generator as a sum of t^i r^j d_axis pieces (i, j, axis), with
-# axis 0 for d_t and 1 for d_r: Z0r = t d_r + r d_t.
-_GENERATORS = {"T": ((0, 0, 0),), "Xr": ((0, 0, 1),),
-               "Z0r": ((1, 0, 1), (0, 1, 0))}
-
-
-@functools.lru_cache(maxsize=None)
-def _word_terms(word: tuple) -> tuple:
-    """Expand Z^word u into ((a, b), ((i, j, c), ...)) terms.
-
-    The coefficient of d_t^a d_r^b u is the sum of c t^i r^j over the listed
-    monomials.  The generators act right to left by the product rule on
-    integer polynomials, so the expansion is exact; "rotation" annihilates
-    radial fields and gives the empty expansion.
-    """
-    terms = {(0, 0): Counter({(0, 0): 1})}
-    for kind in reversed(word):
-        if kind == "rotation":
-            return ()
-        if kind not in _GENERATORS:
-            raise ValueError(f"unknown generator {kind!r}")
-        new = defaultdict(Counter)
-        for (a, b), poly in terms.items():
-            for p, q, axis in _GENERATORS[kind]:
-                for (i, j), c in poly.items():
-                    # t^p r^q d_axis (C d_t^a d_r^b u), C = c t^i r^j
-                    new[a + 1 - axis, b + axis][i + p, j + q] += c
-                    k = (i, j)[axis]
-                    if k:
-                        new[a, b][i + p - 1 + axis, j + q - axis] += k * c
-        terms = new
-    return tuple(sorted(
-        (key, tuple(sorted((i, j, c) for (i, j), c in poly.items() if c)))
-        for key, poly in terms.items() if any(poly.values())))
-
-
-def _eval_terms(data: SliceData, terms) -> np.ndarray:
-    t, r = data.t, data.r
-    out = np.zeros_like(t)
-    for (a, b), monomials in terms:
-        # c * r**j * t**i left to right, as the tests' lambdified symbolic
-        # coefficients evaluate it (a zero power is an exact factor 1.0)
-        coeff = sum(c * r ** j * t ** i for i, j, c in monomials)
-        out = out + coeff * data.deriv(a, b)
-    return out
-
-
 def word_apply(data: SliceData, word) -> np.ndarray:
     """Z^word u sampled on the slice."""
-    return _eval_terms(data, _word_terms(tuple(word)))
+    return _eval_terms(data.t, data.r, data.deriv, _word_terms(tuple(word)))
 
 
 def word_energy(data: SliceData, word) -> float:
@@ -186,22 +138,13 @@ def word_energy(data: SliceData, word) -> float:
     terms = _word_terms(tuple(word))
     if not terms:
         return 0.0
-    w = _eval_terms(data, terms)
-    wt = _eval_terms(data, _word_terms(("T",) + tuple(word)))
-    wr = _eval_terms(data, _word_terms(("Xr",) + tuple(word)))
     t, r = data.t, data.r
+    w = _eval_terms(t, r, data.deriv, terms)
+    wt = _eval_terms(t, r, data.deriv, _word_terms(("T",) + tuple(word)))
+    wr = _eval_terms(t, r, data.deriv, _word_terms(("Xr",) + tuple(word)))
     yw = wr + (r / t) * wt
     dens = (data.s / t) ** 2 * wt ** 2 + yw ** 2 + data.lam * w ** 2
     return data.slc.integrate(dens)
-
-
-def _words_upto(length: int, alphabet=("T", "Xr", "Z0r")):
-    words = [()]
-    horizon = [()]
-    for _ in range(length):
-        horizon = [w + (a,) for w in horizon for a in alphabet]
-        words.extend(horizon)
-    return words
 
 
 def boosted_energy(data: SliceData, k: int) -> float:
@@ -275,7 +218,6 @@ def quasilinear_gamma(comp_slices: list, eps: float) -> GammaBlock:
 
 def quasilinear_source(comp_slices: list, eps: float) -> np.ndarray:
     """F = eps Q per component, recomputed from slice samples, shape (3, m)."""
-    from .evolve import quasilinear_coefficients
     u3 = np.stack([c.u for c in comp_slices])
     v3 = np.stack([c.ut for c in comp_slices])
     ur3 = np.stack([c.ur for c in comp_slices])

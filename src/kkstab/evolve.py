@@ -8,6 +8,7 @@ four-step rolling window, so long runs never store the dense history.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import ModeField, SliceData, d2dr2, ddr
-from .geometry import grid_apply, make_slice, sphere_area
+from .geometry import (_eval_terms, _word_terms, _words_upto, make_slice,
+                       sphere_area)
 from .internal import FlatTorus
 
 
@@ -60,6 +62,13 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.cfl > 0.5:
             raise CFLError(f"cfl={self.cfl} exceeds the 0.5 stability margin")
+        # RK4 keeps the imaginary-axis eigenvalues +-i dt sqrt(rho) / dr of
+        # the wave system inside its stability interval |z| <= 2 sqrt(2)
+        root_rho = math.sqrt(_laplacian_spectral_radius(self.n))
+        if self.cfl * root_rho > 2.0 * math.sqrt(2.0):
+            raise CFLError(
+                f"cfl={self.cfl} breaks RK4 stability for the n={self.n} radial "
+                f"Laplacian: cfl must be <= {2.0 * math.sqrt(2.0) / root_rho:.4f}")
         if self.t_start < 2.0:
             raise ValueError("t_start < 2 leaves no room for the support cone")
         if self.nonlinearity not in ("linear", "quasilinear-toy"):
@@ -122,6 +131,28 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     out[..., 0] = n * 2.0 * d[..., 0] * inv_dr2
     out[..., -1] = 0.0
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _laplacian_spectral_radius(n: int, size: int = 400) -> float:
+    """Spectral radius of `radial_laplacian` at dr = 1 on a size-node block.
+
+    The operator is tridiagonal on the nodes below the Dirichlet edge, with
+    positive products of opposite off-diagonal entries, so it is similar to
+    the symmetric matrix whose off-diagonals are the square roots of those
+    products.  The largest magnitude sits at the axis, where the weights
+    ((k +- 1/2)/k)^(n-1) grow with n.
+    """
+    k = np.arange(1, size - 1, dtype=float)
+    rp = ((k + 0.5) / k) ** (n - 1)
+    rm = ((k - 0.5) / k) ** (n - 1)
+    diag = np.concatenate(([-2.0 * n], -(rp + rm)))
+    off = np.sqrt(np.concatenate(([2.0 * n], rp[:-1])) * rm)
+    # imported here so that `import kkstab` stays free of scipy; sterf works
+    # on the two diagonals, with no dense matrix and no BLAS buffers
+    from scipy.linalg import eigvalsh_tridiagonal
+    eig = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
+    return float(np.max(np.abs(eig)))
 
 
 def _radial_stencil(g: np.ndarray, b: int, dr: float) -> np.ndarray:
@@ -491,6 +522,11 @@ def _mode_field(history: _History, lam: float, config: EvolutionConfig,
     )
 
 
+def _check_lam(lam: float) -> None:
+    if not lam >= 0:
+        raise ValueError(f"lam={lam} must be nonnegative")
+
+
 def _linear_accel(n: int, dr: float, lam: float, forcing=None, r=None):
     """dv/dt = Lap_r u - lam u (+ forcing(t, r)) of the linear equation."""
     if forcing is not None:
@@ -519,8 +555,7 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     if config.n != n:
         raise ValueError(f"n={n} differs from config.n={config.n}")
     config.check_model("linear")
-    if not lam >= 0:
-        raise ValueError(f"lam={lam} must be nonnegative")
+    _check_lam(lam)
     dr, dt = config.dr, config.dt
     observers = [(f"obs_r{ro:g}", int(round(ro / dr))) for ro in config.observers]
 
@@ -724,6 +759,7 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     is bit-identical to the linear solver.
     """
     config.check_model("quasilinear-toy")
+    _check_lam(lam)
     dr, eps = config.dr, config.eps
 
     def cfl_check(t, u):
@@ -771,7 +807,8 @@ class SourceTerms:
     f3[word]: commutator [Z^word, H^{ab} d_a d_b] h per component;
     f2: identically zero for flat internal models (asserted);
     g_constant[word]: measured C in |F3| <= C |dH|_E |Z^word dh|_E.
-    Border cells touched by the stencils are NaN.
+    Every grid is finite: time derivatives are one-sided in the first and
+    last stored rows, radial ones follow `fields.ddr` and `fields.d2dr2`.
     """
 
     f1: dict
@@ -781,31 +818,40 @@ class SourceTerms:
     order: int
 
 
-_WORDS = {0: [()], 1: [("T",), ("Xr",), ("Z0r",)]}
-_WORDS[2] = [w1 + w2 for w1 in _WORDS[1] for w2 in _WORDS[1]]
+def _grid_deriv(w: np.ndarray, dt: float, dr: float):
+    """deriv(a, b) = d_t^a d_r^b w on a stored (..., nt, nr) stack:
+    np.gradient along t applied a times over ddr (b = 1) or d2dr2 (b = 2)."""
 
+    @functools.lru_cache(maxsize=None)
+    def deriv(a: int, b: int) -> np.ndarray:
+        if a:
+            return np.gradient(deriv(a - 1, b), dt, axis=-2)
+        if b == 0:
+            return w
+        if b == 1:
+            return ddr(w, dr)
+        if b == 2:
+            return d2dr2(w, dr)
+        raise ValueError(f"unsupported radial derivative order {b}")
 
-def _apply_word(word, grid, dt, dr, t0):
-    out = grid
-    for kind in reversed(word):
-        out = grid_apply(kind, out, dt, dr, t0)
-    return out
+    return deriv
 
 
 def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
     """Evaluate F^1, F^2, F^3 and the G-majorant constant on a stored run.
 
     Requires a quasilinear result with component histories; order <= 2.
+    Each word Z^w acts through its exact expansion (`geometry._word_terms`)
+    on `_grid_deriv` samples of the (3, nt, nr) stack.
     """
     if order > 2:
         raise WindowDepthError("commutation order capped at 2 by window depth")
     if result.component_fields is None:
         raise ValueError("commuted_sources needs a run with stored history")
     fields = result.component_fields
-    cfg, eps, lam = result.config, result.config.eps, result.lam
-    n, dr = cfg.n, fields[0].dr
-    dts, t0 = fields[0].dt, fields[0].t0
-    nt = fields[0].u.shape[0]
+    eps = result.config.eps
+    dr, dts, t0 = fields[0].dr, fields[0].dt, fields[0].t0
+    nt, nr = fields[0].u.shape
     if nt < 4 * (order + 1):
         raise WindowDepthError("stored history too short for the stencil depth")
 
@@ -813,44 +859,37 @@ def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
     v3 = np.stack([f.v for f in fields])
     ur3 = ddr(u3, dr)
     H, q3 = quasilinear_coefficients(u3, v3, ur3, eps)
+    t = t0 + dts * np.arange(nt)[:, None]
+    r = dr * np.arange(nr)
 
-    words = [w for ln in range(order + 1) for w in _WORDS[ln]]
-    f1 = {w: np.stack([_apply_word(w, eps * q3[c], dts, dr, t0)
-                       for c in range(3)]) for w in words}
+    def zword(w, deriv):
+        return _eval_terms(t, r, deriv, _word_terms(w))
 
-    def second_derivs(w3):
-        wt = np.gradient(w3, dts, axis=1)
-        wtt = np.gradient(wt, dts, axis=1)
-        wr = ddr(w3, dr)
-        wtr = np.gradient(wr, dts, axis=1)
-        wrr = d2dr2(w3, dr)
-        return wtt, wtr, wrr
+    def op(deriv):
+        return (H[..., 0, 0] * deriv(2, 0) + 2.0 * H[..., 0, 1] * deriv(1, 1)
+                + H[..., 1, 1] * deriv(0, 2))
 
-    def op(w3):
-        wtt, wtr, wrr = second_derivs(w3)
-        return (H[..., 0, 0] * wtt + 2.0 * H[..., 0, 1] * wtr
-                + H[..., 1, 1] * wrr)
-
-    h3 = eps * u3
-    op_h = op(h3)
-    f3, g_constant = {}, {}
+    words = _words_upto(order)
+    q_deriv = _grid_deriv(eps * q3, dts, dr)
+    f1 = {w: zword(w, q_deriv) for w in words}
+    h_deriv = _grid_deriv(eps * u3, dts, dr)
+    op_h_deriv = _grid_deriv(op(h_deriv), dts, dr)
     dH = np.sqrt(sum(np.gradient(H[..., a, b], dts, axis=0) ** 2
                      + ddr(H[..., a, b], dr) ** 2
                      for a in range(2) for b in range(2)))
+    # rows reached by no one-sided end difference of the order + 2 time
+    # derivatives in Z^w (H d d h)
+    inner = slice(order + 2, nt - order - 2)
+    f3, g_constant = {}, {}
     for w in words:
-        zw_h = np.stack([_apply_word(w, h3[c], dts, dr, t0) for c in range(3)])
-        f3w = (np.stack([_apply_word(w, op_h[c], dts, dr, t0) for c in range(3)])
-               - op(zw_h))
+        zw_deriv = _grid_deriv(zword(w, h_deriv), dts, dr)
+        f3w = zword(w, op_h_deriv) - op(zw_deriv)
         f3[w] = f3w
         # measured constant for |F3| <= C |dH| |Z^w dh|
-        zt = np.gradient(zw_h, dts, axis=1)
-        zr = ddr(zw_h, dr)
-        zdh = np.sqrt(np.sum(zt ** 2 + zr ** 2, axis=0))
-        num = np.sqrt(np.sum(f3w ** 2, axis=0))
-        den = dH * zdh
-        ok = np.isfinite(num) & np.isfinite(den)
-        thresh = 1e-6 * np.max(den[ok]) if ok.any() else 0.0
-        mask = ok & (den > thresh) if thresh > 0 else ok
+        zdh = np.sqrt(np.sum(zw_deriv(1, 0) ** 2 + zw_deriv(0, 1) ** 2, axis=0))
+        num = np.sqrt(np.sum(f3w ** 2, axis=0))[inner]
+        den = (dH * zdh)[inner]
+        mask = den > 1e-6 * den.max(initial=0.0)
         g_constant[w] = float(np.max(num[mask] / den[mask])) if mask.any() else 0.0
 
     f2 = np.zeros_like(q3)

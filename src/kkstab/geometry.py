@@ -8,7 +8,9 @@ annihilate them exactly and are returned as exact zeros rather than errors.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +18,6 @@ import numpy as np
 
 class DomainError(ValueError):
     """Point outside the chart's domain of validity."""
-
-
-class UnsupportedGeneratorError(ValueError):
-    """Generator not meaningful for the supplied data."""
 
 
 def to_hyperboloidal(t: float, x) -> tuple[float, np.ndarray]:
@@ -111,42 +109,7 @@ def make_slice(s: float, n: int, dr: float, r_cap: float | None = None) -> Hyper
 
 
 # ---------------------------------------------------------------------------
-# Generators acting on callables u(t, r) via centered finite differences
-
-
-def _d_dt(u, t, r, h):
-    return (u(t + h, r) - u(t - h, r)) / (2.0 * h)
-
-
-def _d_dr(u, t, r, h):
-    return (u(t, r + h) - u(t, r - h)) / (2.0 * h)
-
-
-def apply_generator_fn(kind: str, u, t: float, r: float, h: float = 1e-4) -> float:
-    """Apply a Lorentz generator to a callable radial field at one point.
-
-    Centered O(h^2) stencils. "rotation" returns exact 0 (rotations
-    annihilate radial fields). "Y" is the hyperboloidal spatial derivative
-    Y = X_r + (r/t) T; "Z0r" = t X_r + r T.
-    """
-    if kind == "T":
-        return _d_dt(u, t, r, h)
-    if kind == "Xr":
-        return _d_dr(u, t, r, h)
-    if kind == "Z0r":
-        return t * _d_dr(u, t, r, h) + r * _d_dt(u, t, r, h)
-    if kind == "Y":
-        return _d_dr(u, t, r, h) + (r / t) * _d_dt(u, t, r, h)
-    if kind == "rotation":
-        return 0.0
-    raise UnsupportedGeneratorError(f"unknown generator kind {kind!r}")
-
-
-def generator_as_callable(kind: str, u, h: float = 1e-4):
-    """Lift apply_generator_fn to a field-to-field map (for nesting)."""
-    if kind == "rotation":
-        return lambda t, r: 0.0
-    return lambda t, r: apply_generator_fn(kind, u, t, r, h)
+# The radial generator algebra: exact integer word expansion
 
 
 #: Structure constants of the radial subalgebra {T, Xr, Z0r}:
@@ -157,58 +120,62 @@ RADIAL_BRACKETS = {
     ("Xr", "Z0r"): {"T": 1.0},
 }
 
+# Each radial generator as a sum of t^i r^j d_axis pieces (i, j, axis), with
+# axis 0 for d_t and 1 for d_r: Z0r = t d_r + r d_t.
+_GENERATORS = {"T": ((0, 0, 0),), "Xr": ((0, 0, 1),),
+               "Z0r": ((1, 0, 1), (0, 1, 0))}
 
-def generator_closure_check(fields, h: float = 1e-3, points=None) -> dict:
-    """Verify the radial generator algebra closes on sample fields.
 
-    For each ordered pair (A, B), compares [A, B]u against the
-    structure-constant combination; returns max defect per pair.
-    The defect is O(h^2) for smooth fields.
+@functools.lru_cache(maxsize=None)
+def _word_terms(word: tuple) -> tuple:
+    """Expand Z^word u into ((a, b), ((i, j, c), ...)) terms.
+
+    The coefficient of d_t^a d_r^b u is the sum of c t^i r^j over the listed
+    monomials.  The generators act right to left by the product rule on
+    integer polynomials, so the expansion is exact; "rotation" annihilates
+    radial fields and gives the empty expansion.
     """
-    if points is None:
-        points = [(5.0, 1.3), (7.5, 2.1), (10.0, 0.7)]
-    report = {}
-    for (a, b), combo in RADIAL_BRACKETS.items():
-        worst = 0.0
-        for u in fields:
-            au = generator_as_callable(a, u, h)
-            bu = generator_as_callable(b, u, h)
-            for (t, r) in points:
-                lhs = apply_generator_fn(a, bu, t, r, h) - apply_generator_fn(b, au, t, r, h)
-                rhs = sum(c * apply_generator_fn(g, u, t, r, h) for g, c in combo.items())
-                worst = max(worst, abs(lhs - rhs))
-        report[(a, b)] = worst
-    return report
+    terms = {(0, 0): Counter({(0, 0): 1})}
+    for kind in reversed(word):
+        if kind == "rotation":
+            return ()
+        if kind not in _GENERATORS:
+            raise ValueError(f"unknown generator {kind!r}")
+        new = defaultdict(Counter)
+        for (a, b), poly in terms.items():
+            for p, q, axis in _GENERATORS[kind]:
+                for (i, j), c in poly.items():
+                    # t^p r^q d_axis (C d_t^a d_r^b u), C = c t^i r^j
+                    new[a + 1 - axis, b + axis][i + p, j + q] += c
+                    k = (i, j)[axis]
+                    if k:
+                        new[a, b][i + p - 1 + axis, j + q - axis] += k * c
+        terms = new
+    return tuple(sorted(
+        (key, tuple(sorted((i, j, c) for (i, j), c in poly.items() if c)))
+        for key, poly in terms.items() if any(poly.values())))
 
 
-# ---------------------------------------------------------------------------
-# Generators on gridded histories
+def _eval_terms(t, r, deriv, terms) -> np.ndarray:
+    """Sum of coefficient(t, r) * deriv(a, b) over expanded word terms.
 
-
-def grid_apply(kind: str, values: np.ndarray, dt: float, dr: float, t0: float) -> np.ndarray:
-    """Vectorized generator application over a full (t, r) history array.
-
-    Returns an array of the same shape; the one-cell border is NaN (no
-    centered stencil there).
+    t and r broadcast against each other and against deriv(a, b) = the
+    sampled d_t^a d_r^b u: aligned arrays on a slice, a column and a row on
+    a stored (t, r) grid.
     """
-    if kind == "rotation":
-        return np.zeros_like(values)
-    out = np.full_like(values, np.nan)
-    du_dt = np.empty_like(out)
-    du_dr = np.empty_like(out)
-    du_dt[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * dt)
-    du_dr[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dr)
-    nt, nr = values.shape
-    t = t0 + dt * np.arange(nt)[:, None]
-    r = dr * np.arange(nr)[None, :]
-    if kind == "T":
-        out[1:-1, 1:-1] = du_dt[1:-1, 1:-1]
-    elif kind == "Xr":
-        out[1:-1, 1:-1] = du_dr[1:-1, 1:-1]
-    elif kind == "Z0r":
-        out[1:-1, 1:-1] = (t * du_dr + r * du_dt)[1:-1, 1:-1]
-    elif kind == "Y":
-        out[1:-1, 1:-1] = (du_dr + (r / t) * du_dt)[1:-1, 1:-1]
-    else:
-        raise UnsupportedGeneratorError(f"unknown generator kind {kind!r}")
+    out = np.zeros_like(t)
+    for (a, b), monomials in terms:
+        # c * r**j * t**i left to right, as the tests' lambdified symbolic
+        # coefficients evaluate it (a zero power is an exact factor 1.0)
+        coeff = sum(c * r ** j * t ** i for i, j, c in monomials)
+        out = out + coeff * deriv(a, b)
     return out
+
+
+def _words_upto(length: int, alphabet=("T", "Xr", "Z0r")):
+    words = [()]
+    horizon = [()]
+    for _ in range(length):
+        horizon = [w + (a,) for w in horizon for a in alphabet]
+        words.extend(horizon)
+    return words

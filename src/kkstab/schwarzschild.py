@@ -250,6 +250,7 @@ def _radial_profiles(chart: HarmonicChart, r: float):
     """
     n, cs = chart.params.n, chart.params.cs
     rb = chart.rbar_of_r(r)
+    chart.params.check_exterior(rb)
     m, mp, mpp = chart.m(rb), chart.mp(rb), chart.mpp(rb)
     drb_dr = 1.0 / (1.0 - mp)
     dmp_dr = mpp * drb_dr
@@ -293,7 +294,6 @@ def harmonic_metric(chart: HarmonicChart, point) -> MetricAtPoint:
     relations.
     """
     x, r = _spatial_point(point, chart.params.n)
-    chart.params.check_exterior(chart.rbar_of_r(r))
     (h00, dh00), (a, da), (b, db) = _radial_profiles(chart, r)
     return _static_metric("harmonic-ode", x, r, h00, dh00, a, da, b, db)
 

@@ -173,8 +173,11 @@ class TestDomainErrors:
           "0.0625"], "eps=-0.001 outside"),
         (["evolve", "--lambda", "nan", "--n", "3", "--t-end", "8", "--dr",
           "0.0625"], "lam=nan must be nonnegative"),
+        (["evolve", "--eps", "0.001", "--lambda", "-1", "--n", "3", "--t-end",
+          "10", "--dr", "0.0625"], "lam=-1.0 must be nonnegative"),
+        (["evolve", "--n", "11"], "breaks RK4 stability"),
     ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
-            "evolve-lambda"])
+            "evolve-lambda", "evolve-eps-lambda", "evolve-n11"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2

@@ -4,9 +4,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from kkstab import evolve as ev
 from kkstab import fields
+from kkstab import geometry as geo
 from kkstab.evolve import (
     CFLError,
     EvolutionConfig,
@@ -20,6 +22,7 @@ from kkstab.evolve import (
     radial_laplacian,
 )
 from kkstab.internal import FlatTorus
+from symbolic import R, T, sympy_word_terms
 
 
 def _dalembert_n3(pulse, t, r, t0):
@@ -68,6 +71,37 @@ class TestConfig:
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
             evolve_kg_radial(-1.0, 3, config=EvolutionConfig(n=3, t_end=5.0))
+        quasi = EvolutionConfig(n=3, t_end=5.0, eps=1e-3,
+                                nonlinearity="quasilinear-toy")
+        for lam in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                evolve_quasilinear_toy(quasi, lam=lam)
+
+    @pytest.mark.parametrize("n", [3, 9, 11])
+    def test_spectral_radius_matches_operator(self, n):
+        """The symmetrised tridiagonal has the eigenvalues of the flux-form
+        Laplacian itself, built column by column below the Dirichlet edge."""
+        m = 400
+        lap = np.stack([radial_laplacian(e, 1.0, n) for e in np.eye(m)], axis=1)
+        eig = np.linalg.eigvals(lap[:-1, :-1])
+        assert np.max(np.abs(eig.imag)) < 1e-8
+        rho = np.max(np.abs(eig))
+        assert abs(ev._laplacian_spectral_radius(n) - rho) <= 1e-10 * rho
+
+    def test_rk4_bound_per_dimension(self):
+        """cfl sqrt(rho(n)) <= 2 sqrt(2): the default cfl = 0.4 gives 2.03 at
+        n = 9 and 3.04 at n = 11, whose largest stable cfl is 0.372."""
+        assert 0.4 * np.sqrt(ev._laplacian_spectral_radius(9)) == pytest.approx(2.03, abs=0.01)
+        assert 0.4 * np.sqrt(ev._laplacian_spectral_radius(11)) == pytest.approx(3.04, abs=0.01)
+        EvolutionConfig(n=9)
+        with pytest.raises(CFLError, match="cfl must be <= 0.3722"):
+            EvolutionConfig(n=11)
+
+    def test_n11_runs_inside_the_bound(self):
+        cfg = EvolutionConfig(n=11, dr=1 / 32, cfl=0.35, t_end=12.0)
+        res = evolve_kg_radial(0.0, 11, config=cfg)
+        assert res.blowup_time is None
+        assert np.all(np.isfinite(res.field.u))
 
 
 class TestLaplacian:
@@ -360,12 +394,58 @@ class TestCommutedSources:
         src = commuted_sources(quasi_run, order=1)
         assert src.order == 1
         assert () in src.f1  # identity word present
-        for w, grid in src.f1.items():
-            # stencil borders are NaN by design; the interior must be finite
-            assert np.all(np.isfinite(grid[:, 2:-2, 2:-2]))
+        for grids in (src.f1, src.f3):
+            for w, grid in grids.items():
+                assert np.all(np.isfinite(grid)), w
         assert not src.f2.any()  # flat internal model
         for w, c in src.g_constant.items():
             assert np.isfinite(c) and c >= 0.0
+
+    def test_words_act_through_the_expansion(self, quasi_run):
+        """f1[()] is eps Q itself, and every f1[w] is the word's exact
+        expansion evaluated on the grid derivatives of eps Q."""
+        src = commuted_sources(quasi_run, order=2)
+        fl = quasi_run.component_fields
+        eps, dt, dr = quasi_run.config.eps, fl[0].dt, fl[0].dr
+        u3, v3 = np.stack([f.u for f in fl]), np.stack([f.v for f in fl])
+        _, q3 = ev.quasilinear_coefficients(u3, v3, fields.ddr(u3, dr), eps)
+        f = eps * q3
+        assert np.array_equal(src.f1[()], f)
+        # the expansion's zero accumulator turns -0.0 into 0.0 and nothing else
+        assert src.f1[()].tobytes() == (0.0 + f).tobytes()
+        nt, nr = fl[0].u.shape
+        t = fl[0].t0 + dt * np.arange(nt)[:, None]
+        r = dr * np.arange(nr)
+        deriv = ev._grid_deriv(f, dt, dr)
+        for w in geo._words_upto(2):
+            want = geo._eval_terms(t, r, deriv, geo._word_terms(w))
+            assert src.f1[w].tobytes() == want.tobytes(), w
+
+    def test_grid_words_match_symbolic(self):
+        """Z^w u on a stored grid against sympy's Z^w u, for an r-even smooth
+        field and every word of length <= 2, away from the t-ends and the edge
+        column: second order between dr = dt = 1/32 and 1/64."""
+        expr = sp.cos(0.7 * T) * sp.exp(-R ** 2 / 2) * (1 + R ** 2 * T / 8)
+        errors = {}
+        for h in (1 / 32, 1 / 64):
+            tt = 4.0 + h * np.arange(int(round(2.0 / h)) + 1)
+            rr = h * np.arange(int(round(3.0 / h)) + 1)
+            ufn = sp.lambdify((T, R), expr, "numpy")
+            deriv = ev._grid_deriv(ufn(tt[:, None], rr), h, h)
+            keep = (slice(3, -3), slice(0, -1))
+            tg, rg = np.meshgrid(tt, rr, indexing="ij")
+            for w in geo._words_upto(2):
+                exact = sum(c * sp.diff(expr, T, a, R, b)
+                            for (a, b), c in sympy_word_terms(w))
+                ref = np.broadcast_to(sp.lambdify((T, R), exact, "numpy")(tg, rg),
+                                      tg.shape)
+                got = geo._eval_terms(tt[:, None], rr, deriv, geo._word_terms(w))
+                errors.setdefault(w, []).append(
+                    np.max(np.abs(got - ref)[keep]) / np.max(np.abs(ref)[keep]))
+        assert errors[()] == [0.0, 0.0]
+        for w, (coarse, fine) in errors.items():
+            if w:
+                assert coarse < 1e-2 and np.log2(coarse / fine) > 1.8, (w, coarse, fine)
 
     def test_needs_history(self):
         cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=6.0, r_max=10.0,

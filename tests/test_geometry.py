@@ -50,38 +50,3 @@ def test_slice_r_cap():
 def test_small_s_rejected():
     with pytest.raises(ValueError):
         geo.make_slice(1.0, 3, 1.0 / 32)
-
-
-def test_generator_closure_on_smooth_fields():
-    fields = [lambda t, r: np.sin(0.3 * t) * np.exp(-r ** 2 / 8.0),
-              lambda t, r: t * r / (1.0 + r ** 2)]
-    defects = geo.generator_closure_check(fields)
-    for pair, defect in defects.items():
-        assert defect < 1e-4, (pair, defect)
-
-
-def test_rotation_annihilates_radial():
-    u = lambda t, r: np.cos(t) * np.exp(-r ** 2)
-    val = geo.apply_generator_fn("rotation", u, 5.0, 1.3)
-    assert abs(val) < 1e-12
-
-
-def test_unsupported_generator():
-    with pytest.raises(geo.UnsupportedGeneratorError):
-        geo.apply_generator_fn("dilation", lambda t, r: t, 4.0, 1.0)
-
-
-def test_grid_apply_matches_pointwise():
-    dt = dr = 1.0 / 64
-    t0 = 4.0
-    tt = t0 + dt * np.arange(40)
-    rr = dr * np.arange(50)
-    T, R = np.meshgrid(tt, rr, indexing="ij")
-    u = np.sin(0.2 * T) * np.exp(-(R - 0.3) ** 2)
-    out = geo.grid_apply("Z0r", u, dt, dr, t0)
-    ufn = lambda t, r: np.sin(0.2 * t) * np.exp(-(r - 0.3) ** 2)
-    j, k = 20, 25
-    ref = geo.apply_generator_fn("Z0r", ufn, tt[j], rr[k])
-    assert abs(out[j, k] - ref) < 5e-4
-    # border cells are marked, not extrapolated
-    assert np.isnan(out[0, 0])

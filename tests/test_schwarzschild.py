@@ -171,6 +171,22 @@ class TestHarmonicDeviation:
         assert mp.g[1, 1] == pytest.approx(1.0 + dev["radial"], rel=1e-12)
         assert mp.g[2, 2] == pytest.approx(1.0 + dev["tangential"], rel=1e-12)
 
+    def test_one_radius_inversion_per_metric(self, monkeypatch):
+        """harmonic_metric inverts the radius once, near the horizon (where
+        the inversion takes a root) as in the far field, and still refuses
+        a point inside the guarded exterior."""
+        ch = HarmonicChart(SchwarzschildParams(n=5, cs=1.0))
+        calls = []
+        invert = ch.rbar_of_r
+        monkeypatch.setattr(ch, "rbar_of_r",
+                            lambda r: calls.append(r) or invert(r))
+        for r in (1.2, 3.0, 20.0):
+            calls.clear()
+            harmonic_metric(ch, r)
+            assert calls == [r]
+        with pytest.raises(HorizonError):
+            harmonic_metric(ch, 0.1)
+
     def test_harmonic_vacuum_ricci(self, chart):
         fn = lambda x: harmonic_metric(chart, x[1:]).g
         x = np.zeros(10)
