@@ -4,7 +4,9 @@ Subcommands: spectrum, evolve, energy, schwarzschild, geodesic, verify.
 Option precedence: command-line flag > KKSTAB_* environment variable >
 config-file key > built-in default.  Every run writes its resolved
 configuration and the tool version beside its outputs; outputs are
-byte-stable for a fixed config.
+byte-stable for a fixed config.  `evolve` and `energy` also write
+run-meta.json, which explains the run (phase timings, work counts, library
+versions) and is the one file that differs between identical runs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import argparse
 import configparser
 import json
 import os
+import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +115,38 @@ def _write_json(path: Path, payload: dict) -> None:
                                default=energy_mod._jsonable) + "\n")
 
 
+class _PhaseClock:
+    """Wall time of consecutive phases: lap(name) closes the running one."""
+
+    def __init__(self):
+        self.phases: dict[str, float] = {}
+        self._start = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.phases[name] = now - self._start
+        self._start = now
+
+
+def _write_run_meta(outdir: Path, n: int, counts: dict, clock: _PhaseClock) -> None:
+    """run-meta.json: how the run went, outside the byte-identical outputs.
+
+    counts are the evolution's work counts (`EvolutionResult.counts`);
+    n_in_theorem_range says whether n >= 9, the range of the stability
+    theorem.
+    """
+    import scipy  # already loaded by EvolutionConfig's stability check
+    _write_json(outdir / "run-meta.json", {
+        "phases_s": clock.phases,
+        "counts": counts,
+        "versions": {"kkstab": __version__,
+                     "python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "n": n,
+        "n_in_theorem_range": n >= 9,
+    })
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
@@ -149,6 +185,7 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     only the last time step: `fields.read_snapshot` gives it back as a
     ModeField.
     """
+    clock = _PhaseClock()
     n, lam = int(cfg["n"]), float(cfg["lam"])
     slice_s = _float_list(cfg["slice_s"])
     config = evolve_mod.EvolutionConfig(
@@ -161,9 +198,11 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     else:
         result = evolve_mod.evolve_kg_radial(
             lam, n, None, config, slice_s=slice_s or None)
+    clock.lap("evolve")
     evolve_mod.write_monitor_csv(outdir / "monitors.csv", result.monitors)
     if result.field is not None:
         fields.write_snapshot(outdir / "final-field.bin", result.field)
+    clock.lap("write")
     report = {"n": n, "lam": lam, "t_end": config.t_end,
               "blowup_time": result.blowup_time}
     t = result.monitors["t"]
@@ -174,10 +213,13 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
         report["decay_exponent"] = fit.exponent
         report["decay_exponent_ci"] = [fit.ci_low, fit.ci_high]
     _write_json(outdir / "evolve-report.json", report)
+    clock.lap("report")
+    _write_run_meta(outdir, n, result.counts, clock)
     return EXIT_OK if result.blowup_time is None else EXIT_ASSERTION
 
 
 def cmd_energy(cfg: dict, outdir: Path) -> int:
+    clock = _PhaseClock()
     n, lam = int(cfg["n"]), float(cfg["lam"])
     slice_s = _float_list(cfg["slice_s"]) or [4.0, 8.0, 10.0]
     config = evolve_mod.EvolutionConfig(
@@ -185,18 +227,22 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
         sample_derivs=3, store_history=False)
     result = evolve_mod.evolve_kg_radial(lam, n, None, config,
                                          slice_s=slice_s)
+    clock.lap("evolve")
     energies = {s: energy_mod.hyperboloidal_energy(data)
                 for s, data in sorted(result.slices.items())}
     vals = np.array(list(energies.values()))
     drift = float(np.ptp(vals) / vals.max()) if vals.max() > 0 else 0.0
     params = energy_mod.SobolevParams.from_dims(n, int(cfg["d"]))
     rows = energy_mod.estimate_suite(result.slices, params)
+    clock.lap("estimates")
     energy_mod.write_estimate_csv(outdir / "estimates.csv", rows)
     report = energy_mod.EnergyReport(
         s_grid=list(energies),
         energies={s: float(e) for s, e in energies.items()},
         estimate_rows=rows)
     energy_mod.write_report(outdir / "energy-report.json", report)
+    clock.lap("write")
+    _write_run_meta(outdir, n, result.counts, clock)
     return EXIT_OK if drift <= 0.05 else EXIT_ASSERTION
 
 

@@ -4,13 +4,20 @@ Method of lines: centered second-order stencils in r, classical four-stage
 Runge-Kutta in t.  The regular axis limit replaces the radial Laplacian by
 n * u_rr at r = 0.  Hyperboloid samples are captured on the fly from a
 four-step rolling window, so long runs never store the dense history.
+
+Compactly supported data stay inside the light cone, and the grid columns
+past the numerical front hold exact zeros.  Each step therefore runs the
+right-hand side and the RK4 update on an active window of columns that
+starts at the axis and ends a few columns past the last occupied one (see
+`_run_sweep`); the columns beyond it are the +0.0 that the full-grid step
+would have written there, so every output keeps its bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,14 +123,16 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     the axis for large n.
     """
     size = u.shape[-1]
-    key = (n, size)
-    coeff = _LAP_COEFF_CACHE.get(key)
-    if coeff is None:
+    # one coefficient pair per n, grown to the longest grid and sliced to
+    # this one: each entry depends on its k alone, so a slice has the bits
+    # of coefficients built for `size` nodes
+    coeff = _LAP_COEFF_CACHE.get(n)
+    if coeff is None or len(coeff[0]) < size - 2:
         k = np.arange(1, size - 1, dtype=float)
         rp = ((k + 0.5) / k) ** (n - 1)
         rm = ((k - 0.5) / k) ** (n - 1)
-        _LAP_COEFF_CACHE[key] = coeff = (rp, rm)
-    rp, rm = coeff
+        _LAP_COEFF_CACHE[n] = coeff = (rp, rm)
+    rp, rm = coeff[0][:size - 2], coeff[1][:size - 2]
     out = np.empty_like(u)
     inv_dr2 = 1.0 / dr ** 2
     d = u[..., 1:] - u[..., :-1]
@@ -314,6 +323,8 @@ class EvolutionResult:
     blowup_time: float | None = None
     component_fields: list[ModeField] | None = None
     component_slices: dict[float, list[SliceData]] = field(default_factory=dict)
+    #: work of both sweeps, as counted by `_run_sweep`
+    counts: dict[str, int] = field(default_factory=dict)
 
 
 def _support_radius(u: np.ndarray, dr: float, tol: float = 1e-12) -> float:
@@ -348,14 +359,46 @@ class _History:
         return self._rows[f][:len(self.t)]
 
 
+#: columns that one RK4 step can move the last occupied column: each of the
+#: four stages applies 3-point radial stencils once
+_FRONT_STEP = 4
+#: steps between exact rescans of the last occupied column
+_RESCAN_EVERY = 64
+
+
+def _last_occupied(u: np.ndarray, v: np.ndarray) -> int:
+    """Last column where u or v holds anything but +0.0 (a nonzero value,
+    NaN or -0.0) in any leading component; -1 when there is none."""
+    occupied = (u != 0) | np.signbit(u) | (v != 0) | np.signbit(v)
+    cols = np.flatnonzero(occupied.reshape(-1, u.shape[-1]).any(axis=0))
+    return int(cols[-1]) if len(cols) else -1
+
+
 def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
                monitor_every=0, guard_scale=None, blowup_factor=np.inf,
-               cfl_check=None):
+               cfl_check=None, windowed=True, counts=None):
     """Shared stepping loop.  accel(t, u, v) -> dv/dt; du/dt = v.
 
     on_monitor(j, t, u, v) runs at step 0 and every monitor_every steps.
     Returns the blow-up time, or None when the guard never fired.
+
+    Active window: with `windowed`, a step hands accel and the RK4 update
+    only the columns [0, last + 6), where `last` bounds the last column in
+    which u or v is not +0.0.  One step moves that column by at most
+    _FRONT_STEP, so `last` grows by that much per step and is rescanned
+    exactly every _RESCAN_EVERY steps.  The window's edge column lies past
+    the stencils' reach, where the full-grid step writes zeros, and every
+    column beyond it keeps +0.0, which is what the full-grid step makes of
+    +0.0 data.  accel must act column by column, up to the radial stencils,
+    and map zero data to zero; a forcing of unknown support does not, and
+    its run passes windowed=False.  Each step still returns fresh
+    full-length u and v, since the sampler keeps the rows it buffers.
+
+    counts, when given, accumulates "steps", "rhs_evals", "node_steps" (grid
+    nodes times steps) and "active_node_steps" (window nodes times steps).
     """
+    nr = u.shape[-1]
+    w, active_cols, blowup, j = nr, 0, None, 0
     t = t0
     if sampler is not None:
         sampler.new_sweep()
@@ -363,21 +406,31 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     if on_monitor is not None:
         on_monitor(0, t, u, v)
     for j in range(1, n_steps + 1):
+        if windowed:
+            if (j - 1) % _RESCAN_EVERY == 0:
+                last = _last_occupied(u, v)
+            w = min(last + _FRONT_STEP + 2, nr)
+            last += _FRONT_STEP
+        uw, vw = u[..., :w], v[..., :w]
         half = 0.5 * dt
-        k1v = accel(t, u, v)
-        u2 = u + half * v
-        v2 = v + half * k1v
+        k1v = accel(t, uw, vw)
+        u2 = uw + half * vw
+        v2 = vw + half * k1v
         k2v = accel(t + half, u2, v2)
-        u3 = u + half * v2
-        v3 = v + half * k2v
+        u3 = uw + half * v2
+        v3 = vw + half * k2v
         k3v = accel(t + half, u3, v3)
-        u4 = u + dt * v3
-        v4 = v + dt * k3v
+        u4 = uw + dt * v3
+        v4 = vw + dt * k3v
         k4v = accel(t + dt, u4, v4)
-        u = u + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        u[..., -1] = 0.0
-        v[..., -1] = 0.0
+        u, v = np.empty_like(u), np.empty_like(v)
+        np.add(uw, (dt / 6.0) * (vw + 2.0 * v2 + 2.0 * v3 + v4), out=u[..., :w])
+        np.add(vw, (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+               out=v[..., :w])
+        # the columns past the window and the Dirichlet edge column
+        u[..., min(w, nr - 1):] = 0.0
+        v[..., min(w, nr - 1):] = 0.0
+        active_cols += w
         t = t0 + j * dt
         if sampler is not None:
             sampler.observe(t, u, v)
@@ -386,12 +439,19 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
             if not np.isfinite(sup):
                 raise NaNGuardError(f"non-finite field at t={t:.4f}")
             if guard_scale is not None and sup > blowup_factor * guard_scale:
-                return t
+                blowup = t
+                break
             if cfl_check is not None:
                 cfl_check(t, u)
         if on_monitor is not None and monitor_every and j % monitor_every == 0:
             on_monitor(j, t, u, v)
-    return None
+    if counts is not None:
+        nodes_per_col = u.size // nr
+        counts["steps"] += j
+        counts["rhs_evals"] += 4 * j
+        counts["node_steps"] += j * nr * nodes_per_col
+        counts["active_node_steps"] += active_cols * nodes_per_col
+    return blowup
 
 
 def _prepare_init(init, r, config):
@@ -447,7 +507,7 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
 
 
 def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
-            slice_s=(), slice_r_cap=None, cfl_check=None):
+            slice_s=(), slice_r_cap=None, cfl_check=None, windowed=True):
     """The one evolution driver of the radial, quasilinear and torus runs.
 
     Builds the grid r, the initial data (`_prepare_init`; their leading
@@ -456,8 +516,10 @@ def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
     config.monitor_every steps.  The forward sweep stops when sup|u| exceeds
     config.blowup_factor * max|u0| (no guard for zero u0); unless it did,
     a backward sweep completes the slices that reach below t_start.
-    Returns (history, monitors, sampler, blowup_time); the sampler is None
-    without slices or after a blow-up.
+    Both sweeps step an active window (`_run_sweep`) unless windowed is
+    False.  Returns (history, monitors, sampler, blowup_time, counts); the
+    sampler is None without slices or after a blow-up, and counts are the
+    sweeps' work counts.
     """
     dr, dt = config.dr, config.dt
     r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
@@ -493,11 +555,13 @@ def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
     # monitor callback does double duty as history recorder; force every
     # store_every step through it
     every = math.gcd(config.store_every, config.monitor_every)
+    counts: Counter = Counter()
     blow = _run_sweep(
         u0.copy(), v0.copy(), config.t_start, n_steps, dt, accel, sampler,
         on_monitor=on_monitor, monitor_every=every,
         guard_scale=float(np.max(np.abs(u0))) or None,
         blowup_factor=config.blowup_factor, cfl_check=cfl_check,
+        windowed=windowed, counts=counts,
     )
     if blow is not None:
         sampler = None
@@ -506,9 +570,9 @@ def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
         if t_lo < config.t_start:
             n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
             _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
-                       accel, sampler)
+                       accel, sampler, windowed=windowed, counts=counts)
     monitors = {k: np.array(vals) for k, vals in mon.items()}
-    return history, monitors, sampler, blow
+    return history, monitors, sampler, blow, dict(counts)
 
 
 def _mode_field(history: _History, lam: float, config: EvolutionConfig,
@@ -567,11 +631,14 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
         row.update((name, float(np.abs(u[col]))) for name, col in observers)
         return row
 
-    history, monitors, sampler, blow = _evolve(
+    # a forcing's support is unknown, so its run steps the whole grid
+    history, monitors, sampler, blow, counts = _evolve(
         config, init, lambda r: _linear_accel(n, dr, lam, forcing, r),
-        monitor_row, slice_s=slice_s, slice_r_cap=slice_r_cap)
+        monitor_row, slice_s=slice_s, slice_r_cap=slice_r_cap,
+        windowed=forcing is None)
     return EvolutionResult(
         config=config, lam=lam, monitors=monitors, blowup_time=blow,
+        counts=counts,
         field=_mode_field(history, lam, config) if history is not None else None,
         slices=sampler.slice_data(lam) if sampler is not None else {})
 
@@ -610,9 +677,8 @@ def evolve_full_grid_torus(n: int, torus: FlatTorus, init, config: EvolutionConf
         lap_th = np.fft.irfft(minus_k2 * np.fft.rfft(u, axis=0), n=m_theta, axis=0)
         return lap_r + lap_th
 
-    history, _, _, _ = _evolve(replace(config, store_history=True),
-                               (on_mesh(init[0]), on_mesh(init[1])),
-                               lambda r: accel)
+    history = _evolve(replace(config, store_history=True),
+                      (on_mesh(init[0]), on_mesh(init[1])), lambda r: accel)[0]
     return np.array(history.t), history["u"]
 
 
@@ -779,7 +845,7 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
 
     if init is None:
         init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
-    history, monitors, sampler, blow = _evolve(
+    history, monitors, sampler, blow, counts = _evolve(
         config, init, lambda r: _quasilinear_accel(config, lam), monitor_row,
         slice_s=slice_s, slice_r_cap=slice_r_cap,
         cfl_check=cfl_check if eps != 0.0 else None)
@@ -790,9 +856,9 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
                 comp_slices.setdefault(s, []).append(data)
     return EvolutionResult(
         config=config, lam=lam, field=None, monitors=monitors, blowup_time=blow,
+        counts=counts, component_slices=comp_slices,
         component_fields=(None if history is None else
-                          [_mode_field(history, lam, config, c) for c in range(3)]),
-        component_slices=comp_slices)
+                          [_mode_field(history, lam, config, c) for c in range(3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +872,8 @@ class SourceTerms:
     f1[word]: Z-derivatives of the quadratic source eps*Q per component;
     f3[word]: commutator [Z^word, H^{ab} d_a d_b] h per component;
     f2: identically zero for flat internal models (asserted);
-    g_constant[word]: measured C in |F3| <= C |dH|_E |Z^word dh|_E.
+    g_constant[word]: measured C in |F3| <= C |dH|_E |Z^word dh|_E, off the
+    rows and columns next to the grid's ends and the axis (`_majorant`).
     Every grid is finite: time derivatives are one-sided in the first and
     last stored rows, radial ones follow `fields.ddr` and `fields.d2dr2`.
     """
@@ -835,6 +902,23 @@ def _grid_deriv(w: np.ndarray, dt: float, dr: float):
         raise ValueError(f"unsupported radial derivative order {b}")
 
     return deriv
+
+
+def _majorant(f3w: np.ndarray, dH: np.ndarray, zdh: np.ndarray, order: int) -> float:
+    """Measured C in |F3| <= C |dH| |Z^w dh| on a (3, nt, nr) F3 grid.
+
+    The first and last order + 2 rows are skipped, as one-sided end
+    differences of the order + 2 time derivatives in Z^w (H d d h) reach
+    them, and so are the first order + 2 columns, where the axis rules of
+    `ddr` (0) and `d2dr2` (the even extension) disagree once Z^w composes
+    them.  Nodes whose denominator is below 1e-6 of its maximum are left out.
+    """
+    nt = f3w.shape[-2]
+    inner = (slice(order + 2, nt - order - 2), slice(order + 2, None))
+    num = np.sqrt(np.sum(f3w ** 2, axis=0))[inner]
+    den = (dH * zdh)[inner]
+    mask = den > 1e-6 * den.max(initial=0.0)
+    return float(np.max(num[mask] / den[mask])) if mask.any() else 0.0
 
 
 def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
@@ -877,20 +961,12 @@ def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
     dH = np.sqrt(sum(np.gradient(H[..., a, b], dts, axis=0) ** 2
                      + ddr(H[..., a, b], dr) ** 2
                      for a in range(2) for b in range(2)))
-    # rows reached by no one-sided end difference of the order + 2 time
-    # derivatives in Z^w (H d d h)
-    inner = slice(order + 2, nt - order - 2)
     f3, g_constant = {}, {}
     for w in words:
         zw_deriv = _grid_deriv(zword(w, h_deriv), dts, dr)
-        f3w = zword(w, op_h_deriv) - op(zw_deriv)
-        f3[w] = f3w
-        # measured constant for |F3| <= C |dH| |Z^w dh|
+        f3[w] = f3w = zword(w, op_h_deriv) - op(zw_deriv)
         zdh = np.sqrt(np.sum(zw_deriv(1, 0) ** 2 + zw_deriv(0, 1) ** 2, axis=0))
-        num = np.sqrt(np.sum(f3w ** 2, axis=0))[inner]
-        den = (dH * zdh)[inner]
-        mask = den > 1e-6 * den.max(initial=0.0)
-        g_constant[w] = float(np.max(num[mask] / den[mask])) if mask.any() else 0.0
+        g_constant[w] = _majorant(f3w, dH, zdh, order)
 
     f2 = np.zeros_like(q3)
     assert not f2.any()  # flat internal model: curvature coupling vanishes

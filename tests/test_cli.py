@@ -85,16 +85,46 @@ class TestSpectrum:
         assert cp.has_option("tool", "version")
 
 
+def _differ_only_in_run_meta(out1, out2):
+    """Two output directories hold the same files, byte-identical but for
+    run-meta.json, whose phase timings alone may differ."""
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert "run-meta.json" in names
+    for name in names:
+        if name != "run-meta.json":
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    meta1, meta2 = (json.loads((d / "run-meta.json").read_text()) for d in (out1, out2))
+    assert set(meta1["phases_s"]) == set(meta2["phases_s"])
+    assert all(t >= 0.0 for t in meta1["phases_s"].values())
+    del meta1["phases_s"], meta2["phases_s"]
+    assert meta1 == meta2
+    return meta1
+
+
 class TestEvolve:
     def test_deterministic_byte_identical(self, tmp_path):
         args = ["evolve", "--n", "3", "--lambda", "0", "--t-end", "10",
                 "--dr", "0.0625"]
         _, out1 = run_cli(list(args), tmp_path, "a")
         _, out2 = run_cli(list(args), tmp_path, "b")
-        names1 = sorted(p.name for p in out1.iterdir())
-        assert names1 == sorted(p.name for p in out2.iterdir())
-        for name in names1:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        _differ_only_in_run_meta(out1, out2)
+
+    def test_run_meta(self, tmp_path):
+        """run-meta.json: phase timings, the sweep's work counts, library
+        versions and whether n is in the theorem range n >= 9."""
+        code, out = run_cli(["evolve", "--n", "9", "--t-end", "8", "--dr",
+                             "0.0625"], tmp_path, "m")
+        assert code == 0
+        meta = json.loads((out / "run-meta.json").read_text())
+        assert set(meta["phases_s"]) == {"evolve", "write", "report"}
+        steps = int(np.ceil((8.0 - 4.0) / (0.4 * 0.0625) - 1e-9))
+        counts = meta["counts"]
+        assert counts["steps"] == steps and counts["rhs_evals"] == 4 * steps
+        assert 0 < counts["active_node_steps"] < counts["node_steps"]
+        assert meta["versions"]["numpy"] == np.__version__
+        assert set(meta["versions"]) == {"kkstab", "python", "numpy", "scipy"}
+        assert meta["n"] == 9 and meta["n_in_theorem_range"] is True
 
     def test_outputs_present(self, tmp_path):
         code, out = run_cli(["evolve", "--n", "3", "--lambda", "0",
@@ -120,6 +150,14 @@ class TestEnergy:
         for s in slices:
             assert sum(float(row.split(",")[1]) == s for row in rows) == 4
 
+
+    def test_runs_differ_only_in_run_meta(self, tmp_path):
+        args = ["energy", "--n", "3", "--dr", "0.0625", "--slice-s", "4,6,8"]
+        _, out1 = run_cli(list(args), tmp_path, "a")
+        _, out2 = run_cli(list(args), tmp_path, "b")
+        meta = _differ_only_in_run_meta(out1, out2)
+        assert meta["n_in_theorem_range"] is False
+        assert meta["counts"]["steps"] > 0
 
     def test_defaults_exit_0(self, tmp_path):
         """Every default slice lies inside the default run."""

@@ -1,5 +1,7 @@
 """Tests for the radial evolution solvers and the quasilinear toy model."""
 
+import filecmp
+import inspect
 from collections import deque
 
 import numpy as np
@@ -9,6 +11,7 @@ import sympy as sp
 from kkstab import evolve as ev
 from kkstab import fields
 from kkstab import geometry as geo
+from kkstab.cli import main as cli_main
 from kkstab.evolve import (
     CFLError,
     EvolutionConfig,
@@ -453,6 +456,268 @@ class TestCommutedSources:
         res = evolve_quasilinear_toy(cfg, lam=0.0)
         with pytest.raises(ValueError, match="history"):
             commuted_sources(res, order=1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_majorant_skips_the_axis_columns(self, quasi_run, order, monkeypatch):
+        """g_constant reads no node of the first order + 2 columns, where the
+        axis rules of ddr and d2dr2 meet: overwriting them in every F3 grid
+        (and in its denominator) changes no constant."""
+        seen = []
+        real = ev._majorant
+
+        def spy(f3w, dH, zdh, order):
+            seen.append((f3w, dH, zdh))
+            return real(f3w, dH, zdh, order)
+
+        monkeypatch.setattr(ev, "_majorant", spy)
+        src = commuted_sources(quasi_run, order=order)
+        assert len(seen) == len(src.g_constant)
+        axis = (Ellipsis, slice(0, order + 2))
+        for w, (f3w, dH, zdh) in zip(src.g_constant, seen):
+            f3w, dH, zdh = f3w.copy(), dH.copy(), zdh.copy()
+            f3w[axis], dH[axis], zdh[axis] = 1e6, 1e-3, 1e-3
+            assert real(f3w, dH, zdh, order) == src.g_constant[w], w
+
+
+def full_grid_laplacian(u, dr, n):
+    """Oracle: the flux-form Laplacian with coefficients built for this
+    array's own length."""
+    size = u.shape[-1]
+    k = np.arange(1, size - 1, dtype=float)
+    rp = ((k + 0.5) / k) ** (n - 1)
+    rm = ((k - 0.5) / k) ** (n - 1)
+    out = np.empty_like(u)
+    inv_dr2 = 1.0 / dr ** 2
+    d = u[..., 1:] - u[..., :-1]
+    out[..., 1:-1] = (rp * d[..., 1:] - rm * d[..., :-1]) * inv_dr2
+    out[..., 0] = n * 2.0 * d[..., 0] * inv_dr2
+    out[..., -1] = 0.0
+    return out
+
+
+def full_grid_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
+                    monitor_every=0, guard_scale=None, blowup_factor=np.inf,
+                    cfl_check=None, **_):
+    """Oracle: the RK4 loop that steps every column of the grid."""
+    t = t0
+    if sampler is not None:
+        sampler.new_sweep()
+        sampler.observe(t, u, v)
+    if on_monitor is not None:
+        on_monitor(0, t, u, v)
+    for j in range(1, n_steps + 1):
+        half = 0.5 * dt
+        k1v = accel(t, u, v)
+        u2 = u + half * v
+        v2 = v + half * k1v
+        k2v = accel(t + half, u2, v2)
+        u3 = u + half * v2
+        v3 = v + half * k2v
+        k3v = accel(t + half, u3, v3)
+        u4 = u + dt * v3
+        v4 = v + dt * k3v
+        k4v = accel(t + dt, u4, v4)
+        u = u + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        u[..., -1] = 0.0
+        v[..., -1] = 0.0
+        t = t0 + j * dt
+        if sampler is not None:
+            sampler.observe(t, u, v)
+        if j % 50 == 0 or j == n_steps:
+            sup = float(np.max(np.abs(u)))
+            if not np.isfinite(sup):
+                raise ev.NaNGuardError(f"non-finite field at t={t:.4f}")
+            if guard_scale is not None and sup > blowup_factor * guard_scale:
+                return t
+            if cfl_check is not None:
+                cfl_check(t, u)
+        if on_monitor is not None and monitor_every and j % monitor_every == 0:
+            on_monitor(j, t, u, v)
+    return None
+
+
+@pytest.fixture
+def full_grid(monkeypatch):
+    """Runs fn() with the full-grid oracle sweep and Laplacian in place."""
+    def run(fn):
+        with monkeypatch.context() as m:
+            m.setattr(ev, "_run_sweep", full_grid_sweep)
+            m.setattr(ev, "radial_laplacian", full_grid_laplacian)
+            return fn()
+    return run
+
+
+def _result_bytes(res) -> dict:
+    """Every array of a result, by name, as bytes: -0.0 and 0.0 differ."""
+    out = {"blowup_time": repr(res.blowup_time)}
+    out.update((f"monitor {k}", v.tobytes()) for k, v in res.monitors.items())
+    fields_ = [res.field] if res.field is not None else res.component_fields or []
+    for c, f in enumerate(fields_):
+        out[f"history {c}"] = (f.u.shape, f.u.tobytes(), f.v.tobytes())
+    slices = {s: [d] for s, d in res.slices.items()}
+    slices.update(res.component_slices)
+    for s, comps in slices.items():
+        for c, d in enumerate(comps):
+            for key in SAMPLE_KEYS:
+                a = getattr(d, key)
+                out[f"slice {s} {c} {key}"] = None if a is None else a.tobytes()
+    return out
+
+
+class TestActiveWindow:
+    """The windowed sweep against the full-grid oracle, byte for byte."""
+
+    @pytest.mark.parametrize("n, lam", [(3, 0.0), (3, 0.5), (9, 2.0)])
+    def test_kg_matches_full_grid(self, full_grid, n, lam):
+        # s = 2.5 crosses t_start = 4, so the backward sweep captures too
+        cfg = EvolutionConfig(n=n, dr=1 / 16, t_start=4.0, t_end=12.0,
+                              r_max=16.0, store_every=1, monitor_every=4,
+                              sample_derivs=3)
+
+        def run():
+            return evolve_kg_radial(lam, n, config=cfg, slice_s=(2.5, 5.0))
+
+        got = run()
+        want = full_grid(run)
+        assert got.slices[2.5].t.min() < cfg.t_start
+        assert _result_bytes(got) == _result_bytes(want)
+        assert got.counts["active_node_steps"] < got.counts["node_steps"]
+
+    @pytest.mark.parametrize("case", ["slices", "blow-up"])
+    def test_quasilinear_matches_full_grid(self, full_grid, case):
+        """The third component starts as -pulse, whose -0.0 columns hold the
+        window open until the rescan after they turn +0.0."""
+        if case == "slices":
+            cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=12.0,
+                                  r_max=16.0, eps=1e-3, store_every=1,
+                                  nonlinearity="quasilinear-toy", blowup_factor=100.0)
+            slice_s = (3.0, 4.5, 5.0)
+        else:
+            cfg = EvolutionConfig(n=9, dr=1 / 16, t_start=4.0, t_end=30.0,
+                                  r_max=32.0, nonlinearity="quasilinear-toy",
+                                  blowup_factor=1.5)
+            slice_s = ()
+
+        def run():
+            return evolve_quasilinear_toy(cfg, slice_s=slice_s)
+
+        got = run()
+        want = full_grid(run)
+        assert _result_bytes(got) == _result_bytes(want)
+        if case == "slices":
+            assert got.counts["active_node_steps"] < got.counts["node_steps"]
+        else:
+            assert got.blowup_time is not None
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_every_step_matches_full_grid(self, direction, eps):
+        """Every state of both sweeps, including the -0.0 that the -pulse
+        component keeps past the front when the sweep runs backward."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=12.0,
+                              eps=eps, nonlinearity="quasilinear-toy")
+        r = cfg.dr * np.arange(int(cfg.r_max / cfg.dr) + 1)
+        u0 = ev._default_pulse3(r)
+        assert np.signbit(u0[2, -1])
+        states = {}
+        for name, sweep in (("window", ev._run_sweep), ("full", full_grid_sweep)):
+            seen = states[name] = []
+            sweep(u0.copy(), np.zeros_like(u0), cfg.t_start, 150, direction * cfg.dt,
+                  ev._quasilinear_accel(cfg, 0.0), None, monitor_every=1,
+                  on_monitor=lambda j, t, u, v: seen.append(u.tobytes() + v.tobytes()))
+        assert len(states["window"]) == 151
+        assert states["window"] == states["full"]
+
+    def test_eps_zero_bytes_of_the_linear_solver(self):
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0,
+                              r_max=14.0, store_every=1, nonlinearity="quasilinear-toy")
+        resq = evolve_quasilinear_toy(cfg, lam=0.0)
+        lin = evolve_kg_radial(0.0, 3, config=EvolutionConfig(
+            n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0, store_every=1))
+        assert resq.component_fields[0].u.tobytes() == lin.field.u.tobytes()
+        assert resq.component_fields[0].v.tobytes() == lin.field.v.tobytes()
+        assert np.array_equal(resq.component_fields[2].u, -lin.field.u)
+
+    def test_torus_matches_full_grid(self, full_grid):
+        """The theta FFT acts column by column, so the window holds there."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=9.0,
+                              r_max=12.0, store_every=2)
+        init = (lambda r, th: default_pulse(r) * (1.0 + 0.3 * np.cos(2 * np.pi * th)),
+                lambda r, th: np.zeros_like(r))
+
+        def run():
+            return ev.evolve_full_grid_torus(3, FlatTorus((1.0,)), init, cfg,
+                                             m_theta=8)
+
+        (t_got, u_got), (t_want, u_want) = run(), full_grid(run)
+        assert t_got == pytest.approx(t_want, abs=0.0)
+        assert u_got.shape == u_want.shape and u_got.tobytes() == u_want.tobytes()
+
+    def test_forcing_steps_the_whole_grid(self, full_grid):
+        """A forcing's support is unknown: its run is the full-grid sweep."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=8.0,
+                              r_max=12.0, store_every=1)
+
+        def run():
+            return evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,),
+                                    forcing=lambda t, r: np.sin(t) * default_pulse(r, 1.0))
+
+        got = run()
+        assert _result_bytes(got) == _result_bytes(full_grid(run))
+        assert got.counts["active_node_steps"] == got.counts["node_steps"]
+
+    def test_counts(self):
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0,
+                              r_max=14.0, store_history=False)
+        res = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(2.5,))
+        forward = int(np.ceil((cfg.t_end - cfg.t_start) / cfg.dt - 1e-9))
+        backward = int(np.ceil((cfg.t_start - res.slices[2.5].t.min()) / cfg.dt)) + 4
+        nodes = int(round(14.0 * 16)) + 1
+        assert res.counts["steps"] == forward + backward
+        assert res.counts["rhs_evals"] == 4 * res.counts["steps"]
+        assert res.counts["node_steps"] == nodes * res.counts["steps"]
+        assert 0 < res.counts["active_node_steps"] < res.counts["node_steps"]
+
+    def test_cli_artifacts_match_full_grid(self, full_grid, tmp_path):
+        args = ["evolve", "--n", "5", "--lambda", "1", "--t-end", "12",
+                "--dr", "0.03125"]
+        assert cli_main(args + ["--out", str(tmp_path / "window")]) == 0
+        assert full_grid(lambda: cli_main(args + ["--out", str(tmp_path / "full")])) == 0
+        for name in ("final-field.bin", "monitors.csv", "evolve-report.json"):
+            assert filecmp.cmp(tmp_path / "window" / name, tmp_path / "full" / name,
+                               shallow=False), name
+
+    def test_sweep_parameters_the_benchmark_binds(self):
+        """kkbench/layers.py binds these _run_sweep parameters by name to span
+        the right-hand side and to count node-steps; a renamed one would
+        silently stop the count."""
+        params = inspect.signature(ev._run_sweep).parameters
+        for name in ("u", "n_steps", "accel", "on_monitor"):
+            assert name in params, name
+
+
+class TestLaplacianCache:
+    def test_one_entry_per_n(self, monkeypatch):
+        """Runs on several grids, each stepping windows of many sizes, leave
+        one coefficient pair per n, as long as the longest grid needs."""
+        monkeypatch.setattr(ev, "_LAP_COEFF_CACHE", {})
+        for n, r_max in ((3, 10.0), (3, 14.0), (5, 8.0), (3, 6.0)):
+            evolve_kg_radial(0.0, n, config=EvolutionConfig(
+                n=n, dr=1 / 16, t_end=8.0, r_max=r_max, store_history=False))
+        assert sorted(ev._LAP_COEFF_CACHE) == [3, 5]
+        assert len(ev._LAP_COEFF_CACHE[3][0]) == 14 * 16 + 1 - 2
+        assert len(ev._LAP_COEFF_CACHE[5][0]) == 8 * 16 + 1 - 2
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_prefix_has_the_bits_of_its_own_coefficients(self, monkeypatch, n):
+        monkeypatch.setattr(ev, "_LAP_COEFF_CACHE", {})
+        u = np.random.default_rng(5).standard_normal((2, 3001))
+        radial_laplacian(u, 0.01, n)
+        for m in (3, 5, 6, 17, 64, 1000, 2999, 3001):
+            got = radial_laplacian(u[..., :m], 0.01, n)
+            assert got.tobytes() == full_grid_laplacian(u[..., :m], 0.01, n).tobytes(), m
+        assert list(ev._LAP_COEFF_CACHE) == [n]
 
 
 class TestEnergyMonitor:
