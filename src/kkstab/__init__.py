@@ -2,11 +2,11 @@
 
 Modules
 -------
-geometry      hyperboloidal foliation, vector-field generators
-internal      internal-manifold spectra and elliptic equivalence
-fields        mode fields, slice data, norms, snapshot I/O
+geometry      hyperboloid slices, the radial generator algebra
+internal      internal-manifold spectra and stability verdicts
+fields        mode fields, slice data, mode decomposition, snapshot I/O
 evolve        radial Klein-Gordon and quasilinear evolutions
-energy        hyperboloidal energies, identities, estimate verification
+energy        hyperboloidal and boosted energies, identities, estimates
 schwarzschild harmonic-gauge exteriors and geodesic probes
 cli           experiment runner
 """

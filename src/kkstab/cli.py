@@ -32,7 +32,7 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Configuration could not be parsed or resolved."""
 
 
@@ -65,29 +65,34 @@ def resolve_config(sub: str, args: argparse.Namespace) -> dict:
     if args.config:
         cp = configparser.ConfigParser()
         try:
-            read = cp.read(args.config)
+            read = cp.read(args.config, encoding="utf-8")
+            for section in ("common", sub):
+                if cp.has_section(section):
+                    file_vals.update(cp[section])
         except configparser.Error as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {args.config}")
-        for section in ("common", sub):
-            if cp.has_section(section):
-                file_vals.update(cp[section])
     out = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
-        env = os.environ.get("KKSTAB_" + key.upper())
+        env_name = "KKSTAB_" + key.upper()
         if flag is not None:
             out[key] = flag
-        elif env is not None:
-            out[key] = _parse_value(env, default)
+            continue
+        if env_name in os.environ:
+            raw, where = os.environ[env_name], f"environment variable {env_name}"
         elif key in file_vals:
-            try:
-                out[key] = _parse_value(file_vals[key], default)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
+            raw, where = file_vals[key], f"config key {key!r}"
         else:
             out[key] = default
+            continue
+        try:
+            out[key] = _parse_value(raw, default)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     return out
 
 
@@ -232,6 +237,8 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
                 for s, data in sorted(result.slices.items())}
     vals = np.array(list(energies.values()))
     drift = float(np.ptp(vals) / vals.max()) if vals.max() > 0 else 0.0
+    boosted = {s: {k: energy_mod.boosted_energy(data, k) for k in (1, 2, 3)}
+               for s, data in sorted(result.slices.items())}
     params = energy_mod.SobolevParams.from_dims(n, int(cfg["d"]))
     rows = energy_mod.estimate_suite(result.slices, params)
     clock.lap("estimates")
@@ -239,7 +246,7 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
     report = energy_mod.EnergyReport(
         s_grid=list(energies),
         energies={s: float(e) for s, e in energies.items()},
-        estimate_rows=rows)
+        boosted=boosted, estimate_rows=rows)
     energy_mod.write_report(outdir / "energy-report.json", report)
     clock.lap("write")
     _write_run_meta(outdir, n, result.counts, clock)
@@ -396,6 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: Exception) -> None:
+    """One stderr line, also for a message on several (configparser's)."""
+    text = " ".join(line.strip() for line in str(exc).splitlines())
+    print(f"kkstab: {text}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -403,27 +416,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     sub = args.subcommand
-    try:
-        cfg = resolve_config(sub, args)
-    except ConfigError as exc:
-        print(f"kkstab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     outdir = Path(args.out or f"kkstab-{sub}")
     try:
+        cfg = resolve_config(sub, args)
         write_resolved(outdir, sub, cfg)
         handler = {"spectrum": cmd_spectrum, "evolve": cmd_evolve,
                    "energy": cmd_energy, "schwarzschild": cmd_schwarzschild,
                    "geodesic": cmd_geodesic, "verify": cmd_verify}[sub]
         return handler(cfg, outdir)
-    except (ConfigError, ValueError) as exc:
-        # the package's domain errors (a slice past the grid, a probe inside
-        # the horizon, a malformed spectrum file, ...) are ValueErrors
-        print(f"kkstab: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # ConfigError and the package's domain errors (a slice past the grid,
+        # a probe inside the horizon, a malformed spectrum file, ...) are
+        # ValueErrors
+        _report(exc)
         return EXIT_USAGE
     except (evolve_mod.NaNGuardError, schwarzschild.StepFailureError) as exc:
         # a run that started but failed: a non-finite field or a stalled
         # adaptive integration
-        print(f"kkstab: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_ASSERTION
 
 

@@ -69,30 +69,7 @@ class SobolevParams:
 
 
 # ---------------------------------------------------------------------------
-# Stress tensor and the basic energy
-
-
-def stress_tensor(lam: float, derivs: dict, gamma: dict | None = None) -> dict:
-    """Mixed components T^mu_nu on the (t, r) block.
-
-    derivs: {'ut', 'ur', 'u'} arrays; gamma: optional contravariant block
-    {'00', '0r', 'rr'}.  The internal gradient and curvature terms reduce to
-    the eigenvalue weight lam |u|^2.
-    """
-    ut, ur, u = derivs["ut"], derivs["ur"], derivs["u"]
-    g = {"00": 0.0, "0r": 0.0, "rr": 0.0}
-    if gamma:
-        g.update(gamma)
-    a00 = -1.0 + g["00"]
-    a0r = g["0r"]
-    arr = 1.0 + g["rr"]
-    trace = a00 * ut * ut + 2.0 * a0r * ut * ur + arr * ur * ur + lam * u * u
-    return {
-        "00": a00 * ut * ut + a0r * ur * ut - 0.5 * trace,
-        "0r": a00 * ut * ur + a0r * ur * ur,
-        "r0": a0r * ut * ut + arr * ur * ut,
-        "rr": a0r * ut * ur + arr * ur * ur - 0.5 * trace,
-    }
+# The basic energy
 
 
 def def_integrand(data: SliceData, gamma: dict | None = None) -> np.ndarray:
@@ -109,15 +86,6 @@ def def_integrand(data: SliceData, gamma: dict | None = None) -> np.ndarray:
                            - (r / t) * (g0r * ut + grr * ur)) * ut
         out = out + g00 * ut ** 2 + 2.0 * g0r * ut * ur + grr * ur ** 2
     return out
-
-
-def stress_integrand(data: SliceData, gamma: dict | None = None) -> np.ndarray:
-    """Same density via -2 T^mu_0 n_mu (independent code path)."""
-    T = stress_tensor(data.lam, {"ut": data.ut, "ur": data.ur, "u": data.u},
-                      gamma)
-    n0 = 1.0
-    nr = -data.r / data.t
-    return -2.0 * (T["00"] * n0 + T["r0"] * nr)
 
 
 def hyperboloidal_energy(data: SliceData, gamma: dict | None = None) -> float:
@@ -322,15 +290,6 @@ def equivalence_check(data: SliceData, gamma: GammaBlock,
                              within_two_sided=0.5 <= ratio <= 2.0)
 
 
-def equivalence_threshold(data: SliceData, gamma_family, deltas) -> float | None:
-    """Smallest delta whose ratio exits [1/2, 2]; None if none does."""
-    for delta in sorted(deltas):
-        res = equivalence_check(data, gamma_family(delta))
-        if not res.within_two_sided:
-            return float(delta)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Estimate suite
 
@@ -423,16 +382,6 @@ def estimate_suite(slices: dict, params: SobolevParams, order: int = 2,
     return rows
 
 
-def constants_stable(rows: list, name: str, tol: float = 0.2) -> bool:
-    """True when the measured constant varies within +-tol around its mean."""
-    vals = [row.c_measured for row in rows
-            if row.name == name and not row.skipped]
-    if not vals:
-        return False
-    mid = 0.5 * (max(vals) + min(vals))
-    return (max(vals) - mid) <= tol * mid
-
-
 # ---------------------------------------------------------------------------
 # Decay fits
 
@@ -499,14 +448,15 @@ def envelope(t, u_abs, min_separation: int = 3):
 
 @dataclass
 class EnergyReport:
-    """Bundle of energies, residuals, estimate tables and fits for one run."""
+    """Energies, boosted energies and estimate tables of one run.
+
+    energies: {s: E[0; u; s]}; boosted: {s: {k: E_k(s)}} (`boosted_energy`).
+    """
 
     s_grid: list = field(default_factory=list)
     energies: dict = field(default_factory=dict)
     boosted: dict = field(default_factory=dict)
-    identity_residuals: list = field(default_factory=list)
     estimate_rows: list = field(default_factory=list)
-    decay_fits: dict = field(default_factory=dict)
     notes: list = field(default_factory=lambda: [
         "commuted estimate verification capped at order 2; the suite checks "
         "inequality shape and constant stability, not full-order statements",
@@ -533,14 +483,6 @@ def write_report(path, report: EnergyReport) -> None:
     with open(path, "w") as fh:
         fh.write(REPORT_MAGIC + "\n")
         fh.write(body + "\n")
-
-
-def read_report(path) -> dict:
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != REPORT_MAGIC:
-            raise ValueError(f"bad report magic {magic!r}")
-        return json.load(fh)
 
 
 def write_estimate_csv(path, rows: list) -> None:

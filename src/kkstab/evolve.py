@@ -18,14 +18,12 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import ModeField, SliceData, d2dr2, ddr
-from .geometry import (_eval_terms, _word_terms, _words_upto, make_slice,
-                       sphere_area)
-from .internal import FlatTorus
+from .geometry import make_slice, sphere_area
 
 
 class CFLError(ValueError):
@@ -37,7 +35,11 @@ class NaNGuardError(RuntimeError):
 
 
 class WindowDepthError(ValueError):
-    """Stored history too shallow for the requested commutation order."""
+    """A requested slice has nodes that the evolved window never crossed."""
+
+
+#: Largest amplitude eps of the quasilinear surrogate that a config accepts.
+EPS_MAX = 1e-2
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,6 @@ class EvolutionConfig:
     r_max: float | None = None
     nonlinearity: str = "linear"
     eps: float = 0.0
-    eps_max: float = 1e-2
     store_history: bool = True
     store_every: int = 8
     monitor_every: int = 16
@@ -80,8 +81,8 @@ class EvolutionConfig:
             raise ValueError("t_start < 2 leaves no room for the support cone")
         if self.nonlinearity not in ("linear", "quasilinear-toy"):
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if not 0 <= self.eps <= self.eps_max:
-            raise ValueError(f"eps={self.eps} outside [0, eps_max={self.eps_max}]")
+        if not 0 <= self.eps <= EPS_MAX:
+            raise ValueError(f"eps={self.eps} outside [0, eps_max={EPS_MAX}]")
 
     def check_model(self, model: str) -> None:
         """Each entry point runs one model, which nonlinearity must name."""
@@ -280,29 +281,25 @@ class SliceSampler:
                 self._store["v", b][..., idx] = acc[1]
         self._done[idx] = True
 
-    def raw_results(self, strict: bool = True) -> dict:
+    def slice_data(self, lam: float, component: int | None = None) -> dict[float, SliceData]:
+        """Package captures as SliceData (selecting one leading component)."""
         out = {}
         for entry in self.entries:
-            if strict and not entry["done"].all():
+            if not entry["done"].all():
                 missing = (~entry["done"]).sum()
                 raise WindowDepthError(
                     f"slice s={entry['s']}: {missing} nodes never crossed the "
                     f"evolved window (need t in {tuple(self.t_range_needed())})"
                 )
-            out[entry["s"]] = (entry["slc"], entry["store"])
-        return out
+            store = entry["store"]
 
-    def slice_data(self, lam: float, component: int | None = None) -> dict[float, SliceData]:
-        """Package captures as SliceData (selecting one leading component)."""
-        out = {}
-        for s, (slc, store) in self.raw_results().items():
             def pick(key):
                 arr = store.get(key)
                 if arr is None:
                     return None
                 return arr if component is None else arr[component]
-            out[s] = SliceData(
-                slc=slc, lam=lam,
+            out[entry["s"]] = SliceData(
+                slc=entry["slc"], lam=lam,
                 u=pick(("u", 0)), ut=pick(("v", 0)), ur=pick(("u", 1)),
                 urr=pick(("u", 2)), utr=pick(("v", 1)),
                 urrr=pick(("u", 3)), utrr=pick(("v", 2)),
@@ -508,7 +505,7 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
 
 def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
             slice_s=(), slice_r_cap=None, cfl_check=None, windowed=True):
-    """The one evolution driver of the radial, quasilinear and torus runs.
+    """The one evolution driver of the radial and quasilinear runs.
 
     Builds the grid r, the initial data (`_prepare_init`; their leading
     shape is the sampler's), accel = make_accel(r), the slice sampler and
@@ -644,45 +641,6 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
 
 
 # ---------------------------------------------------------------------------
-# Tiny full-grid oracle: (t, r, theta) solver on R^{1+n} x T^1
-
-
-def evolve_full_grid_torus(n: int, torus: FlatTorus, init, config: EvolutionConfig,
-                           m_theta: int = 16):
-    """Direct product-grid solver for d=1 flat torus (oracle path, n <= 3).
-
-    init = (u0, v0) callables of (r, theta).  The internal derivative is
-    pseudospectral (exact on band-limited data), so the comparison isolates
-    the mode-decomposition machinery.  Returns (t_array, u_history) with
-    u_history shape (n_t, m_theta, n_r), decimated by store_every.
-    """
-    if torus.d != 1:
-        raise ValueError("full-grid oracle supports d=1 only")
-    config.check_model("linear")
-    L = torus.periods[0]
-    theta = L * np.arange(m_theta) / m_theta
-
-    def on_mesh(f):
-        # theta first, radial last: the sweep's Dirichlet edge is the last axis
-        def of_r(r):
-            TH, R = np.meshgrid(theta, r, indexing="ij")
-            return f(R, TH)
-        return of_r
-
-    k = 2.0 * np.pi * np.fft.rfftfreq(m_theta, d=L / m_theta)
-    minus_k2 = -(k ** 2)[:, None]
-
-    def accel(t, u, v):
-        lap_r = radial_laplacian(u, config.dr, n)
-        lap_th = np.fft.irfft(minus_k2 * np.fft.rfft(u, axis=0), n=m_theta, axis=0)
-        return lap_r + lap_th
-
-    history = _evolve(replace(config, store_history=True),
-                      (on_mesh(init[0]), on_mesh(init[1])), lambda r: accel)[0]
-    return np.array(history.t), history["u"]
-
-
-# ---------------------------------------------------------------------------
 # Quasilinear toy with the quadratic nonlinearity Q
 
 
@@ -720,12 +678,6 @@ def inverse_metric_derivative(h, dh):
     return (-d00 + 2.0 * (h0r * d0r - h00 * d00),
             d0r * (1.0 + h00 - hrr) + h0r * (d00 - drr),
             -drr + 2.0 * (hrr * drr - h0r * d0r))
-
-
-def inverse_metric_perturbation(h: np.ndarray) -> np.ndarray:
-    """`inverse_metric_components` for symmetric h of shape (..., 2, 2)."""
-    return _pack_sym(*inverse_metric_components((h[..., 0, 0], h[..., 0, 1],
-                                                 h[..., 1, 1])))
 
 
 def _matmul2(X, Y):
@@ -859,118 +811,6 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
         counts=counts, component_slices=comp_slices,
         component_fields=(None if history is None else
                           [_mode_field(history, lam, config, c) for c in range(3)]))
-
-
-# ---------------------------------------------------------------------------
-# Commuted sources
-
-
-@dataclass
-class SourceTerms:
-    """Commuted source grids (on the stored decimated lattice).
-
-    f1[word]: Z-derivatives of the quadratic source eps*Q per component;
-    f3[word]: commutator [Z^word, H^{ab} d_a d_b] h per component;
-    f2: identically zero for flat internal models (asserted);
-    g_constant[word]: measured C in |F3| <= C |dH|_E |Z^word dh|_E, off the
-    rows and columns next to the grid's ends and the axis (`_majorant`).
-    Every grid is finite: time derivatives are one-sided in the first and
-    last stored rows, radial ones follow `fields.ddr` and `fields.d2dr2`.
-    """
-
-    f1: dict
-    f2: np.ndarray
-    f3: dict
-    g_constant: dict
-    order: int
-
-
-def _grid_deriv(w: np.ndarray, dt: float, dr: float):
-    """deriv(a, b) = d_t^a d_r^b w on a stored (..., nt, nr) stack:
-    np.gradient along t applied a times over ddr (b = 1) or d2dr2 (b = 2)."""
-
-    @functools.lru_cache(maxsize=None)
-    def deriv(a: int, b: int) -> np.ndarray:
-        if a:
-            return np.gradient(deriv(a - 1, b), dt, axis=-2)
-        if b == 0:
-            return w
-        if b == 1:
-            return ddr(w, dr)
-        if b == 2:
-            return d2dr2(w, dr)
-        raise ValueError(f"unsupported radial derivative order {b}")
-
-    return deriv
-
-
-def _majorant(f3w: np.ndarray, dH: np.ndarray, zdh: np.ndarray, order: int) -> float:
-    """Measured C in |F3| <= C |dH| |Z^w dh| on a (3, nt, nr) F3 grid.
-
-    The first and last order + 2 rows are skipped, as one-sided end
-    differences of the order + 2 time derivatives in Z^w (H d d h) reach
-    them, and so are the first order + 2 columns, where the axis rules of
-    `ddr` (0) and `d2dr2` (the even extension) disagree once Z^w composes
-    them.  Nodes whose denominator is below 1e-6 of its maximum are left out.
-    """
-    nt = f3w.shape[-2]
-    inner = (slice(order + 2, nt - order - 2), slice(order + 2, None))
-    num = np.sqrt(np.sum(f3w ** 2, axis=0))[inner]
-    den = (dH * zdh)[inner]
-    mask = den > 1e-6 * den.max(initial=0.0)
-    return float(np.max(num[mask] / den[mask])) if mask.any() else 0.0
-
-
-def commuted_sources(result: EvolutionResult, order: int = 1) -> SourceTerms:
-    """Evaluate F^1, F^2, F^3 and the G-majorant constant on a stored run.
-
-    Requires a quasilinear result with component histories; order <= 2.
-    Each word Z^w acts through its exact expansion (`geometry._word_terms`)
-    on `_grid_deriv` samples of the (3, nt, nr) stack.
-    """
-    if order > 2:
-        raise WindowDepthError("commutation order capped at 2 by window depth")
-    if result.component_fields is None:
-        raise ValueError("commuted_sources needs a run with stored history")
-    fields = result.component_fields
-    eps = result.config.eps
-    dr, dts, t0 = fields[0].dr, fields[0].dt, fields[0].t0
-    nt, nr = fields[0].u.shape
-    if nt < 4 * (order + 1):
-        raise WindowDepthError("stored history too short for the stencil depth")
-
-    u3 = np.stack([f.u for f in fields])          # (3, nt, nr)
-    v3 = np.stack([f.v for f in fields])
-    ur3 = ddr(u3, dr)
-    H, q3 = quasilinear_coefficients(u3, v3, ur3, eps)
-    t = t0 + dts * np.arange(nt)[:, None]
-    r = dr * np.arange(nr)
-
-    def zword(w, deriv):
-        return _eval_terms(t, r, deriv, _word_terms(w))
-
-    def op(deriv):
-        return (H[..., 0, 0] * deriv(2, 0) + 2.0 * H[..., 0, 1] * deriv(1, 1)
-                + H[..., 1, 1] * deriv(0, 2))
-
-    words = _words_upto(order)
-    q_deriv = _grid_deriv(eps * q3, dts, dr)
-    f1 = {w: zword(w, q_deriv) for w in words}
-    h_deriv = _grid_deriv(eps * u3, dts, dr)
-    op_h_deriv = _grid_deriv(op(h_deriv), dts, dr)
-    dH = np.sqrt(sum(np.gradient(H[..., a, b], dts, axis=0) ** 2
-                     + ddr(H[..., a, b], dr) ** 2
-                     for a in range(2) for b in range(2)))
-    f3, g_constant = {}, {}
-    for w in words:
-        zw_deriv = _grid_deriv(zword(w, h_deriv), dts, dr)
-        f3[w] = f3w = zword(w, op_h_deriv) - op(zw_deriv)
-        zdh = np.sqrt(np.sum(zw_deriv(1, 0) ** 2 + zw_deriv(0, 1) ** 2, axis=0))
-        g_constant[w] = _majorant(f3w, dH, zdh, order)
-
-    f2 = np.zeros_like(q3)
-    assert not f2.any()  # flat internal model: curvature coupling vanishes
-    return SourceTerms(f1=f1, f2=f2, f3=f3, g_constant=g_constant, order=order)
 
 
 def write_monitor_csv(path, monitors: dict) -> None:

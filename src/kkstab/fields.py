@@ -1,9 +1,9 @@
-"""Mode-expanded tensor perturbations and their norms.
+"""Radial mode fields, their hyperboloid slice samples, and snapshot I/O.
 
-A perturbation on the product spacetime is stored as a list of radial scalar
-mode fields, each tagged with its internal eigenvalue (effective mass^2).
-Slice samples carry enough derivative data that commuted fields can be built
-without going back to the full history.
+A perturbation on the product spacetime is a set of radial scalar mode
+fields, each tagged with its internal eigenvalue (effective mass^2).  Slice
+samples carry enough derivative data that generator words (boosted
+energies) are evaluated without going back to the full history.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import internal as internal_mod
-from .geometry import HyperboloidSlice, make_slice
+from .geometry import HyperboloidSlice
 
 SNAPSHOT_MAGIC = "kkstab-field v1"
-
-#: Component labels for the symmetric 2-tensor blocks.
-COMPONENT_KINDS = ("minkowski", "mixed", "internal")
+#: longest header line read: a payload without newlines is not read whole
+_HEADER_LINE_MAX = 4096
 
 
 class WindowError(ValueError):
@@ -152,11 +151,8 @@ class ModeField:
     dr: float
     u: np.ndarray  # (n_t, n_r)
     v: np.ndarray  # (n_t, n_r)
-    component: str = "minkowski"
 
     def __post_init__(self):
-        if self.component not in COMPONENT_KINDS:
-            raise ValueError(f"unknown component kind {self.component!r}")
         if self.u.shape != self.v.shape:
             raise ValueError("u and v histories must share one lattice")
 
@@ -171,56 +167,6 @@ class ModeField:
     @property
     def r_max(self) -> float:
         return self.dr * (self.u.shape[1] - 1)
-
-    def support_radius(self, j: int, tol: float = 1e-13) -> float:
-        row = np.abs(self.u[j]) + np.abs(self.v[j])
-        scale = row.max()
-        if scale == 0.0:
-            return 0.0
-        nz = np.nonzero(row > tol * scale)[0]
-        return 0.0 if len(nz) == 0 else float(nz[-1] * self.dr)
-
-    def _interp_rows(self, arr: np.ndarray, tq: np.ndarray, kq: np.ndarray) -> np.ndarray:
-        """4-point Lagrange interpolation in t of arr[:, kq] at times tq."""
-        jf = (tq - self.t0) / self.dt
-        j1 = np.clip(np.floor(jf).astype(int), 1, arr.shape[0] - 3)
-        th = jf - j1  # in [0, 1] for interior queries
-        jm1, j2, j3 = j1 - 1, j1 + 1, j1 + 2
-        w0 = -th * (th - 1.0) * (th - 2.0) / 6.0
-        w1 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
-        w2 = -(th + 1.0) * th * (th - 2.0) / 2.0
-        w3 = (th + 1.0) * th * (th - 1.0) / 6.0
-        return (w0 * arr[jm1, kq] + w1 * arr[j1, kq]
-                + w2 * arr[j2, kq] + w3 * arr[j3, kq])
-
-    def sample_on_hyperboloid(self, s: float, with_second: bool = True,
-                              r_cap: float | None = None) -> SliceData:
-        """Interpolate u, d_t u and radial derivatives onto the slice s.
-
-        Cubic in t per radial node; r-derivatives by centered differences on
-        the stored rows before interpolation (order-preserving O(dr^2)).
-        """
-        slc = make_slice(s, self.n, self.dr, r_cap=r_cap if r_cap is not None else self.r_max)
-        t_needed = slc.t
-        if t_needed.min() < self.t0 + self.dt or t_needed.max() > self.t1 - 2 * self.dt:
-            raise WindowError(
-                f"slice s={s} needs t in [{t_needed.min():.3f}, {t_needed.max():.3f}] "
-                f"outside the stored window [{self.t0}, {self.t1}]"
-            )
-        kq = np.round(slc.r / self.dr).astype(int)
-        ur_rows = ddr(self.u, self.dr)
-        urr_rows = d2dr2(self.u, self.dr)
-        data = SliceData(
-            slc=slc,
-            lam=self.lam,
-            u=self._interp_rows(self.u, t_needed, kq),
-            ut=self._interp_rows(self.v, t_needed, kq),
-            ur=self._interp_rows(ur_rows, t_needed, kq),
-        )
-        if with_second:
-            data.urr = self._interp_rows(urr_rows, t_needed, kq)
-            data.utr = self._interp_rows(ddr(self.v, self.dr), t_needed, kq)
-        return data
 
 
 def ddr(u: np.ndarray, dr: float) -> np.ndarray:
@@ -244,68 +190,7 @@ def d2dr2(u: np.ndarray, dr: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Product fields
-
-
-@dataclass
-class ProductTensorField:
-    """A perturbation as a finite internal-mode expansion on one lattice."""
-
-    modes: list[ModeField]
-    model: internal_mod.InternalModel
-    spectrum: internal_mod.ModeSpectrum | None = None
-
-    def __post_init__(self):
-        if self.modes:
-            ref = self.modes[0]
-            for m in self.modes[1:]:
-                if (m.dr, m.dt, m.t0, m.n) != (ref.dr, ref.dt, ref.t0, ref.n):
-                    raise ValueError("all modes must share one lattice")
-        if self.spectrum is not None:
-            for m in self.modes:
-                if not self.spectrum.contains(m.lam):
-                    raise ValueError(f"mode lambda={m.lam} not in the internal spectrum")
-
-    def sup_norm_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t, sum over modes of sup_r |u^lam|): pointwise sup bound over K."""
-        ref = self.modes[0]
-        t = ref.t0 + ref.dt * np.arange(ref.u.shape[0])
-        total = sum(np.max(np.abs(m.u), axis=1) for m in self.modes)
-        return t, total
-
-
-# ---------------------------------------------------------------------------
-# Norms
-
-
-def euclidean_pointwise(components: dict[str, float | np.ndarray]) -> float | np.ndarray:
-    """|u|_E at a point: the Euclidean metric is the identity in these
-    coordinates, so the norm is the component sum of squares."""
-    total = 0.0
-    for value in components.values():
-        total = total + np.asarray(value) ** 2
-    return np.sqrt(total)
-
-
-def h_ell_internal(lam: float, coeff_l2: float, ell: int) -> float:
-    """H^ell(K) of a single mode: (sum_{j<=ell} lam^j)^{1/2} ||coeff||."""
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    return math.sqrt(sum(lam ** j for j in range(ell + 1))) * coeff_l2
-
-
-def l2_on_slice(data: SliceData) -> float:
-    """L^2(Sigma_s) of one mode coefficient (flat measure)."""
-    return math.sqrt(data.slc.integrate(data.u ** 2))
-
-
-def l2_product_slice(slices: list[SliceData]) -> float:
-    """L^2(Sigma_s x K) via Parseval over the mode expansion."""
-    return math.sqrt(sum(data.slc.integrate(data.u ** 2) for data in slices))
-
-
-# ---------------------------------------------------------------------------
-# Mode decomposition (tiny-full-grid oracle path, flat torus, d = 1, 2)
+# Mode decomposition (flat torus, d = 1, 2)
 
 
 def mode_decompose(h: np.ndarray, model: internal_mod.FlatTorus,
@@ -337,20 +222,6 @@ def mode_decompose(h: np.ndarray, model: internal_mod.FlatTorus,
     return out
 
 
-def mode_reconstruct(coeffs: dict[tuple[int, ...], np.ndarray],
-                     model: internal_mod.FlatTorus, grid_shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of mode_decompose on the same internal grid."""
-    d = model.d
-    base_shape = next(iter(coeffs.values())).shape
-    out = np.zeros(base_shape + grid_shape, dtype=complex)
-    axes_coords = [np.arange(m) / m for m in grid_shape]
-    mesh = np.meshgrid(*axes_coords, indexing="ij")
-    for k, c in coeffs.items():
-        phase = sum(2j * math.pi * kj * g for kj, g in zip(k, mesh))
-        out += np.asarray(c).reshape(base_shape + (1,) * d) * np.exp(phase)
-    return np.real_if_close(out, tol=1e6)
-
-
 # ---------------------------------------------------------------------------
 # Snapshot format: text header, then row-major float64 payload
 
@@ -359,7 +230,7 @@ def write_snapshot(path, field_: ModeField) -> None:
     with open(path, "wb") as fh:
         header = io.StringIO()
         header.write(f"{SNAPSHOT_MAGIC}\n")
-        header.write(f"n={field_.n} lam={field_.lam!r} component={field_.component}\n")
+        header.write(f"n={field_.n} lam={field_.lam!r} component=minkowski\n")
         header.write(f"dt={field_.dt!r} dr={field_.dr!r} t0={field_.t0!r}\n")
         header.write(f"shape={field_.u.shape[0]}x{field_.u.shape[1]}\n")
         fh.write(header.getvalue().encode())
@@ -368,14 +239,40 @@ def write_snapshot(path, field_: ModeField) -> None:
         fh.write(memoryview(np.ascontiguousarray(field_.v, dtype="<f8")))
 
 
+def _shape(text: str) -> tuple[int, int]:
+    nt, nr = (int(x) for x in text.split("x"))
+    if nt < 0 or nr < 0:
+        raise ValueError(text)
+    return nt, nr
+
+
+def _header_line(fh, lineno: int, spec: dict) -> dict:
+    """The `key=value` pairs of one header line, each key of spec once,
+    converted by spec[key]; anything else is a ValueError naming the line."""
+    text = fh.readline(_HEADER_LINE_MAX).decode("utf-8", errors="replace").strip()
+    try:
+        pairs = [kv.split("=", 1) for kv in text.split()]
+        values = {key: spec[key](value) for key, value in pairs}
+        if len(values) != len(spec) or len(pairs) != len(spec):
+            raise ValueError(text)
+        return values
+    except (KeyError, ValueError):
+        want = " ".join(f"{key}=" for key in spec)
+        raise ValueError(f"bad snapshot header line {lineno} {text[:80]!r}: "
+                         f"expected {want}") from None
+
+
 def read_snapshot(path) -> ModeField:
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().strip()
+        magic = fh.readline(_HEADER_LINE_MAX).decode("utf-8", errors="replace").strip()
         if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        meta = dict(kv.split("=", 1) for kv in fh.readline().decode().split())
-        grid = dict(kv.split("=", 1) for kv in fh.readline().decode().split())
-        shape = tuple(int(x) for x in fh.readline().decode().strip().split("=")[1].split("x"))
+            raise ValueError(f"bad snapshot magic {magic[:80]!r}")
+        meta = _header_line(fh, 2, {"n": int, "lam": float, "component": str})
+        if meta["component"] != "minkowski":
+            raise ValueError(f"bad snapshot header line 2: component="
+                             f"{meta['component']!r} is not 'minkowski'")
+        grid = _header_line(fh, 3, {"dt": float, "dr": float, "t0": float})
+        shape = _header_line(fh, 4, {"shape": _shape})["shape"]
         count = shape[0] * shape[1]
         found = os.fstat(fh.fileno()).st_size - fh.tell()
         if found != 16 * count:
@@ -385,7 +282,5 @@ def read_snapshot(path) -> ModeField:
             )
         u = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
         v = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
-    return ModeField(
-        lam=float(meta["lam"]), n=int(meta["n"]), component=meta["component"],
-        t0=float(grid["t0"]), dt=float(grid["dt"]), dr=float(grid["dr"]), u=u, v=v,
-    )
+    return ModeField(lam=meta["lam"], n=meta["n"], t0=grid["t0"], dt=grid["dt"],
+                     dr=grid["dr"], u=u, v=v)

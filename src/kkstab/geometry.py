@@ -29,21 +29,6 @@ def to_hyperboloidal(t: float, x) -> tuple[float, np.ndarray]:
     return math.sqrt(t * t - r2), x.copy()
 
 
-def from_hyperboloidal(s: float, y) -> tuple[float, np.ndarray]:
-    """Inverse of :func:`to_hyperboloidal`; t = sqrt(s^2 + |y|^2)."""
-    if s <= 0:
-        raise DomainError(f"hyperboloidal time s={s} must be positive")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return math.sqrt(s * s + float(np.dot(y, y))), y.copy()
-
-
-def t_max_on_slice(s: float) -> float:
-    """Time at which the slice s meets |x| = t - 1, i.e. (s^2 + 1)/2."""
-    if s < 1:
-        raise DomainError(f"t_max_on_slice requires s >= 1, got {s}")
-    return 0.5 * (s * s + 1.0)
-
-
 def sphere_area(n: int) -> float:
     """Surface measure of the unit (n-1)-sphere in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -83,16 +68,6 @@ class HyperboloidSlice:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
-
-    def check_t_bounds(self) -> None:
-        """Assert 2t - 1 <= s^2 <= t^2 on the |x| <= t - 1 portion."""
-        t = self.t
-        mask = self.r <= t - 1.0
-        s2 = self.s ** 2
-        if not np.all(2.0 * t[mask] - 1.0 <= s2 * (1 + 1e-12)):
-            raise AssertionError("t-bound 2t-1 <= s^2 violated on slice")
-        if not np.all(s2 <= t ** 2 * (1 + 1e-12)):
-            raise AssertionError("t-bound s^2 <= t^2 violated on slice")
 
 
 def make_slice(s: float, n: int, dr: float, r_cap: float | None = None) -> HyperboloidSlice:
@@ -159,9 +134,8 @@ def _word_terms(word: tuple) -> tuple:
 def _eval_terms(t, r, deriv, terms) -> np.ndarray:
     """Sum of coefficient(t, r) * deriv(a, b) over expanded word terms.
 
-    t and r broadcast against each other and against deriv(a, b) = the
-    sampled d_t^a d_r^b u: aligned arrays on a slice, a column and a row on
-    a stored (t, r) grid.
+    t, r and deriv(a, b), the sampled d_t^a d_r^b u, are aligned arrays on
+    one slice.
     """
     out = np.zeros_like(t)
     for (a, b), monomials in terms:

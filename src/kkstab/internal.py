@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 #: Absolute float guard on the stability threshold; spectra here are exact
 #: or file-supplied, so this only protects against round-off.
@@ -40,16 +38,9 @@ class FlatTorus:
     def d(self) -> int:
         return len(self.periods)
 
-    @property
-    def volume(self) -> float:
-        return math.prod(self.periods)
-
     def lattice_norm(self, k: tuple[int, ...]) -> float:
         """|k/L|^2 = sum_j (k_j / L_j)^2; the eigenvalue is 4 pi^2 times it."""
         return sum((kj / Lj) ** 2 for kj, Lj in zip(k, self.periods))
-
-    def eigenvalue(self, k: tuple[int, ...]) -> float:
-        return sum((TWO_PI * kj / Lj) ** 2 for kj, Lj in zip(k, self.periods))
 
 
 @dataclass(frozen=True)
@@ -78,7 +69,6 @@ InternalModel = FlatTorus | SpectralData
 class SpectrumEntry:
     lam: float
     multiplicity: int
-    labels: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -86,25 +76,6 @@ class ModeSpectrum:
     entries: tuple[SpectrumEntry, ...]
     cutoff: float
     d: int
-    has_zero_mode: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "has_zero_mode", any(abs(e.lam) <= STABILITY_TOL for e in self.entries)
-        )
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([e.lam for e in self.entries])
-
-    @property
-    def lam_min(self) -> float:
-        if not self.entries:
-            raise ValueError("empty spectrum")
-        return self.entries[0].lam
-
-    def contains(self, lam: float, tol: float = 1e-9) -> bool:
-        return any(abs(e.lam - lam) <= tol * max(1.0, abs(lam)) for e in self.entries)
 
 
 def tensor_multiplicity(d: int) -> int:
@@ -119,7 +90,7 @@ def lichnerowicz_spectrum(
 
     Flat torus: lambda = sum_j (2 pi k_j / L_j)^2 over k in Z^d, each
     wavevector carrying tensor multiplicity d(d+1)/2 unless per_component
-    is set (scalar counting, used by the decomposition oracle).
+    is set (scalar counting: multiplicity 1 per wavevector).
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
@@ -141,7 +112,7 @@ def lichnerowicz_spectrum(
             buckets.setdefault(round(q, 9), []).append(k)
     entries = tuple(
         SpectrumEntry(lam=TWO_PI ** 2 * model.lattice_norm(ks[0]),
-                      multiplicity=len(ks) * tmult, labels=tuple(sorted(ks)))
+                      multiplicity=len(ks) * tmult)
         for _, ks in sorted(buckets.items())
     )
     return ModeSpectrum(entries=entries, cutoff=cutoff, d=model.d)
@@ -157,89 +128,6 @@ def is_linearly_stable(model: InternalModel) -> tuple[bool, float]:
         return True, 0.0
     lam_min = min(l for l, _ in model.modes)
     return lam_min >= -STABILITY_TOL, lam_min
-
-
-# ---------------------------------------------------------------------------
-# Elliptic norm equivalence on the torus
-
-
-def _random_band_limited(model: FlatTorus, cutoff: float, rng, n_components: int = 1):
-    """Random band-limited field as {wavevector: complex coefficient array}."""
-    spec = lichnerowicz_spectrum(model, cutoff, per_component=True)
-    coeffs = {}
-    for entry in spec.entries:
-        for k in entry.labels:
-            c = rng.standard_normal(n_components) + 1j * rng.standard_normal(n_components)
-            coeffs[k] = c
-    return coeffs
-
-
-def _mode_norms(model: FlatTorus, coeffs, ell: int):
-    """(H^{2l} norm, ||Lap^l u||, ||u||) from Fourier coefficients.
-
-    Per mode ||u_k||_{H^m}^2 = sum_{j<=m} lam_k^j |c_k|^2 with the flat-torus
-    eigenvalue lam_k.
-    """
-    h2 = 0.0
-    lap_l = 0.0
-    l2 = 0.0
-    for k, c in coeffs.items():
-        lam = model.eigenvalue(k)
-        c2 = float(np.sum(np.abs(c) ** 2))
-        h2 += sum(lam ** j for j in range(2 * ell + 1)) * c2
-        lap_l += lam ** (2 * ell) * c2
-        l2 += c2
-    return math.sqrt(h2), math.sqrt(lap_l), math.sqrt(l2)
-
-
-def elliptic_equivalence_check(
-    model: FlatTorus,
-    ell: int,
-    cutoff: float = 200.0,
-    draws: int = 100,
-    seed: int = 0,
-) -> dict:
-    """Sandwich check ||u||_{H^{2l}} ~ ||Lap^l u|| + ||u|| on random fields.
-
-    Returns the extreme ratios over the draws; both must be finite and the
-    upper one bounded (c1 = c2 = 1 works exactly on the torus up to a
-    dimensional constant measured here).
-    """
-    if ell % 2 != 0 or ell < 0 or ell > 4:
-        raise ValueError(f"ell must be an even integer in [0, 4], got {ell}")
-    rng = np.random.default_rng(seed)
-    ncomp = tensor_multiplicity(model.d)
-    upper = 0.0
-    lower = math.inf
-    for _ in range(draws):
-        coeffs = _random_band_limited(model, cutoff, rng, ncomp)
-        h2, lap_l, l2 = _mode_norms(model, coeffs, ell)
-        rhs = lap_l + l2
-        if rhs == 0.0:
-            continue
-        ratio = h2 / rhs
-        upper = max(upper, ratio)
-        lower = min(lower, ratio)
-    return {"max_ratio": upper, "min_ratio": lower, "draws": draws, "ell": ell}
-
-
-def parseval_check(model: FlatTorus, coeffs) -> tuple[float, float]:
-    """||u||_{L2}^2 from mode sums vs direct quadrature on a fine grid (d<=2)."""
-    l2_modes = sum(float(np.sum(np.abs(c) ** 2)) for c in coeffs.values()) * model.volume
-    if model.d > 2:
-        raise ValueError("direct quadrature oracle only implemented for d <= 2")
-    m = 64
-    axes = [np.arange(m) * (L / m) for L in model.periods]
-    grid = np.meshgrid(*axes, indexing="ij")
-    total = 0.0
-    ncomp = len(next(iter(coeffs.values())))
-    for comp in range(ncomp):
-        u = np.zeros_like(grid[0], dtype=complex)
-        for k, c in coeffs.items():
-            phase = sum(TWO_PI * kj / Lj * g for kj, Lj, g in zip(k, model.periods, grid))
-            u += c[comp] * np.exp(1j * phase)
-        total += float(np.mean(np.abs(u) ** 2)) * model.volume
-    return l2_modes, total
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +167,8 @@ def parse_spectrum_file(path) -> SpectralData:
             lam = float(parts[0])
         except ValueError as exc:
             raise SpectrumFileError(f"line {lineno}: bad eigenvalue {parts[0]!r}") from exc
+        if not math.isfinite(lam):
+            raise SpectrumFileError(f"line {lineno}: eigenvalue {parts[0]!r} is not finite")
         try:
             mult = int(parts[1])
         except ValueError as exc:

@@ -299,20 +299,7 @@ def harmonic_metric(chart: HarmonicChart, point) -> MetricAtPoint:
 
 
 # ---------------------------------------------------------------------------
-# Wave-gauge residual and numeric curvature
-
-
-def wave_gauge_residual_of(metric_fn, x, step: float = 1e-2) -> np.ndarray:
-    """V^c = g^{ab} Gamma^c_{ab}[g] at x (reference: Cartesian Minkowski).
-
-    metric_fn(x) -> (D, D) components; derivatives by fourth-order central
-    differences of the returned components (pass a deviation-form function
-    for accuracy at the decay tail -- the constant part differentiates to
-    zero anyway).
-    """
-    x = np.asarray(x, dtype=float)
-    ginv = np.linalg.inv(metric_fn(x))
-    return np.einsum("ab,cab->c", ginv, _christoffel_fd(metric_fn, x, step))
+# Wave-gauge residual
 
 
 def wave_gauge_residual(chart: HarmonicChart, r: float) -> np.ndarray:
@@ -324,69 +311,6 @@ def wave_gauge_residual(chart: HarmonicChart, r: float) -> np.ndarray:
     """
     mp = harmonic_metric(chart, r)
     return np.einsum("ab,cab->c", mp.ginv, mp.christoffels)
-
-
-def _christoffel_fd(metric_fn, x, step):
-    """Gamma^c_{ab} at x from fourth-order central differences of metric_fn."""
-    D = len(x)
-    g0 = metric_fn(x)
-    dg = np.zeros((D,) + g0.shape)
-    for mu in range(D):
-        e = np.zeros(D)
-        e[mu] = step
-        dg[mu] = (8.0 * (metric_fn(x + e) - metric_fn(x - e))
-                  - (metric_fn(x + 2 * e) - metric_fn(x - 2 * e))) / (12.0 * step)
-    return _christoffels(np.linalg.inv(g0), dg)
-
-
-def ricci_tensor(metric_fn, x, step: float = 1e-2) -> np.ndarray:
-    """Numeric Ricci tensor by nested finite differences of Christoffels."""
-    x = np.asarray(x, dtype=float)
-    D = len(x)
-    gamma0 = _christoffel_fd(metric_fn, x, step)
-    dgamma = np.zeros((D, D, D, D))
-    for mu in range(D):
-        e = np.zeros(D)
-        e[mu] = step
-        dgamma[mu] = (_christoffel_fd(metric_fn, x + e, step)
-                      - _christoffel_fd(metric_fn, x - e, step)) / (2.0 * step)
-    ric = (np.einsum("ccab->ab", dgamma)
-           - np.einsum("accb->ab", dgamma)
-           + np.einsum("ccd,dab->ab", gamma0, gamma0)
-           - np.einsum("cad,dcb->ab", gamma0, gamma0))
-    return ric
-
-
-def scalar_curvature(metric_fn, x, step: float = 1e-2) -> float:
-    ric = ricci_tensor(metric_fn, x, step)
-    ginv = np.linalg.inv(metric_fn(np.asarray(x, dtype=float)))
-    return float(np.einsum("ab,ab->", ginv, ric))
-
-
-def constraint_residual(spatial_metric_fn, x, step: float = 1e-2,
-                        kappa: float = 0.0) -> tuple[float, float]:
-    """Time-symmetric constraint residuals (Hamiltonian, momentum).
-
-    Hamiltonian: R[gamma] - |kappa|^2 + (tr kappa)^2 with kappa = 0 here,
-    so the residual is the numeric scalar curvature.  Momentum constraint is
-    identically satisfied for kappa = 0.
-    """
-    if kappa != 0.0:
-        raise ValueError("only time-symmetric data (kappa = 0) is supported")
-    ham = abs(scalar_curvature(spatial_metric_fn, x, step))
-    return ham, 0.0
-
-
-def product_slice_metric(chart: HarmonicChart):
-    """Spatial metric of a t = const slice: Schwarzschild block + flat torus."""
-    n = chart.params.n
-
-    def fn(x):
-        m = np.eye(len(x))
-        m[:n, :n] = harmonic_metric(chart, x[:n]).g[1:, 1:]
-        return m
-
-    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from kkstab import internal
 from kkstab.energy import (
     GammaBlock,
     SobolevParams,
-    constants_stable,
     decay_fit,
     envelope,
     equivalence_check,
@@ -25,7 +24,6 @@ from kkstab.energy import (
     hyperboloidal_energy,
 )
 from kkstab.evolve import EvolutionConfig, evolve_kg_radial, evolve_quasilinear_toy
-from kkstab.fields import mode_decompose, mode_reconstruct
 from kkstab.geometry import make_slice
 from kkstab.schwarzschild import (
     GeodesicState,
@@ -36,6 +34,7 @@ from kkstab.schwarzschild import (
     integrate_geodesic,
     wave_gauge_residual,
 )
+from oracles import constants_stable, evolve_full_grid_torus
 from symbolic import scaling_family_slice
 
 
@@ -335,8 +334,8 @@ def test_mode_vs_full_grid_oracle():
     prof1 = lambda r: 0.5 * ev.default_pulse(r)
     u0f = lambda R, TH: prof0(R) + prof1(R) * np.cos(2 * np.pi * TH)
     v0f = lambda R, TH: np.zeros_like(R)
-    ts, hist = ev.evolve_full_grid_torus(3, torus, (u0f, v0f), cfg,
-                                         m_theta=m_theta)
+    ts, hist = evolve_full_grid_torus(3, torus, (u0f, v0f), cfg,
+                                      m_theta=m_theta)
 
     lam1 = 4 * np.pi ** 2
     zero = lambda r: np.zeros_like(r)

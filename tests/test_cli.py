@@ -8,14 +8,22 @@ import sys
 import numpy as np
 import pytest
 
-from kkstab import energy, evolve, schwarzschild
+from kkstab import evolve, schwarzschild
 from kkstab.cli import main
+from oracles import read_report
 
 
 def run_cli(args, tmp_path, name):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
     return code, out
+
+
+def stderr_line(capsys) -> str:
+    """The one line that a failed run writes to stderr."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return err[0]
 
 
 class TestVerify:
@@ -44,6 +52,17 @@ class TestSpectrum:
         code, out = run_cli(["spectrum", "--spectrum-file", str(spec)],
                             tmp_path, "u")
         assert code == 1
+
+    def test_non_finite_eigenvalue_exit_2(self, tmp_path, capsys):
+        """A NaN eigenvalue is a malformed file, not a failed check whose
+        report would hold the invalid JSON token NaN."""
+        spec = tmp_path / "nan-spec.txt"
+        spec.write_text("internal-spectrum v1 d=2\nnan 1\n")
+        code, out = run_cli(["spectrum", "--spectrum-file", str(spec)],
+                            tmp_path, "n")
+        assert code == 2
+        assert "line 2" in stderr_line(capsys)
+        assert not (out / "spectrum-report.json").exists()
 
     def test_malformed_file_exit_2_with_line(self, tmp_path, capsys):
         spec = tmp_path / "mangled.txt"
@@ -74,8 +93,8 @@ class TestSpectrum:
     def test_d_disagreeing_with_periods_exit_2(self, tmp_path, capsys):
         code, _ = run_cli(["spectrum", "--periods", "1"], tmp_path, "dp")
         assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "d=2" in err[0] and "1 periods" in err[0]
+        err = stderr_line(capsys)
+        assert "d=2" in err and "1 periods" in err
 
     def test_resolved_config_written(self, tmp_path):
         _, out = run_cli(["spectrum", "--lmax", "2"], tmp_path, "rc")
@@ -144,12 +163,25 @@ class TestEnergy:
         for name in ("energy-report.json", "estimates.csv",
                      "resolved-config.ini"):
             assert (out / name).exists(), name
-        report = energy.read_report(out / "energy-report.json")
+        report = read_report(out / "energy-report.json")
         assert sorted(float(s) for s in report["energies"]) == slices
         rows = (out / "estimates.csv").read_text().splitlines()[1:]
         for s in slices:
             assert sum(float(row.split(",")[1]) == s for row in rows) == 4
 
+    def test_boosted_energies(self, tmp_path):
+        """E_1..E_3 on every slice: E_1 is the slice energy itself, and
+        each further word order adds nonnegative energies."""
+        code, out = run_cli(["energy", "--n", "3", "--dr", "0.0625",
+                             "--slice-s", "4,6,8"], tmp_path, "b")
+        assert code == 0
+        report = read_report(out / "energy-report.json")
+        assert "identity_residuals" not in report and "decay_fits" not in report
+        assert report["boosted"].keys() == report["energies"].keys()
+        for s, by_k in report["boosted"].items():
+            assert list(by_k) == ["1", "2", "3"]
+            assert by_k["1"] == pytest.approx(report["energies"][s], rel=1e-12)
+            assert 0.0 < by_k["1"] <= by_k["2"] <= by_k["3"]
 
     def test_runs_differ_only_in_run_meta(self, tmp_path):
         args = ["energy", "--n", "3", "--dr", "0.0625", "--slice-s", "4,6,8"]
@@ -163,7 +195,7 @@ class TestEnergy:
         """Every default slice lies inside the default run."""
         code, out = run_cli(["energy"], tmp_path, "d")
         assert code == 0
-        report = energy.read_report(out / "energy-report.json")
+        report = read_report(out / "energy-report.json")
         assert sorted(float(s) for s in report["energies"]) == [4.0, 8.0, 10.0]
 
 
@@ -219,9 +251,8 @@ class TestDomainErrors:
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("kkstab: ") and message in err[0]
+        err = stderr_line(capsys)
+        assert err.startswith("kkstab: ") and message in err
 
 
 class TestRuntimeFailures:
@@ -240,16 +271,14 @@ class TestRuntimeFailures:
         code, _ = run_cli(["evolve", "--n", "3", "--t-end", "8", "--dr",
                            "0.0625"], tmp_path, "e")
         assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["kkstab: non-finite field at t=5.0000"]
+        assert stderr_line(capsys) == "kkstab: non-finite field at t=5.0000"
 
     def test_step_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(schwarzschild, "integrate_geodesic", self._raise(
             schwarzschild.StepFailureError("geodesic integration failed")))
         code, _ = run_cli(["geodesic", "--lam-end", "10"], tmp_path, "g")
         assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["kkstab: geodesic integration failed"]
+        assert stderr_line(capsys) == "kkstab: geodesic integration failed"
 
 
 class TestConfigPrecedence:
@@ -275,6 +304,28 @@ class TestConfigPrecedence:
         cp.read(out / "resolved-config.ini")
         assert cp["spectrum"]["lmax"] == "3"
         assert cp["spectrum"]["periods"] == "1,2"
+
+    def test_malformed_env_value_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KKSTAB_DR", "abc")
+        code, _ = run_cli(["evolve"], tmp_path, "ev")
+        assert code == 2
+        assert stderr_line(capsys).startswith("kkstab: environment variable KKSTAB_DR: ")
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes(b"[spectrum]\n# caf\xe9\nlmax = 3\n")
+        code, _ = run_cli(["spectrum", "--config", str(ini)], tmp_path, "l1")
+        assert code == 2
+        err = stderr_line(capsys)
+        assert err.startswith("kkstab: config file ") and "is not UTF-8" in err
+
+    def test_interpolation_error_exit_2(self, tmp_path, capsys):
+        """configparser reports a stray '%' only when the value is read."""
+        ini = tmp_path / "percent.ini"
+        ini.write_text("[spectrum]\nlmax = 3%\n")
+        code, _ = run_cli(["spectrum", "--config", str(ini)], tmp_path, "pc")
+        assert code == 2
+        assert stderr_line(capsys).startswith("kkstab: config parse error")
 
     def test_missing_config_usage_error(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "absent.ini"),

@@ -6,18 +6,14 @@ from collections import deque
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from kkstab import evolve as ev
 from kkstab import fields
-from kkstab import geometry as geo
 from kkstab.cli import main as cli_main
 from kkstab.evolve import (
     CFLError,
     EvolutionConfig,
     SliceSampler,
-    WindowDepthError,
-    commuted_sources,
     default_pulse,
     evolve_kg_radial,
     evolve_quasilinear_toy,
@@ -25,7 +21,8 @@ from kkstab.evolve import (
     radial_laplacian,
 )
 from kkstab.internal import FlatTorus
-from symbolic import R, T, sympy_word_terms
+from oracles import (ETA2, evolve_full_grid_torus, interp_rows, inverse_metric_einsum,
+                     pack_sym, sample_on_hyperboloid)
 
 
 def _dalembert_n3(pulse, t, r, t0):
@@ -52,8 +49,9 @@ class TestConfig:
             EvolutionConfig(n=3, t_start=1.0)
 
     def test_eps_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"outside \[0, eps_max=0.01\]"):
             EvolutionConfig(n=3, eps=0.5)
+        assert EvolutionConfig(n=3, eps=ev.EPS_MAX).eps == 0.01
 
     def test_unknown_nonlinearity(self):
         with pytest.raises(ValueError):
@@ -67,7 +65,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonlinearity='quasilinear-toy'"):
             evolve_kg_radial(0.0, 3, config=quasi)
         with pytest.raises(ValueError, match="nonlinearity='quasilinear-toy'"):
-            ev.evolve_full_grid_torus(3, FlatTorus((1.0,)), (None, None), quasi)
+            evolve_full_grid_torus(3, FlatTorus((1.0,)), (None, None), quasi)
         with pytest.raises(ValueError, match="nonlinearity='linear'"):
             evolve_quasilinear_toy(linear)
 
@@ -111,11 +109,7 @@ class TestLaplacian:
     def test_spectrum_real_nonpositive(self):
         """The conservative stencil is self-adjoint in the r^{n-1} weight."""
         m, dr, n = 80, 0.1, 9
-        A = np.zeros((m, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            A[:, j] = radial_laplacian(e, dr, n)
+        A = np.stack([radial_laplacian(e, dr, n) for e in np.eye(m)], axis=1)
         # symmetrize under the weight to confirm; raw eigenvalues already real
         lam = np.linalg.eigvals(A[:-1, :-1])
         assert np.max(np.abs(lam.imag)) < 1e-10
@@ -172,7 +166,6 @@ class TestLinearEvolution:
             cfg = EvolutionConfig(n=3, dr=dr, t_start=4.0, t_end=8.0,
                                   r_max=12.0, store_history=True, store_every=1)
             res = evolve_kg_radial(0.0, 3, config=cfg)
-            stride = 2 ** (2 - k) * 4  # common radial nodes at dr=1/4... use 1/16 nodes
             sols[dr] = res.field.u[-1][:: 2 ** k * 4]
         e1 = np.max(np.abs(sols[1 / 16] - sols[1 / 32]))
         e2 = np.max(np.abs(sols[1 / 32] - sols[1 / 64]))
@@ -194,7 +187,7 @@ class TestLinearEvolution:
                               r_max=18.0, store_history=True, store_every=1)
         res = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,))
         direct = res.slices[5.0]
-        posthoc = res.field.sample_on_hyperboloid(5.0, r_cap=direct.r.max())
+        posthoc = sample_on_hyperboloid(res.field, 5.0, r_cap=direct.r.max())
         assert np.max(np.abs(direct.u - posthoc.u)) < 1e-6
         assert np.max(np.abs(direct.ut - posthoc.ut)) < 1e-6
 
@@ -298,30 +291,14 @@ class TestQuasilinearToy:
         h = 0.5 * (h + h.T)
         eta = np.diag([-1.0, 1.0])
         exact = np.linalg.inv(eta + h) - eta
-        approx = ev.inverse_metric_perturbation(h)
+        approx = pack_sym(*ev.inverse_metric_components((h[0, 0], h[0, 1], h[1, 1])))
         assert np.max(np.abs(approx - exact)) < 1e-8
 
 
-ETA2 = np.diag([-1.0, 1.0])
 #: component shapes of the oracle draws: one point, a right-hand side of
-#: 385 nodes, and a commuted-source (nt, nr) history
+#: 385 nodes, and a stored (nt, nr) history
 ORACLE_SHAPES = [(), (385,), (40, 200)]
 ORACLE_RTOL = 1e-14
-
-
-def _pack(u3):
-    out = np.empty(np.shape(u3[0]) + (2, 2))
-    out[..., 0, 0] = u3[0]
-    out[..., 0, 1] = out[..., 1, 0] = u3[1]
-    out[..., 1, 1] = u3[2]
-    return out
-
-
-def inverse_metric_einsum(h):
-    """Oracle: H = -h# + (h eta h)# by generic index contraction."""
-    hsharp = np.einsum("ab,...bc,cd->...ad", ETA2, h, ETA2)
-    hh = np.einsum("ab,...bc,cd,...de,ef->...af", ETA2, h, ETA2, h, ETA2)
-    return -hsharp + hh
 
 
 def q_einsum(ginv, dg):
@@ -336,9 +313,9 @@ def q_einsum(ginv, dg):
 
 
 def quasilinear_coefficients_einsum(u3, v3, ur3, eps):
-    h = _pack(eps * u3)
+    h = pack_sym(*(eps * u3))
     ginv = np.linalg.inv(ETA2 + h)
-    dg = np.stack([_pack(eps * v3), _pack(eps * ur3)], axis=-3)
+    dg = np.stack([pack_sym(*(eps * v3)), pack_sym(*(eps * ur3))], axis=-3)
     q = q_einsum(ginv, dg)
     return inverse_metric_einsum(h), np.stack([q[..., 0, 0], q[..., 0, 1], q[..., 1, 1]])
 
@@ -354,8 +331,9 @@ class TestClosedFormOracle:
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_inverse_metric_matches_einsum(self, shape):
         rng = np.random.default_rng(11)
-        h = _pack(rng.uniform(-0.1, 0.1, (3,) + shape))
-        got = ev.inverse_metric_perturbation(h)
+        h3 = rng.uniform(-0.1, 0.1, (3,) + shape)
+        h = pack_sym(*h3)
+        got = pack_sym(*ev.inverse_metric_components(h3))
         assert got.shape == h.shape
         assert _rel_err(got, inverse_metric_einsum(h)) <= ORACLE_RTOL
 
@@ -372,111 +350,11 @@ class TestClosedFormOracle:
     def test_q_is_symmetric_in_the_oracle(self):
         """Packing Q as (00, 0r, rr) drops nothing: Q_r0 = Q_0r."""
         rng = np.random.default_rng(13)
-        h = _pack(rng.uniform(-0.1, 0.1, (3, 50)))
-        dg = np.stack([_pack(rng.uniform(-0.1, 0.1, (3, 50))) for _ in range(2)],
+        h = pack_sym(*rng.uniform(-0.1, 0.1, (3, 50)))
+        dg = np.stack([pack_sym(*rng.uniform(-0.1, 0.1, (3, 50))) for _ in range(2)],
                       axis=-3)
         q = q_einsum(np.linalg.inv(ETA2 + h), dg)
         assert np.allclose(q[..., 0, 1], q[..., 1, 0], rtol=1e-13, atol=0.0)
-
-
-@pytest.fixture(scope="module")
-def quasi_run():
-    cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=12.0,
-                          r_max=16.0, eps=1e-3, store_every=1,
-                          nonlinearity="quasilinear-toy", blowup_factor=100.0)
-    return evolve_quasilinear_toy(cfg, lam=0.0)
-
-
-class TestCommutedSources:
-
-    def test_order_cap(self, quasi_run):
-        with pytest.raises(WindowDepthError):
-            commuted_sources(quasi_run, order=3)
-
-    def test_source_structure(self, quasi_run):
-        src = commuted_sources(quasi_run, order=1)
-        assert src.order == 1
-        assert () in src.f1  # identity word present
-        for grids in (src.f1, src.f3):
-            for w, grid in grids.items():
-                assert np.all(np.isfinite(grid)), w
-        assert not src.f2.any()  # flat internal model
-        for w, c in src.g_constant.items():
-            assert np.isfinite(c) and c >= 0.0
-
-    def test_words_act_through_the_expansion(self, quasi_run):
-        """f1[()] is eps Q itself, and every f1[w] is the word's exact
-        expansion evaluated on the grid derivatives of eps Q."""
-        src = commuted_sources(quasi_run, order=2)
-        fl = quasi_run.component_fields
-        eps, dt, dr = quasi_run.config.eps, fl[0].dt, fl[0].dr
-        u3, v3 = np.stack([f.u for f in fl]), np.stack([f.v for f in fl])
-        _, q3 = ev.quasilinear_coefficients(u3, v3, fields.ddr(u3, dr), eps)
-        f = eps * q3
-        assert np.array_equal(src.f1[()], f)
-        # the expansion's zero accumulator turns -0.0 into 0.0 and nothing else
-        assert src.f1[()].tobytes() == (0.0 + f).tobytes()
-        nt, nr = fl[0].u.shape
-        t = fl[0].t0 + dt * np.arange(nt)[:, None]
-        r = dr * np.arange(nr)
-        deriv = ev._grid_deriv(f, dt, dr)
-        for w in geo._words_upto(2):
-            want = geo._eval_terms(t, r, deriv, geo._word_terms(w))
-            assert src.f1[w].tobytes() == want.tobytes(), w
-
-    def test_grid_words_match_symbolic(self):
-        """Z^w u on a stored grid against sympy's Z^w u, for an r-even smooth
-        field and every word of length <= 2, away from the t-ends and the edge
-        column: second order between dr = dt = 1/32 and 1/64."""
-        expr = sp.cos(0.7 * T) * sp.exp(-R ** 2 / 2) * (1 + R ** 2 * T / 8)
-        errors = {}
-        for h in (1 / 32, 1 / 64):
-            tt = 4.0 + h * np.arange(int(round(2.0 / h)) + 1)
-            rr = h * np.arange(int(round(3.0 / h)) + 1)
-            ufn = sp.lambdify((T, R), expr, "numpy")
-            deriv = ev._grid_deriv(ufn(tt[:, None], rr), h, h)
-            keep = (slice(3, -3), slice(0, -1))
-            tg, rg = np.meshgrid(tt, rr, indexing="ij")
-            for w in geo._words_upto(2):
-                exact = sum(c * sp.diff(expr, T, a, R, b)
-                            for (a, b), c in sympy_word_terms(w))
-                ref = np.broadcast_to(sp.lambdify((T, R), exact, "numpy")(tg, rg),
-                                      tg.shape)
-                got = geo._eval_terms(tt[:, None], rr, deriv, geo._word_terms(w))
-                errors.setdefault(w, []).append(
-                    np.max(np.abs(got - ref)[keep]) / np.max(np.abs(ref)[keep]))
-        assert errors[()] == [0.0, 0.0]
-        for w, (coarse, fine) in errors.items():
-            if w:
-                assert coarse < 1e-2 and np.log2(coarse / fine) > 1.8, (w, coarse, fine)
-
-    def test_needs_history(self):
-        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=6.0, r_max=10.0,
-                              store_history=False, nonlinearity="quasilinear-toy")
-        res = evolve_quasilinear_toy(cfg, lam=0.0)
-        with pytest.raises(ValueError, match="history"):
-            commuted_sources(res, order=1)
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_majorant_skips_the_axis_columns(self, quasi_run, order, monkeypatch):
-        """g_constant reads no node of the first order + 2 columns, where the
-        axis rules of ddr and d2dr2 meet: overwriting them in every F3 grid
-        (and in its denominator) changes no constant."""
-        seen = []
-        real = ev._majorant
-
-        def spy(f3w, dH, zdh, order):
-            seen.append((f3w, dH, zdh))
-            return real(f3w, dH, zdh, order)
-
-        monkeypatch.setattr(ev, "_majorant", spy)
-        src = commuted_sources(quasi_run, order=order)
-        assert len(seen) == len(src.g_constant)
-        axis = (Ellipsis, slice(0, order + 2))
-        for w, (f3w, dH, zdh) in zip(src.g_constant, seen):
-            f3w, dH, zdh = f3w.copy(), dH.copy(), zdh.copy()
-            f3w[axis], dH[axis], zdh[axis] = 1e6, 1e-3, 1e-3
-            assert real(f3w, dH, zdh, order) == src.g_constant[w], w
 
 
 def full_grid_laplacian(u, dr, n):
@@ -647,8 +525,8 @@ class TestActiveWindow:
                 lambda r, th: np.zeros_like(r))
 
         def run():
-            return ev.evolve_full_grid_torus(3, FlatTorus((1.0,)), init, cfg,
-                                             m_theta=8)
+            return evolve_full_grid_torus(3, FlatTorus((1.0,)), init, cfg,
+                                          m_theta=8)
 
         (t_got, u_got), (t_want, u_want) = run(), full_grid(run)
         assert t_got == pytest.approx(t_want, abs=0.0)
@@ -874,13 +752,13 @@ class TestSliceSampler:
 
     def test_utrr_matches_field_sampling(self):
         """At sample_derivs=3, d_t d_r^2 u agrees with the stored history
-        interpolated the way ModeField.sample_on_hyperboloid does it."""
+        interpolated the way the oracle `sample_on_hyperboloid` does it."""
         cfg = EvolutionConfig(n=3, dr=1 / 32, t_start=4.0, t_end=14.0,
                               r_max=18.0, store_every=1, sample_derivs=3)
         res = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,))
         direct, f = res.slices[5.0], res.field
-        posthoc = f._interp_rows(fields.d2dr2(f.v, f.dr), direct.t,
-                                 np.round(direct.r / f.dr).astype(int))
+        posthoc = interp_rows(f, fields.d2dr2(f.v, f.dr), direct.t,
+                              np.round(direct.r / f.dr).astype(int))
         assert np.max(np.abs(direct.utrr - posthoc)) < 1e-6 * np.max(np.abs(posthoc))
 
 

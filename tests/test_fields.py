@@ -1,24 +1,20 @@
-"""Tests for mode fields, slice sampling, norms and snapshots."""
+"""Tests for mode fields, slice sampling, mode decomposition and snapshots."""
 
 import numpy as np
 import pytest
 
-from kkstab import fields, internal
+from kkstab import internal
 from kkstab.fields import (
     AliasingError,
     ModeField,
     SliceData,
     WindowError,
-    euclidean_pointwise,
-    h_ell_internal,
-    l2_on_slice,
-    l2_product_slice,
     mode_decompose,
-    mode_reconstruct,
     read_snapshot,
     write_snapshot,
 )
 from kkstab.geometry import make_slice
+from oracles import mode_reconstruct, sample_on_hyperboloid
 
 
 def _analytic_field(lam=0.0, n=3, t0=2.0, dt=0.01, dr=0.05, nt=600, nr=200):
@@ -44,29 +40,12 @@ class TestModeField:
             ModeField(lam=0.0, n=3, t0=2.0, dt=0.1, dr=0.1,
                       u=np.zeros((4, 5)), v=np.zeros((4, 6)))
 
-    def test_unknown_component_rejected(self):
-        with pytest.raises(ValueError, match="component"):
-            ModeField(lam=0.0, n=3, t0=2.0, dt=0.1, dr=0.1,
-                      u=np.zeros((4, 5)), v=np.zeros((4, 5)),
-                      component="nope")
-
-    def test_support_radius(self):
-        f = _analytic_field()
-        u = np.zeros((5, 100))
-        u[:, :40] = 1.0
-        g = ModeField(lam=0.0, n=3, t0=2.0, dt=0.1, dr=0.1,
-                      u=u, v=np.zeros_like(u))
-        assert g.support_radius(2) == pytest.approx(3.9)
-        zero = ModeField(lam=0.0, n=3, t0=2.0, dt=0.1, dr=0.1,
-                         u=np.zeros((5, 10)), v=np.zeros((5, 10)))
-        assert zero.support_radius(0) == 0.0
-
 
 class TestSliceSampling:
     def test_interpolation_accuracy(self):
         """Slice samples of a smooth separable field match the closed form."""
         f = _analytic_field()
-        data = f.sample_on_hyperboloid(3.0, r_cap=6.0)
+        data = sample_on_hyperboloid(f, 3.0, r_cap=6.0)
         t_exact = data.t
         u_ref = np.exp(-0.3 * t_exact) * np.cos(data.r)
         assert np.max(np.abs(data.u - u_ref)) < 1e-6
@@ -77,14 +56,14 @@ class TestSliceSampling:
 
     def test_second_derivatives_present(self):
         f = _analytic_field()
-        data = f.sample_on_hyperboloid(3.0, with_second=True, r_cap=6.0)
+        data = sample_on_hyperboloid(f, 3.0, with_second=True, r_cap=6.0)
         urr_ref = -np.exp(-0.3 * data.t) * np.cos(data.r)
         assert np.max(np.abs(data.urr - urr_ref)) < 1e-2
 
     def test_window_error_outside_store(self):
         f = _analytic_field(nt=50)  # t in [2, 2.49]
         with pytest.raises(WindowError):
-            f.sample_on_hyperboloid(4.0, r_cap=2.0)
+            sample_on_hyperboloid(f, 4.0, r_cap=2.0)
 
     def test_slice_data_time_derivative_closure(self):
         """d_t^2 closes through the radial KG operator: for u solving the
@@ -116,26 +95,6 @@ class TestSliceSampling:
         data = SliceData(slc=slc, lam=0.0, u=z, ut=z, ur=z)
         with pytest.raises(WindowError, match="not available"):
             data.deriv(1, 2)
-
-
-class TestNorms:
-    def test_euclidean_pointwise(self):
-        assert euclidean_pointwise({"a": 3.0, "b": 4.0}) == pytest.approx(5.0)
-
-    def test_h_ell_internal(self):
-        assert h_ell_internal(0.0, 2.0, 3) == pytest.approx(2.0)
-        assert h_ell_internal(1.0, 1.0, 1) == pytest.approx(np.sqrt(2.0))
-        with pytest.raises(ValueError):
-            h_ell_internal(1.0, 1.0, -1)
-
-    def test_l2_parseval_product(self):
-        slc = make_slice(4.0, 3, 0.02, r_cap=6.0)
-        z = np.zeros_like(slc.r)
-        a = SliceData(slc=slc, lam=0.0, u=np.exp(-slc.r ** 2), ut=z, ur=z)
-        b = SliceData(slc=slc, lam=1.0, u=2 * np.exp(-slc.r ** 2), ut=z, ur=z)
-        total = l2_product_slice([a, b])
-        assert total == pytest.approx(
-            np.sqrt(l2_on_slice(a) ** 2 + l2_on_slice(b) ** 2), rel=1e-12)
 
 
 class TestModeDecomposition:
@@ -199,18 +158,42 @@ class TestSnapshots:
         with pytest.raises(ValueError, match=r"is 1912 bytes.*10x12 needs 1920 bytes"):
             read_snapshot(p)
 
+    def test_header_lines(self, tmp_path):
+        f = _analytic_field(lam=2.5, nt=10, nr=12)
+        p = tmp_path / "field.kks"
+        write_snapshot(p, f)
+        assert p.read_bytes().split(b"\n")[1:4] == [
+            b"n=3 lam=2.5 component=minkowski",
+            b"dt=0.01 dr=0.05 t0=2.0", b"shape=10x12"]
 
-class TestProductTensorField:
-    def test_lattice_consistency_enforced(self):
-        a = _analytic_field(dr=0.05)
-        b = _analytic_field(dr=0.1)
-        with pytest.raises(ValueError, match="lattice"):
-            fields.ProductTensorField(modes=[a, b], model=internal.FlatTorus(periods=(1.0,)))
+    @staticmethod
+    def _with_header_line(tmp_path, lineno, line):
+        """A valid snapshot with its header line `lineno` (1-based) replaced."""
+        p = tmp_path / "field.kks"
+        write_snapshot(p, _analytic_field(nt=4, nr=5))
+        lines = p.read_bytes().split(b"\n", 4)
+        lines[lineno - 1] = line
+        p.write_bytes(b"\n".join(lines))
+        return p
 
-    def test_sup_norm_series(self):
-        a = _analytic_field()
-        ptf = fields.ProductTensorField(modes=[a, a],
-                                        model=internal.FlatTorus(periods=(1.0,)))
-        t, sup = ptf.sup_norm_series()
-        assert len(t) == a.u.shape[0]
-        assert sup[0] == pytest.approx(2 * np.max(np.abs(a.u[0])))
+    @pytest.mark.parametrize("lineno, line", [
+        (2, b"n=3 component=minkowski"),
+        (4, b"shape 4x5"),
+        (3, b"dt=0.01 dr=abc t0=2.0"),
+        (4, b"shape=4x5x1"),
+        (2, b"n=3 n=3 lam=0.0 component=minkowski"),
+        (3, b"dt=0.01 dr=0.05 t0=2.0 extra=1"),
+    ], ids=["missing-key", "shape-without-equals", "bad-number", "three-dims",
+            "repeated-key", "extra-key"])
+    def test_bad_header_line_named(self, tmp_path, lineno, line):
+        """Each malformed header line is a ValueError naming that line."""
+        p = self._with_header_line(tmp_path, lineno, line)
+        with pytest.raises(ValueError, match=f"bad snapshot header line {lineno} "
+                                             f"'{line.decode()}'"):
+            read_snapshot(p)
+
+    def test_unknown_component_rejected(self, tmp_path):
+        p = self._with_header_line(tmp_path, 2, b"n=3 lam=0.0 component=mixed")
+        with pytest.raises(ValueError, match="line 2: component='mixed' is not "
+                                             "'minkowski'"):
+            read_snapshot(p)

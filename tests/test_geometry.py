@@ -5,10 +5,11 @@ from kkstab import geometry as geo
 
 
 def test_hyperboloidal_roundtrip():
-    t, x = geo.from_hyperboloidal(3.0, np.array([1.0, 2.0]))
-    s, y = geo.to_hyperboloidal(t, x)
+    y = np.array([1.0, 2.0])
+    t = np.sqrt(3.0 ** 2 + y @ y)  # the point (s = 3, y) of the slice
+    s, y2 = geo.to_hyperboloidal(t, y)
     assert abs(s - 3.0) < 1e-12
-    assert np.allclose(y, [1.0, 2.0])
+    assert np.allclose(y2, [1.0, 2.0])
 
 
 def test_to_hyperboloidal_requires_interior():
@@ -20,8 +21,7 @@ def test_t_max_on_slice():
     # t on the truncated slice r <= (s^2-1)/2 peaks at (s^2+1)/2
     s = 4.0
     slc = geo.make_slice(s, 3, 1.0 / 64)
-    assert abs(geo.t_max_on_slice(s) - (s * s + 1) / 2.0) < 1e-12
-    assert slc.t.max() <= geo.t_max_on_slice(s) + 1e-9
+    assert slc.t.max() <= (s * s + 1) / 2.0 + 1e-9
 
 
 def test_sphere_area_values():
@@ -37,7 +37,10 @@ def test_slice_embedding_and_weights():
     vol = slc.integrate(np.ones_like(slc.r))
     exact = 4.0 / 3.0 * np.pi * r_max ** 3
     assert abs(vol - exact) / exact < 1e-3
-    slc.check_t_bounds()
+    # 2t - 1 <= s^2 on the part |x| <= t - 1, and s^2 <= t^2 everywhere
+    t, s2 = slc.t, slc.s ** 2
+    assert np.all(2.0 * t[slc.r <= t - 1.0] - 1.0 <= s2 * (1 + 1e-12))
+    assert np.all(s2 <= t ** 2 * (1 + 1e-12))
 
 
 def test_slice_r_cap():

@@ -54,26 +54,6 @@ def test_stability_certificates():
     assert not ok and lam_min == -1.0
 
 
-def test_elliptic_equivalence_constants():
-    torus = internal.FlatTorus((1.0, 1.0))
-    res = internal.elliptic_equivalence_check(torus, ell=2, draws=20)
-    assert res["min_ratio"] > 0
-    assert np.isfinite(res["max_ratio"])
-    # same seed reproduces exactly
-    res2 = internal.elliptic_equivalence_check(torus, ell=2, draws=20)
-    assert res == res2
-
-
-def test_parseval_identity():
-    torus = internal.FlatTorus((1.0, 1.0))
-    rng = np.random.default_rng(3)
-    coeffs = {}
-    for k in [(0, 0), (1, 0), (2, 1), (-1, 3)]:
-        coeffs[k] = rng.normal(size=3) + 1j * rng.normal(size=3)
-    l2_modes, l2_grid = internal.parseval_check(torus, coeffs)
-    assert abs(l2_modes - l2_grid) < 1e-10 * max(1.0, l2_modes)
-
-
 def test_spectrum_file_roundtrip(tmp_path):
     data = internal.SpectralData(modes=((0.0, 3), (39.478, 12)), d=2)
     path = tmp_path / "spec.txt"
@@ -97,4 +77,12 @@ def test_missing_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 3\n")
     with pytest.raises(internal.SpectrumFileError):
+        internal.parse_spectrum_file(path)
+
+
+@pytest.mark.parametrize("row", ["nan 1", "-1e400 2", "inf 3"])
+def test_non_finite_eigenvalue_reports_line(tmp_path, row):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"internal-spectrum v1 d=2\n0.0 3\n{row}\n")
+    with pytest.raises(internal.SpectrumFileError, match="line 3: .* not finite"):
         internal.parse_spectrum_file(path)
