@@ -108,7 +108,8 @@ def write_resolved(outdir: Path, sub: str, cfg: dict) -> None:
         if isinstance(val, float):
             lines.append(f"{key} = {val:.17g}")
         else:
-            lines.append(f"{key} = {val}")
+            # indented continuation lines, so configparser reads the value back
+            lines.append(f"{key} = " + str(val).replace("\n", "\n\t"))
     lines.append("")
     lines.append("[tool]")
     lines.append(f"version = {__version__}")

@@ -25,11 +25,6 @@ REPORT_MAGIC = "kkstab-report v1"
 #: surrogate stack: the off-diagonal component appears twice in |h|_E^2.
 E_WEIGHTS = (1.0, 2.0, 1.0)
 
-#: Smallness threshold on sup t|gamma|_E below which the 2-sided energy
-#: equivalence is asserted rather than merely reported.
-SMALLNESS_EPS = 0.05
-
-
 class InsufficientSpanError(ValueError):
     """Decay fit asked for with too few samples or too little dynamic range."""
 
@@ -61,12 +56,6 @@ class SobolevParams:
             n_big += 1
         return cls(n=n, d=d, d_tilde=d_tilde, nu_tilde=nu_tilde, beta=beta,
                    n_big=n_big)
-
-    @property
-    def integrable(self) -> bool:
-        """beta > 3/2, equivalent to n > 8."""
-        return self.beta > 1.5
-
 
 # ---------------------------------------------------------------------------
 # The basic energy
@@ -153,11 +142,6 @@ class GammaBlock:
     dtrr: np.ndarray
     dr0r: np.ndarray
     drrr: np.ndarray
-
-    @classmethod
-    def zero(cls, shape) -> "GammaBlock":
-        z = np.zeros(shape)
-        return cls(*(z.copy() for _ in range(8)))
 
     def as_dict(self) -> dict:
         return {"00": self.c00, "0r": self.c0r, "rr": self.crr}
@@ -264,30 +248,6 @@ def energy_identity_residual(slices: dict, s1: float, s2: float,
     residual = abs(e1 - (e2 + integral)) / scale
     return {"s1": s1, "s2": s2, "E1": e1, "E2": e2, "flux_integral": integral,
             "residual": residual}
-
-
-# ---------------------------------------------------------------------------
-# Energy equivalence
-
-
-@dataclass
-class EquivalenceResult:
-    ratio: float
-    sup_t_gamma: float
-    conclusive: bool
-    within_two_sided: bool
-
-
-def equivalence_check(data: SliceData, gamma: GammaBlock,
-                      eps_n: float = SMALLNESS_EPS) -> EquivalenceResult:
-    """Ratio E[0]/E[gamma] with the smallness hypothesis sup t|gamma|_E."""
-    e0 = hyperboloidal_energy(data)
-    eg = hyperboloidal_energy(data, gamma.as_dict())
-    ratio = e0 / eg if eg != 0 else np.inf
-    sup_tg = float(np.max(data.t * gamma.euclidean_norm()))
-    return EquivalenceResult(ratio=float(ratio), sup_t_gamma=sup_tg,
-                             conclusive=sup_tg <= eps_n,
-                             within_two_sided=0.5 <= ratio <= 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +386,6 @@ def decay_fit(x, y, window=None, bootstrap: int = 200, seed: int = 0) -> DecayFi
     lo_q, hi_q = np.quantile(slopes, [0.025, 0.975])
     return DecayFit(exponent=float(coef[0]), ci_low=float(lo_q),
                     ci_high=float(hi_q), n_samples=len(x), span=float(span))
-
-
-def envelope(t, u_abs, min_separation: int = 3):
-    """Local maxima of |u(t)|: the oscillation envelope for KG fits."""
-    t = np.asarray(t)
-    u_abs = np.asarray(u_abs)
-    idx = [i for i in range(1, len(t) - 1)
-           if u_abs[i] >= u_abs[i - 1] and u_abs[i] >= u_abs[i + 1]
-           and u_abs[i] > 0]
-    pruned = []
-    for i in idx:
-        if not pruned or i - pruned[-1] >= min_separation:
-            pruned.append(i)
-    return t[pruned], u_abs[pruned]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Method of lines: centered second-order stencils in r, classical four-stage
 Runge-Kutta in t.  The regular axis limit replaces the radial Laplacian by
-n * u_rr at r = 0.  Hyperboloid samples are captured on the fly from a
-four-step rolling window, so long runs never store the dense history.
+n * u_rr at r = 0.  Hyperboloid samples are captured on the fly: each new
+row is gathered once at the stencil columns of the slice nodes that read it,
+and the captures are interpolated in blocks of steps (`SliceSampler`), so
+long runs never store the dense history.
 
 Compactly supported data stay inside the light cone, and the grid columns
 past the numerical front hold exact zeros.  Each step therefore runs the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,18 +188,32 @@ def _radial_stencil(g: np.ndarray, b: int, dr: float) -> np.ndarray:
 
 
 _STENCIL_OFFSETS = np.arange(-2, 3)[:, None]
-_EYE4 = np.eye(4)
+_EYE4 = np.eye(4)[..., None]
 _DIAG4 = (np.arange(4), np.arange(4))
+#: capture steps whose samples one flush computes together: the sampler holds
+#: the schedule of at most two such blocks and the gathers of at most
+#: _FLUSH_EVERY + 3 rows, so its memory does not grow with the sweep
+_FLUSH_EVERY = 64
 
 
 class SliceSampler:
-    """Captures hyperboloid samples from a rolling four-step window.
+    """Captures hyperboloid samples as a sweep passes through them.
 
     Each radial node k of a target slice s crosses the evolution at
-    t*_k = sqrt(s^2 + r_k^2); when t*_k enters the center interval of the
-    window the node's values and radial derivatives are interpolated
-    (4-point Lagrange in t) and stored.  Works for forward and backward
-    sweeps; the done-mask accumulates across both.
+    t*_k = sqrt(s^2 + r_k^2).  Row j of a sweep comes at t_j = t0 + j dt;
+    the row j >= 3 captures the nodes whose t* lies in [t_{j-2}, t_{j-1})
+    ([t_0, t_2) for j = 3; the bounds swap in a backward sweep), and each
+    capture interpolates the node's values and radial derivatives over rows
+    j-3..j (4-point Lagrange in t).  Works for forward and backward sweeps;
+    the done-mask accumulates across both.
+
+    `new_sweep` tells the sampler the times of the sweep, so it schedules
+    the captures ahead, _FLUSH_EVERY steps at a time.  When a row arrives,
+    `observe` gathers its u and v once at the 5-column neighbourhoods of
+    the nodes that read it (those of steps j..j+3, one contiguous stretch
+    of the schedule) and marks the nodes of step j done.  Every
+    _FLUSH_EVERY steps, and before the next sweep or `slice_data`, one pass
+    interpolates all completed captures.
 
     The nodes of all slices share one concatenated store per (u|v, order),
     searched through one t*-sorted index; each entry's "cols", "done" and
@@ -210,8 +226,8 @@ class SliceSampler:
         self.n = n
         self.dr = dr
         self.max_b = max_b
-        self._buf: deque = deque(maxlen=4)
-        self._first_window = False
+        #: grid columns gathered per row of u (the same of v), over all rows
+        self.gathered_columns = 0
         slcs = [make_slice(s, n, dr, r_cap=r_cap(s) if callable(r_cap) else r_cap)
                 for s in targets]
         self._tstar = np.concatenate([slc.t for slc in slcs] or [np.empty(0)])
@@ -233,56 +249,129 @@ class SliceSampler:
                 "done": self._done[sel],
                 "store": {key: arr[..., sel] for key, arr in self._store.items()},
             })
+        self._reset(0.0, 0.0, -1)
+
+    @property
+    def captured_nodes(self) -> int:
+        return sum(int(np.count_nonzero(e["done"])) for e in self.entries)
 
     def t_range_needed(self) -> tuple[float, float]:
         los = [e["tstar"][0] for e in self.entries]
         his = [e["tstar"][-1] for e in self.entries]
         return (min(los), max(his)) if los else (np.inf, -np.inf)
 
-    def new_sweep(self) -> None:
-        self._buf.clear()
-        self._first_window = True
+    def new_sweep(self, t0: float, dt: float, n_steps: int) -> None:
+        """Start a sweep whose row j = 0..n_steps comes at t0 + j * dt,
+        the floats `_run_sweep` passes to `observe`."""
+        self._flush()
+        self._reset(t0, dt, n_steps)
+
+    def _reset(self, t0: float, dt: float, n_steps: int) -> None:
+        self._t0, self._dt, self._n_steps = t0, dt, n_steps
+        self._row = 0
+        # the schedule: the not yet interpolated captures in step order, by
+        # store index, step and gather columns; position p of the sweep's
+        # schedule is entry p - _first.  _bound[J - _step0] is the position
+        # of the first capture of a step >= J, from J = _step0 <= _row on to
+        # _planned, and on to n_steps + 4 once every step is planned (at once
+        # in a sweep too short to capture)
+        self._first, self._step0, self._planned = 0, 0, 3
+        self._bound = [0] * (4 if n_steps >= 3 else 7)
+        self._node = self._step = np.empty(0, dtype=int)
+        self._gcol = np.empty((5, 0), dtype=int)
+        # (row, position of its first reader, u gather, v gather)
+        self._gathers: list = []
+
+    def _plan(self, top: int) -> None:
+        """Schedule the next _FLUSH_EVERY steps; top is the last grid column."""
+        j = np.arange(self._planned, min(self._planned + _FLUSH_EVERY,
+                                         self._n_steps + 1))
+        # window of step j: t_{j-2}, t_{j-1}; of step 3: t_0..t_2
+        t = self._t0 + np.arange(j[0] - 2, j[-1]) * self._dt
+        lo, hi = np.minimum(t[:-1], t[1:]), np.maximum(t[:-1], t[1:])
+        if j[0] == 3:
+            t012 = self._t0 + np.arange(3) * self._dt
+            lo[0], hi[0] = t012.min(), t012.max()
+        i0 = np.searchsorted(self._tsorted, lo, side="left")
+        n_in = np.maximum(np.searchsorted(self._tsorted, hi, side="left") - i0, 0)
+        total = int(n_in.sum())
+        ranks = np.arange(total) + np.repeat(i0 - (np.cumsum(n_in) - n_in), n_in)
+        node = self._order[ranks]
+        pending = ~self._done[node]
+        node, step = node[pending], np.repeat(j, n_in)[pending]
+        end = self._first + len(self._node)
+        self._bound.extend((end + np.searchsorted(step, j + 1)).tolist())
+        self._planned = int(j[-1]) + 1
+        if self._planned > self._n_steps:
+            self._bound.extend(self._bound[-1:] * 3)
+        self._node = np.concatenate((self._node, node))
+        self._step = np.concatenate((self._step, step))
+        self._gcol = np.concatenate(
+            (self._gcol, np.minimum(np.abs(self._cols[node] + _STENCIL_OFFSETS), top)),
+            axis=1)
 
     def observe(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
-        self._buf.append((t, u, v))
-        if len(self._buf) < 4:
-            return
-        times = [b[0] for b in self._buf]
-        if self._first_window:
-            lo, hi = min(times[:3]), max(times[:3])
-            self._first_window = False
-        else:
-            lo, hi = sorted((times[1], times[2]))
-        i0, i1 = np.searchsorted(self._tsorted, (lo, hi), side="left")
-        if i1 <= i0:
-            return
-        idx = self._order[i0:i1]
-        idx = idx[~self._done[idx]]
-        if not len(idx):
-            return
-        # Lagrange weights over the four buffered times: w_i is the product
-        # over j of (t* - t_j) / (t_i - t_j), with the j = i ratio set to 1.0
-        # (exact); the eye keeps the diagonal of den away from zero
-        times = np.array(times)
-        den = times[:, None] - times + _EYE4
-        ratio = (self._tstar[idx] - times[:, None]) / den[:, :, None]
-        ratio[_DIAG4] = 1.0
-        w = ratio[:, 0] * ratio[:, 1] * ratio[:, 2] * ratio[:, 3]
-        w = w.reshape((4,) + (1,) * u.ndim + w.shape[1:])
-        # one (5, m) neighbourhood gather per buffered u and v row
-        gather = np.minimum(np.abs(self._cols[idx] + _STENCIL_OFFSETS), u.shape[-1] - 1)
-        rows = np.stack([buf[pos][..., gather] for buf in self._buf for pos in (1, 2)])
-        rows = rows.reshape((4, 2) + rows.shape[1:])
-        for b in range(self.max_b + 1):
-            # the weighted sum in buffer order, as a sum over the first axis
-            acc = sum(w * _radial_stencil(rows, b, self.dr))
-            self._store["u", b][..., idx] = acc[0]
-            if b < self._n_orders["v"]:
-                self._store["v", b][..., idx] = acc[1]
-        self._done[idx] = True
+        """Take row number k of the sweep, at t = t0 + k * dt."""
+        k = self._row
+        if k > self._n_steps or t != self._t0 + k * self._dt:
+            raise ValueError(f"row {k} of the sweep comes at t={t!r}, but the sweep "
+                             f"announced rows 0..{self._n_steps} at t0 + j dt, "
+                             f"t0={self._t0!r}, dt={self._dt!r}")
+        self._row = k + 1
+        if k + 4 > self._planned <= self._n_steps:
+            self._plan(u.shape[-1] - 1)
+        at = self._bound[k - self._step0:k - self._step0 + 5]
+        p, q = at[0] - self._first, at[4] - self._first
+        if q > p:
+            cols = self._gcol[:, p:q]
+            self._gathers.append((k, at[0], u[..., cols], v[..., cols]))
+            self.gathered_columns += cols.size
+        # the captures of step k, and a flush after the last step of a block
+        if at[1] > at[0]:
+            self._done[self._node[p:at[1] - self._first]] = True
+        if (k - 2) % _FLUSH_EVERY == 0:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Interpolate every scheduled capture whose four rows have come."""
+        m = self._bound[self._row - self._step0] - self._first
+        if m:
+            idx, step = self._node[:m], self._step[:m]
+            rows = step + np.arange(-3, 1)[:, None]
+            # each capture's four rows, as columns of the concatenated gathers
+            got = np.array([g[:2] for g in self._gathers])
+            width = np.array([g[2].shape[-1] for g in self._gathers])
+            which = np.searchsorted(got[:, 0], rows)
+            col = (np.cumsum(width) - width - got[:, 1])[which] + self._first + np.arange(m)
+            g = np.stack([np.concatenate([gi[f] for gi in self._gathers], axis=-1)[..., col]
+                          for f in (2, 3)])
+            g = np.moveaxis(g, -2, 0)
+            # Lagrange weights over the four rows: w_i is the product over j
+            # of (t* - t_j) / (t_i - t_j), with the j = i ratio set to 1.0
+            # (exact); the eye keeps the diagonal of den away from zero
+            times = self._t0 + rows * self._dt
+            den = times[:, None] - times + _EYE4
+            ratio = (self._tstar[idx] - times) / den
+            ratio[_DIAG4] = 1.0
+            w = ratio[:, 0] * ratio[:, 1] * ratio[:, 2] * ratio[:, 3]
+            w = w.reshape((4,) + (1,) * (g.ndim - 3) + (m,))
+            for b in range(self.max_b + 1):
+                # the weighted sum in row order, as a sum over the first axis
+                acc = sum(w * _radial_stencil(g, b, self.dr))
+                self._store["u", b][..., idx] = acc[0]
+                if b < self._n_orders["v"]:
+                    self._store["v", b][..., idx] = acc[1]
+            self._node, self._step = self._node[m:], self._step[m:]
+            self._gcol = self._gcol[:, m:]
+            self._first += m
+        # the rows that the captures still scheduled read
+        self._gathers = [g for g in self._gathers if g[0] >= self._row - 3]
+        del self._bound[:self._row - self._step0]
+        self._step0 = self._row
 
     def slice_data(self, lam: float, component: int | None = None) -> dict[float, SliceData]:
         """Package captures as SliceData (selecting one leading component)."""
+        self._flush()
         out = {}
         for entry in self.entries:
             if not entry["done"].all():
@@ -388,17 +477,19 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     column beyond it keeps +0.0, which is what the full-grid step makes of
     +0.0 data.  accel must act column by column, up to the radial stencils,
     and map zero data to zero; a forcing of unknown support does not, and
-    its run passes windowed=False.  Each step still returns fresh
-    full-length u and v, since the sampler keeps the rows it buffers.
+    its run passes windowed=False.  Each step writes fresh full-length u and
+    v; the sampler and the history copy what they keep of a row.
 
     counts, when given, accumulates "steps", "rhs_evals", "node_steps" (grid
     nodes times steps) and "active_node_steps" (window nodes times steps).
+    sampler.observe receives row j at t0 + j * dt, j = 0..n_steps, as
+    `SliceSampler.new_sweep` announced.
     """
     nr = u.shape[-1]
     w, active_cols, blowup, j = nr, 0, None, 0
     t = t0
     if sampler is not None:
-        sampler.new_sweep()
+        sampler.new_sweep(t0, dt, n_steps)
         sampler.observe(t, u, v)
     if on_monitor is not None:
         on_monitor(0, t, u, v)
@@ -516,7 +607,8 @@ def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
     Both sweeps step an active window (`_run_sweep`) unless windowed is
     False.  Returns (history, monitors, sampler, blowup_time, counts); the
     sampler is None without slices or after a blow-up, and counts are the
-    sweeps' work counts.
+    sweeps' work counts with the sampler's "captured_nodes" and
+    "gathered_columns" (0 without slices).
     """
     dr, dt = config.dr, config.dt
     r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
@@ -560,16 +652,20 @@ def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
         blowup_factor=config.blowup_factor, cfl_check=cfl_check,
         windowed=windowed, counts=counts,
     )
-    if blow is not None:
-        sampler = None
-    elif sampler is not None:
+    if blow is None and sampler is not None:
         t_lo = sampler.t_range_needed()[0]
         if t_lo < config.t_start:
             n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
             _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
                        accel, sampler, windowed=windowed, counts=counts)
+    if sampler is not None:
+        counts["captured_nodes"] = sampler.captured_nodes
+        counts["gathered_columns"] = sampler.gathered_columns
+    else:
+        counts["captured_nodes"] = counts["gathered_columns"] = 0
     monitors = {k: np.array(vals) for k, vals in mon.items()}
-    return history, monitors, sampler, blow, dict(counts)
+    return (history, monitors, None if blow is not None else sampler, blow,
+            dict(counts))
 
 
 def _mode_field(history: _History, lam: float, config: EvolutionConfig,

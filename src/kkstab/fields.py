@@ -9,13 +9,11 @@ energies) are evaluated without going back to the full history.
 from __future__ import annotations
 
 import io
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import internal as internal_mod
 from .geometry import HyperboloidSlice
 
 SNAPSHOT_MAGIC = "kkstab-field v1"
@@ -25,10 +23,6 @@ _HEADER_LINE_MAX = 4096
 
 class WindowError(ValueError):
     """Requested slice or time outside the stored evolution window."""
-
-
-class AliasingError(ValueError):
-    """Grid field has content above the internal Nyquist limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,39 +180,6 @@ def d2dr2(u: np.ndarray, dr: float) -> np.ndarray:
     out[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dr ** 2
     out[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / dr ** 2
     out[..., -1] = 0.0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Mode decomposition (flat torus, d = 1, 2)
-
-
-def mode_decompose(h: np.ndarray, model: internal_mod.FlatTorus,
-                   nyquist_guard: float = 1e-10) -> dict[tuple[int, ...], np.ndarray]:
-    """Project a gridded product field onto internal Fourier modes.
-
-    h has shape (*base_shape, m1[, m2]) with the trailing axes sampling the
-    torus uniformly.  Returns {wavevector: complex coefficient array over the
-    base shape}.  Content at the Nyquist wavenumber is an aliasing error.
-    """
-    d = model.d
-    if d not in (1, 2):
-        raise ValueError("full-grid decomposition supports flat tori with d <= 2 only")
-    axes = tuple(range(h.ndim - d, h.ndim))
-    coeffs_grid = np.fft.fftn(h, axes=axes) / math.prod(h.shape[a] for a in axes)
-    sizes = [h.shape[a] for a in axes]
-    scale = np.max(np.abs(coeffs_grid)) or 1.0
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for idx in np.ndindex(*sizes):
-        k = tuple(i if i <= m // 2 else i - m for i, m in zip(idx, sizes))
-        c = coeffs_grid[(Ellipsis, *idx)]
-        if any(i == m // 2 and m % 2 == 0 for i, m in zip(idx, sizes)):
-            if np.max(np.abs(c)) > nyquist_guard * scale:
-                raise AliasingError(
-                    f"content at the internal Nyquist wavenumber {k} exceeds the guard"
-                )
-            continue
-        out[k] = np.asarray(c)
     return out
 
 

@@ -20,15 +20,6 @@ class DomainError(ValueError):
     """Point outside the chart's domain of validity."""
 
 
-def to_hyperboloidal(t: float, x) -> tuple[float, np.ndarray]:
-    """Map a Cartesian point inside the light cone to (s, y)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r2 = float(np.dot(x, x))
-    if t * t <= r2:
-        raise DomainError(f"point (t={t}, |x|={math.sqrt(r2)}) not inside the light cone")
-    return math.sqrt(t * t - r2), x.copy()
-
-
 def sphere_area(n: int) -> float:
     """Surface measure of the unit (n-1)-sphere in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -86,14 +77,6 @@ def make_slice(s: float, n: int, dr: float, r_cap: float | None = None) -> Hyper
 # ---------------------------------------------------------------------------
 # The radial generator algebra: exact integer word expansion
 
-
-#: Structure constants of the radial subalgebra {T, Xr, Z0r}:
-#: [A, B] = sum_C c_C C with entries ((A, B), {C: coeff}).
-RADIAL_BRACKETS = {
-    ("T", "Xr"): {},
-    ("T", "Z0r"): {"Xr": 1.0},
-    ("Xr", "Z0r"): {"T": 1.0},
-}
 
 # Each radial generator as a sum of t^i r^j d_axis pieces (i, j, axis), with
 # axis 0 for d_t and 1 for d_r: Z0r = t d_r + r d_t.

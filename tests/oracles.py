@@ -11,10 +11,32 @@ import math
 import numpy as np
 
 from kkstab import evolve as ev
-from kkstab.energy import REPORT_MAGIC
+from kkstab.energy import REPORT_MAGIC, GammaBlock, SobolevParams, hyperboloidal_energy
 from kkstab.fields import SliceData, WindowError, d2dr2, ddr
-from kkstab.geometry import make_slice
+from kkstab.geometry import DomainError, make_slice
 from kkstab.schwarzschild import _christoffels, harmonic_metric
+
+
+# ---------------------------------------------------------------------------
+# Geometry: the hyperboloidal chart and the radial generator brackets
+
+
+def to_hyperboloidal(t: float, x) -> tuple[float, np.ndarray]:
+    """Map a Cartesian point inside the light cone to (s, y)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    r2 = float(np.dot(x, x))
+    if t * t <= r2:
+        raise DomainError(f"point (t={t}, |x|={math.sqrt(r2)}) not inside the light cone")
+    return math.sqrt(t * t - r2), x.copy()
+
+
+#: Structure constants of the radial subalgebra {T, Xr, Z0r}:
+#: [A, B] = sum_C c_C C with entries ((A, B), {C: coeff}).
+RADIAL_BRACKETS = {
+    ("T", "Xr"): {},
+    ("T", "Z0r"): {"Xr": 1.0},
+    ("Xr", "Z0r"): {"T": 1.0},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +146,42 @@ def evolve_full_grid_torus(n: int, torus, init, config: ev.EvolutionConfig,
     return np.array(history.t), history["u"]
 
 
+class AliasingError(ValueError):
+    """Grid field has content above the internal Nyquist limit."""
+
+
+def mode_decompose(h: np.ndarray, model, nyquist_guard: float = 1e-10
+                   ) -> dict[tuple[int, ...], np.ndarray]:
+    """Project a gridded product field onto internal Fourier modes of a flat
+    torus `model` (d = 1, 2).
+
+    h has shape (*base_shape, m1[, m2]) with the trailing axes sampling the
+    torus uniformly.  Returns {wavevector: complex coefficient array over the
+    base shape}.  Content at the Nyquist wavenumber is an aliasing error.
+    """
+    d = model.d
+    if d not in (1, 2):
+        raise ValueError("full-grid decomposition supports flat tori with d <= 2 only")
+    axes = tuple(range(h.ndim - d, h.ndim))
+    coeffs_grid = np.fft.fftn(h, axes=axes) / math.prod(h.shape[a] for a in axes)
+    sizes = [h.shape[a] for a in axes]
+    scale = np.max(np.abs(coeffs_grid)) or 1.0
+    out: dict[tuple[int, ...], np.ndarray] = {}
+    for idx in np.ndindex(*sizes):
+        k = tuple(i if i <= m // 2 else i - m for i, m in zip(idx, sizes))
+        c = coeffs_grid[(Ellipsis, *idx)]
+        if any(i == m // 2 and m % 2 == 0 for i, m in zip(idx, sizes)):
+            if np.max(np.abs(c)) > nyquist_guard * scale:
+                raise AliasingError(
+                    f"content at the internal Nyquist wavenumber {k} exceeds the guard"
+                )
+            continue
+        out[k] = np.asarray(c)
+    return out
+
+
 def mode_reconstruct(coeffs: dict, model, grid_shape: tuple) -> np.ndarray:
-    """Inverse of `fields.mode_decompose` on the same internal grid."""
+    """Inverse of `mode_decompose` on the same internal grid."""
     d = model.d
     base_shape = next(iter(coeffs.values())).shape
     out = np.zeros(base_shape + grid_shape, dtype=complex)
@@ -269,3 +325,56 @@ def read_report(path) -> dict:
         if magic != REPORT_MAGIC:
             raise ValueError(f"bad report magic {magic!r}")
         return json.load(fh)
+
+
+# ---------------------------------------------------------------------------
+# Energy equivalence, decay envelopes and the estimate hypotheses
+
+#: Smallness threshold on sup t|gamma|_E below which the 2-sided energy
+#: equivalence is asserted rather than merely reported.
+SMALLNESS_EPS = 0.05
+
+
+def zero_gamma(shape) -> GammaBlock:
+    """The gamma block that vanishes, with its derivatives, on every node."""
+    z = np.zeros(shape)
+    return GammaBlock(*(z.copy() for _ in range(8)))
+
+
+def integrable(params: SobolevParams) -> bool:
+    """beta > 3/2, equivalent to n > 8."""
+    return params.beta > 1.5
+
+
+@dataclasses.dataclass
+class EquivalenceResult:
+    ratio: float
+    sup_t_gamma: float
+    conclusive: bool
+    within_two_sided: bool
+
+
+def equivalence_check(data: SliceData, gamma: GammaBlock,
+                      eps_n: float = SMALLNESS_EPS) -> EquivalenceResult:
+    """Ratio E[0]/E[gamma] with the smallness hypothesis sup t|gamma|_E."""
+    e0 = hyperboloidal_energy(data)
+    eg = hyperboloidal_energy(data, gamma.as_dict())
+    ratio = e0 / eg if eg != 0 else np.inf
+    sup_tg = float(np.max(data.t * gamma.euclidean_norm()))
+    return EquivalenceResult(ratio=float(ratio), sup_t_gamma=sup_tg,
+                             conclusive=sup_tg <= eps_n,
+                             within_two_sided=0.5 <= ratio <= 2.0)
+
+
+def envelope(t, u_abs, min_separation: int = 3):
+    """Local maxima of |u(t)|: the oscillation envelope for KG fits."""
+    t = np.asarray(t)
+    u_abs = np.asarray(u_abs)
+    idx = [i for i in range(1, len(t) - 1)
+           if u_abs[i] >= u_abs[i - 1] and u_abs[i] >= u_abs[i + 1]
+           and u_abs[i] > 0]
+    pruned = []
+    for i in idx:
+        if not pruned or i - pruned[-1] >= min_separation:
+            pruned.append(i)
+    return t[pruned], u_abs[pruned]

@@ -15,11 +15,8 @@ from kkstab import energy as en
 from kkstab import evolve as ev
 from kkstab import internal
 from kkstab.energy import (
-    GammaBlock,
     SobolevParams,
     decay_fit,
-    envelope,
-    equivalence_check,
     estimate_suite,
     hyperboloidal_energy,
 )
@@ -34,7 +31,8 @@ from kkstab.schwarzschild import (
     integrate_geodesic,
     wave_gauge_residual,
 )
-from oracles import constants_stable, evolve_full_grid_torus
+from oracles import (constants_stable, envelope, equivalence_check, evolve_full_grid_torus,
+                     zero_gamma)
 from symbolic import scaling_family_slice
 
 
@@ -205,7 +203,7 @@ def test_energy_equivalence_window():
     profile = np.exp(-data.r / 4.0)
 
     def gamma_of(delta):
-        g = GammaBlock.zero(shape)
+        g = zero_gamma(shape)
         g.c00 += delta * profile
         g.crr -= 0.5 * delta * profile
         return g

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kkstab import evolve, schwarzschild
+from kkstab.geometry import make_slice
 from kkstab.cli import main
 from oracles import read_report
 
@@ -141,6 +142,8 @@ class TestEvolve:
         counts = meta["counts"]
         assert counts["steps"] == steps and counts["rhs_evals"] == 4 * steps
         assert 0 < counts["active_node_steps"] < counts["node_steps"]
+        # no slices requested: the sampler did no work
+        assert counts["captured_nodes"] == counts["gathered_columns"] == 0
         assert meta["versions"]["numpy"] == np.__version__
         assert set(meta["versions"]) == {"kkstab", "python", "numpy", "scipy"}
         assert meta["n"] == 9 and meta["n_in_theorem_range"] is True
@@ -189,7 +192,13 @@ class TestEnergy:
         _, out2 = run_cli(list(args), tmp_path, "b")
         meta = _differ_only_in_run_meta(out1, out2)
         assert meta["n_in_theorem_range"] is False
-        assert meta["counts"]["steps"] > 0
+        counts = meta["counts"]
+        assert counts["steps"] > 0
+        # every node of the three slices, each read in 4 rows at 5 columns
+        report = read_report(out1 / "energy-report.json")
+        assert counts["captured_nodes"] == sum(
+            len(make_slice(float(s), 3, 0.0625).r) for s in report["energies"])
+        assert counts["gathered_columns"] == 20 * counts["captured_nodes"]
 
     def test_defaults_exit_0(self, tmp_path):
         """Every default slice lies inside the default run."""
@@ -304,6 +313,19 @@ class TestConfigPrecedence:
         cp.read(out / "resolved-config.ini")
         assert cp["spectrum"]["lmax"] == "3"
         assert cp["spectrum"]["periods"] == "1,2"
+
+    def test_multiline_value_reruns_from_resolved_config(self, tmp_path):
+        """A value with a continuation line is written back indented, so the
+        run repeats from its own resolved-config.ini."""
+        ini = tmp_path / "multiline.ini"
+        ini.write_text("[spectrum]\nd = 3\nperiods = 1,1\n  ,2\nlmax = 3\n")
+        code, out1 = run_cli(["spectrum", "--config", str(ini)], tmp_path, "ml1")
+        assert code == 0
+        code, out2 = run_cli(["spectrum", "--config",
+                              str(out1 / "resolved-config.ini")], tmp_path, "ml2")
+        assert code == 0
+        for name in ("spectrum.txt", "resolved-config.ini"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_malformed_env_value_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KKSTAB_DR", "abc")

@@ -9,24 +9,21 @@ import sympy as sp
 
 from kkstab import energy as en
 from kkstab.energy import (
-    EquivalenceResult,
-    GammaBlock,
     InsufficientSpanError,
     SobolevParams,
     boosted_energy,
     decay_fit,
     def_integrand,
     energy_identity_residual,
-    envelope,
-    equivalence_check,
     estimate_suite,
     hyperboloidal_energy,
 )
 from kkstab.evolve import EvolutionConfig, evolve_kg_radial
-from kkstab.geometry import RADIAL_BRACKETS, make_slice
+from kkstab.geometry import make_slice
 from kkstab.fields import SliceData
-from oracles import (ETA2, constants_stable, inverse_metric_einsum, pack_sym, sharp,
-                     sharp_prod, stress_integrand)
+from oracles import (ETA2, RADIAL_BRACKETS, EquivalenceResult, constants_stable,
+                     envelope, equivalence_check, integrable, inverse_metric_einsum,
+                     pack_sym, sharp, sharp_prod, stress_integrand, zero_gamma)
 from symbolic import (R, T, monomials_of, scaling_family_slice,
                       slice_data_from_expr, sympy_word_terms)
 
@@ -56,7 +53,7 @@ class TestTwoPathDensity:
 
     def test_two_path_with_gamma(self, family_slice):
         shape = family_slice.u.shape
-        g = GammaBlock.zero(shape)
+        g = zero_gamma(shape)
         g.c00 += 1e-3 * np.sin(family_slice.r)
         g.crr += 1e-3 * np.cos(family_slice.r)
         a = def_integrand(family_slice, g.as_dict())
@@ -96,7 +93,7 @@ class TestPositivity:
 
 class TestEquivalence:
     def test_small_gamma_ratio_near_one(self, family_slice):
-        g = GammaBlock.zero(family_slice.u.shape)
+        g = zero_gamma(family_slice.u.shape)
         g.c00 += 1e-5
         res = equivalence_check(family_slice, g)
         assert isinstance(res, EquivalenceResult)
@@ -147,8 +144,8 @@ class TestSobolevParams:
         assert p.beta == pytest.approx(7.0 / 4.0)
         assert p.d_tilde % 2 == 0
         assert p.n_big % 2 == 0
-        assert p.integrable  # beta > 3/2 iff n > 8
-        assert not SobolevParams.from_dims(5, 2).integrable
+        assert integrable(p)  # beta > 3/2 iff n > 8
+        assert not integrable(SobolevParams.from_dims(5, 2))
 
 
 class TestWordAlgebra:
@@ -177,7 +174,7 @@ class TestWordAlgebra:
 
     def test_brackets_are_the_structure_constants(self):
         """[A, B] Z^w u = sum_G c_G Z^G Z^w u exactly, with the structure
-        constants of geometry.RADIAL_BRACKETS, for every w of length <= 2."""
+        constants of RADIAL_BRACKETS, for every w of length <= 2."""
         for (a, b), combo in RADIAL_BRACKETS.items():
             for w in en._words_upto(2):
                 defect = self.as_poly(en._word_terms((a, b) + w))

@@ -379,7 +379,7 @@ def full_grid_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     """Oracle: the RK4 loop that steps every column of the grid."""
     t = t0
     if sampler is not None:
-        sampler.new_sweep()
+        sampler.new_sweep(t0, dt, n_steps)
         sampler.observe(t, u, v)
     if on_monitor is not None:
         on_monitor(0, t, u, v)
@@ -633,6 +633,8 @@ class ReferenceSampler(SliceSampler):
     store and searchsorted pair, and every buffered step is sampled again for
     each derivative order with Lagrange weights built in a loop."""
 
+    gathered_columns = 0  # not counted
+
     def __init__(self, targets, n, dr, max_b=2, r_cap=None, leading_shape=()):
         self.n, self.dr, self.max_b = n, dr, max_b
         self._buf = deque(maxlen=4)
@@ -650,6 +652,13 @@ class ReferenceSampler(SliceSampler):
                 "tstar": slc.t, "done": np.zeros(slc.r.shape, dtype=bool),
                 "store": store,
             })
+
+    def new_sweep(self, t0, dt, n_steps):
+        self._buf.clear()
+        self._first_window = True
+
+    def _flush(self):
+        """Every capture is stored in the call that makes it."""
 
     def observe(self, t, u, v):
         self._buf.append((t, u, v))
@@ -696,10 +705,11 @@ def _sampler_case(case, sample_derivs):
     """Slice captures of one small run, per slice a list of SliceData (one
     per leading component)."""
     if case == "kg":
-        # s = 2.5 crosses t_start = 4, so the backward sweep captures too
+        # s = 2.5 lies below t_start = 4, so the backward sweep captures too;
+        # s = 3.9 has nodes in the first window of either sweep
         cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
                               store_history=False, sample_derivs=sample_derivs)
-        res = evolve_kg_radial(0.5, 3, config=cfg, slice_s=(2.5, 5.0))
+        res = evolve_kg_radial(0.5, 3, config=cfg, slice_s=(2.5, 3.9, 5.0))
         return {s: [d] for s, d in res.slices.items()}
     cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
                           eps=1e-3, nonlinearity="quasilinear-toy",
@@ -724,6 +734,37 @@ def _sampler_case(case, sample_derivs):
     return {s: [c[s] for c in comps] for s in comps[0]}
 
 
+def _assert_same_samples(got, want):
+    assert got.keys() == want.keys()
+    for s in want:
+        for g, w in zip(got[s], want[s], strict=True):
+            for key in SAMPLE_KEYS:
+                a, b = getattr(g, key), getattr(w, key)
+                assert (a is None) == (b is None), (s, key)
+                assert a is None or a.tobytes() == b.tobytes(), (s, key)
+
+
+def _capture_log(monkeypatch, cls, case):
+    """Samples of one `_sampler_case` run with sampler class cls, and the
+    (row of the sweep, nodes newly marked done) of every observe call."""
+    log = []
+
+    class Recording(cls):
+        def new_sweep(self, t0, dt, n_steps):
+            super().new_sweep(t0, dt, n_steps)
+            self.row = 0
+
+        def observe(self, t, u, v):
+            before = self.captured_nodes
+            super().observe(t, u, v)
+            log.append((self.row, self.captured_nodes - before))
+            self.row += 1
+
+    with monkeypatch.context() as m:
+        m.setattr(ev, "SliceSampler", Recording)
+        return _sampler_case(case, 2), log
+
+
 class TestSliceSampler:
     @pytest.mark.parametrize("sample_derivs", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["kg", "quasilinear", "grid-edge"])
@@ -733,13 +774,86 @@ class TestSliceSampler:
         want = _sampler_case(case, sample_derivs)
         if case == "grid-edge":
             assert want[6.0][0].r[-1] == 14.0
-        assert got.keys() == want.keys()
-        for s in want:
-            for g, w in zip(got[s], want[s], strict=True):
-                for key in SAMPLE_KEYS:
-                    a, b = getattr(g, key), getattr(w, key)
-                    assert (a is None) == (b is None), (s, key)
-                    assert a is None or np.array_equal(a, b), (s, key)
+        _assert_same_samples(got, want)
+
+    @pytest.mark.parametrize("flush_every", [1, 10 ** 6])
+    @pytest.mark.parametrize("case", ["kg", "quasilinear", "grid-edge"])
+    def test_block_length_keeps_the_bits(self, monkeypatch, case, flush_every):
+        """A flush after every step, and one per sweep (longer than any
+        sweep here), give the reference's samples bit for bit."""
+        monkeypatch.setattr(ev, "_FLUSH_EVERY", flush_every)
+        got = _sampler_case(case, 4)
+        monkeypatch.setattr(ev, "SliceSampler", ReferenceSampler)
+        _assert_same_samples(got, _sampler_case(case, 4))
+
+    def test_captures_straddling_a_flush(self, monkeypatch):
+        """With 5-step blocks a flush follows rows 2 + 5 i.  The capture of
+        step j reads rows j-3..j, so it straddles a flush when (j - 3) % 5
+        is 0, 1 or 2: some of its rows were gathered before that flush."""
+        monkeypatch.setattr(ev, "_FLUSH_EVERY", 5)
+        got, log = _capture_log(monkeypatch, SliceSampler, "kg")
+        phases = {(j - 3) % 5 for j, new in log if new}
+        assert phases == {0, 1, 2, 3, 4}
+        want, _ = _capture_log(monkeypatch, ReferenceSampler, "kg")
+        _assert_same_samples(got, want)
+
+    @pytest.mark.parametrize("case", ["kg", "quasilinear", "grid-edge"])
+    def test_done_marks_per_observe_match_reference(self, monkeypatch, case):
+        """kkbench/layers.py counts captured nodes as the change of the
+        entries' "done" masks across each observe call; the count and the
+        share of calls that capture follow the reference call by call."""
+        got = _capture_log(monkeypatch, SliceSampler, case)[1]
+        want = _capture_log(monkeypatch, ReferenceSampler, case)[1]
+        assert got == want
+        assert sum(new for _, new in got) > 0
+
+    def test_captured_nodes_keep_their_first_samples(self):
+        """The done-mask accumulates across sweeps: a second sweep over the
+        same times, with twice the data, leaves every sample as it was."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, r_max=14.0)
+        r = cfg.dr * np.arange(int(cfg.r_max / cfg.dr) + 1)
+        sampler = SliceSampler((5.0,), 3, cfg.dr, r_cap=6.0)
+        t_hi = sampler.t_range_needed()[1] + 4 * cfg.dt
+        n_steps = int(np.ceil((t_hi - cfg.t_start) / cfg.dt))
+        first = None
+        for amplitude in (1.0, 2.0):
+            u0 = default_pulse(r, amplitude=amplitude)
+            ev._run_sweep(u0, np.zeros_like(u0), cfg.t_start, n_steps, cfg.dt,
+                          ev._linear_accel(3, cfg.dr, 0.0), sampler)
+            u = sampler.slice_data(0.0)[5.0].u
+            first = u.copy() if first is None else first
+        assert np.any(first != 0.0) and u.tobytes() == first.tobytes()
+
+    def test_rows_off_the_announced_times_raise(self):
+        """observe takes row k = 0..n_steps at t0 + k dt, as new_sweep
+        announced, and no row before a sweep is announced."""
+        sampler = SliceSampler((5.0,), 3, 1 / 16, r_cap=6.0)
+        row = np.zeros(200)
+        with pytest.raises(ValueError, match="row 0 of the sweep"):
+            sampler.observe(0.0, row, row)
+        sampler.new_sweep(4.0, 0.025, 1)
+        sampler.observe(4.0, row, row)
+        with pytest.raises(ValueError, match="row 1 of the sweep"):
+            sampler.observe(4.05, row, row)
+        sampler.observe(4.0 + 0.025, row, row)
+        with pytest.raises(ValueError, match="announced rows 0..1"):
+            sampler.observe(4.0 + 2 * 0.025, row, row)
+
+    def test_retained_rows_bounded_by_the_block(self, monkeypatch):
+        """Between flushes the sampler holds the gathers of at most
+        _FLUSH_EVERY + 3 rows, and a schedule of at most two blocks and the
+        three steps before them."""
+        monkeypatch.setattr(ev, "_FLUSH_EVERY", 8)
+        held, flush = [], SliceSampler._flush
+
+        def recording(self):
+            held.append((len(self._gathers), self._planned - self._step0))
+            flush(self)
+
+        monkeypatch.setattr(SliceSampler, "_flush", recording)
+        _sampler_case("kg", 2)
+        assert max(rows for rows, _ in held) == 8 + 3
+        assert max(steps for _, steps in held) <= 2 * 8 + 3
 
     def test_uncaptured_derivative_raises(self):
         """v = d_t u is captured below max(sample_derivs, 1) radial orders, so

@@ -5,16 +5,14 @@ import pytest
 
 from kkstab import internal
 from kkstab.fields import (
-    AliasingError,
     ModeField,
     SliceData,
     WindowError,
-    mode_decompose,
     read_snapshot,
     write_snapshot,
 )
 from kkstab.geometry import make_slice
-from oracles import mode_reconstruct, sample_on_hyperboloid
+from oracles import AliasingError, mode_decompose, mode_reconstruct, sample_on_hyperboloid
 
 
 def _analytic_field(lam=0.0, n=3, t0=2.0, dt=0.01, dr=0.05, nt=600, nr=200):
