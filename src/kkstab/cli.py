@@ -287,6 +287,8 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
     chart = schwarzschild.HarmonicChart(params)
     d = int(cfg["d"])
     r0 = float(cfg["r0"])
+    if not r0 > 0:
+        raise ConfigError(f"r0={r0} must be positive: the probe launches outward")
     mp = schwarzschild.harmonic_metric(chart, r0)
     # outgoing radial null velocity: -f vt^2 + g_rr vr^2 = 0
     vr = 1.0

@@ -70,6 +70,10 @@ class EvolutionConfig:
     blowup_factor: float = 1e3
 
     def __post_init__(self):
+        if not 0 < self.dr < math.inf:
+            raise ValueError(f"dr={self.dr} must be positive and finite")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end={self.t_end} must be finite")
         if self.cfl > 0.5:
             raise CFLError(f"cfl={self.cfl} exceeds the 0.5 stability margin")
         # RK4 keeps the imaginary-axis eigenvalues +-i dt sqrt(rho) / dr of
@@ -116,6 +120,12 @@ def default_pulse(r: np.ndarray, width: float = 2.0, amplitude: float = 1.0) -> 
 _LAP_COEFF_CACHE: dict = {}
 
 
+def _face_weights(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flux weights ((k +- 1/2)/k)^(n-1) of the nodes k = 1..size-2."""
+    k = np.arange(1, size - 1, dtype=float)
+    return ((k + 0.5) / k) ** (n - 1), ((k - 0.5) / k) ** (n - 1)
+
+
 def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     """u_rr + (n-1)/r u_r on the last axis, with the regular axis limit.
 
@@ -131,10 +141,7 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     # of coefficients built for `size` nodes
     coeff = _LAP_COEFF_CACHE.get(n)
     if coeff is None or len(coeff[0]) < size - 2:
-        k = np.arange(1, size - 1, dtype=float)
-        rp = ((k + 0.5) / k) ** (n - 1)
-        rm = ((k - 0.5) / k) ** (n - 1)
-        _LAP_COEFF_CACHE[n] = coeff = (rp, rm)
+        _LAP_COEFF_CACHE[n] = coeff = _face_weights(n, size)
     rp, rm = coeff[0][:size - 2], coeff[1][:size - 2]
     out = np.empty_like(u)
     inv_dr2 = 1.0 / dr ** 2
@@ -155,9 +162,7 @@ def _laplacian_spectral_radius(n: int, size: int = 400) -> float:
     products.  The largest magnitude sits at the axis, where the weights
     ((k +- 1/2)/k)^(n-1) grow with n.
     """
-    k = np.arange(1, size - 1, dtype=float)
-    rp = ((k + 0.5) / k) ** (n - 1)
-    rm = ((k - 0.5) / k) ** (n - 1)
+    rp, rm = _face_weights(n, size)
     diag = np.concatenate(([-2.0 * n], -(rp + rm)))
     off = np.sqrt(np.concatenate(([2.0 * n], rp[:-1])) * rm)
     # imported here so that `import kkstab` stays free of scipy; sterf works
@@ -190,9 +195,8 @@ def _radial_stencil(g: np.ndarray, b: int, dr: float) -> np.ndarray:
 _STENCIL_OFFSETS = np.arange(-2, 3)[:, None]
 _EYE4 = np.eye(4)[..., None]
 _DIAG4 = (np.arange(4), np.arange(4))
-#: capture steps whose samples one flush computes together: the sampler holds
-#: the schedule of at most two such blocks and the gathers of at most
-#: _FLUSH_EVERY + 3 rows, so its memory does not grow with the sweep
+#: capture steps whose samples one flush computes together: between flushes
+#: the sampler holds the gathers of at most _FLUSH_EVERY + 3 rows
 _FLUSH_EVERY = 64
 
 
@@ -207,13 +211,15 @@ class SliceSampler:
     j-3..j (4-point Lagrange in t).  Works for forward and backward sweeps;
     the done-mask accumulates across both.
 
-    `new_sweep` tells the sampler the times of the sweep, so it schedules
-    the captures ahead, _FLUSH_EVERY steps at a time.  When a row arrives,
-    `observe` gathers its u and v once at the 5-column neighbourhoods of
-    the nodes that read it (those of steps j..j+3, one contiguous stretch
-    of the schedule) and marks the nodes of step j done.  Every
-    _FLUSH_EVERY steps, and before the next sweep or `slice_data`, one pass
-    interpolates all completed captures.
+    `new_sweep` tells the sampler the times of the sweep, and its row 0,
+    which shows the last grid column, schedules every capture of the sweep
+    at once: a sweep captures each slice node at most once, so the schedule
+    is bounded by the slice nodes.  When a row arrives, `observe` gathers
+    its u and v once at the 5-column neighbourhoods of the nodes that read
+    it (those of steps j..j+3, one contiguous stretch of the schedule) and
+    marks the nodes of step j done.  Every _FLUSH_EVERY steps, and before
+    the next sweep or `slice_data`, one pass interpolates all completed
+    captures.
 
     The nodes of all slices share one concatenated store per (u|v, order),
     searched through one t*-sorted index; each entry's "cols", "done" and
@@ -223,7 +229,6 @@ class SliceSampler:
 
     def __init__(self, targets, n: int, dr: float, max_b: int = 2,
                  r_cap=None, leading_shape: tuple = ()):
-        self.n = n
         self.dr = dr
         self.max_b = max_b
         #: grid columns gathered per row of u (the same of v), over all rows
@@ -249,7 +254,9 @@ class SliceSampler:
                 "done": self._done[sel],
                 "store": {key: arr[..., sel] for key, arr in self._store.items()},
             })
-        self._reset(0.0, 0.0, -1)
+        # no sweep yet: observe refuses every row, and _flush has nothing
+        self._row, self._next, self._gathers = 0, 0, []
+        self.new_sweep(0.0, 0.0, -1)
 
     @property
     def captured_nodes(self) -> int:
@@ -264,51 +271,28 @@ class SliceSampler:
         """Start a sweep whose row j = 0..n_steps comes at t0 + j * dt,
         the floats `_run_sweep` passes to `observe`."""
         self._flush()
-        self._reset(t0, dt, n_steps)
-
-    def _reset(self, t0: float, dt: float, n_steps: int) -> None:
         self._t0, self._dt, self._n_steps = t0, dt, n_steps
-        self._row = 0
-        # the schedule: the not yet interpolated captures in step order, by
-        # store index, step and gather columns; position p of the sweep's
-        # schedule is entry p - _first.  _bound[J - _step0] is the position
-        # of the first capture of a step >= J, from J = _step0 <= _row on to
-        # _planned, and on to n_steps + 4 once every step is planned (at once
-        # in a sweep too short to capture)
-        self._first, self._step0, self._planned = 0, 0, 3
-        self._bound = [0] * (4 if n_steps >= 3 else 7)
-        self._node = self._step = np.empty(0, dtype=int)
-        self._gcol = np.empty((5, 0), dtype=int)
+        self._row = self._next = 0
         # (row, position of its first reader, u gather, v gather)
         self._gathers: list = []
 
     def _plan(self, top: int) -> None:
-        """Schedule the next _FLUSH_EVERY steps; top is the last grid column."""
-        j = np.arange(self._planned, min(self._planned + _FLUSH_EVERY,
-                                         self._n_steps + 1))
-        # window of step j: t_{j-2}, t_{j-1}; of step 3: t_0..t_2
-        t = self._t0 + np.arange(j[0] - 2, j[-1]) * self._dt
+        """Schedule the sweep's captures in step order, by store index, step
+        and gather columns (clamped at top, the last grid column); _bound[J],
+        J = 0..n_steps + 4, is the position of the first capture of a step >= J."""
+        j = np.arange(3, self._n_steps + 1)
+        # t_1..t_{n_steps-1}; window of step j: t_{j-2}, t_{j-1}; of step 3: t_0..t_2
+        t = self._t0 + np.arange(1, self._n_steps) * self._dt
         lo, hi = np.minimum(t[:-1], t[1:]), np.maximum(t[:-1], t[1:])
-        if j[0] == 3:
-            t012 = self._t0 + np.arange(3) * self._dt
-            lo[0], hi[0] = t012.min(), t012.max()
+        lo[:1], hi[:1] = np.minimum(lo[:1], self._t0), np.maximum(hi[:1], self._t0)
         i0 = np.searchsorted(self._tsorted, lo, side="left")
         n_in = np.maximum(np.searchsorted(self._tsorted, hi, side="left") - i0, 0)
-        total = int(n_in.sum())
-        ranks = np.arange(total) + np.repeat(i0 - (np.cumsum(n_in) - n_in), n_in)
+        ranks = np.arange(n_in.sum()) + np.repeat(i0 - (np.cumsum(n_in) - n_in), n_in)
         node = self._order[ranks]
         pending = ~self._done[node]
-        node, step = node[pending], np.repeat(j, n_in)[pending]
-        end = self._first + len(self._node)
-        self._bound.extend((end + np.searchsorted(step, j + 1)).tolist())
-        self._planned = int(j[-1]) + 1
-        if self._planned > self._n_steps:
-            self._bound.extend(self._bound[-1:] * 3)
-        self._node = np.concatenate((self._node, node))
-        self._step = np.concatenate((self._step, step))
-        self._gcol = np.concatenate(
-            (self._gcol, np.minimum(np.abs(self._cols[node] + _STENCIL_OFFSETS), top)),
-            axis=1)
+        self._node, self._step = node[pending], np.repeat(j, n_in)[pending]
+        self._bound = np.searchsorted(self._step, np.arange(self._n_steps + 5))
+        self._gcol = np.minimum(np.abs(self._cols[self._node] + _STENCIL_OFFSETS), top)
 
     def observe(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
         """Take row number k of the sweep, at t = t0 + k * dt."""
@@ -317,32 +301,32 @@ class SliceSampler:
             raise ValueError(f"row {k} of the sweep comes at t={t!r}, but the sweep "
                              f"announced rows 0..{self._n_steps} at t0 + j dt, "
                              f"t0={self._t0!r}, dt={self._dt!r}")
-        self._row = k + 1
-        if k + 4 > self._planned <= self._n_steps:
+        if k == 0:
             self._plan(u.shape[-1] - 1)
-        at = self._bound[k - self._step0:k - self._step0 + 5]
-        p, q = at[0] - self._first, at[4] - self._first
+        self._row = k + 1
+        p, p1, q = self._bound[k], self._bound[k + 1], self._bound[k + 4]
         if q > p:
             cols = self._gcol[:, p:q]
-            self._gathers.append((k, at[0], u[..., cols], v[..., cols]))
+            self._gathers.append((k, p, u[..., cols], v[..., cols]))
             self.gathered_columns += cols.size
         # the captures of step k, and a flush after the last step of a block
-        if at[1] > at[0]:
-            self._done[self._node[p:at[1] - self._first]] = True
+        if p1 > p:
+            self._done[self._node[p:p1]] = True
         if (k - 2) % _FLUSH_EVERY == 0:
             self._flush()
 
     def _flush(self) -> None:
         """Interpolate every scheduled capture whose four rows have come."""
-        m = self._bound[self._row - self._step0] - self._first
-        if m:
-            idx, step = self._node[:m], self._step[:m]
+        # row 0 of a sweep schedules its captures
+        end = self._bound[self._row] if self._row else 0
+        if end > self._next:
+            idx, step = self._node[self._next:end], self._step[self._next:end]
             rows = step + np.arange(-3, 1)[:, None]
             # each capture's four rows, as columns of the concatenated gathers
             got = np.array([g[:2] for g in self._gathers])
             width = np.array([g[2].shape[-1] for g in self._gathers])
             which = np.searchsorted(got[:, 0], rows)
-            col = (np.cumsum(width) - width - got[:, 1])[which] + self._first + np.arange(m)
+            col = (np.cumsum(width) - width - got[:, 1])[which] + np.arange(self._next, end)
             g = np.stack([np.concatenate([gi[f] for gi in self._gathers], axis=-1)[..., col]
                           for f in (2, 3)])
             g = np.moveaxis(g, -2, 0)
@@ -354,20 +338,16 @@ class SliceSampler:
             ratio = (self._tstar[idx] - times) / den
             ratio[_DIAG4] = 1.0
             w = ratio[:, 0] * ratio[:, 1] * ratio[:, 2] * ratio[:, 3]
-            w = w.reshape((4,) + (1,) * (g.ndim - 3) + (m,))
+            w = w.reshape((4,) + (1,) * (g.ndim - 3) + (-1,))
             for b in range(self.max_b + 1):
                 # the weighted sum in row order, as a sum over the first axis
                 acc = sum(w * _radial_stencil(g, b, self.dr))
                 self._store["u", b][..., idx] = acc[0]
                 if b < self._n_orders["v"]:
                     self._store["v", b][..., idx] = acc[1]
-            self._node, self._step = self._node[m:], self._step[m:]
-            self._gcol = self._gcol[:, m:]
-            self._first += m
+            self._next = end
         # the rows that the captures still scheduled read
         self._gathers = [g for g in self._gathers if g[0] >= self._row - 3]
-        del self._bound[:self._row - self._step0]
-        self._step0 = self._row
 
     def slice_data(self, lam: float, component: int | None = None) -> dict[float, SliceData]:
         """Package captures as SliceData (selecting one leading component)."""
@@ -417,10 +397,7 @@ def _support_radius(u: np.ndarray, dr: float, tol: float = 1e-12) -> float:
     row = np.abs(u)
     if row.ndim > 1:
         row = row.max(axis=tuple(range(row.ndim - 1)))
-    m = row.max()
-    if m == 0.0:
-        return 0.0
-    nz = np.nonzero(row > tol * m)[0]
+    nz = np.nonzero(row > tol * row.max())[0]
     return float(nz[-1]) * dr if len(nz) else 0.0
 
 
@@ -462,23 +439,22 @@ def _last_occupied(u: np.ndarray, v: np.ndarray) -> int:
 
 def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
                monitor_every=0, guard_scale=None, blowup_factor=np.inf,
-               cfl_check=None, windowed=True, counts=None):
+               cfl_check=None, counts=None):
     """Shared stepping loop.  accel(t, u, v) -> dv/dt; du/dt = v.
 
     on_monitor(j, t, u, v) runs at step 0 and every monitor_every steps.
     Returns the blow-up time, or None when the guard never fired.
 
-    Active window: with `windowed`, a step hands accel and the RK4 update
-    only the columns [0, last + 6), where `last` bounds the last column in
-    which u or v is not +0.0.  One step moves that column by at most
-    _FRONT_STEP, so `last` grows by that much per step and is rescanned
-    exactly every _RESCAN_EVERY steps.  The window's edge column lies past
-    the stencils' reach, where the full-grid step writes zeros, and every
-    column beyond it keeps +0.0, which is what the full-grid step makes of
-    +0.0 data.  accel must act column by column, up to the radial stencils,
-    and map zero data to zero; a forcing of unknown support does not, and
-    its run passes windowed=False.  Each step writes fresh full-length u and
-    v; the sampler and the history copy what they keep of a row.
+    Active window: a step hands accel and the RK4 update only the columns
+    [0, last + 6), where `last` bounds the last column in which u or v is
+    not +0.0.  One step moves that column by at most _FRONT_STEP, so `last`
+    grows by that much per step and is rescanned exactly every
+    _RESCAN_EVERY steps.  The window's edge column lies past the stencils'
+    reach, where the full-grid step writes zeros, and every column beyond
+    it keeps +0.0, which is what the full-grid step makes of +0.0 data.
+    accel must act column by column, up to the radial stencils, and map
+    zero data to zero.  Each step writes fresh full-length u and v; the
+    sampler and the history copy what they keep of a row.
 
     counts, when given, accumulates "steps", "rhs_evals", "node_steps" (grid
     nodes times steps) and "active_node_steps" (window nodes times steps).
@@ -486,7 +462,7 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     `SliceSampler.new_sweep` announced.
     """
     nr = u.shape[-1]
-    w, active_cols, blowup, j = nr, 0, None, 0
+    active_cols, blowup, j = 0, None, 0
     t = t0
     if sampler is not None:
         sampler.new_sweep(t0, dt, n_steps)
@@ -494,11 +470,10 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     if on_monitor is not None:
         on_monitor(0, t, u, v)
     for j in range(1, n_steps + 1):
-        if windowed:
-            if (j - 1) % _RESCAN_EVERY == 0:
-                last = _last_occupied(u, v)
-            w = min(last + _FRONT_STEP + 2, nr)
-            last += _FRONT_STEP
+        if (j - 1) % _RESCAN_EVERY == 0:
+            last = _last_occupied(u, v)
+        w = min(last + _FRONT_STEP + 2, nr)
+        last += _FRONT_STEP
         uw, vw = u[..., :w], v[..., :w]
         half = 0.5 * dt
         k1v = accel(t, uw, vw)
@@ -594,26 +569,25 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
     return cap
 
 
-def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
-            slice_s=(), slice_r_cap=None, cfl_check=None, windowed=True):
+def _evolve(config: EvolutionConfig, init, accel, monitor_row=None, *,
+            slice_s=(), slice_r_cap=None, cfl_check=None):
     """The one evolution driver of the radial and quasilinear runs.
 
     Builds the grid r, the initial data (`_prepare_init`; their leading
-    shape is the sampler's), accel = make_accel(r), the slice sampler and
-    the stored history; monitor_row(t, u, v) -> {column: value} runs every
-    config.monitor_every steps.  The forward sweep stops when sup|u| exceeds
-    config.blowup_factor * max|u0| (no guard for zero u0); unless it did,
-    a backward sweep completes the slices that reach below t_start.
-    Both sweeps step an active window (`_run_sweep`) unless windowed is
-    False.  Returns (history, monitors, sampler, blowup_time, counts); the
-    sampler is None without slices or after a blow-up, and counts are the
-    sweeps' work counts with the sampler's "captured_nodes" and
-    "gathered_columns" (0 without slices).
+    shape is the sampler's), the slice sampler and the stored history, and
+    steps dv/dt = accel(t, u, v); monitor_row(t, u, v) -> {column: value}
+    runs every config.monitor_every steps.  The forward sweep stops when
+    sup|u| exceeds config.blowup_factor * max|u0| (no guard for zero u0);
+    unless it did, a backward sweep completes the slices that reach below
+    t_start.  Both sweeps step the light-cone active window (`_run_sweep`).
+    Returns (history, monitors, sampler, blowup_time, counts); the sampler
+    is None without slices or after a blow-up, and counts are the sweeps'
+    work counts with the sampler's "captured_nodes" and "gathered_columns"
+    (0 without slices).
     """
     dr, dt = config.dr, config.dt
     r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
     u0, v0 = _prepare_init(init, r, config)
-    accel = make_accel(r)
 
     sampler, t_end = None, config.t_end
     if slice_s:
@@ -649,15 +623,14 @@ def _evolve(config: EvolutionConfig, init, make_accel, monitor_row=None, *,
         u0.copy(), v0.copy(), config.t_start, n_steps, dt, accel, sampler,
         on_monitor=on_monitor, monitor_every=every,
         guard_scale=float(np.max(np.abs(u0))) or None,
-        blowup_factor=config.blowup_factor, cfl_check=cfl_check,
-        windowed=windowed, counts=counts,
+        blowup_factor=config.blowup_factor, cfl_check=cfl_check, counts=counts,
     )
     if blow is None and sampler is not None:
         t_lo = sampler.t_range_needed()[0]
         if t_lo < config.t_start:
             n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
             _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
-                       accel, sampler, windowed=windowed, counts=counts)
+                       accel, sampler, counts=counts)
     if sampler is not None:
         counts["captured_nodes"] = sampler.captured_nodes
         counts["gathered_columns"] = sampler.gathered_columns
@@ -684,12 +657,9 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam={lam} must be nonnegative")
 
 
-def _linear_accel(n: int, dr: float, lam: float, forcing=None, r=None):
-    """dv/dt = Lap_r u - lam u (+ forcing(t, r)) of the linear equation."""
-    if forcing is not None:
-        def accel(t, u, v):
-            return radial_laplacian(u, dr, n) - lam * u + forcing(t, r)
-    elif lam:
+def _linear_accel(n: int, dr: float, lam: float):
+    """dv/dt = Lap_r u - lam u of the linear equation."""
+    if lam:
         def accel(t, u, v):
             return radial_laplacian(u, dr, n) - lam * u
     else:
@@ -699,8 +669,8 @@ def _linear_accel(n: int, dr: float, lam: float, forcing=None, r=None):
 
 
 def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | None = None,
-                     *, forcing=None, slice_s=(), slice_r_cap=None) -> EvolutionResult:
-    """Evolve (d_t^2 - Lap_r + lam) u = f from compactly supported data.
+                     *, slice_s=(), slice_r_cap=None) -> EvolutionResult:
+    """Evolve (d_t^2 - Lap_r + lam) u = 0 from compactly supported data.
 
     slice_s requests hyperboloid captures; slices whose nodes cross times
     before t_start are completed by a backward sweep (the scheme is time
@@ -724,11 +694,9 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
         row.update((name, float(np.abs(u[col]))) for name, col in observers)
         return row
 
-    # a forcing's support is unknown, so its run steps the whole grid
     history, monitors, sampler, blow, counts = _evolve(
-        config, init, lambda r: _linear_accel(n, dr, lam, forcing, r),
-        monitor_row, slice_s=slice_s, slice_r_cap=slice_r_cap,
-        windowed=forcing is None)
+        config, init, _linear_accel(n, dr, lam), monitor_row,
+        slice_s=slice_s, slice_r_cap=slice_r_cap)
     return EvolutionResult(
         config=config, lam=lam, monitors=monitors, blowup_time=blow,
         counts=counts,
@@ -894,7 +862,7 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     if init is None:
         init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
     history, monitors, sampler, blow, counts = _evolve(
-        config, init, lambda r: _quasilinear_accel(config, lam), monitor_row,
+        config, init, _quasilinear_accel(config, lam), monitor_row,
         slice_s=slice_s, slice_r_cap=slice_r_cap,
         cfl_check=cfl_check if eps != 0.0 else None)
     comp_slices = {}

@@ -30,8 +30,8 @@ class FlatTorus:
     periods: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.periods or any(L <= 0 for L in self.periods):
-            raise ValueError(f"torus periods must be positive, got {self.periods}")
+        if not self.periods or any(not 0 < L < math.inf for L in self.periods):
+            raise ValueError(f"torus periods must be positive and finite: {self.periods}")
         object.__setattr__(self, "periods", tuple(float(L) for L in self.periods))
 
     @property

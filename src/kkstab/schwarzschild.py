@@ -373,6 +373,8 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
     must be flagged as exterior probes.  Terminates on horizon capture.
     Flat space (C_S = 0) skips the metric, so it may launch at the origin.
     """
+    if not init.lam < lam_end < np.inf:
+        raise ValueError(f"lam_end={lam_end} must be finite and above lam={init.lam}")
     params = chart.params
     n, d = params.n, len(init.torus)
     flat = params.cs == 0.0

@@ -255,8 +255,20 @@ class TestDomainErrors:
         (["evolve", "--eps", "0.001", "--lambda", "-1", "--n", "3", "--t-end",
           "10", "--dr", "0.0625"], "lam=-1.0 must be nonnegative"),
         (["evolve", "--n", "11"], "breaks RK4 stability"),
+        (["evolve", "--dr", "0"], "dr=0.0 must be positive and finite"),
+        (["energy", "--dr", "0"], "dr=0.0 must be positive and finite"),
+        (["evolve", "--t-end", "inf"], "t_end=inf must be finite"),
+        (["energy", "--t-end", "inf"], "t_end=inf must be finite"),
+        (["spectrum", "--periods", "1,inf", "--d", "2"],
+         "torus periods must be positive and finite"),
+        (["geodesic", "--lam-end", "0"], "lam_end=0.0 must be finite"),
+        (["geodesic", "--lam-end", "inf"], "lam_end=inf must be finite"),
+        (["geodesic", "--r0", "-1"], "r0=-1.0 must be positive"),
     ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
-            "evolve-lambda", "evolve-eps-lambda", "evolve-n11"])
+            "evolve-lambda", "evolve-eps-lambda", "evolve-n11", "evolve-dr0",
+            "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
+            "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
+            "geodesic-r0-negative"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2

@@ -172,15 +172,6 @@ class TestLinearEvolution:
         order = np.log2(e1 / e2)
         assert order > 1.8
 
-    def test_forcing_term(self):
-        """Zero data + forcing f(t) localized at origin produces response."""
-        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=6.0, r_max=8.0,
-                              store_history=False, monitor_every=4)
-        zero = (lambda r: np.zeros_like(r), lambda r: np.zeros_like(r))
-        res = evolve_kg_radial(0.0, 3, init=zero, config=cfg,
-                               forcing=lambda t, r: default_pulse(r))
-        assert res.monitors["sup"][-1] > 1e-3
-
     def test_slice_capture_matches_field_sampling(self):
         """Sampler-captured slices agree with post-hoc field interpolation."""
         cfg = EvolutionConfig(n=3, dr=1 / 32, t_start=4.0, t_end=14.0,
@@ -209,12 +200,12 @@ class TestLinearEvolution:
 
     def test_blowup_guard_fires(self):
         """config.blowup_factor guards the linear solver as it does the
-        surrogate: a growing source lifts sup|u| past 1.5 max|u0|."""
-        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
+        surrogate: at n = 9 the pulse focuses on the axis, which lifts
+        sup|u| past 1.5 max|u0|."""
+        cfg = EvolutionConfig(n=9, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
                               store_history=False, blowup_factor=1.5)
-        res = evolve_kg_radial(0.0, 3, config=cfg,
-                               forcing=lambda t, r: t * default_pulse(r))
-        assert res.blowup_time is not None and res.blowup_time < 10.0
+        res = evolve_kg_radial(0.0, 9, config=cfg)
+        assert res.blowup_time == pytest.approx(5.25)
 
     def test_observer_columns(self):
         cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=6.0, r_max=8.0,
@@ -532,19 +523,6 @@ class TestActiveWindow:
         assert t_got == pytest.approx(t_want, abs=0.0)
         assert u_got.shape == u_want.shape and u_got.tobytes() == u_want.tobytes()
 
-    def test_forcing_steps_the_whole_grid(self, full_grid):
-        """A forcing's support is unknown: its run is the full-grid sweep."""
-        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=8.0,
-                              r_max=12.0, store_every=1)
-
-        def run():
-            return evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,),
-                                    forcing=lambda t, r: np.sin(t) * default_pulse(r, 1.0))
-
-        got = run()
-        assert _result_bytes(got) == _result_bytes(full_grid(run))
-        assert got.counts["active_node_steps"] == got.counts["node_steps"]
-
     def test_counts(self):
         cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0,
                               r_max=14.0, store_history=False)
@@ -841,19 +819,17 @@ class TestSliceSampler:
 
     def test_retained_rows_bounded_by_the_block(self, monkeypatch):
         """Between flushes the sampler holds the gathers of at most
-        _FLUSH_EVERY + 3 rows, and a schedule of at most two blocks and the
-        three steps before them."""
+        _FLUSH_EVERY + 3 rows."""
         monkeypatch.setattr(ev, "_FLUSH_EVERY", 8)
         held, flush = [], SliceSampler._flush
 
         def recording(self):
-            held.append((len(self._gathers), self._planned - self._step0))
+            held.append(len(self._gathers))
             flush(self)
 
         monkeypatch.setattr(SliceSampler, "_flush", recording)
         _sampler_case("kg", 2)
-        assert max(rows for rows, _ in held) == 8 + 3
-        assert max(steps for _, steps in held) <= 2 * 8 + 3
+        assert max(held) == 8 + 3
 
     def test_uncaptured_derivative_raises(self):
         """v = d_t u is captured below max(sample_derivs, 1) radial orders, so
