@@ -186,10 +186,11 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     """Run one radial evolution and write its artifacts.
 
     monitors.csv holds the monitor series and evolve-report.json the decay
-    fit.  final-field.bin is a snapshot (`fields.write_snapshot`) of the whole
-    stored (u, v) history (every EvolutionConfig.store_every-th step), not
-    only the last time step: `fields.read_snapshot` gives it back as a
-    ModeField.
+    fit.  final-field.bin is a snapshot (`fields.read_snapshot` gives it
+    back as a ModeField) of the whole stored (u, v) history (every
+    EvolutionConfig.store_every-th step), not only the last time step; the
+    linear run (eps = 0) writes it as the history is recorded, and the
+    quasilinear surrogate (eps > 0) writes none and stores no history.
     """
     clock = _PhaseClock()
     n, lam = int(cfg["n"]), float(cfg["lam"])
@@ -197,17 +198,16 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     config = evolve_mod.EvolutionConfig(
         n=n, dr=float(cfg["dr"]), t_end=float(cfg["t_end"]),
         nonlinearity="quasilinear-toy" if float(cfg["eps"]) > 0 else "linear",
-        eps=float(cfg["eps"]), store_history=True)
+        eps=float(cfg["eps"]), store_history=False)
     if float(cfg["eps"]) > 0:
         result = evolve_mod.evolve_quasilinear_toy(
             config, lam=lam, slice_s=slice_s or None)
     else:
         result = evolve_mod.evolve_kg_radial(
-            lam, n, None, config, slice_s=slice_s or None)
+            lam, n, None, config, slice_s=slice_s or None,
+            snapshot=outdir / "final-field.bin")
     clock.lap("evolve")
     evolve_mod.write_monitor_csv(outdir / "monitors.csv", result.monitors)
-    if result.field is not None:
-        fields.write_snapshot(outdir / "final-field.bin", result.field)
     clock.lap("write")
     report = {"n": n, "lam": lam, "t_end": config.t_end,
               "blowup_time": result.blowup_time}
@@ -255,10 +255,13 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
+    r_lo, r_hi = float(cfg["r_lo"]), float(cfg["r_hi"])
+    if not 0 < r_lo < r_hi < np.inf:
+        raise ConfigError(f"r_lo={r_lo}, r_hi={r_hi}: the radii must satisfy "
+                          f"0 < r_lo < r_hi < inf")
     params = schwarzschild.SchwarzschildParams(int(cfg["n"]), float(cfg["cs"]))
     chart = schwarzschild.HarmonicChart(params)
-    radii = np.geomspace(float(cfg["r_lo"]), float(cfg["r_hi"]),
-                         int(cfg["samples"]))
+    radii = np.geomspace(r_lo, r_hi, int(cfg["samples"]))
     rows = []
     for r in radii:
         # max |g - eta| from the deviation profiles: subtracting eta from g
@@ -346,6 +349,10 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
         fields.write_snapshot(path, res.field)
         back = fields.read_snapshot(path)
         assert np.array_equal(back.u, res.field.u)
+        # the history written as it is recorded has the same bytes
+        whole = path.read_bytes()
+        evolve_mod.evolve_kg_radial(0.0, 3, None, cfg0, snapshot=path)
+        assert path.read_bytes() == whole
 
     def _metric_identity():
         params = schwarzschild.SchwarzschildParams(9, 1.0)

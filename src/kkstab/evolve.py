@@ -17,6 +17,7 @@ would have written there, so every output keeps its bits.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections import Counter
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ModeField, SliceData, d2dr2, ddr
+from .fields import ModeField, SliceData, SnapshotWriter, d2dr2, ddr, read_snapshot
 from .geometry import make_slice, sphere_area
 
 
@@ -70,6 +71,8 @@ class EvolutionConfig:
     blowup_factor: float = 1e3
 
     def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"n={self.n} must be at least 1")
         if not 0 < self.dr < math.inf:
             raise ValueError(f"dr={self.dr} must be positive and finite")
         if not math.isfinite(self.t_end):
@@ -402,15 +405,17 @@ def _support_radius(u: np.ndarray, dr: float, tol: float = 1e-12) -> float:
 
 
 class _History:
-    """Decimated rows of a sweep, written into arrays sized for the whole run.
+    """Decimated rows of a sweep, written into row stores sized for the whole
+    run: arrays, or the blocks of a snapshot file (`fields.SnapshotWriter`).
 
-    Rows come at steps 0, every, 2 every, ...; indexing by field name gives
-    the rows written so far, fewer than allocated after an early return.
+    Rows come at steps 0, every, 2 every, ...; store[k] = row takes row k.
+    Indexing by field name gives the rows written so far to an array store,
+    fewer than allocated after an early return.
     """
 
-    def __init__(self, n_steps: int, every: int, shape: tuple):
+    def __init__(self, u, v):
         self.t: list[float] = []
-        self._rows = {f: np.empty((n_steps // every + 1,) + shape) for f in ("u", "v")}
+        self._rows = {"u": u, "v": v}
 
     def record(self, t: float, **rows) -> None:
         k = len(self.t)
@@ -570,7 +575,7 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
 
 
 def _evolve(config: EvolutionConfig, init, accel, monitor_row=None, *,
-            slice_s=(), slice_r_cap=None, cfl_check=None):
+            slice_s=(), slice_r_cap=None, cfl_check=None, snapshot=None):
     """The one evolution driver of the radial and quasilinear runs.
 
     Builds the grid r, the initial data (`_prepare_init`; their leading
@@ -580,6 +585,10 @@ def _evolve(config: EvolutionConfig, init, accel, monitor_row=None, *,
     sup|u| exceeds config.blowup_factor * max|u0| (no guard for zero u0);
     unless it did, a backward sweep completes the slices that reach below
     t_start.  Both sweeps step the light-cone active window (`_run_sweep`).
+    The history is stored when config.store_history is set, or into a
+    snapshot file when snapshot, a function (t0, dt, shape) ->
+    `fields.SnapshotWriter`, is given: the file is closed with the rows
+    written when the sweeps return, and removed when they raise.
     Returns (history, monitors, sampler, blowup_time, counts); the sampler
     is None without slices or after a blow-up, and counts are the sweeps'
     work counts with the sampler's "captured_nodes" and "gathered_columns"
@@ -602,10 +611,18 @@ def _evolve(config: EvolutionConfig, init, accel, monitor_row=None, *,
                     f"beyond the grid; raise r_max or pass slice_r_cap"
                 )
         t_end = max(t_end, sampler.t_range_needed()[1] + 4 * dt)
+    if t_end < config.t_start:
+        raise ValueError(f"t_end={t_end} lies before t_start={config.t_start}")
     n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
 
-    history = (_History(n_steps, config.store_every, u0.shape)
-               if config.store_history else None)
+    nt = n_steps // config.store_every + 1
+    history = writer = None
+    if snapshot is not None:
+        writer = snapshot(t0=config.t_start, dt=_row_dt(config, nt),
+                          shape=(nt,) + u0.shape)
+        history = _History(writer.u, writer.v)
+    elif config.store_history:
+        history = _History(np.empty((nt,) + u0.shape), np.empty((nt,) + u0.shape))
     mon: dict[str, list] = {}
 
     def on_monitor(j, t, u, v):
@@ -619,18 +636,21 @@ def _evolve(config: EvolutionConfig, init, accel, monitor_row=None, *,
     # store_every step through it
     every = math.gcd(config.store_every, config.monitor_every)
     counts: Counter = Counter()
-    blow = _run_sweep(
-        u0.copy(), v0.copy(), config.t_start, n_steps, dt, accel, sampler,
-        on_monitor=on_monitor, monitor_every=every,
-        guard_scale=float(np.max(np.abs(u0))) or None,
-        blowup_factor=config.blowup_factor, cfl_check=cfl_check, counts=counts,
-    )
-    if blow is None and sampler is not None:
-        t_lo = sampler.t_range_needed()[0]
-        if t_lo < config.t_start:
-            n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
-            _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
-                       accel, sampler, counts=counts)
+    with writer or contextlib.nullcontext():
+        blow = _run_sweep(
+            u0.copy(), v0.copy(), config.t_start, n_steps, dt, accel, sampler,
+            on_monitor=on_monitor, monitor_every=every,
+            guard_scale=float(np.max(np.abs(u0))) or None,
+            blowup_factor=config.blowup_factor, cfl_check=cfl_check, counts=counts,
+        )
+        if blow is None and sampler is not None:
+            t_lo = sampler.t_range_needed()[0]
+            if t_lo < config.t_start:
+                n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
+                _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
+                           accel, sampler, counts=counts)
+        if writer is not None:
+            writer.close(len(history.t), _row_dt(config, len(history.t)))
     if sampler is not None:
         counts["captured_nodes"] = sampler.captured_nodes
         counts["gathered_columns"] = sampler.gathered_columns
@@ -641,13 +661,19 @@ def _evolve(config: EvolutionConfig, init, accel, monitor_row=None, *,
             dict(counts))
 
 
+def _row_dt(config: EvolutionConfig, rows: int) -> float:
+    """Time between stored rows: t_1 - t_0 of the row times as `_run_sweep`
+    forms them, or store_every steps when one row is stored."""
+    if rows > 1:
+        return (config.t_start + config.store_every * config.dt) - config.t_start
+    return config.dt * config.store_every
+
+
 def _mode_field(history: _History, lam: float, config: EvolutionConfig,
                 c=Ellipsis) -> ModeField:
     """ModeField of the stored rows (of leading component c)."""
-    tt = history.t
     return ModeField(
-        lam=lam, n=config.n, t0=tt[0],
-        dt=tt[1] - tt[0] if len(tt) > 1 else config.dt * config.store_every,
+        lam=lam, n=config.n, t0=history.t[0], dt=_row_dt(config, len(history.t)),
         dr=config.dr, u=history["u"][:, c], v=history["v"][:, c],
     )
 
@@ -669,13 +695,16 @@ def _linear_accel(n: int, dr: float, lam: float):
 
 
 def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | None = None,
-                     *, slice_s=(), slice_r_cap=None) -> EvolutionResult:
+                     *, slice_s=(), slice_r_cap=None, snapshot=None) -> EvolutionResult:
     """Evolve (d_t^2 - Lap_r + lam) u = 0 from compactly supported data.
 
     slice_s requests hyperboloid captures; slices whose nodes cross times
     before t_start are completed by a backward sweep (the scheme is time
     reversible).  slice_r_cap(s) truncates capture where the solution is
-    known to vanish.
+    known to vanish.  snapshot, a path, writes the stored history there as
+    it is recorded (the bytes of `fields.write_snapshot` of the in-memory
+    field), whatever config.store_history says; result.field then maps the
+    finished file read-only instead of holding the history in memory.
     """
     if config is None:
         config = EvolutionConfig(n=n)
@@ -694,13 +723,19 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
         row.update((name, float(np.abs(u[col]))) for name, col in observers)
         return row
 
+    opener = (None if snapshot is None else
+              functools.partial(SnapshotWriter, snapshot, n=n, lam=lam, dr=dr))
     history, monitors, sampler, blow, counts = _evolve(
         config, init, _linear_accel(n, dr, lam), monitor_row,
-        slice_s=slice_s, slice_r_cap=slice_r_cap)
+        slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=opener)
+    field_ = None
+    if snapshot is not None:
+        field_ = read_snapshot(snapshot, mmap=True)
+    elif history is not None:
+        field_ = _mode_field(history, lam, config)
     return EvolutionResult(
         config=config, lam=lam, monitors=monitors, blowup_time=blow,
-        counts=counts,
-        field=_mode_field(history, lam, config) if history is not None else None,
+        counts=counts, field=field_,
         slices=sampler.slice_data(lam) if sampler is not None else {})
 
 

@@ -8,9 +8,9 @@ energies) are evaluated without going back to the full history.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .geometry import HyperboloidSlice
 SNAPSHOT_MAGIC = "kkstab-field v1"
 #: longest header line read: a payload without newlines is not read whole
 _HEADER_LINE_MAX = 4096
+#: bytes that one step of `_move` reads and writes
+_MOVE_CHUNK = 1 << 20
 
 
 class WindowError(ValueError):
@@ -187,17 +189,103 @@ def d2dr2(u: np.ndarray, dr: float) -> np.ndarray:
 # Snapshot format: text header, then row-major float64 payload
 
 
+def _header(n, lam, t0, dt, dr, shape) -> bytes:
+    return (f"{SNAPSHOT_MAGIC}\n"
+            f"n={n} lam={lam!r} component=minkowski\n"
+            f"dt={dt!r} dr={dr!r} t0={t0!r}\n"
+            f"shape={shape[0]}x{shape[1]}\n").encode()
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """All of data's bytes at offset (os.pwrite may write fewer)."""
+    view = memoryview(data)
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+
+
+def _move(fd: int, src: int, dst: int, size: int) -> None:
+    """Copy size bytes from offset src to offset dst of the file, in chunks,
+    in the order that reads every byte before the copy overwrites it."""
+    if src == dst:
+        return
+    starts = range(0, size, _MOVE_CHUNK)
+    for start in (starts if dst < src else reversed(starts)):
+        length = min(_MOVE_CHUNK, size - start)
+        _pwrite(fd, os.pread(fd, length, src + start), dst + start)
+
+
+class _Block:
+    """The u or v rows of a snapshot file: block[k] = rows writes rows (one
+    row, or consecutive rows) from row k on, at their place in the file."""
+
+    def __init__(self, fd: int, offset: int, row_bytes: int):
+        self._fd, self._offset, self._row_bytes = fd, offset, row_bytes
+
+    def __setitem__(self, k: int, rows) -> None:
+        # the array's own buffer is written: no bytes copy of the rows
+        data = np.ascontiguousarray(rows, dtype="<f8").reshape(-1).view(np.uint8)
+        _pwrite(self._fd, data, self._offset + k * self._row_bytes)
+
+
+class SnapshotWriter:
+    """A snapshot file written as its rows arrive.
+
+    The header and block offsets are those of a `shape` = (nt, nr)
+    payload.  The file is made under a temporary name beside `path`; `u`
+    and `v` are its two blocks (`_Block`).  `close(rows, dt)` keeps the first
+    `rows` rows of each block, rewriting the header for that count and
+    dt, and renames the file to `path`.  Used as a context manager, an
+    exception removes the file and a normal exit closes it at its planned
+    shape and dt.
+    """
+
+    def __init__(self, path, *, n, lam, t0, dt, dr, shape):
+        self.path = Path(path)
+        self._tmp = self.path.with_name(self.path.name + ".tmp")
+        self._meta = {"n": n, "lam": lam, "t0": t0, "dr": dr}
+        self._dt, self._shape = dt, shape
+        self._head = _header(dt=dt, shape=shape, **self._meta)
+        self._fd = os.open(self._tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+        _pwrite(self._fd, self._head, 0)
+        nt, nr = shape
+        self.u = _Block(self._fd, len(self._head), 8 * nr)
+        self.v = _Block(self._fd, len(self._head) + 8 * nt * nr, 8 * nr)
+
+    def close(self, rows: int, dt: float) -> None:
+        nt, nr = self._shape
+        head = _header(dt=dt, shape=(rows, nr), **self._meta)
+        block, old = 8 * rows * nr, len(self._head)
+        # v next to the rows kept of u, then both behind the new header
+        _move(self._fd, old + 8 * nt * nr, old + block, block)
+        _move(self._fd, old, len(head), 2 * block)
+        _pwrite(self._fd, head, 0)
+        os.ftruncate(self._fd, len(head) + 2 * block)
+        os.close(self._fd)
+        self._fd = None
+        os.replace(self._tmp, self.path)
+
+    def discard(self) -> None:
+        os.close(self._fd)
+        self._fd = None
+        self._tmp.unlink()
+
+    def __enter__(self) -> SnapshotWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._fd is not None:
+            if exc_type is None:
+                self.close(self._shape[0], self._dt)
+            else:
+                self.discard()
+
+
 def write_snapshot(path, field_: ModeField) -> None:
-    with open(path, "wb") as fh:
-        header = io.StringIO()
-        header.write(f"{SNAPSHOT_MAGIC}\n")
-        header.write(f"n={field_.n} lam={field_.lam!r} component=minkowski\n")
-        header.write(f"dt={field_.dt!r} dr={field_.dr!r} t0={field_.t0!r}\n")
-        header.write(f"shape={field_.u.shape[0]}x{field_.u.shape[1]}\n")
-        fh.write(header.getvalue().encode())
-        # memoryview writes the array's own buffer: no bytes copy of the payload
-        fh.write(memoryview(np.ascontiguousarray(field_.u, dtype="<f8")))
-        fh.write(memoryview(np.ascontiguousarray(field_.v, dtype="<f8")))
+    with SnapshotWriter(path, n=field_.n, lam=field_.lam, t0=field_.t0, dt=field_.dt,
+                        dr=field_.dr, shape=field_.u.shape) as out:
+        out.u[0] = field_.u
+        out.v[0] = field_.v
 
 
 def _shape(text: str) -> tuple[int, int]:
@@ -223,7 +311,9 @@ def _header_line(fh, lineno: int, spec: dict) -> dict:
                          f"expected {want}") from None
 
 
-def read_snapshot(path) -> ModeField:
+def read_snapshot(path, mmap: bool = False) -> ModeField:
+    """The ModeField of a snapshot file; with mmap, u and v are read-only
+    np.memmap views of the file instead of arrays read into memory."""
     with open(path, "rb") as fh:
         magic = fh.readline(_HEADER_LINE_MAX).decode("utf-8", errors="replace").strip()
         if magic != SNAPSHOT_MAGIC:
@@ -241,7 +331,11 @@ def read_snapshot(path) -> ModeField:
                 f"snapshot payload is {found} bytes, but the header shape "
                 f"{shape[0]}x{shape[1]} needs {16 * count} bytes (u and v)"
             )
-        u = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
-        v = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+        if mmap:
+            u, v = (np.memmap(path, dtype="<f8", mode="r", shape=shape,
+                              offset=fh.tell() + 8 * count * i) for i in (0, 1))
+        else:
+            u = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+            v = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
     return ModeField(lam=meta["lam"], n=meta["n"], t0=grid["t0"], dt=grid["dt"],
                      dr=grid["dr"], u=u, v=v)

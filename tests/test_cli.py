@@ -4,11 +4,12 @@ import configparser
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kkstab import evolve, schwarzschild
+from kkstab import evolve, fields, schwarzschild
 from kkstab.geometry import make_slice
 from kkstab.cli import main
 from oracles import read_report
@@ -156,6 +157,39 @@ class TestEvolve:
         assert (out / "final-field.bin").exists()
         assert (out / "evolve-report.json").exists()
 
+    def test_history_is_not_held_in_memory(self, tmp_path):
+        """final-field.bin is written as the history is recorded: the traced
+        peak of the run stays below a quarter of the file's payload (3.7 MiB
+        here), which a history held in memory would exceed."""
+        run_cli(["evolve", "--t-end", "8", "--dr", "0.0625"], tmp_path, "warm")
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["evolve", "--t-end", "30", "--dr", "0.03125"],
+                                tmp_path, "traced")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        field = fields.read_snapshot(out / "final-field.bin", mmap=True)
+        payload = field.u.nbytes + field.v.nbytes
+        assert peak < 0.25 * payload, (peak, payload)
+
+    def test_eps_stores_no_history(self, tmp_path, monkeypatch):
+        """The surrogate (eps > 0) writes no snapshot, so it stores no history."""
+        configs = []
+        run = evolve.evolve_quasilinear_toy
+
+        def spy(config, **kwargs):
+            configs.append(config)
+            return run(config, **kwargs)
+
+        monkeypatch.setattr(evolve, "evolve_quasilinear_toy", spy)
+        code, out = run_cli(["evolve", "--eps", "1e-3", "--n", "3", "--t-end", "10",
+                             "--dr", "0.0625"], tmp_path, "q")
+        assert code == 0 and (out / "monitors.csv").exists()
+        assert not (out / "final-field.bin").exists()
+        assert [c.store_history for c in configs] == [False]
+
 
 class TestEnergy:
     def test_outputs_present(self, tmp_path):
@@ -264,11 +298,19 @@ class TestDomainErrors:
         (["geodesic", "--lam-end", "0"], "lam_end=0.0 must be finite"),
         (["geodesic", "--lam-end", "inf"], "lam_end=inf must be finite"),
         (["geodesic", "--r0", "-1"], "r0=-1.0 must be positive"),
+        (["evolve", "--t-end", "3", "--dr", "0.0625"],
+         "t_end=3.0 lies before t_start=4.0"),
+        (["evolve", "--n", "0", "--t-end", "8", "--dr", "0.0625"],
+         "n=0 must be at least 1"),
+        (["schwarzschild", "--r-hi", "inf"], "r_hi=inf: the radii must satisfy "
+                                             "0 < r_lo < r_hi < inf"),
+        (["schwarzschild", "--r-lo", "0"], "r_lo=0.0, r_hi=200.0: the radii"),
     ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-n11", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
             "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
-            "geodesic-r0-negative"])
+            "geodesic-r0-negative", "evolve-t-end-before-t-start", "evolve-n0",
+            "schwarzschild-r-hi-inf", "schwarzschild-r-lo-0"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2

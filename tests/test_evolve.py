@@ -1,5 +1,6 @@
 """Tests for the radial evolution solvers and the quasilinear toy model."""
 
+import dataclasses
 import filecmp
 import inspect
 from collections import deque
@@ -47,6 +48,13 @@ class TestConfig:
     def test_t_start_floor(self):
         with pytest.raises(ValueError):
             EvolutionConfig(n=3, t_start=1.0)
+
+    def test_n_floor(self):
+        """n = 0 is refused by name; n = 1, the half-line, still runs."""
+        with pytest.raises(ValueError, match="n=0 must be at least 1"):
+            EvolutionConfig(n=0)
+        cfg = EvolutionConfig(n=1, dr=1 / 16, t_end=8.0, store_history=False)
+        assert evolve_kg_radial(0.0, 1, config=cfg).blowup_time is None
 
     def test_eps_cap(self):
         with pytest.raises(ValueError, match=r"outside \[0, eps_max=0.01\]"):
@@ -865,3 +873,51 @@ class TestHistory:
         for f in res.component_fields:
             assert f.u.shape[0] == f.v.shape[0] == rows
             assert f.t1 <= res.blowup_time
+
+    @pytest.mark.parametrize("case, rows", [
+        ("normal", 31), ("blow-up", 7), ("one-row", 1), ("blow-up-one-row", 1)])
+    def test_streamed_snapshot_has_the_bytes_of_write_snapshot(self, tmp_path, case,
+                                                               rows):
+        """evolve_kg_radial(snapshot=) writes the bytes of write_snapshot of
+        the field held in memory.  The n = 9 pulse trips blowup_factor 1.5 at
+        t = 5.25 (step 50): 7 of the 31 planned rows (nt loses a digit), or
+        1 of 4 with store_every 64, where dt becomes store_every * dt; the
+        one-row run has 4 steps, fewer than store_every."""
+        cfg = {
+            "normal": EvolutionConfig(n=3, dr=1 / 16, t_end=10.0, r_max=12.0),
+            "blow-up": EvolutionConfig(n=9, dr=1 / 16, t_end=10.0, r_max=14.0,
+                                       blowup_factor=1.5),
+            "one-row": EvolutionConfig(n=3, dr=1 / 16, t_end=4.1, r_max=8.0),
+            "blow-up-one-row": EvolutionConfig(n=9, dr=1 / 16, t_end=10.0, r_max=14.0,
+                                               blowup_factor=1.5, store_every=64),
+        }[case]
+        held = evolve_kg_radial(0.0, cfg.n, config=cfg)
+        fields.write_snapshot(tmp_path / "held.bin", held.field)
+        path = tmp_path / "final-field.bin"
+        streamed = evolve_kg_radial(0.0, cfg.n, snapshot=path,
+                                    config=dataclasses.replace(cfg, store_history=False))
+        assert held.field.u.shape[0] == rows
+        assert path.read_bytes() == (tmp_path / "held.bin").read_bytes()
+        assert (streamed.blowup_time is None) == (held.blowup_time is None) == (
+            "blow-up" not in case)
+        # the result maps the file: the same field, not resident
+        assert isinstance(streamed.field.u, np.memmap)
+        assert np.array_equal(streamed.field.u, held.field.u)
+        assert np.array_equal(streamed.field.v, held.field.v)
+        assert streamed.field.dt == held.field.dt
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["final-field.bin", "held.bin"]
+
+    def test_raising_run_leaves_no_snapshot(self, tmp_path):
+        """A NaN inside the initial support trips the NaN guard at step 50:
+        neither final-field.bin nor its temporary file is left."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_end=8.0, r_max=10.0)
+
+        def u0(r):
+            u = default_pulse(r)
+            u[16] = np.nan  # r = 1
+            return u
+
+        with pytest.raises(ev.NaNGuardError):
+            evolve_kg_radial(0.0, 3, init=(u0, np.zeros_like), config=cfg,
+                             snapshot=tmp_path / "final-field.bin")
+        assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,15 @@
 """Tests for mode fields, slice sampling, mode decomposition and snapshots."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kkstab import internal
+from kkstab import fields, internal
 from kkstab.fields import (
     ModeField,
     SliceData,
+    SnapshotWriter,
     WindowError,
     read_snapshot,
     write_snapshot,
@@ -126,13 +129,41 @@ class TestModeDecomposition:
 
 class TestSnapshots:
     def test_roundtrip_bitwise(self, tmp_path):
+        """Read into memory, or mapped read-only (mmap=True)."""
         f = _analytic_field(lam=2.5, nt=40, nr=30)
         p = tmp_path / "field.kks"
         write_snapshot(p, f)
-        g = read_snapshot(p)
-        assert g.lam == f.lam and g.n == f.n
-        assert g.dt == f.dt and g.dr == f.dr and g.t0 == f.t0
-        assert np.array_equal(g.u, f.u) and np.array_equal(g.v, f.v)
+        for mmap in (False, True):
+            g = read_snapshot(p, mmap=mmap)
+            assert g.lam == f.lam and g.n == f.n
+            assert g.dt == f.dt and g.dr == f.dr and g.t0 == f.t0
+            assert np.array_equal(g.u, f.u) and np.array_equal(g.v, f.v)
+            assert isinstance(g.u, np.memmap) == isinstance(g.v, np.memmap) == mmap
+            assert g.u.flags.writeable == g.v.flags.writeable == (not mmap)
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 16])
+    @pytest.mark.parametrize("rows, dt", [
+        (12, 0.5), (3, 0.5), (3, 0.1 + 0.2), (1, 0.25), (11, 0.1 + 0.2)],
+        ids=["all", "fewer-digits", "longer-dt", "one-row", "longer-dt-same-digits"])
+    def test_writer_closed_at_the_rows_written(self, tmp_path, monkeypatch, rows, dt,
+                                               chunk):
+        """Rows written one at a time and closed at `rows` rows and `dt` give
+        the bytes of write_snapshot of those rows, whether the header gets
+        shorter (nt loses a digit) or longer (dt = 0.30000000000000004); a
+        16-byte chunk moves the payload in many overlapping steps."""
+        monkeypatch.setattr(fields, "_MOVE_CHUNK", chunk)
+        f = _analytic_field(dt=0.5, nt=12, nr=7)
+        out = SnapshotWriter(tmp_path / "streamed.kks", n=f.n, lam=f.lam, t0=f.t0,
+                             dt=f.dt, dr=f.dr, shape=f.u.shape)
+        for k in range(rows):
+            out.u[k] = f.u[k]
+            out.v[k] = f.v[k]
+        out.close(rows, dt)
+        write_snapshot(tmp_path / "whole.kks",
+                       dataclasses.replace(f, dt=dt, u=f.u[:rows], v=f.v[:rows]))
+        assert ((tmp_path / "streamed.kks").read_bytes()
+                == (tmp_path / "whole.kks").read_bytes())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.kks", "whole.kks"]
 
     def test_magic_line(self, tmp_path):
         f = _analytic_field(nt=10, nr=10)
