@@ -4,9 +4,10 @@ Subcommands: spectrum, evolve, energy, schwarzschild, geodesic, verify.
 Option precedence: command-line flag > KKSTAB_* environment variable >
 config-file key > built-in default.  Every run writes its resolved
 configuration and the tool version beside its outputs; outputs are
-byte-stable for a fixed config.  `evolve` and `energy` also write
-run-meta.json, which explains the run (phase timings, work counts, library
-versions) and is the one file that differs between identical runs.
+byte-stable for a fixed config.  Every subcommand that completes also writes
+run-meta.json, which explains the run (phase timings, library versions, and
+work counts where the run counts its work) and is the one file that differs
+between identical runs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import energy as energy_mod
@@ -134,23 +136,26 @@ class _PhaseClock:
         self._start = now
 
 
-def _write_run_meta(outdir: Path, n: int, counts: dict, clock: _PhaseClock) -> None:
+def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None,
+                    n: int | None = None) -> None:
     """run-meta.json: how the run went, outside the byte-identical outputs.
 
-    counts are the evolution's work counts (`EvolutionResult.counts`);
-    n_in_theorem_range says whether n >= 9, the range of the stability
-    theorem.
+    Phase timings and library versions always; counts, when given, are the
+    run's work counts (`EvolutionResult.counts`, the geodesic integrator's
+    right-hand-side evaluations); with n, n_in_theorem_range says whether
+    n >= 9, the range of the stability theorem.
     """
-    import scipy  # already loaded by EvolutionConfig's stability check
-    _write_json(outdir / "run-meta.json", {
+    meta = {
         "phases_s": clock.phases,
-        "counts": counts,
         "versions": {"kkstab": __version__,
                      "python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
-        "n": n,
-        "n_in_theorem_range": n >= 9,
-    })
+    }
+    if counts is not None:
+        meta["counts"] = counts
+    if n is not None:
+        meta.update(n=n, n_in_theorem_range=n >= 9)
+    _write_json(outdir / "run-meta.json", meta)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +163,7 @@ def _write_run_meta(outdir: Path, n: int, counts: dict, clock: _PhaseClock) -> N
 
 
 def cmd_spectrum(cfg: dict, outdir: Path) -> int:
+    clock = _PhaseClock()
     if cfg["spectrum_file"]:
         data = internal.parse_spectrum_file(cfg["spectrum_file"])
     else:
@@ -172,6 +178,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         data = internal.SpectralData(
             modes=tuple((e.lam, e.multiplicity) for e in spec.entries),
             d=spec.d)
+    clock.lap("spectrum")
     internal.write_spectrum_file(outdir / "spectrum.txt", data)
     stable, lam_min = internal.is_linearly_stable(data)
     _write_json(outdir / "spectrum-report.json", {
@@ -179,6 +186,8 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         "min_eigenvalue": float(lam_min),
         "linearly_stable": bool(stable),
     })
+    clock.lap("write")
+    _write_run_meta(outdir, clock)
     return EXIT_OK if stable else EXIT_ASSERTION
 
 
@@ -190,9 +199,14 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     back as a ModeField) of the whole stored (u, v) history (every
     EvolutionConfig.store_every-th step), not only the last time step; the
     linear run (eps = 0) writes it as the history is recorded, and the
-    quasilinear surrogate (eps > 0) writes none and stores no history.
+    quasilinear surrogate (eps > 0) writes none and stores no history.  A
+    snapshot left in outdir by an earlier run is removed first, so that a
+    run without one leaves none.
     """
     clock = _PhaseClock()
+    snapshot = outdir / "final-field.bin"
+    for stale in (snapshot, snapshot.with_name(snapshot.name + ".tmp")):
+        stale.unlink(missing_ok=True)
     n, lam = int(cfg["n"]), float(cfg["lam"])
     slice_s = _float_list(cfg["slice_s"])
     config = evolve_mod.EvolutionConfig(
@@ -204,8 +218,7 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
             config, lam=lam, slice_s=slice_s or None)
     else:
         result = evolve_mod.evolve_kg_radial(
-            lam, n, None, config, slice_s=slice_s or None,
-            snapshot=outdir / "final-field.bin")
+            lam, n, None, config, slice_s=slice_s or None, snapshot=snapshot)
     clock.lap("evolve")
     evolve_mod.write_monitor_csv(outdir / "monitors.csv", result.monitors)
     clock.lap("write")
@@ -220,7 +233,7 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
         report["decay_exponent_ci"] = [fit.ci_low, fit.ci_high]
     _write_json(outdir / "evolve-report.json", report)
     clock.lap("report")
-    _write_run_meta(outdir, n, result.counts, clock)
+    _write_run_meta(outdir, clock, result.counts, n)
     return EXIT_OK if result.blowup_time is None else EXIT_ASSERTION
 
 
@@ -250,17 +263,19 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
         boosted=boosted, estimate_rows=rows)
     energy_mod.write_report(outdir / "energy-report.json", report)
     clock.lap("write")
-    _write_run_meta(outdir, n, result.counts, clock)
+    _write_run_meta(outdir, clock, result.counts, n)
     return EXIT_OK if drift <= 0.05 else EXIT_ASSERTION
 
 
 def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
+    clock = _PhaseClock()
     r_lo, r_hi = float(cfg["r_lo"]), float(cfg["r_hi"])
     if not 0 < r_lo < r_hi < np.inf:
         raise ConfigError(f"r_lo={r_lo}, r_hi={r_hi}: the radii must satisfy "
                           f"0 < r_lo < r_hi < inf")
     params = schwarzschild.SchwarzschildParams(int(cfg["n"]), float(cfg["cs"]))
     chart = schwarzschild.HarmonicChart(params)
+    clock.lap("chart")
     radii = np.geomspace(r_lo, r_hi, int(cfg["samples"]))
     rows = []
     for r in radii:
@@ -270,6 +285,7 @@ def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
         dev = max(abs(h["h00"]), abs(h["tangential"]), abs(h["radial"]))
         v = schwarzschild.wave_gauge_residual(chart, float(r))
         rows.append((float(r), dev, float(np.max(np.abs(v)))))
+    clock.lap("samples")
     with open(outdir / "gauge.csv", "w") as fh:
         fh.write("r,metric_deviation,wave_gauge_residual\n")
         for r, dev, vr in rows:
@@ -281,13 +297,17 @@ def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
         "deviation_exponent": fit.exponent,
         "expected_exponent": -(params.n - 2),
     })
+    clock.lap("write")
+    _write_run_meta(outdir, clock, n=params.n)
     ok = abs(fit.exponent + (params.n - 2)) < 0.1
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
 def cmd_geodesic(cfg: dict, outdir: Path) -> int:
+    clock = _PhaseClock()
     params = schwarzschild.SchwarzschildParams(int(cfg["n"]), float(cfg["cs"]))
     chart = schwarzschild.HarmonicChart(params)
+    clock.lap("chart")
     d = int(cfg["d"])
     r0 = float(cfg["r0"])
     if not r0 > 0:
@@ -302,6 +322,7 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
         torus=np.zeros(d), v_torus=np.zeros(d))
     traj = schwarzschild.integrate_geodesic(
         chart, init, float(cfg["lam_end"]), exterior_probe=True)
+    clock.lap("integrate")
     schwarzschild.write_trajectory_csv(outdir / "trajectory.csv", traj)
     drift = float(np.max(np.abs(traj.velocity_norm())))
     r = traj.r
@@ -311,12 +332,15 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
         "final_drdt": float(drdt[-1]), "norm_drift": drift,
         "t_monotone": bool(np.all(np.diff(traj.t) > 0)),
     })
+    clock.lap("write")
+    _write_run_meta(outdir, clock, {"nfev": traj.nfev}, params.n)
     ok = drift <= 1e-8 * traj.lam[-1] + 1e-12 and np.all(np.diff(traj.t) > 0)
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> int:
     """Fast structural checks; suite `trivial` runs in seconds."""
+    clock = _PhaseClock()
     if cfg["suite"] != "trivial":
         raise ConfigError(f"unknown verify suite {cfg['suite']!r}")
     checks = []
@@ -377,10 +401,13 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     check("schwarzschild-metric", _metric_identity)
     check("flat-wave-gauge", _flat_gauge)
     check("hyperboloid-embedding", _hyperboloid)
+    clock.lap("checks")
 
     _write_json(outdir / "verify-report.json",
                 {"suite": cfg["suite"], "checks": checks,
                  "ok": all(c["ok"] for c in checks)})
+    clock.lap("write")
+    _write_run_meta(outdir, clock)
     return EXIT_OK if all(c["ok"] for c in checks) else EXIT_ASSERTION
 
 

@@ -1,18 +1,23 @@
 """Time evolution of radial Klein-Gordon modes and a quasilinear surrogate.
 
-Method of lines: centered second-order stencils in r, classical four-stage
-Runge-Kutta in t.  The regular axis limit replaces the radial Laplacian by
-n * u_rr at r = 0.  Hyperboloid samples are captured on the fly: each new
-row is gathered once at the stencil columns of the slice nodes that read it,
-and the captures are interpolated in blocks of steps (`SliceSampler`), so
-long runs never store the dense history.
+Method of lines: centered second-order stencils in r, classical RK4 in t.
+The regular axis limit replaces the radial Laplacian by n * u_rr at r = 0.
+The linear equation (and the quasilinear surrogate at eps = 0) is linear and
+autonomous, so RK4's one-step map is the degree-4 Taylor polynomial of h A:
+a linear step applies the operator Lap_r - lam twice, to the stacked (u, v)
+and to that result (`_taylor_step`).  The quasilinear surrogate at eps > 0
+steps the four stages of RK4 (`_stage_step`).  Hyperboloid samples are
+captured on the fly: each new row is gathered once at the stencil columns
+of the slice nodes that read it, and the captures are interpolated in
+blocks of steps (`SliceSampler`), so long runs never store the dense
+history.
 
 Compactly supported data stay inside the light cone, and the grid columns
-past the numerical front hold exact zeros.  Each step therefore runs the
-right-hand side and the RK4 update on an active window of columns that
-starts at the axis and ends a few columns past the last occupied one (see
-`_run_sweep`); the columns beyond it are the +0.0 that the full-grid step
-would have written there, so every output keeps its bits.
+past the numerical front hold exact zeros.  Each step therefore runs on an
+active window of columns that starts at the axis and ends a few columns
+past the last occupied one (see `_run_sweep`); the columns beyond it are the
++0.0 that the full-grid step would have written there, so every output
+keeps its bits.
 """
 
 from __future__ import annotations
@@ -428,59 +433,28 @@ class _History:
 
 
 #: columns that one RK4 step can move the last occupied column: each of the
-#: four stages applies 3-point radial stencils once
+#: stage kernel's four right-hand sides applies 3-point radial stencils once,
+#: and the Taylor kernel's two operator applications move it by 2
 _FRONT_STEP = 4
 #: steps between exact rescans of the last occupied column
 _RESCAN_EVERY = 64
 
 
-def _last_occupied(u: np.ndarray, v: np.ndarray) -> int:
-    """Last column where u or v holds anything but +0.0 (a nonzero value,
-    NaN or -0.0) in any leading component; -1 when there is none."""
-    occupied = (u != 0) | np.signbit(u) | (v != 0) | np.signbit(v)
-    cols = np.flatnonzero(occupied.reshape(-1, u.shape[-1]).any(axis=0))
+def _last_occupied(y: np.ndarray) -> int:
+    """Last column where y holds anything but +0.0 (a nonzero value, NaN or
+    -0.0) in any leading component; -1 when there is none."""
+    occupied = (y != 0) | np.signbit(y)
+    cols = np.flatnonzero(occupied.reshape(-1, y.shape[-1]).any(axis=0))
     return int(cols[-1]) if len(cols) else -1
 
 
-def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
-               monitor_every=0, guard_scale=None, blowup_factor=np.inf,
-               cfl_check=None, counts=None):
-    """Shared stepping loop.  accel(t, u, v) -> dv/dt; du/dt = v.
+def _stage_step(accel, dt):
+    """The four-stage RK4 step of du/dt = v, dv/dt = accel(t, u, v):
+    step(t, y, out) writes the step of the stacked window y = (u, v) to out."""
+    half = 0.5 * dt
 
-    on_monitor(j, t, u, v) runs at step 0 and every monitor_every steps.
-    Returns the blow-up time, or None when the guard never fired.
-
-    Active window: a step hands accel and the RK4 update only the columns
-    [0, last + 6), where `last` bounds the last column in which u or v is
-    not +0.0.  One step moves that column by at most _FRONT_STEP, so `last`
-    grows by that much per step and is rescanned exactly every
-    _RESCAN_EVERY steps.  The window's edge column lies past the stencils'
-    reach, where the full-grid step writes zeros, and every column beyond
-    it keeps +0.0, which is what the full-grid step makes of +0.0 data.
-    accel must act column by column, up to the radial stencils, and map
-    zero data to zero.  Each step writes fresh full-length u and v; the
-    sampler and the history copy what they keep of a row.
-
-    counts, when given, accumulates "steps", "rhs_evals", "node_steps" (grid
-    nodes times steps) and "active_node_steps" (window nodes times steps).
-    sampler.observe receives row j at t0 + j * dt, j = 0..n_steps, as
-    `SliceSampler.new_sweep` announced.
-    """
-    nr = u.shape[-1]
-    active_cols, blowup, j = 0, None, 0
-    t = t0
-    if sampler is not None:
-        sampler.new_sweep(t0, dt, n_steps)
-        sampler.observe(t, u, v)
-    if on_monitor is not None:
-        on_monitor(0, t, u, v)
-    for j in range(1, n_steps + 1):
-        if (j - 1) % _RESCAN_EVERY == 0:
-            last = _last_occupied(u, v)
-        w = min(last + _FRONT_STEP + 2, nr)
-        last += _FRONT_STEP
-        uw, vw = u[..., :w], v[..., :w]
-        half = 0.5 * dt
+    def step(t, y, out):
+        uw, vw = y
         k1v = accel(t, uw, vw)
         u2 = uw + half * vw
         v2 = vw + half * k1v
@@ -491,13 +465,98 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
         u4 = uw + dt * v3
         v4 = vw + dt * k3v
         k4v = accel(t + dt, u4, v4)
-        u, v = np.empty_like(u), np.empty_like(v)
-        np.add(uw, (dt / 6.0) * (vw + 2.0 * v2 + 2.0 * v3 + v4), out=u[..., :w])
-        np.add(vw, (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-               out=v[..., :w])
+        np.add(uw, (dt / 6.0) * (vw + 2.0 * v2 + 2.0 * v3 + v4), out=out[0])
+        np.add(vw, (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v), out=out[1])
+
+    return step
+
+
+def _taylor_step(operator, dt):
+    """RK4's step of the linear autonomous system du/dt = v, dv/dt = L u
+    (L = operator).  There RK4's one-step map is its stability function of
+    h A (Hairer & Wanner, Solving ODEs II, Sec. IV.2), the Taylor polynomial
+
+        Y + h A Y + h^2/2 A^2 Y + h^3/6 A^3 Y + h^4/24 A^4 Y,  A = [[0, 1], [L, 0]].
+
+    With P = L Y = (a, b) and Q = L P = (c, d): A Y = (v, a), A^2 Y = P,
+    A^3 Y = (b, c) and A^4 Y = Q, so a step takes two operator applications
+    on the stacked rows instead of four right-hand sides.  It is evaluated
+    in Horner form, which rounds differently from the four stages.
+    step(t, y, out) as in `_stage_step`.
+    """
+    def step(t, y, out):
+        p = operator(y)
+        q = operator(p)
+        acc = q * (dt / 4.0)
+        acc[0] += p[1]
+        acc[1] += q[0]
+        acc *= dt / 3.0
+        acc += p
+        acc *= dt / 2.0
+        acc[0] += y[1]
+        acc[1] += p[0]
+        acc *= dt
+        np.add(y, acc, out=out)
+
+    return step
+
+
+def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
+               monitor_every=0, guard_scale=None, blowup_factor=np.inf,
+               cfl_check=None, counts=None, operator=None):
+    """Shared stepping loop of du/dt = v, dv/dt = accel(t, u, v).
+
+    Given operator, a linear map L of stacked rows, the system is the linear
+    autonomous dv/dt = L u, accel is not called (it may be None), and each
+    step applies L twice (`_taylor_step`); otherwise each step runs accel
+    four times (`_stage_step`).  Both kernels take the same steps, window,
+    sampler, guard and monitors.
+
+    on_monitor(j, t, u, v) runs at step 0 and every monitor_every steps.
+    Returns the blow-up time, or None when the guard never fired.
+
+    Active window: a step hands the kernel only the columns [0, last + 6),
+    where `last` bounds the last column in which u or v is not +0.0.  One
+    step moves that column by at most _FRONT_STEP, so `last` grows by that
+    much per step and is rescanned exactly every _RESCAN_EVERY steps.  The
+    window's edge column lies past the stencils' reach, where the full-grid
+    step writes zeros, and every column beyond it keeps +0.0, which is what
+    the full-grid step makes of +0.0 data.  accel and operator must act
+    column by column, up to the radial stencils, and map zero data to zero.
+    Each step writes fresh full-length u and v (the rows of one new (2, ...)
+    array); the sampler and the history copy what they keep of a row.
+
+    counts, when given, accumulates "steps", "operator_applications" (Taylor
+    kernel) or "rhs_evals" (stage kernel), "node_steps" (grid nodes times
+    steps) and "active_node_steps" (window nodes times steps).
+    sampler.observe receives row j at t0 + j * dt, j = 0..n_steps, as
+    `SliceSampler.new_sweep` announced.
+    """
+    if operator is not None:
+        step, work, per_step = _taylor_step(operator, dt), "operator_applications", 2
+    else:
+        step, work, per_step = _stage_step(accel, dt), "rhs_evals", 4
+    y = np.stack((u, v))
+    u, v = y
+    nr = y.shape[-1]
+    active_cols, blowup, j = 0, None, 0
+    t = t0
+    if sampler is not None:
+        sampler.new_sweep(t0, dt, n_steps)
+        sampler.observe(t, u, v)
+    if on_monitor is not None:
+        on_monitor(0, t, u, v)
+    for j in range(1, n_steps + 1):
+        if (j - 1) % _RESCAN_EVERY == 0:
+            last = _last_occupied(y)
+        w = min(last + _FRONT_STEP + 2, nr)
+        last += _FRONT_STEP
+        y_next = np.empty_like(y)
+        step(t, y[..., :w], y_next[..., :w])
         # the columns past the window and the Dirichlet edge column
-        u[..., min(w, nr - 1):] = 0.0
-        v[..., min(w, nr - 1):] = 0.0
+        y_next[..., min(w, nr - 1):] = 0.0
+        y = y_next
+        u, v = y
         active_cols += w
         t = t0 + j * dt
         if sampler is not None:
@@ -516,7 +575,7 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     if counts is not None:
         nodes_per_col = u.size // nr
         counts["steps"] += j
-        counts["rhs_evals"] += 4 * j
+        counts[work] += per_step * j
         counts["node_steps"] += j * nr * nodes_per_col
         counts["active_node_steps"] += active_cols * nodes_per_col
     return blowup
@@ -574,13 +633,15 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
     return cap
 
 
-def _evolve(config: EvolutionConfig, init, accel, monitor_row=None, *,
-            slice_s=(), slice_r_cap=None, cfl_check=None, snapshot=None):
+def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
+            operator=None, slice_s=(), slice_r_cap=None, cfl_check=None,
+            snapshot=None):
     """The one evolution driver of the radial and quasilinear runs.
 
     Builds the grid r, the initial data (`_prepare_init`; their leading
     shape is the sampler's), the slice sampler and the stored history, and
-    steps dv/dt = accel(t, u, v); monitor_row(t, u, v) -> {column: value}
+    steps dv/dt = accel(t, u, v), or the linear dv/dt = operator(u) (see
+    `_run_sweep`); monitor_row(t, u, v) -> {column: value}
     runs every config.monitor_every steps.  The forward sweep stops when
     sup|u| exceeds config.blowup_factor * max|u0| (no guard for zero u0);
     unless it did, a backward sweep completes the slices that reach below
@@ -638,17 +699,18 @@ def _evolve(config: EvolutionConfig, init, accel, monitor_row=None, *,
     counts: Counter = Counter()
     with writer or contextlib.nullcontext():
         blow = _run_sweep(
-            u0.copy(), v0.copy(), config.t_start, n_steps, dt, accel, sampler,
+            u0, v0, config.t_start, n_steps, dt, accel, sampler,
             on_monitor=on_monitor, monitor_every=every,
             guard_scale=float(np.max(np.abs(u0))) or None,
             blowup_factor=config.blowup_factor, cfl_check=cfl_check, counts=counts,
+            operator=operator,
         )
         if blow is None and sampler is not None:
             t_lo = sampler.t_range_needed()[0]
             if t_lo < config.t_start:
                 n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
-                _run_sweep(u0.copy(), v0.copy(), config.t_start, n_back, -dt,
-                           accel, sampler, counts=counts)
+                _run_sweep(u0, v0, config.t_start, n_back, -dt, accel, sampler,
+                           counts=counts, operator=operator)
         if writer is not None:
             writer.close(len(history.t), _row_dt(config, len(history.t)))
     if sampler is not None:
@@ -683,15 +745,16 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam={lam} must be nonnegative")
 
 
-def _linear_accel(n: int, dr: float, lam: float):
-    """dv/dt = Lap_r u - lam u of the linear equation."""
+def _linear_operator(n: int, dr: float, lam: float):
+    """The operator Lap_r - lam of the linear equation dv/dt = Lap_r u - lam u,
+    on stacked rows."""
     if lam:
-        def accel(t, u, v):
-            return radial_laplacian(u, dr, n) - lam * u
+        def operator(y):
+            return radial_laplacian(y, dr, n) - lam * y
     else:
-        def accel(t, u, v):
-            return radial_laplacian(u, dr, n)
-    return accel
+        def operator(y):
+            return radial_laplacian(y, dr, n)
+    return operator
 
 
 def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | None = None,
@@ -726,7 +789,7 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     opener = (None if snapshot is None else
               functools.partial(SnapshotWriter, snapshot, n=n, lam=lam, dr=dr))
     history, monitors, sampler, blow, counts = _evolve(
-        config, init, _linear_accel(n, dr, lam), monitor_row,
+        config, init, monitor_row=monitor_row, operator=_linear_operator(n, dr, lam),
         slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=opener)
     field_ = None
     if snapshot is not None:
@@ -842,11 +905,13 @@ def quasilinear_coefficients(u3: np.ndarray, v3: np.ndarray, ur3: np.ndarray,
     return H, q3
 
 
-def _quasilinear_accel(config: EvolutionConfig, lam: float):
-    """dv/dt of the surrogate; at eps = 0 the linear right-hand side."""
+def _quasilinear_rhs(config: EvolutionConfig, lam: float) -> dict:
+    """The surrogate's right-hand side as `_run_sweep`'s accel and operator
+    keywords: at eps = 0 the linear operator, so the run has the bits of
+    the linear solver, and accel(t, u, v) = dv/dt otherwise."""
     n, dr, eps = config.n, config.dr, config.eps
     if eps == 0.0:
-        return _linear_accel(n, dr, lam)
+        return {"accel": None, "operator": _linear_operator(n, dr, lam)}
 
     def accel(t, u, v):
         ur = ddr(u, dr)
@@ -858,7 +923,7 @@ def _quasilinear_accel(config: EvolutionConfig, lam: float):
                - lam * u - eps * q3)
         return rhs / (1.0 - H[..., 0, 0])
 
-    return accel
+    return {"accel": accel, "operator": None}
 
 
 def _default_pulse3(r):
@@ -872,8 +937,8 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
 
     Three components (h_00, h_0r, h_rr) carrying the full Q index structure;
     H is the second-order inverse-metric expansion in h = eps u.  With
-    eps = 0 the step reuses the linear right-hand side verbatim, so the run
-    is bit-identical to the linear solver.
+    eps = 0 the step is the linear solver's Taylor kernel on the same
+    operator, so the run is bit-identical to the linear solver.
     """
     config.check_model("quasilinear-toy")
     _check_lam(lam)
@@ -897,7 +962,7 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     if init is None:
         init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
     history, monitors, sampler, blow, counts = _evolve(
-        config, init, _quasilinear_accel(config, lam), monitor_row,
+        config, init, monitor_row=monitor_row, **_quasilinear_rhs(config, lam),
         slice_s=slice_s, slice_r_cap=slice_r_cap,
         cfl_check=cfl_check if eps != 0.0 else None)
     comp_slices = {}

@@ -341,6 +341,7 @@ class GeodesicTrajectory:
     torus: np.ndarray
     v_torus: np.ndarray
     captured: bool
+    nfev: int               # right-hand-side evaluations of the integration
 
     @property
     def r(self) -> np.ndarray:
@@ -422,7 +423,7 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
         chart=chart, lam=sol.t, t=Y[0], x=Y[1:1 + n].T,
         torus=Y[1 + n:1 + n + d].T, v_t=Y[1 + n + d],
         v_x=Y[2 + n + d:2 + 2 * n + d].T, v_torus=Y[2 + 2 * n + d:].T,
-        captured=captured,
+        captured=captured, nfev=sol.nfev,
     )
 
 

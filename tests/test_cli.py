@@ -118,8 +118,8 @@ def _differ_only_in_run_meta(out1, out2):
     meta1, meta2 = (json.loads((d / "run-meta.json").read_text()) for d in (out1, out2))
     assert set(meta1["phases_s"]) == set(meta2["phases_s"])
     assert all(t >= 0.0 for t in meta1["phases_s"].values())
-    del meta1["phases_s"], meta2["phases_s"]
-    assert meta1 == meta2
+    assert ({k: v for k, v in meta1.items() if k != "phases_s"}
+            == {k: v for k, v in meta2.items() if k != "phases_s"})
     return meta1
 
 
@@ -141,7 +141,9 @@ class TestEvolve:
         assert set(meta["phases_s"]) == {"evolve", "write", "report"}
         steps = int(np.ceil((8.0 - 4.0) / (0.4 * 0.0625) - 1e-9))
         counts = meta["counts"]
-        assert counts["steps"] == steps and counts["rhs_evals"] == 4 * steps
+        # the linear run applies the operator twice per step (the Taylor kernel)
+        assert counts["steps"] == steps and counts["operator_applications"] == 2 * steps
+        assert "rhs_evals" not in counts
         assert 0 < counts["active_node_steps"] < counts["node_steps"]
         # no slices requested: the sampler did no work
         assert counts["captured_nodes"] == counts["gathered_columns"] == 0
@@ -189,6 +191,19 @@ class TestEvolve:
         assert code == 0 and (out / "monitors.csv").exists()
         assert not (out / "final-field.bin").exists()
         assert [c.store_history for c in configs] == [False]
+
+    def test_eps_run_leaves_no_earlier_snapshot(self, tmp_path):
+        """A linear run and then an eps > 0 run into one directory: the
+        second writes no snapshot, so it leaves none, nor a stray .tmp."""
+        args = ["--n", "3", "--t-end", "10", "--dr", "0.0625"]
+        code, out = run_cli(["evolve"] + args, tmp_path, "d")
+        assert code == 0 and (out / "final-field.bin").exists()
+        (out / "final-field.bin.tmp").write_bytes(b"partial")
+        code, _ = run_cli(["evolve", "--eps", "1e-3"] + args, tmp_path, "d")
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "evolve-report.json", "monitors.csv", "resolved-config.ini", "run-meta.json"]
+        assert "rhs_evals" in json.loads((out / "run-meta.json").read_text())["counts"]
 
 
 class TestEnergy:
@@ -272,6 +287,34 @@ class TestGeodesic:
         e = np.array([float(ln.split(",")[5]) for ln in lines[2:]])
         assert len(e) == 400
         assert np.max(np.abs(e / e[0] - 1.0)) <= 1e-9
+
+
+class TestRunMeta:
+    """The subcommands besides evolve and energy explain their runs in
+    run-meta.json too, the one file that two identical runs may differ in."""
+
+    @pytest.mark.parametrize("args, phases, n", [
+        (["spectrum", "--lmax", "3"], {"spectrum", "write"}, None),
+        (["schwarzschild"], {"chart", "samples", "write"}, 9),
+        (["geodesic", "--n", "5", "--cs", "1", "--r0", "1.2", "--lam-end", "50"],
+         {"chart", "integrate", "write"}, 5),
+        (["verify"], {"checks", "write"}, None),
+    ], ids=["spectrum", "schwarzschild", "geodesic", "verify"])
+    def test_runs_differ_only_in_run_meta(self, tmp_path, args, phases, n):
+        runs = [run_cli(list(args), tmp_path, name) for name in ("a", "b")]
+        assert [code for code, _ in runs] == [0, 0]
+        meta = _differ_only_in_run_meta(runs[0][1], runs[1][1])
+        assert set(meta["phases_s"]) == phases
+        assert meta["versions"]["numpy"] == np.__version__
+        assert set(meta["versions"]) == {"kkstab", "python", "numpy", "scipy"}
+        if n is None:
+            assert "n" not in meta and "n_in_theorem_range" not in meta
+        else:
+            assert meta["n"] == n and meta["n_in_theorem_range"] is (n >= 9)
+        if args[0] == "geodesic":
+            assert list(meta["counts"]) == ["nfev"] and meta["counts"]["nfev"] > 0
+        else:
+            assert "counts" not in meta
 
 
 class TestDomainErrors:

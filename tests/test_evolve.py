@@ -374,8 +374,11 @@ def full_grid_laplacian(u, dr, n):
 
 def full_grid_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
                     monitor_every=0, guard_scale=None, blowup_factor=np.inf,
-                    cfl_check=None, **_):
-    """Oracle: the RK4 loop that steps every column of the grid."""
+                    cfl_check=None, operator=None, **_):
+    """Oracle: the RK4 loop that steps every column of the grid, by the
+    four stages of accel, or, given the linear operator L, by the Taylor
+    polynomial of the step in Horner form, with P = L(u, v) = (a, b) and
+    Q = L P = (c, d)."""
     t = t0
     if sampler is not None:
         sampler.new_sweep(t0, dt, n_steps)
@@ -383,19 +386,25 @@ def full_grid_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     if on_monitor is not None:
         on_monitor(0, t, u, v)
     for j in range(1, n_steps + 1):
-        half = 0.5 * dt
-        k1v = accel(t, u, v)
-        u2 = u + half * v
-        v2 = v + half * k1v
-        k2v = accel(t + half, u2, v2)
-        u3 = u + half * v2
-        v3 = v + half * k2v
-        k3v = accel(t + half, u3, v3)
-        u4 = u + dt * v3
-        v4 = v + dt * k3v
-        k4v = accel(t + dt, u4, v4)
-        u = u + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if operator is not None:
+            a, b = p = operator(np.stack((u, v)))
+            c, d = operator(p)
+            u, v = (u + dt * (v + dt / 2.0 * (a + dt / 3.0 * (b + dt / 4.0 * c))),
+                    v + dt * (a + dt / 2.0 * (b + dt / 3.0 * (c + dt / 4.0 * d))))
+        else:
+            half = 0.5 * dt
+            k1v = accel(t, u, v)
+            u2 = u + half * v
+            v2 = v + half * k1v
+            k2v = accel(t + half, u2, v2)
+            u3 = u + half * v2
+            v3 = v + half * k2v
+            k3v = accel(t + half, u3, v3)
+            u4 = u + dt * v3
+            v4 = v + dt * k3v
+            k4v = accel(t + dt, u4, v4)
+            u = u + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         u[..., -1] = 0.0
         v[..., -1] = 0.0
         t = t0 + j * dt
@@ -501,7 +510,7 @@ class TestActiveWindow:
         for name, sweep in (("window", ev._run_sweep), ("full", full_grid_sweep)):
             seen = states[name] = []
             sweep(u0.copy(), np.zeros_like(u0), cfg.t_start, 150, direction * cfg.dt,
-                  ev._quasilinear_accel(cfg, 0.0), None, monitor_every=1,
+                  sampler=None, monitor_every=1, **ev._quasilinear_rhs(cfg, 0.0),
                   on_monitor=lambda j, t, u, v: seen.append(u.tobytes() + v.tobytes()))
         assert len(states["window"]) == 151
         assert states["window"] == states["full"]
@@ -539,7 +548,8 @@ class TestActiveWindow:
         backward = int(np.ceil((cfg.t_start - res.slices[2.5].t.min()) / cfg.dt)) + 4
         nodes = int(round(14.0 * 16)) + 1
         assert res.counts["steps"] == forward + backward
-        assert res.counts["rhs_evals"] == 4 * res.counts["steps"]
+        assert res.counts["operator_applications"] == 2 * res.counts["steps"]
+        assert "rhs_evals" not in res.counts
         assert res.counts["node_steps"] == nodes * res.counts["steps"]
         assert 0 < res.counts["active_node_steps"] < res.counts["node_steps"]
 
@@ -559,6 +569,72 @@ class TestActiveWindow:
         params = inspect.signature(ev._run_sweep).parameters
         for name in ("u", "n_steps", "accel", "on_monitor"):
             assert name in params, name
+
+
+def _linear_accel(n, dr, lam):
+    """dv/dt = Lap_r u - lam u, the linear right-hand side of the stage kernel."""
+    def accel(t, u, v):
+        return radial_laplacian(u, dr, n) - lam * u
+    return accel
+
+
+def _last_state(u0, n_steps, dt, **kernel):
+    """(u, v) after n_steps of `_run_sweep` from (u0, 0) on the given kernel."""
+    seen = []
+    ev._run_sweep(u0, np.zeros_like(u0), 4.0, n_steps, dt, sampler=None,
+                  monitor_every=n_steps, **kernel,
+                  on_monitor=lambda j, t, u, v: seen.append(np.stack((u, v))))
+    return seen[-1]
+
+
+class TestTaylorKernel:
+    """The linear runs step RK4's map as its degree-4 Taylor polynomial."""
+
+    @pytest.mark.parametrize("n, lam", [(3, 0.0), (9, 2.0)])
+    def test_both_kernels_match_an_extended_precision_run(self, n, lam):
+        """400 steps at dr 1/16: the float64 Taylor and stage kernels each
+        stay within 1e-11 relative of the stage kernel in np.longdouble."""
+        assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+        dr, dt = 1 / 16, 0.4 / 16
+        u0 = default_pulse(dr * np.arange(16 * 16 + 1))
+        want = _last_state(u0.astype(np.longdouble), 400, dt,
+                           accel=_linear_accel(n, dr, lam))
+        assert want.dtype == np.longdouble
+        for kernel in ({"accel": None, "operator": ev._linear_operator(n, dr, lam)},
+                       {"accel": _linear_accel(n, dr, lam)}):
+            got = _last_state(u0, 400, dt, **kernel)
+            for g, w in zip(got, want):
+                rel = float(np.max(np.abs(g - w)) / np.max(np.abs(w)))
+                assert rel <= 1e-11, (kernel, rel)
+
+    @pytest.mark.parametrize("n, lam", [(3, 0.0), (9, 2.0)])
+    def test_one_step_matches_the_four_stages(self, n, lam):
+        dr, dt = 1 / 16, 0.4 / 16
+        r = dr * np.arange(200)
+        y = np.stack((default_pulse(r), np.sin(r) * default_pulse(r, width=3.0)))
+        taylor, stages = np.empty_like(y), np.empty_like(y)
+        ev._taylor_step(ev._linear_operator(n, dr, lam), dt)(0.0, y, taylor)
+        ev._stage_step(_linear_accel(n, dr, lam), dt)(0.0, y, stages)
+        for a, b in zip(taylor, stages):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("model", ["linear", "quasilinear-toy"])
+    def test_two_laplacians_per_step(self, monkeypatch, model):
+        """A linear step applies the Laplacian twice, not once per RK4 stage;
+        no monitor or sampler applies it."""
+        calls = []
+        lap = ev.radial_laplacian
+        monkeypatch.setattr(ev, "radial_laplacian",
+                            lambda *a: calls.append(1) or lap(*a))
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=8.0, r_max=10.0,
+                              nonlinearity=model, store_history=False)
+        if model == "linear":
+            res = evolve_kg_radial(0.5, 3, config=cfg, slice_s=(5.0,))
+        else:
+            res = evolve_quasilinear_toy(cfg, lam=0.5, slice_s=(5.0,))
+        assert res.counts["steps"] > 0
+        assert len(calls) == 2 * res.counts["steps"]
+        assert res.counts["operator_applications"] == len(calls)
 
 
 class TestLaplacianCache:
@@ -715,7 +791,7 @@ def _sampler_case(case, sample_derivs):
     t_hi = sampler.t_range_needed()[1] + 4 * cfg.dt
     n_steps = int(np.ceil((t_hi - cfg.t_start) / cfg.dt))
     ev._run_sweep(u0, np.zeros_like(u0), cfg.t_start, n_steps, cfg.dt,
-                  ev._quasilinear_accel(cfg, 0.0), sampler)
+                  sampler=sampler, **ev._quasilinear_rhs(cfg, 0.0))
     comps = [sampler.slice_data(0.0, component=c) for c in range(3)]
     return {s: [c[s] for c in comps] for s in comps[0]}
 
@@ -805,7 +881,7 @@ class TestSliceSampler:
         for amplitude in (1.0, 2.0):
             u0 = default_pulse(r, amplitude=amplitude)
             ev._run_sweep(u0, np.zeros_like(u0), cfg.t_start, n_steps, cfg.dt,
-                          ev._linear_accel(3, cfg.dr, 0.0), sampler)
+                          None, sampler, operator=ev._linear_operator(3, cfg.dr, 0.0))
             u = sampler.slice_data(0.0)[5.0].u
             first = u.copy() if first is None else first
         assert np.any(first != 0.0) and u.tobytes() == first.tobytes()
