@@ -125,6 +125,7 @@ def default_pulse(r: np.ndarray, width: float = 2.0, amplitude: float = 1.0) -> 
     return out
 
 
+#: folded coefficients of `radial_laplacian`, one entry per (n, dr)
 _LAP_COEFF_CACHE: dict = {}
 
 
@@ -132,6 +133,24 @@ def _face_weights(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The flux weights ((k +- 1/2)/k)^(n-1) of the nodes k = 1..size-2."""
     k = np.arange(1, size - 1, dtype=float)
     return ((k + 0.5) / k) ** (n - 1), ((k - 0.5) / k) ** (n - 1)
+
+
+def _laplacian_coefficients(n: int, dr: float, size: int):
+    """(cp, cm) of `radial_laplacian` on grids of up to size nodes: the
+    face weights over dr^2, with the axis coefficient 2n / dr^2 in cp[0].
+
+    One entry per (n, dr), rebuilt only for a longer grid; `_evolve` builds
+    it at the grid's length before the first sweep, and every window slices
+    it.  Each entry depends on its k alone, so a slice has the bits of
+    coefficients built for the window's own length.
+    """
+    coeff = _LAP_COEFF_CACHE.get((n, dr))
+    if coeff is None or len(coeff[1]) < size - 2:
+        rp, rm = _face_weights(n, size)
+        dr2 = dr ** 2
+        _LAP_COEFF_CACHE[n, dr] = coeff = (
+            np.concatenate(([2.0 * n], rp)) / dr2, rm / dr2)
+    return coeff
 
 
 def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
@@ -142,20 +161,22 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     operator has real nonpositive spectrum, so the wave update is free of
     the spurious exponential modes the plain centered form develops near
     the axis for large n.
+
+    The 1/dr^2 is folded into the cached coefficients
+    (`_laplacian_coefficients`), so a call makes four passes over u: the
+    differences d, cp * d written into the result, cm * d in place, and its
+    subtraction in place.  For a power-of-two dr the scaling is exact, and
+    the result has the bits of (rp d - rm d) / dr^2 unless a product rounds
+    as a subnormal.
     """
     size = u.shape[-1]
-    # one coefficient pair per n, grown to the longest grid and sliced to
-    # this one: each entry depends on its k alone, so a slice has the bits
-    # of coefficients built for `size` nodes
-    coeff = _LAP_COEFF_CACHE.get(n)
-    if coeff is None or len(coeff[0]) < size - 2:
-        _LAP_COEFF_CACHE[n] = coeff = _face_weights(n, size)
-    rp, rm = coeff[0][:size - 2], coeff[1][:size - 2]
+    cp, cm = _laplacian_coefficients(n, dr, size)
     out = np.empty_like(u)
-    inv_dr2 = 1.0 / dr ** 2
     d = u[..., 1:] - u[..., :-1]
-    out[..., 1:-1] = (rp * d[..., 1:] - rm * d[..., :-1]) * inv_dr2
-    out[..., 0] = n * 2.0 * d[..., 0] * inv_dr2
+    np.multiply(cp[:size - 1], d, out=out[..., :-1])
+    below = d[..., :-1]
+    below *= cm[:size - 2]
+    out[..., 1:-1] -= below
     out[..., -1] = 0.0
     return out
 
@@ -597,14 +618,30 @@ def _prepare_init(init, r, config):
     return u0, v0
 
 
+@functools.lru_cache(maxsize=4)
+def _energy_weights(n: int, dr: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """r^{n-1} and the trapezoid weights of a size-node row (read-only)."""
+    rn = (dr * np.arange(size)) ** (n - 1)
+    w = np.full(size, dr)
+    w[0] = w[-1] = 0.5 * dr
+    rn.flags.writeable = w.flags.writeable = False
+    return rn, w
+
+
 def flat_slice_energy(u, v, dr, n, lam) -> float:
     """Energy of a flat t=const slice: int (v^2 + u_r^2 + lam u^2) r^{n-1} dr."""
-    r = dr * np.arange(u.shape[-1])
-    ur = np.gradient(u, dr, axis=-1)
-    dens = (np.abs(v) ** 2 + np.abs(ur) ** 2 + lam * np.abs(u) ** 2) * r ** (n - 1)
-    w = np.full(u.shape[-1], dr)
-    w[0] = w[-1] = 0.5 * dr
-    return float(sphere_area(n) * np.sum(dens * w))
+    rn, w = _energy_weights(n, dr, u.shape[-1])
+    # |x| * |x|, not x * x: a NaN keeps its sign bit through x * x
+    dens, ur, uu = np.abs(v), np.abs(np.gradient(u, dr, axis=-1)), np.abs(u)
+    dens *= dens
+    ur *= ur
+    dens += ur
+    uu *= uu
+    uu *= lam
+    dens += uu
+    dens *= rn
+    dens *= w
+    return float(sphere_area(n) * np.sum(dens))
 
 
 def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
@@ -658,6 +695,9 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
     dr, dt = config.dr, config.dt
     r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
     u0, v0 = _prepare_init(init, r, config)
+    # built at the grid's length, so that no window of either sweep, which
+    # grows a few columns at a time, rebuilds them
+    _laplacian_coefficients(config.n, dr, len(r))
 
     sampler, t_end = None, config.t_end
     if slice_s:
@@ -750,7 +790,9 @@ def _linear_operator(n: int, dr: float, lam: float):
     on stacked rows."""
     if lam:
         def operator(y):
-            return radial_laplacian(y, dr, n) - lam * y
+            out = radial_laplacian(y, dr, n)
+            out -= lam * y
+            return out
     else:
         def operator(y):
             return radial_laplacian(y, dr, n)

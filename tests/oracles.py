@@ -13,7 +13,7 @@ import numpy as np
 from kkstab import evolve as ev
 from kkstab.energy import REPORT_MAGIC, GammaBlock, SobolevParams, hyperboloidal_energy
 from kkstab.fields import SliceData, WindowError, d2dr2, ddr
-from kkstab.geometry import DomainError, make_slice
+from kkstab.geometry import DomainError, make_slice, sphere_area
 from kkstab.schwarzschild import _christoffels, harmonic_metric
 
 
@@ -144,6 +144,21 @@ def evolve_full_grid_torus(n: int, torus, init, config: ev.EvolutionConfig,
     history = ev._evolve(dataclasses.replace(config, store_history=True),
                          (on_mesh(init[0]), on_mesh(init[1])), accel)[0]
     return np.array(history.t), history["u"]
+
+
+# ---------------------------------------------------------------------------
+# The linear run's energy monitor
+
+
+def flat_slice_energy_abs_form(u, v, dr, n, lam) -> float:
+    """int (v^2 + u_r^2 + lam u^2) r^{n-1} dr in one expression, with the
+    weights built per call and each square formed as np.abs(x) ** 2."""
+    r = dr * np.arange(u.shape[-1])
+    ur = np.gradient(u, dr, axis=-1)
+    dens = (np.abs(v) ** 2 + np.abs(ur) ** 2 + lam * np.abs(u) ** 2) * r ** (n - 1)
+    w = np.full(u.shape[-1], dr)
+    w[0] = w[-1] = 0.5 * dr
+    return float(sphere_area(n) * np.sum(dens * w))
 
 
 class AliasingError(ValueError):

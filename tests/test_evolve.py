@@ -22,8 +22,8 @@ from kkstab.evolve import (
     radial_laplacian,
 )
 from kkstab.internal import FlatTorus
-from oracles import (ETA2, evolve_full_grid_torus, interp_rows, inverse_metric_einsum,
-                     pack_sym, sample_on_hyperboloid)
+from oracles import (ETA2, evolve_full_grid_torus, flat_slice_energy_abs_form, interp_rows,
+                     inverse_metric_einsum, pack_sym, sample_on_hyperboloid)
 
 
 def _dalembert_n3(pulse, t, r, t0):
@@ -357,8 +357,23 @@ class TestClosedFormOracle:
 
 
 def full_grid_laplacian(u, dr, n):
-    """Oracle: the flux-form Laplacian with coefficients built for this
-    array's own length."""
+    """Oracle: the flux-form Laplacian with 1/dr^2 folded into coefficients
+    built for this array's own length."""
+    size = u.shape[-1]
+    k = np.arange(1, size - 1, dtype=float)
+    cp = ((k + 0.5) / k) ** (n - 1) / dr ** 2
+    cm = ((k - 0.5) / k) ** (n - 1) / dr ** 2
+    out = np.empty_like(u)
+    d = u[..., 1:] - u[..., :-1]
+    out[..., 1:-1] = cp * d[..., 1:] - cm * d[..., :-1]
+    out[..., 0] = 2.0 * n / dr ** 2 * d[..., 0]
+    out[..., -1] = 0.0
+    return out
+
+
+def unfolded_laplacian(u, dr, n):
+    """The flux-form Laplacian with the face differences scaled by 1/dr^2
+    after the weights are applied."""
     size = u.shape[-1]
     k = np.arange(1, size - 1, dtype=float)
     rp = ((k + 0.5) / k) ** (n - 1)
@@ -640,14 +655,14 @@ class TestTaylorKernel:
 class TestLaplacianCache:
     def test_one_entry_per_n(self, monkeypatch):
         """Runs on several grids, each stepping windows of many sizes, leave
-        one coefficient pair per n, as long as the longest grid needs."""
+        one coefficient entry per (n, dr), as long as the longest grid needs."""
         monkeypatch.setattr(ev, "_LAP_COEFF_CACHE", {})
         for n, r_max in ((3, 10.0), (3, 14.0), (5, 8.0), (3, 6.0)):
             evolve_kg_radial(0.0, n, config=EvolutionConfig(
                 n=n, dr=1 / 16, t_end=8.0, r_max=r_max, store_history=False))
-        assert sorted(ev._LAP_COEFF_CACHE) == [3, 5]
-        assert len(ev._LAP_COEFF_CACHE[3][0]) == 14 * 16 + 1 - 2
-        assert len(ev._LAP_COEFF_CACHE[5][0]) == 8 * 16 + 1 - 2
+        assert sorted(ev._LAP_COEFF_CACHE) == [(3, 1 / 16), (5, 1 / 16)]
+        assert len(ev._LAP_COEFF_CACHE[3, 1 / 16][1]) == 14 * 16 + 1 - 2
+        assert len(ev._LAP_COEFF_CACHE[5, 1 / 16][1]) == 8 * 16 + 1 - 2
 
     @pytest.mark.parametrize("n", [3, 9])
     def test_prefix_has_the_bits_of_its_own_coefficients(self, monkeypatch, n):
@@ -657,10 +672,61 @@ class TestLaplacianCache:
         for m in (3, 5, 6, 17, 64, 1000, 2999, 3001):
             got = radial_laplacian(u[..., :m], 0.01, n)
             assert got.tobytes() == full_grid_laplacian(u[..., :m], 0.01, n).tobytes(), m
-        assert list(ev._LAP_COEFF_CACHE) == [n]
+        assert list(ev._LAP_COEFF_CACHE) == [(n, 0.01)]
+
+    def test_coefficients_built_once_per_grid(self, monkeypatch):
+        """Both sweeps of a run step windows that grow a few columns at a
+        time, and every one slices the coefficients built for the grid."""
+        cfg = EvolutionConfig(n=3, dr=1 / 32, t_end=12.0, r_max=40.0, store_history=False)
+        calls = []
+        weights = ev._face_weights
+        monkeypatch.setattr(ev, "_LAP_COEFF_CACHE", {})
+        monkeypatch.setattr(ev, "_face_weights",
+                            lambda *a: calls.append(a) or weights(*a))
+        res = evolve_kg_radial(0.5, 3, config=cfg, slice_s=(3.0,))
+        assert res.counts["active_node_steps"] < res.counts["node_steps"] // 2
+        assert calls == [(3, int(round(cfg.resolved_r_max() / cfg.dr)) + 1)]
+
+    @pytest.mark.parametrize("dr", [1 / 16, 1 / 64])
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_folded_has_the_bits_of_the_unfolded_form(self, n, dr):
+        """For a power-of-two dr, folding 1/dr^2 into the coefficients scales
+        exactly: every bit is kept while the products stay normal."""
+        u = np.random.default_rng(n).standard_normal((2, 3, 2001))
+        for m in (2, 3, 40, 2001):
+            got = radial_laplacian(u[..., :m], dr, n)
+            assert got.tobytes() == unfolded_laplacian(u[..., :m], dr, n).tobytes(), m
+
+    @pytest.mark.parametrize("n, lam", [(3, 0.5), (9, 2.0)])
+    def test_linear_operator_subtracts_lam_y(self, n, lam):
+        dr = 1 / 16
+        y = np.random.default_rng(7).standard_normal((2, 500))
+        want = radial_laplacian(y, dr, n) - lam * y
+        assert ev._linear_operator(n, dr, lam)(y).tobytes() == want.tobytes()
 
 
 class TestEnergyMonitor:
+    @pytest.mark.parametrize("n, dr", [(3, 1 / 16), (9, 0.05)])
+    def test_matches_the_abs_form_bit_for_bit(self, n, dr):
+        """Cached weights and in-place squares have the bits of the
+        one-expression form, also on rows that hold +-inf or a NaN of either
+        sign (inf - inf makes -NaN, which x * x would keep negative)."""
+        rng = np.random.default_rng(n)
+        bad = (np.inf, -np.inf, np.nan, -np.float64(np.nan))
+        with np.errstate(invalid="ignore"):
+            for size in (5, 300):
+                for lam in (0.0, 1.0):
+                    rows = [(rng.standard_normal(size), rng.standard_normal(size))]
+                    for a in bad:
+                        for b in bad:
+                            u, v = rng.standard_normal((2, size))
+                            u[size // 2], v[0] = a, b
+                            rows.append((u, v))
+                    for u, v in rows:
+                        want = flat_slice_energy_abs_form(u, v, dr, n, lam)
+                        got = flat_slice_energy(u, v, dr, n, lam)
+                        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_flat_slice_energy_positive_definite(self):
         r = 0.05 * np.arange(100)
         u = default_pulse(r)
