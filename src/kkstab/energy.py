@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .evolve import (inverse_metric_components, inverse_metric_derivative,
-                     quasilinear_coefficients)
+                     q_nonlinearity)
 from .fields import SliceData
 from .geometry import _eval_terms, _word_terms, _words_upto
 
@@ -170,11 +170,10 @@ def quasilinear_gamma(comp_slices: list, eps: float) -> GammaBlock:
 
 def quasilinear_source(comp_slices: list, eps: float) -> np.ndarray:
     """F = eps Q per component, recomputed from slice samples, shape (3, m)."""
-    u3 = np.stack([c.u for c in comp_slices])
-    v3 = np.stack([c.ut for c in comp_slices])
-    ur3 = np.stack([c.ur for c in comp_slices])
-    _, q3 = quasilinear_coefficients(u3, v3, ur3, eps)
-    return eps * q3
+    h = [eps * c.u for c in comp_slices]
+    dh_t = [eps * c.ut for c in comp_slices]
+    dh_r = [eps * c.ur for c in comp_slices]
+    return eps * q_nonlinearity(h, dh_t, dh_r)
 
 
 def _gamma_flux_density(data: SliceData, gamma: GammaBlock, n: int) -> np.ndarray:

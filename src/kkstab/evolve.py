@@ -884,10 +884,6 @@ def inverse_metric_derivative(h, dh):
             -drr + 2.0 * (hrr * drr - h0r * d0r))
 
 
-def _matmul2(X, Y):
-    return [[X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in (0, 1)] for i in (0, 1)]
-
-
 def q_nonlinearity(h, dh_t, dh_r):
     """The quadratic form Q_mn(dg, dg) of the reduced system, component-wise.
 
@@ -899,38 +895,54 @@ def q_nonlinearity(h, dh_t, dh_r):
                            + d_c g_ma d_d g_nb - d_c g_ma d_b g_nd )
              = t1_mn + t2_mn - 1/2 t3_mn + t4_mn - t5_mn.
     h, dh_t, dh_r are the (00, 0r, rr) components of h = g - eta and of
-    d_t g, d_r g.  With G = g^{-1}, D_c = d_c g, A_c = G D_c, B_c = A_c G and
-    W_c = G^c0 A_0 + G^cr A_r (a, b, c, d over {0, r}):
-        t1_mn = B_n^00 (D_0)_0m + B_n^0r [(D_0)_rm + (D_r)_0m] + B_n^rr (D_r)_rm,
-        t2_mn = t1_nm,
-        t3_mn = B_m^00 (D_n)_00 + 2 B_m^0r (D_n)_0r + B_m^rr (D_n)_rr,
-        t4_mn = sum_c (D_c)_m0 (W_c)^0_n + (D_c)_mr (W_c)^r_n,
-        t5_mn = sum_{b,c} (A_c)^b_m (A_b)^c_n.
-    Returns (Q_00, Q_0r, Q_rr); Q is symmetric.
+    d_t g, d_r g.
+
+    Q is homogeneous of degree 2 in g^{-1} = adj(g) / det g, with
+        adj(g) = [[X, Y], [Y, Z]],  X = g_rr = 1 + h_rr,  Y = -h_0r,
+        Z = g_00 = h_00 - 1,  det g = XZ - Y^2,
+    so Q_mn = P_mn / det^2 with P_mn a sum over the monomials XX, XY, XZ,
+    YY, YZ, ZZ, each times a quadratic polynomial in the derivatives
+    (a0, b0, c0) = d_t h and (a1, b1, c1) = d_r h.  Expanding the five
+    contractions (once, with sympy; the tests check the expansion exactly)
+    gives, with p = a1 + 2 b0, q = c0 + 2 b1 and s = a1 c0 + 2 b0 b1:
+        P_00 = 3/2 a0^2 XX + 2 a0 p XY + (a1^2 + 2 b0^2) XZ
+               + (a0 q + a1 (4 b0 - a1)) YY + 2 s YZ + 1/2 c0 (4 b1 - c0) ZZ,
+        P_0r = 1/2 a0 p XX + (a0 q + a1^2 + 2 b0^2) XY + (p q - 2 s) XZ
+               + 1/2 (3 a0 c1 + p q) YY + (c1 p + c0^2 + 2 b1^2) YZ
+               + 1/2 c1 q ZZ,
+        P_rr = 1/2 a1 (4 b0 - a1) XX + 2 s XY + (c0^2 + 2 b1^2) XZ
+               + (c1 p + c0 (4 b1 - c0)) YY + 2 c1 q YZ + 3/2 c1^2 ZZ.
+    P_rr is P_00 with t and r exchanged (X <-> Z, a0 <-> c1, b0 <-> b1,
+    c0 <-> a1).
+
+    Returns the (3, ...) stack (Q_00, Q_0r, Q_rr); Q is symmetric.
     """
     h00, h0r, hrr = h
-    g00, grr = h00 - 1.0, hrr + 1.0
-    inv_det = 1.0 / (g00 * grr - h0r * h0r)
-    G0r = -h0r * inv_det
-    G = ((grr * inv_det, G0r), (G0r, g00 * inv_det))
-    D = [((a, b), (b, c)) for a, b, c in (dh_t, dh_r)]
-    A = [_matmul2(G, Dc) for Dc in D]
-    B = [_matmul2(Ac, G) for Ac in A]
-    W = [[[G[c][0] * A[0][i][j] + G[c][1] * A[1][i][j] for j in (0, 1)]
-          for i in (0, 1)] for c in (0, 1)]
-    t1 = {(m, n): B[n][0][0] * D[0][0][m] + B[n][0][1] * (D[0][1][m] + D[1][0][m])
-          + B[n][1][1] * D[1][1][m] for m in (0, 1) for n in (0, 1)}
+    a0, b0, c0 = dh_t
+    a1, b1, c1 = dh_r
+    X, Y, Z = hrr + 1.0, -h0r, h00 - 1.0
+    xx, xy, xz, yy, yz, zz = X * X, X * Y, X * Z, Y * Y, Y * Z, Z * Z
+    inv_det2 = 1.0 / (xz - yy) ** 2
 
-    def q(m, n):
-        t3 = (B[m][0][0] * D[n][0][0] + 2.0 * B[m][0][1] * D[n][0][1]
-              + B[m][1][1] * D[n][1][1])
-        t4 = (D[0][m][0] * W[0][0][n] + D[0][m][1] * W[0][1][n]
-              + D[1][m][0] * W[1][0][n] + D[1][m][1] * W[1][1][n])
-        t5 = (A[0][0][m] * A[0][0][n] + A[0][1][m] * A[1][0][n]
-              + A[1][0][m] * A[0][1][n] + A[1][1][m] * A[1][1][n])
-        return t1[m, n] + t1[n, m] - 0.5 * t3 + t4 - t5
+    two_b0, two_b1 = 2.0 * b0, 2.0 * b1
+    p, q = a1 + two_b0, c0 + two_b1
+    two_s = 2.0 * (a1 * c0 + two_b0 * b1)
+    pq = p * q
+    a0p, a0q, c1p, c1q = a0 * p, a0 * q, c1 * p, c1 * q
+    m_t = a1 * (2.0 * two_b0 - a1)          # a1 (4 b0 - a1)
+    m_r = c0 * (2.0 * two_b1 - c0)          # c0 (4 b1 - c0)
+    e_t = a1 * a1 + two_b0 * b0             # a1^2 + 2 b0^2
+    e_r = c0 * c0 + two_b1 * b1             # c0^2 + 2 b1^2
 
-    return q(0, 0), q(0, 1), q(1, 1)
+    p00 = (1.5 * a0 * a0 * xx + 2.0 * a0p * xy + e_t * xz + (a0q + m_t) * yy
+           + two_s * yz + 0.5 * m_r * zz)
+    p0r = (0.5 * a0p * xx + (a0q + e_t) * xy + (pq - two_s) * xz
+           + 0.5 * (3.0 * a0 * c1 + pq) * yy + (c1p + e_r) * yz + 0.5 * c1q * zz)
+    prr = (0.5 * m_t * xx + two_s * xy + e_r * xz + (c1p + m_r) * yy
+           + 2.0 * c1q * yz + 1.5 * c1 * c1 * zz)
+    out = np.stack((p00, p0r, prr))
+    out *= inv_det2
+    return out
 
 
 def quasilinear_coefficients(u3: np.ndarray, v3: np.ndarray, ur3: np.ndarray,
@@ -943,7 +955,7 @@ def quasilinear_coefficients(u3: np.ndarray, v3: np.ndarray, ur3: np.ndarray,
     """
     h = eps * u3
     H = _pack_sym(*inverse_metric_components(h))
-    q3 = np.stack(q_nonlinearity(h, eps * v3, eps * ur3))
+    q3 = q_nonlinearity(h, eps * v3, eps * ur3)
     return H, q3
 
 
@@ -956,14 +968,16 @@ def _quasilinear_rhs(config: EvolutionConfig, lam: float) -> dict:
         return {"accel": None, "operator": _linear_operator(n, dr, lam)}
 
     def accel(t, u, v):
-        ur = ddr(u, dr)
-        H, q3 = quasilinear_coefficients(u, v, ur, eps)
-        lap = radial_laplacian(u, dr, n)
-        urr = d2dr2(u, dr)
-        vr = ddr(v, dr)
-        rhs = (lap + H[..., 1, 1] * urr + 2.0 * H[..., 0, 1] * vr
-               - lam * u - eps * q3)
-        return rhs / (1.0 - H[..., 0, 0])
+        H, q3 = quasilinear_coefficients(u, v, ddr(u, dr), eps)
+        # (lap + H^rr u_rr + 2 H^0r v_r - lam u - eps Q) / (1 - H^00),
+        # accumulated in place in the Laplacian's result, left to right
+        rhs = radial_laplacian(u, dr, n)
+        rhs += H[..., 1, 1] * d2dr2(u, dr)
+        rhs += 2.0 * H[..., 0, 1] * ddr(v, dr)
+        rhs -= lam * u
+        rhs -= eps * q3
+        rhs /= 1.0 - H[..., 0, 0]
+        return rhs
 
     return {"accel": accel, "operator": None}
 

@@ -105,6 +105,49 @@ def inverse_metric_einsum(h):
     return -sharp(h) + sharp_prod(h, h)
 
 
+def _matmul2(X, Y):
+    return [[X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
+def q_contractions(h, dh_t, dh_r):
+    """Oracle: Q_mn(dg, dg) as the five contractions, component-wise.
+
+    Q_mn = t1_mn + t2_mn - 1/2 t3_mn + t4_mn - t5_mn (see
+    `evolve.q_nonlinearity`).  With G = g^{-1}, D_c = d_c g, A_c = G D_c,
+    B_c = A_c G and W_c = G^c0 A_0 + G^cr A_r (a, b, c, d over {0, r}):
+        t1_mn = B_n^00 (D_0)_0m + B_n^0r [(D_0)_rm + (D_r)_0m] + B_n^rr (D_r)_rm,
+        t2_mn = t1_nm,
+        t3_mn = B_m^00 (D_n)_00 + 2 B_m^0r (D_n)_0r + B_m^rr (D_n)_rr,
+        t4_mn = sum_c (D_c)_m0 (W_c)^0_n + (D_c)_mr (W_c)^r_n,
+        t5_mn = sum_{b,c} (A_c)^b_m (A_b)^c_n.
+    Plain arithmetic on the entries, so it also runs on sympy symbols.
+    Returns (Q_00, Q_0r, Q_rr).
+    """
+    h00, h0r, hrr = h
+    g00, grr = h00 - 1.0, hrr + 1.0
+    inv_det = 1.0 / (g00 * grr - h0r * h0r)
+    G0r = -h0r * inv_det
+    G = ((grr * inv_det, G0r), (G0r, g00 * inv_det))
+    D = [((a, b), (b, c)) for a, b, c in (dh_t, dh_r)]
+    A = [_matmul2(G, Dc) for Dc in D]
+    B = [_matmul2(Ac, G) for Ac in A]
+    W = [[[G[c][0] * A[0][i][j] + G[c][1] * A[1][i][j] for j in (0, 1)]
+          for i in (0, 1)] for c in (0, 1)]
+    t1 = {(m, n): B[n][0][0] * D[0][0][m] + B[n][0][1] * (D[0][1][m] + D[1][0][m])
+          + B[n][1][1] * D[1][1][m] for m in (0, 1) for n in (0, 1)}
+
+    def q(m, n):
+        t3 = (B[m][0][0] * D[n][0][0] + 2.0 * B[m][0][1] * D[n][0][1]
+              + B[m][1][1] * D[n][1][1])
+        t4 = (D[0][m][0] * W[0][0][n] + D[0][m][1] * W[0][1][n]
+              + D[1][m][0] * W[1][0][n] + D[1][m][1] * W[1][1][n])
+        t5 = (A[0][0][m] * A[0][0][n] + A[0][1][m] * A[1][0][n]
+              + A[1][0][m] * A[0][1][n] + A[1][1][m] * A[1][1][n])
+        return t1[m, n] + t1[n, m] - 0.5 * t3 + t4 - t5
+
+    return q(0, 0), q(0, 1), q(1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Full-grid (t, r, theta) solver on R^{1+n} x T^1, and Fourier synthesis
 

@@ -326,3 +326,17 @@ class TestQuasilinearGammaBridge:
         src = en.quasilinear_source(comps, cfg.eps)
         assert src.shape == (3,) + comps[0].u.shape
         assert np.all(np.isfinite(src))
+
+    @pytest.mark.parametrize("shape", [(), (385,)])
+    def test_source_has_the_bits_of_the_evolution_q(self, shape):
+        """F = eps Q from `q_nonlinearity` on the slice samples, with the
+        bytes of eps times the Q3 that `quasilinear_coefficients` hands the
+        evolution."""
+        from kkstab.evolve import quasilinear_coefficients
+        comps = _random_components(np.random.default_rng(23), shape)
+        u3, v3, ur3 = (np.stack([getattr(c, k) for c in comps])
+                       for k in ("u", "ut", "ur"))
+        _, q3 = quasilinear_coefficients(u3, v3, ur3, 1e-3)
+        src = en.quasilinear_source(comps, 1e-3)
+        assert src.shape == (3,) + shape
+        assert src.tobytes() == (1e-3 * q3).tobytes()

@@ -7,6 +7,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from kkstab import evolve as ev
 from kkstab import fields
@@ -23,7 +24,8 @@ from kkstab.evolve import (
 )
 from kkstab.internal import FlatTorus
 from oracles import (ETA2, evolve_full_grid_torus, flat_slice_energy_abs_form, interp_rows,
-                     inverse_metric_einsum, pack_sym, sample_on_hyperboloid)
+                     inverse_metric_einsum, pack_sym, q_contractions,
+                     sample_on_hyperboloid)
 
 
 def _dalembert_n3(pulse, t, r, t0):
@@ -354,6 +356,64 @@ class TestClosedFormOracle:
                       axis=-3)
         q = q_einsum(np.linalg.inv(ETA2 + h), dg)
         assert np.allclose(q[..., 0, 1], q[..., 1, 0], rtol=1e-13, atol=0.0)
+
+
+def _exact(expr):
+    """expr with its float constants as the rationals they represent."""
+    expr = sp.sympify(expr)
+    return expr.xreplace({f: sp.Rational(f) for f in expr.atoms(sp.Float)})
+
+
+class TestQClosedForm:
+    def test_polynomial_is_the_contractions_exactly(self):
+        """On symbolic h, d_t h and d_r h, the closed-form P / det^2 minus
+        the five contractions of `q_contractions` cancels to exactly 0."""
+        h = sp.symbols("h00 h0r hrr")
+        dh_t = sp.symbols("a0 b0 c0")
+        dh_r = sp.symbols("a1 b1 c1")
+        got = ev.q_nonlinearity(h, dh_t, dh_r)
+        want = q_contractions(h, dh_t, dh_r)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert sp.cancel(sp.together(_exact(g) - _exact(w))) == 0
+
+
+class TestQuasilinearAccel:
+    """The eps > 0 right-hand side against one assembled from the oracles:
+    (unfolded Laplacian + H^rr u_rr + 2 H^0r v_r - lam u - eps Q) / (1 - H^00)
+    with H and Q by einsum."""
+
+    EPS = 1e-2
+
+    @pytest.mark.parametrize("n", [3, 9])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_matches_assembled_oracle(self, n, lam):
+        cfg = EvolutionConfig(n=n, dr=1 / 16, eps=self.EPS,
+                              nonlinearity="quasilinear-toy")
+        accel = ev._quasilinear_rhs(cfg, lam)["accel"]
+        rng = np.random.default_rng(100 * n + int(10 * lam))
+        for w in (5, 64, 385):
+            u, v = rng.uniform(-1.0, 1.0, (2, 3, w))
+            H, q3 = quasilinear_coefficients_einsum(u, v, fields.ddr(u, cfg.dr), self.EPS)
+            eps_q = self.EPS * q3
+            want = ((unfolded_laplacian(u, cfg.dr, n)
+                     + H[..., 1, 1] * fields.d2dr2(u, cfg.dr)
+                     + 2.0 * H[..., 0, 1] * fields.ddr(v, cfg.dr) - lam * u - eps_q)
+                    / (1.0 - H[..., 0, 0]))
+            got = accel(0.0, u, v)
+            assert got.shape == (3, w)
+            assert _rel_err(got, want) <= ORACLE_RTOL
+            # the gate sees Q: dropping it would miss by far more than the rtol
+            assert np.max(np.abs(eps_q)) > 1e3 * ORACLE_RTOL * np.max(np.abs(want))
+
+    def test_zero_data_gives_positive_zero(self):
+        """+0.0 data map to +0.0 bytes, the window contract of `_run_sweep`."""
+        cfg = EvolutionConfig(n=9, dr=1 / 16, eps=self.EPS,
+                              nonlinearity="quasilinear-toy")
+        for lam in (0.0, 0.5):
+            zeros = np.zeros((3, 40))
+            got = ev._quasilinear_rhs(cfg, lam)["accel"](0.0, zeros, zeros.copy())
+            assert got.tobytes() == zeros.tobytes()
 
 
 def full_grid_laplacian(u, dr, n):
