@@ -4,7 +4,7 @@ Modules
 -------
 geometry      hyperboloid slices, the radial generator algebra
 internal      internal-manifold spectra and stability verdicts
-fields        mode fields, slice data, mode decomposition, snapshot I/O
+fields        mode fields, slice data and their derivative closure, snapshot I/O
 evolve        radial Klein-Gordon and quasilinear evolutions
 energy        hyperboloidal and boosted energies, identities, estimates
 schwarzschild harmonic-gauge exteriors and geodesic probes

@@ -172,6 +172,8 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
             raise ConfigError(f"d={cfg['d']} but {len(periods)} periods given")
         torus = internal.FlatTorus(periods)
         lmax = int(cfg["lmax"])
+        if lmax < 0:
+            raise ConfigError(f"lmax={lmax} must be nonnegative")
         cutoff = 4 * np.pi ** 2 * lmax ** 2 * sum(1.0 / L ** 2
                                                   for L in periods) + 1e-9
         spec = internal.lichnerowicz_spectrum(torus, cutoff)
@@ -269,6 +271,8 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
 
 def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
     clock = _PhaseClock()
+    if float(cfg["cs"]) == 0.0:
+        raise ConfigError("cs=0 is the flat chart: its metric deviation is identically 0")
     r_lo, r_hi = float(cfg["r_lo"]), float(cfg["r_hi"])
     if not 0 < r_lo < r_hi < np.inf:
         raise ConfigError(f"r_lo={r_lo}, r_hi={r_hi}: the radii must satisfy "

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ModeField, SliceData, SnapshotWriter, d2dr2, ddr, read_snapshot
+from .fields import ModeField, SliceData, SnapshotWriter, read_snapshot
 from .geometry import make_slice, sphere_area
 
 
@@ -201,24 +201,40 @@ def _laplacian_spectral_radius(n: int, size: int = 400) -> float:
     return float(np.max(np.abs(eig)))
 
 
-def _radial_stencil(g: np.ndarray, b: int, dr: float) -> np.ndarray:
-    """b-th radial derivative from a (..., 5, m) gather at column offsets
-    -2..2 (even extension at r=0, clamped at the grid edge)."""
+#: Centred radial stencils by derivative order b: the (column offset, weight)
+#: taps in summation order, the first of weight +1, and c of the divisor c dr^b
+CENTRED_STENCILS = {
+    0: (((0, 1.0),), 1.0),
+    1: (((1, 1.0), (-1, -1.0)), 2.0),
+    2: (((1, 1.0), (0, -2.0), (-1, 1.0)), 1.0),
+    3: (((2, 1.0), (1, -2.0), (-1, 2.0), (-2, -1.0)), 2.0),
+    4: (((2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)), 1.0),
+}
 
-    def at(off):
-        return g[..., off + 2, :]
 
-    if b == 0:
-        return at(0)
-    if b == 1:
-        return (at(1) - at(-1)) / (2.0 * dr)
-    if b == 2:
-        return (at(1) - 2.0 * at(0) + at(-1)) / dr ** 2
-    if b == 3:
-        return (at(2) - 2.0 * at(1) + 2.0 * at(-1) - at(-2)) / (2.0 * dr ** 3)
-    if b == 4:
-        return (at(2) - 4.0 * at(1) + 6.0 * at(0) - 4.0 * at(-1) + at(-2)) / dr ** 4
-    raise ValueError(f"unsupported radial derivative order {b}")
+def centred_stencil(at, b: int, dr: float) -> np.ndarray:
+    """The b-th radial derivative from `CENTRED_STENCILS`, at(off) giving the
+    values at column offset off.  A tap of weight w is added as |w| * at(off)
+    or subtracted for w < 0, with no multiply for |w| = 1."""
+    taps, c = CENTRED_STENCILS[b]
+    acc = at(taps[0][0])
+    for off, w in taps[1:]:
+        term = at(off) if abs(w) == 1.0 else abs(w) * at(off)
+        acc = acc + term if w > 0 else acc - term
+    # order 0 is the value itself, with no division
+    return acc / (c * dr ** b) if b else acc
+
+
+def radial_derivative(u: np.ndarray, b: int, dr: float) -> np.ndarray:
+    """Centred d^b/dr^b, b = 1 or 2, along the last axis.  At the axis the
+    even extension: 0 for b = 1, 2 (u_1 - u_0) / dr^2 for b = 2; 0 in the
+    edge column, where the data vanish by the support cone."""
+    m = u.shape[-1]
+    out = np.empty_like(u)
+    out[..., 1:-1] = centred_stencil(lambda off: u[..., 1 + off:m - 1 + off], b, dr)
+    out[..., 0] = 0.0 if b == 1 else 2.0 * (u[..., 1] - u[..., 0]) / dr ** 2
+    out[..., -1] = 0.0
+    return out
 
 
 _STENCIL_OFFSETS = np.arange(-2, 3)[:, None]
@@ -259,7 +275,6 @@ class SliceSampler:
     def __init__(self, targets, n: int, dr: float, max_b: int = 2,
                  r_cap=None, leading_shape: tuple = ()):
         self.dr = dr
-        self.max_b = max_b
         #: grid columns gathered per row of u (the same of v), over all rows
         self.gathered_columns = 0
         slcs = [make_slice(s, n, dr, r_cap=r_cap(s) if callable(r_cap) else r_cap)
@@ -356,9 +371,10 @@ class SliceSampler:
             width = np.array([g[2].shape[-1] for g in self._gathers])
             which = np.searchsorted(got[:, 0], rows)
             col = (np.cumsum(width) - width - got[:, 1])[which] + np.arange(self._next, end)
-            g = np.stack([np.concatenate([gi[f] for gi in self._gathers], axis=-1)[..., col]
-                          for f in (2, 3)])
-            g = np.moveaxis(g, -2, 0)
+            # each field's gathers as (4 rows, ..., 5 offsets, captures)
+            g = {f: np.moveaxis(np.concatenate([gi[i] for gi in self._gathers],
+                                               axis=-1)[..., col], -2, 0)
+                 for i, f in ((2, "u"), (3, "v"))}
             # Lagrange weights over the four rows: w_i is the product over j
             # of (t* - t_j) / (t_i - t_j), with the j = i ratio set to 1.0
             # (exact); the eye keeps the diagonal of den away from zero
@@ -367,13 +383,12 @@ class SliceSampler:
             ratio = (self._tstar[idx] - times) / den
             ratio[_DIAG4] = 1.0
             w = ratio[:, 0] * ratio[:, 1] * ratio[:, 2] * ratio[:, 3]
-            w = w.reshape((4,) + (1,) * (g.ndim - 3) + (-1,))
-            for b in range(self.max_b + 1):
-                # the weighted sum in row order, as a sum over the first axis
-                acc = sum(w * _radial_stencil(g, b, self.dr))
-                self._store["u", b][..., idx] = acc[0]
-                if b < self._n_orders["v"]:
-                    self._store["v", b][..., idx] = acc[1]
+            w = w.reshape((4,) + (1,) * (g["u"].ndim - 3) + (-1,))
+            for f, gf in g.items():
+                for b in range(self._n_orders[f]):
+                    # the weighted sum in row order, as a sum over the first axis
+                    self._store[f, b][..., idx] = sum(
+                        w * centred_stencil(lambda off: gf[..., off + 2, :], b, self.dr))
             self._next = end
         # the rows that the captures still scheduled read
         self._gathers = [g for g in self._gathers if g[0] >= self._row - 3]
@@ -968,12 +983,12 @@ def _quasilinear_rhs(config: EvolutionConfig, lam: float) -> dict:
         return {"accel": None, "operator": _linear_operator(n, dr, lam)}
 
     def accel(t, u, v):
-        H, q3 = quasilinear_coefficients(u, v, ddr(u, dr), eps)
+        H, q3 = quasilinear_coefficients(u, v, radial_derivative(u, 1, dr), eps)
         # (lap + H^rr u_rr + 2 H^0r v_r - lam u - eps Q) / (1 - H^00),
         # accumulated in place in the Laplacian's result, left to right
         rhs = radial_laplacian(u, dr, n)
-        rhs += H[..., 1, 1] * d2dr2(u, dr)
-        rhs += 2.0 * H[..., 0, 1] * ddr(v, dr)
+        rhs += H[..., 1, 1] * radial_derivative(u, 2, dr)
+        rhs += 2.0 * H[..., 0, 1] * radial_derivative(v, 1, dr)
         rhs -= lam * u
         rhs -= eps * q3
         rhs /= 1.0 - H[..., 0, 0]

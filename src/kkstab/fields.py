@@ -165,26 +165,6 @@ class ModeField:
         return self.dr * (self.u.shape[1] - 1)
 
 
-def ddr(u: np.ndarray, dr: float) -> np.ndarray:
-    """Centered d/dr along the last axis: 0 at the axis by even symmetry, and
-    0 in the edge column, where the data vanish by the support cone."""
-    out = np.empty_like(u)
-    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
-    out[..., 0] = 0.0
-    out[..., -1] = 0.0
-    return out
-
-
-def d2dr2(u: np.ndarray, dr: float) -> np.ndarray:
-    """Centered d^2/dr^2 along the last axis: the even extension at the axis,
-    and 0 in the edge column, where the data vanish by the support cone."""
-    out = np.empty_like(u)
-    out[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dr ** 2
-    out[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / dr ** 2
-    out[..., -1] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Snapshot format: text header, then row-major float64 payload
 

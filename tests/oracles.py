@@ -12,7 +12,7 @@ import numpy as np
 
 from kkstab import evolve as ev
 from kkstab.energy import REPORT_MAGIC, GammaBlock, SobolevParams, hyperboloidal_energy
-from kkstab.fields import SliceData, WindowError, d2dr2, ddr
+from kkstab.fields import SliceData, WindowError
 from kkstab.geometry import DomainError, make_slice, sphere_area
 from kkstab.schwarzschild import _christoffels, harmonic_metric
 
@@ -249,6 +249,51 @@ def mode_reconstruct(coeffs: dict, model, grid_shape: tuple) -> np.ndarray:
         phase = sum(2j * math.pi * kj * g for kj, g in zip(k, mesh))
         out += np.asarray(c).reshape(base_shape + (1,) * d) * np.exp(phase)
     return np.real_if_close(out, tol=1e6)
+
+
+# ---------------------------------------------------------------------------
+# Centred radial derivatives, one hand-written formula per order: the
+# references for `evolve.CENTRED_STENCILS` and its appliers
+
+
+def ddr(u: np.ndarray, dr: float) -> np.ndarray:
+    """Centered d/dr along the last axis: 0 at the axis by even symmetry, and
+    0 in the edge column, where the data vanish by the support cone."""
+    out = np.empty_like(u)
+    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
+    return out
+
+
+def d2dr2(u: np.ndarray, dr: float) -> np.ndarray:
+    """Centered d^2/dr^2 along the last axis: the even extension at the axis,
+    and 0 in the edge column, where the data vanish by the support cone."""
+    out = np.empty_like(u)
+    out[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dr ** 2
+    out[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / dr ** 2
+    out[..., -1] = 0.0
+    return out
+
+
+def _radial_stencil(g: np.ndarray, b: int, dr: float) -> np.ndarray:
+    """b-th radial derivative from a (..., 5, m) gather at column offsets
+    -2..2 (even extension at r=0, clamped at the grid edge)."""
+
+    def at(off):
+        return g[..., off + 2, :]
+
+    if b == 0:
+        return at(0)
+    if b == 1:
+        return (at(1) - at(-1)) / (2.0 * dr)
+    if b == 2:
+        return (at(1) - 2.0 * at(0) + at(-1)) / dr ** 2
+    if b == 3:
+        return (at(2) - 2.0 * at(1) + 2.0 * at(-1) - at(-2)) / (2.0 * dr ** 3)
+    if b == 4:
+        return (at(2) - 4.0 * at(1) + 6.0 * at(0) - 4.0 * at(-1) + at(-2)) / dr ** 4
+    raise ValueError(f"unsupported radial derivative order {b}")
 
 
 # ---------------------------------------------------------------------------

@@ -348,12 +348,15 @@ class TestDomainErrors:
         (["schwarzschild", "--r-hi", "inf"], "r_hi=inf: the radii must satisfy "
                                              "0 < r_lo < r_hi < inf"),
         (["schwarzschild", "--r-lo", "0"], "r_lo=0.0, r_hi=200.0: the radii"),
+        (["spectrum", "--lmax", "-1"], "lmax=-1 must be nonnegative"),
+        (["schwarzschild", "--cs", "0"], "cs=0 is the flat chart"),
     ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-n11", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
             "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
             "geodesic-r0-negative", "evolve-t-end-before-t-start", "evolve-n0",
-            "schwarzschild-r-hi-inf", "schwarzschild-r-lo-0"])
+            "schwarzschild-r-hi-inf", "schwarzschild-r-lo-0", "spectrum-lmax-negative",
+            "schwarzschild-cs-0"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2
@@ -481,3 +484,15 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+    def test_import_is_free_of_scipy_and_sympy(self):
+        """Importing the package and its computing modules loads neither scipy
+        nor sympy: each is imported where a computation needs it."""
+        script = ("import sys, kkstab; "
+                  "import kkstab.evolve, kkstab.energy, kkstab.fields, "
+                  "kkstab.geometry, kkstab.internal; "
+                  "print('scipy' in sys.modules, 'sympy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]

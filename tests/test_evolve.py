@@ -3,6 +3,7 @@
 import dataclasses
 import filecmp
 import inspect
+import math
 from collections import deque
 
 import numpy as np
@@ -23,9 +24,9 @@ from kkstab.evolve import (
     radial_laplacian,
 )
 from kkstab.internal import FlatTorus
-from oracles import (ETA2, evolve_full_grid_torus, flat_slice_energy_abs_form, interp_rows,
-                     inverse_metric_einsum, pack_sym, q_contractions,
-                     sample_on_hyperboloid)
+from oracles import (ETA2, _radial_stencil, d2dr2, ddr, evolve_full_grid_torus,
+                     flat_slice_energy_abs_form, interp_rows, inverse_metric_einsum,
+                     pack_sym, q_contractions, sample_on_hyperboloid)
 
 
 def _dalembert_n3(pulse, t, r, t0):
@@ -394,11 +395,11 @@ class TestQuasilinearAccel:
         rng = np.random.default_rng(100 * n + int(10 * lam))
         for w in (5, 64, 385):
             u, v = rng.uniform(-1.0, 1.0, (2, 3, w))
-            H, q3 = quasilinear_coefficients_einsum(u, v, fields.ddr(u, cfg.dr), self.EPS)
+            H, q3 = quasilinear_coefficients_einsum(u, v, ddr(u, cfg.dr), self.EPS)
             eps_q = self.EPS * q3
             want = ((unfolded_laplacian(u, cfg.dr, n)
-                     + H[..., 1, 1] * fields.d2dr2(u, cfg.dr)
-                     + 2.0 * H[..., 0, 1] * fields.ddr(v, cfg.dr) - lam * u - eps_q)
+                     + H[..., 1, 1] * d2dr2(u, cfg.dr)
+                     + 2.0 * H[..., 0, 1] * ddr(v, cfg.dr) - lam * u - eps_q)
                     / (1.0 - H[..., 0, 0]))
             got = accel(0.0, u, v)
             assert got.shape == (3, w)
@@ -414,6 +415,57 @@ class TestQuasilinearAccel:
             zeros = np.zeros((3, 40))
             got = ev._quasilinear_rhs(cfg, lam)["accel"](0.0, zeros, zeros.copy())
             assert got.tobytes() == zeros.tobytes()
+
+
+class TestCentredStencils:
+    """`evolve.CENTRED_STENCILS` and its two appliers: the row form of the
+    quasilinear right-hand side and the gather form of the slice sampler."""
+
+    @staticmethod
+    def _data(rng, shape):
+        """Uniform values, with small integers (and -0.0 for 0) in every
+        other column, so that some stencils cancel exactly."""
+        u = rng.uniform(-1.0, 1.0, shape)
+        k = rng.integers(-2, 3, shape).astype(float)
+        k[k == 0] = -0.0
+        u[..., ::2] = k[..., ::2]
+        return u
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("m", [3, 4, 64])
+    @pytest.mark.parametrize("dr", [1 / 16, 0.1])
+    def test_row_form_has_the_oracle_bytes(self, lead, m, dr):
+        u = self._data(np.random.default_rng(m + 7 * len(lead)), lead + (m,))
+        zeros = np.zeros(lead + (m,))
+        for b, oracle in ((1, ddr), (2, d2dr2)):
+            assert ev.radial_derivative(u, b, dr).tobytes() == oracle(u, dr).tobytes()
+            # +0.0 rows give +0.0 bytes, the window contract of `_run_sweep`
+            assert ev.radial_derivative(zeros, b, dr).tobytes() == zeros.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("m", [3, 4, 64])
+    @pytest.mark.parametrize("dr", [1 / 16, 0.1])
+    def test_gather_form_has_the_oracle_bytes(self, lead, m, dr):
+        g = self._data(np.random.default_rng(100 + m + 7 * len(lead)), lead + (5, m))
+        g0, zeros = np.zeros(lead + (5, m)), np.zeros(lead + (m,))
+        for b in range(5):
+            got = ev.centred_stencil(lambda off: g[..., off + 2, :], b, dr)
+            assert got.tobytes() == _radial_stencil(g, b, dr).tobytes()
+            got = ev.centred_stencil(lambda off: g0[..., off + 2, :], b, dr)
+            assert got.tobytes() == zeros.tobytes()
+
+    @pytest.mark.parametrize("b", range(5))
+    def test_moments(self, b):
+        """sum w off^k is 0 below k = b, c b! at k = b and 0 at k = b + 1:
+        the taps over c dr^b are a centred, second-order d^b/dr^b."""
+        taps, c = ev.CENTRED_STENCILS[b]
+        for k in range(b + 2):
+            moment = sum(w * off ** k for off, w in taps)
+            assert moment == (c * math.factorial(b) if k == b else 0.0), k
+        # the applier takes the first tap as it is, and the sampler gathers
+        # the offsets -2..2
+        assert taps[0][1] == 1.0
+        assert {off for off, _ in taps} <= set(range(-2, 3))
 
 
 def full_grid_laplacian(u, dr, n):
@@ -1057,7 +1109,7 @@ class TestSliceSampler:
                               r_max=18.0, store_every=1, sample_derivs=3)
         res = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,))
         direct, f = res.slices[5.0], res.field
-        posthoc = interp_rows(f, fields.d2dr2(f.v, f.dr), direct.t,
+        posthoc = interp_rows(f, d2dr2(f.v, f.dr), direct.t,
                               np.round(direct.r / f.dr).astype(int))
         assert np.max(np.abs(direct.utrr - posthoc)) < 1e-6 * np.max(np.abs(posthoc))
 
