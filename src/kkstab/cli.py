@@ -176,10 +176,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
             raise ConfigError(f"lmax={lmax} must be nonnegative")
         cutoff = 4 * np.pi ** 2 * lmax ** 2 * sum(1.0 / L ** 2
                                                   for L in periods) + 1e-9
-        spec = internal.lichnerowicz_spectrum(torus, cutoff)
-        data = internal.SpectralData(
-            modes=tuple((e.lam, e.multiplicity) for e in spec.entries),
-            d=spec.d)
+        data = internal.lichnerowicz_spectrum(torus, cutoff)
     clock.lap("spectrum")
     internal.write_spectrum_file(outdir / "spectrum.txt", data)
     stable, lam_min = internal.is_linearly_stable(data)
@@ -327,8 +324,8 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
     traj = schwarzschild.integrate_geodesic(
         chart, init, float(cfg["lam_end"]), exterior_probe=True)
     clock.lap("integrate")
-    schwarzschild.write_trajectory_csv(outdir / "trajectory.csv", traj)
-    drift = float(np.max(np.abs(traj.velocity_norm())))
+    gnorm = schwarzschild.write_trajectory_csv(outdir / "trajectory.csv", traj)
+    drift = float(np.max(np.abs(gnorm)))
     r = traj.r
     drdt = np.gradient(r, traj.t)
     _write_json(outdir / "geodesic-report.json", {
@@ -365,8 +362,8 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
             4 * np.pi ** 2 * (k1 ** 2 + k2 ** 2)
             for k1 in range(-3, 4) for k2 in range(-3, 4)
             if k1 ** 2 + k2 ** 2 <= 9)
-        got = sorted(np.repeat([e.lam for e in spec.entries],
-                               [e.multiplicity for e in spec.entries]))
+        got = sorted(np.repeat([l for l, _ in spec.modes],
+                               [m for _, m in spec.modes]))
         assert len(got) == len(oracle)
         assert np.allclose(got, oracle, atol=1e-8)
 

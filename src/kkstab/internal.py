@@ -8,9 +8,10 @@ curved enters through a user-supplied eigenvalue list.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Absolute float guard on the stability threshold; spectra here are exact
 #: or file-supplied, so this only protects against round-off.
@@ -38,10 +39,6 @@ class FlatTorus:
     def d(self) -> int:
         return len(self.periods)
 
-    def lattice_norm(self, k: tuple[int, ...]) -> float:
-        """|k/L|^2 = sum_j (k_j / L_j)^2; the eigenvalue is 4 pi^2 times it."""
-        return sum((kj / Lj) ** 2 for kj, Lj in zip(k, self.periods))
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -65,19 +62,6 @@ class SpectralData:
 InternalModel = FlatTorus | SpectralData
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    lam: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    entries: tuple[SpectrumEntry, ...]
-    cutoff: float
-    d: int
-
-
 def tensor_multiplicity(d: int) -> int:
     """Components of a symmetric 2-tensor on a d-dimensional space."""
     return d * (d + 1) // 2
@@ -85,37 +69,41 @@ def tensor_multiplicity(d: int) -> int:
 
 def lichnerowicz_spectrum(
     model: InternalModel, cutoff: float, per_component: bool = False
-) -> ModeSpectrum:
+) -> SpectralData:
     """Eigenvalues of -Lap - 2 R(.) up to the cutoff.
 
-    Flat torus: lambda = sum_j (2 pi k_j / L_j)^2 over k in Z^d, each
-    wavevector carrying tensor multiplicity d(d+1)/2 unless per_component
-    is set (scalar counting: multiplicity 1 per wavevector).
+    Flat torus: lambda = 4 pi^2 |k/L|^2, |k/L|^2 = sum_j (k_j / L_j)^2 over
+    k in Z^d, each wavevector carrying tensor multiplicity d(d+1)/2 unless
+    per_component is set (scalar counting: multiplicity 1 per wavevector).
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if isinstance(model, SpectralData):
-        entries = tuple(
-            SpectrumEntry(lam=l, multiplicity=m) for l, m in model.modes if l <= cutoff
-        )
-        return ModeSpectrum(entries=entries, cutoff=cutoff, d=model.d)
+        return SpectralData(
+            modes=tuple((l, m) for l, m in model.modes if l <= cutoff), d=model.d)
 
     tmult = 1 if per_component else tensor_multiplicity(model.d)
     k_bounds = [int(math.floor(math.sqrt(cutoff) * L / TWO_PI)) for L in model.periods]
-    buckets: dict[float, list[tuple[int, ...]]] = {}
-    for k in itertools.product(*(range(-b, b + 1) for b in k_bounds)):
-        q = model.lattice_norm(k)
-        if TWO_PI ** 2 * q <= cutoff + 1e-12:
-            # bucket on |k/L|^2, before the 4 pi^2 factor: the sum is exact on
-            # unit and power-of-two periods, so equal lattice norms share one
-            # key; the rounding absorbs last-bit differences for other periods
-            buckets.setdefault(round(q, 9), []).append(k)
-    entries = tuple(
-        SpectrumEntry(lam=TWO_PI ** 2 * model.lattice_norm(ks[0]),
-                      multiplicity=len(ks) * tmult)
-        for _, ks in sorted(buckets.items())
-    )
-    return ModeSpectrum(entries=entries, cutoff=cutoff, d=model.d)
+    # |k/L|^2 over the whole lattice, flattened in C order (k_1 slowest); the
+    # axis terms are added left to right, as a sum over j adds them, so each
+    # norm has the bits of that sum
+    q = np.zeros(())
+    for b, L in zip(k_bounds, model.periods):
+        q = np.add.outer(q, [(kj / L) ** 2 for kj in range(-b, b + 1)])
+    q = q[TWO_PI ** 2 * q <= cutoff + 1e-12]
+    # bucket on |k/L|^2, before the 4 pi^2 factor: the sum is exact on unit
+    # and power-of-two periods, so equal lattice norms share one key; the
+    # rounding absorbs last-bit differences for other periods.  A bucket's
+    # eigenvalue comes from its first wavevector in lattice order.
+    norms, first, counts = np.unique(q, return_index=True, return_counts=True)
+    buckets: dict[float, tuple[int, int]] = {}
+    for norm, i, c in zip(norms.tolist(), first.tolist(), counts.tolist()):
+        key = round(norm, 9)
+        i0, c0 = buckets.get(key, (i, 0))
+        buckets[key] = (min(i0, i), c0 + c)
+    return SpectralData(
+        modes=tuple((TWO_PI ** 2 * float(q[i]), c * tmult) for i, c in buckets.values()),
+        d=model.d)
 
 
 def is_linearly_stable(model: InternalModel) -> tuple[bool, float]:

@@ -48,6 +48,8 @@ class SchwarzschildParams:
             raise ValueError("Schwarzschild machinery requires n >= 5")
         if self.cs < 0:
             raise ValueError("mass parameter C_S must be nonnegative")
+        if not self.cs < np.inf:
+            raise ValueError(f"cs={self.cs} must be finite")
 
     @property
     def horizon_radius(self) -> float:
@@ -427,7 +429,8 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
     )
 
 
-def write_trajectory_csv(path, traj: GeodesicTrajectory) -> None:
+def write_trajectory_csv(path, traj: GeodesicTrajectory) -> np.ndarray:
+    """Write the trajectory's samples and return the velocity norms written."""
     r = traj.r
     drdt = np.gradient(r, traj.t) if len(r) > 2 else np.zeros_like(r)
     gnorm = traj.velocity_norm()
@@ -439,3 +442,4 @@ def write_trajectory_csv(path, traj: GeodesicTrajectory) -> None:
         for i in range(len(traj.lam)):
             fh.write(f"{traj.lam[i]:.17g},{traj.t[i]:.17g},{r[i]:.17g},"
                      f"{drdt[i]:.17g},{gnorm[i]:.17g},{energy[i]:.17g}\n")
+    return gnorm

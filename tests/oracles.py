@@ -5,6 +5,7 @@ another way.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -202,6 +203,29 @@ def flat_slice_energy_abs_form(u, v, dr, n, lam) -> float:
     w = np.full(u.shape[-1], dr)
     w[0] = w[-1] = 0.5 * dr
     return float(sphere_area(n) * np.sum(dens * w))
+
+
+def torus_spectrum_loop(periods, cutoff: float, per_component: bool = False
+                        ) -> list[tuple[float, int]]:
+    """(eigenvalue, multiplicity) pairs of a flat torus, one wavevector at a
+    time: every k from `itertools.product`, its |k/L|^2 as a Python sum,
+    buckets keyed on round(|k/L|^2, 9), each bucket's eigenvalue from its
+    first wavevector."""
+    d = len(periods)
+    tmult = 1 if per_component else d * (d + 1) // 2
+    two_pi = 2.0 * math.pi
+
+    def lattice_norm(k):
+        return sum((kj / Lj) ** 2 for kj, Lj in zip(k, periods))
+
+    k_bounds = [int(math.floor(math.sqrt(cutoff) * L / two_pi)) for L in periods]
+    buckets: dict[float, list[tuple[int, ...]]] = {}
+    for k in itertools.product(*(range(-b, b + 1) for b in k_bounds)):
+        q = lattice_norm(k)
+        if two_pi ** 2 * q <= cutoff + 1e-12:
+            buckets.setdefault(round(q, 9), []).append(k)
+    return [(two_pi ** 2 * lattice_norm(ks[0]), len(ks) * tmult)
+            for _, ks in sorted(buckets.items())]
 
 
 class AliasingError(ValueError):

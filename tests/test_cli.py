@@ -350,13 +350,15 @@ class TestDomainErrors:
         (["schwarzschild", "--r-lo", "0"], "r_lo=0.0, r_hi=200.0: the radii"),
         (["spectrum", "--lmax", "-1"], "lmax=-1 must be nonnegative"),
         (["schwarzschild", "--cs", "0"], "cs=0 is the flat chart"),
+        (["schwarzschild", "--cs", "nan"], "cs=nan must be finite"),
+        (["geodesic", "--cs", "inf"], "cs=inf must be finite"),
     ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-n11", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
             "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
             "geodesic-r0-negative", "evolve-t-end-before-t-start", "evolve-n0",
             "schwarzschild-r-hi-inf", "schwarzschild-r-lo-0", "spectrum-lmax-negative",
-            "schwarzschild-cs-0"])
+            "schwarzschild-cs-0", "schwarzschild-cs-nan", "geodesic-cs-inf"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kkstab import internal
+from oracles import torus_spectrum_loop
 
 TWO_PI_SQ = 4.0 * np.pi ** 2
 
@@ -23,8 +24,8 @@ def test_unit_torus_spectrum_against_direct_sum():
     torus = internal.FlatTorus((1.0, 1.0))
     cutoff = TWO_PI_SQ * 25 + 1e-9
     spec = internal.lichnerowicz_spectrum(torus, cutoff, per_component=True)
-    got = sorted(np.repeat([e.lam for e in spec.entries],
-                           [e.multiplicity for e in spec.entries]))
+    got = sorted(np.repeat([l for l, _ in spec.modes],
+                           [m for _, m in spec.modes]))
     oracle = direct_torus_eigenvalues((1.0, 1.0), cutoff)
     assert len(got) == len(oracle)
     assert np.allclose(got, oracle, atol=1e-8)
@@ -33,16 +34,39 @@ def test_unit_torus_spectrum_against_direct_sum():
 def test_tensor_multiplicity_factor():
     torus = internal.FlatTorus((1.0, 1.0))
     spec = internal.lichnerowicz_spectrum(torus, 10.0)
-    zero = [e for e in spec.entries if e.lam == 0.0]
+    zero = [(l, m) for l, m in spec.modes if l == 0.0]
     assert len(zero) == 1
-    assert zero[0].multiplicity == internal.tensor_multiplicity(2)
+    assert zero[0][1] == internal.tensor_multiplicity(2)
 
 
 def test_anisotropic_torus():
     torus = internal.FlatTorus((1.0, 2.0))
     spec = internal.lichnerowicz_spectrum(torus, 60.0, per_component=True)
-    lams = [e.lam for e in spec.entries]
+    lams = [l for l, _ in spec.modes]
     assert any(abs(l - TWO_PI_SQ / 4.0) < 1e-9 for l in lams)
+
+
+#: Period sets against the wavevector loop, with the lmax of each: unit,
+#: power-of-two and non-dyadic periods, a 3-torus whose axis terms round
+#: differently when added in another order, and a nearly square torus whose
+#: two lowest nonzero norms differ by 3e-9, below an 8-digit bucket key
+LOOP_PERIODS = [
+    ((1.0,), 40), ((1.0, 1.0), 15), ((1.0, 1.7), 15), ((0.5, 2.0, 1.0), 6),
+    ((1.0, 1.0, 1.0), 6), ((np.pi, 1.3), 15), ((1.0, 1.0, 1.0, 1.0), 3),
+    ((1.0, 1.7, 2.3), 6), ((1.0, 1.0 + 1.5e-9), 4),
+]
+
+
+@pytest.mark.parametrize("per_component", [False, True])
+@pytest.mark.parametrize("periods,lmax", LOOP_PERIODS, ids=[
+    ",".join(f"{L:.12g}" for L in periods) for periods, _ in LOOP_PERIODS])
+def test_lattice_pass_matches_wavevector_loop(periods, lmax, per_component):
+    # the cutoff of `kkstab spectrum --lmax`
+    cutoff = TWO_PI_SQ * lmax ** 2 * sum(1.0 / L ** 2 for L in periods) + 1e-9
+    spec = internal.lichnerowicz_spectrum(internal.FlatTorus(periods), cutoff,
+                                          per_component=per_component)
+    assert spec.d == len(periods)
+    assert list(spec.modes) == torus_spectrum_loop(periods, cutoff, per_component)
 
 
 def test_stability_certificates():
