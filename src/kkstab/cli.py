@@ -44,11 +44,11 @@ DEFAULTS = {
     "evolve": {"n": 9, "lam": 0.0, "t_end": 100.0, "dr": 1.0 / 64,
                "eps": 0.0, "slice_s": ""},
     "energy": {"n": 9, "lam": 0.0, "t_end": 40.0, "dr": 1.0 / 32,
-               "slice_s": "4,8,10", "d": 2},
+               "slice_s": "4,8,10"},
     "schwarzschild": {"n": 9, "cs": 0.1, "r_lo": 20.0, "r_hi": 200.0,
                       "samples": 12},
-    "geodesic": {"n": 9, "cs": 0.1, "d": 2, "r0": 10.0, "lam_end": 1000.0},
-    "verify": {"suite": "trivial"},
+    "geodesic": {"n": 9, "cs": 0.1, "r0": 10.0, "lam_end": 1000.0},
+    "verify": {},
 }
 
 
@@ -252,8 +252,7 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
     drift = float(np.ptp(vals) / vals.max()) if vals.max() > 0 else 0.0
     boosted = {s: {k: energy_mod.boosted_energy(data, k) for k in (1, 2, 3)}
                for s, data in sorted(result.slices.items())}
-    params = energy_mod.SobolevParams.from_dims(n, int(cfg["d"]))
-    rows = energy_mod.estimate_suite(result.slices, params)
+    rows = energy_mod.estimate_suite(result.slices, n)
     clock.lap("estimates")
     energy_mod.write_estimate_csv(outdir / "estimates.csv", rows)
     report = energy_mod.EnergyReport(
@@ -309,7 +308,6 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
     params = schwarzschild.SchwarzschildParams(int(cfg["n"]), float(cfg["cs"]))
     chart = schwarzschild.HarmonicChart(params)
     clock.lap("chart")
-    d = int(cfg["d"])
     r0 = float(cfg["r0"])
     if not r0 > 0:
         raise ConfigError(f"r0={r0} must be positive: the probe launches outward")
@@ -319,17 +317,15 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
     vt = float(np.sqrt(mp.g[1, 1] / (-mp.g[0, 0]))) * vr
     init = schwarzschild.GeodesicState(
         t=0.0, x=np.concatenate([[r0], np.zeros(params.n - 1)]),
-        v_t=vt, v_x=np.concatenate([[vr], np.zeros(params.n - 1)]),
-        torus=np.zeros(d), v_torus=np.zeros(d))
+        v_t=vt, v_x=np.concatenate([[vr], np.zeros(params.n - 1)]))
     traj = schwarzschild.integrate_geodesic(
         chart, init, float(cfg["lam_end"]), exterior_probe=True)
     clock.lap("integrate")
-    gnorm = schwarzschild.write_trajectory_csv(outdir / "trajectory.csv", traj)
+    gnorm, drdt = schwarzschild.write_trajectory_csv(outdir / "trajectory.csv",
+                                                     traj)
     drift = float(np.max(np.abs(gnorm)))
-    r = traj.r
-    drdt = np.gradient(r, traj.t)
     _write_json(outdir / "geodesic-report.json", {
-        "captured": traj.captured, "final_r": float(r[-1]),
+        "captured": traj.captured, "final_r": float(traj.r[-1]),
         "final_drdt": float(drdt[-1]), "norm_drift": drift,
         "t_monotone": bool(np.all(np.diff(traj.t) > 0)),
     })
@@ -340,10 +336,8 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> int:
-    """Fast structural checks; suite `trivial` runs in seconds."""
+    """Fast structural checks, run in seconds."""
     clock = _PhaseClock()
-    if cfg["suite"] != "trivial":
-        raise ConfigError(f"unknown verify suite {cfg['suite']!r}")
     checks = []
 
     def check(name, fn):
@@ -405,7 +399,7 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     clock.lap("checks")
 
     _write_json(outdir / "verify-report.json",
-                {"suite": cfg["suite"], "checks": checks,
+                {"checks": checks,
                  "ok": all(c["ok"] for c in checks)})
     clock.lap("write")
     _write_run_meta(outdir, clock)
@@ -421,10 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical stability laboratory for product spacetimes")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    flag_types = {"periods": str, "spectrum_file": str, "slice_s": str,
-                  "suite": str}
+    flag_types = {"periods": str, "spectrum_file": str, "slice_s": str}
     for sub, defaults in DEFAULTS.items():
-        sp = subs.add_parser(sub)
+        # no abbreviations: a removed flag must not resolve to a longer one
+        # (energy's old --d would read as --dr)
+        sp = subs.add_parser(sub, allow_abbrev=False)
         sp.add_argument("--config", default=None,
                         help="INI config file (sections [common] and "
                              f"[{sub}])")

@@ -32,31 +32,6 @@ class InsufficientSpanError(ValueError):
 class SupportClassError(ValueError):
     """Field is neither compactly supported nor tail-decay compliant."""
 
-
-@dataclass(frozen=True)
-class SobolevParams:
-    """Dimension-derived exponents used throughout the estimate suite."""
-
-    n: int
-    d: int
-    d_tilde: int
-    nu_tilde: int
-    beta: float
-    n_big: int
-
-    @classmethod
-    def from_dims(cls, n: int, d: int) -> "SobolevParams":
-        d_tilde = d // 2 + 1
-        if d_tilde % 2:
-            d_tilde += 1
-        nu_tilde = math.floor(n / 2 + d_tilde) + 1
-        beta = (n - 2) / 4.0
-        n_big = math.floor((n + d + 8) / 2) + 1
-        if n_big % 2:
-            n_big += 1
-        return cls(n=n, d=d, d_tilde=d_tilde, nu_tilde=nu_tilde, beta=beta,
-                   n_big=n_big)
-
 # ---------------------------------------------------------------------------
 # The basic energy
 
@@ -197,8 +172,12 @@ def _gamma_flux_density(data: SliceData, gamma: GammaBlock, n: int) -> np.ndarra
 
 def energy_identity_residual(slices: dict, s1: float, s2: float,
                              gamma_at=None, f_at=None, n: int | None = None) -> dict:
-    """Check E[g;u;s1] = E[g;u;s2] + flux integrals between s1 and s2.
+    """Check E[g;u;s2] = E[g;u;s1] + the flux integral from s1 to s2.
 
+    The flux density, -2 F u_t - 2 (d_a gamma^{ab}) d_b u u_t
+    + (d_t gamma^{bc}) d_b u d_c u times s/t, is the divergence d_a J^a of
+    the current whose flux through H_s is `def_integrand`; Stokes' theorem
+    with dt dx = (s/t) ds dx makes its integral the growth of the energy.
     slices: {s: SliceData or list of component SliceData}; gamma_at(s, data)
     -> GammaBlock or None; f_at(s, data) -> source array aligned with u (the
     F of the wave operator convention (eta+gamma)^{ab} d_a d_b u - lam u = F).
@@ -244,7 +223,7 @@ def energy_identity_residual(slices: dict, s1: float, s2: float,
     fluxes = np.array([flux(s) for s in ss])
     integral = float(np.trapezoid(fluxes, ss))
     scale = max(abs(e1), abs(e2), 1e-300)
-    residual = abs(e1 - (e2 + integral)) / scale
+    residual = abs(e2 - (e1 + integral)) / scale
     return {"s1": s1, "s2": s2, "E1": e1, "E2": e2, "flux_integral": integral,
             "residual": residual}
 
@@ -289,22 +268,19 @@ def _classify_support(data: SliceData, n: int) -> str:
     )
 
 
-def estimate_suite(slices: dict, params: SobolevParams, order: int = 2,
-                   dr_label: float | None = None) -> list[EstimateRow]:
+def estimate_suite(slices: dict, n: int) -> list[EstimateRow]:
     """Measured constants of the Hardy, Sobolev and distributed estimates.
 
-    slices: {s: SliceData}.  Commutation is capped at `order` (<= 2): the
-    suite verifies inequality shape and constant stability, not the
-    full-order statements.
+    slices: {s: SliceData} in R^{1+n}; each row's dr is its slice's spacing.
+    Commutation is capped at order 2: the suite verifies inequality shape
+    and constant stability, not the full-order statements.
     """
-    if order > 2:
-        raise ValueError("commutation order capped at 2")
-    n = params.n
+    beta = (n - 2) / 4.0
     rows = []
-    words = _words_upto(order, alphabet=("Z0r",))
+    words = _words_upto(2, alphabet=("Z0r",))
     for s in sorted(slices):
         data = slices[s]
-        dr = dr_label if dr_label is not None else float(data.r[1] - data.r[0])
+        dr = float(data.r[1] - data.r[0])
         if np.max(np.abs(data.u)) == 0.0:
             for name in ("hardy", "sobolev-sup-t", "sobolev-sup-s", "l2-distributed"):
                 rows.append(EstimateRow(name, s, dr, 0.0, 0.0, 0.0, "zero", True))
@@ -328,7 +304,7 @@ def estimate_suite(slices: dict, params: SobolevParams, order: int = 2,
         sup_t = float(np.max(t ** n * data.u ** 2))
         rows.append(EstimateRow("sobolev-sup-t", s, dr, sup_t, rhs_e,
                                 sup_t / rhs_e if rhs_e else np.inf, support))
-        sup_s = float(s ** (4 * params.beta) * np.max(data.u ** 2))
+        sup_s = float(s ** (4 * beta) * np.max(data.u ** 2))
         rows.append(EstimateRow("sobolev-sup-s", s, dr, sup_s, rhs_e,
                                 sup_s / rhs_e if rhs_e else np.inf, support))
 
@@ -354,7 +330,11 @@ class DecayFit:
     span: float
 
 
-def decay_fit(x, y, window=None, bootstrap: int = 200, seed: int = 0) -> DecayFit:
+#: Resamples and generator seed of `decay_fit`'s residual bootstrap.
+FIT_BOOTSTRAP, FIT_SEED = 200, 0
+
+
+def decay_fit(x, y, window=None) -> DecayFit:
     """Least-squares slope of log y vs log x with a residual-bootstrap CI.
 
     Requires >= 10 samples spanning a factor >= 4 in x.  Zero or negative
@@ -377,9 +357,9 @@ def decay_fit(x, y, window=None, bootstrap: int = 200, seed: int = 0) -> DecayFi
     coef = np.polyfit(lx, ly, 1)
     fitted = np.polyval(coef, lx)
     resid = ly - fitted
-    rng = np.random.default_rng(seed)
-    slopes = np.empty(bootstrap)
-    for i in range(bootstrap):
+    rng = np.random.default_rng(FIT_SEED)
+    slopes = np.empty(FIT_BOOTSTRAP)
+    for i in range(FIT_BOOTSTRAP):
         perturbed = fitted + rng.choice(resid, size=len(resid), replace=True)
         slopes[i] = np.polyfit(lx, perturbed, 1)[0]
     lo_q, hi_q = np.quantile(slopes, [0.025, 0.975])

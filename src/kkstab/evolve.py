@@ -82,6 +82,11 @@ class EvolutionConfig:
             raise ValueError(f"dr={self.dr} must be positive and finite")
         if not math.isfinite(self.t_end):
             raise ValueError(f"t_end={self.t_end} must be finite")
+        if not math.isfinite(self.resolved_r_max() / self.dr):
+            raise ValueError(f"dr={self.dr} with r_max={self.resolved_r_max()} "
+                             f"gives a grid whose node count r_max/dr is not finite")
+        if not self.cfl > 0:
+            raise ValueError(f"cfl={self.cfl} must be positive")
         if self.cfl > 0.5:
             raise CFLError(f"cfl={self.cfl} exceeds the 0.5 stability margin")
         # RK4 keeps the imaginary-axis eigenvalues +-i dt sqrt(rho) / dr of
@@ -796,8 +801,8 @@ def _mode_field(history: _History, lam: float, config: EvolutionConfig,
 
 
 def _check_lam(lam: float) -> None:
-    if not lam >= 0:
-        raise ValueError(f"lam={lam} must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam={lam} must be nonnegative and finite")
 
 
 def _linear_operator(n: int, dr: float, lam: float):
@@ -838,7 +843,6 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     def monitor_row(t, u, v):
         row = {"t": t, "sup": float(np.max(np.abs(u))),
                "support_radius": _support_radius(np.abs(u) + dt * np.abs(v), dr),
-               "cfl_margin": 0.5 - config.cfl,
                "energy": flat_slice_energy(u, v, dr, n, lam)}
         row.update((name, float(np.abs(u[col]))) for name, col in observers)
         return row

@@ -41,7 +41,6 @@ class HyperboloidSlice:
     s: float
     n: int
     r: np.ndarray
-    r_cap: float
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -71,7 +70,7 @@ def make_slice(s: float, n: int, dr: float, r_cap: float | None = None) -> Hyper
     cap = limit if r_cap is None else min(r_cap, limit)
     k_max = max(int(math.floor(cap / dr)), 2)
     r = np.arange(k_max + 1) * dr
-    return HyperboloidSlice(s=s, n=n, r=r, r_cap=cap)
+    return HyperboloidSlice(s=s, n=n, r=r)
 
 
 # ---------------------------------------------------------------------------

@@ -429,12 +429,19 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
     )
 
 
-def write_trajectory_csv(path, traj: GeodesicTrajectory) -> np.ndarray:
-    """Write the trajectory's samples and return the velocity norms written."""
-    r = traj.r
-    drdt = np.gradient(r, traj.t) if len(r) > 2 else np.zeros_like(r)
+def write_trajectory_csv(path,
+                         traj: GeodesicTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Write the trajectory's samples; return the velocity norms and the
+    dr/dt written.
+
+    dr/dt = (x . v_x) / (r v_t) is read off each sample's state, not
+    differenced along the trajectory.
+    """
+    # the metric refuses a sample at r = 0 before dr/dt would divide by it
     gnorm = traj.velocity_norm()
     energy = traj.energy()
+    r = traj.r
+    drdt = np.einsum("ij,ij->i", traj.x, traj.v_x) / (r * traj.v_t)
     with open(path, "w") as fh:
         fh.write(f"# n={traj.chart.params.n} cs={traj.chart.params.cs!r} "
                  f"captured={int(traj.captured)}\n")
@@ -442,4 +449,4 @@ def write_trajectory_csv(path, traj: GeodesicTrajectory) -> np.ndarray:
         for i in range(len(traj.lam)):
             fh.write(f"{traj.lam[i]:.17g},{traj.t[i]:.17g},{r[i]:.17g},"
                      f"{drdt[i]:.17g},{gnorm[i]:.17g},{energy[i]:.17g}\n")
-    return gnorm
+    return gnorm, drdt

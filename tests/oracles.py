@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from kkstab import evolve as ev
-from kkstab.energy import REPORT_MAGIC, GammaBlock, SobolevParams, hyperboloidal_energy
+from kkstab.energy import REPORT_MAGIC, GammaBlock, hyperboloidal_energy
 from kkstab.fields import SliceData, WindowError
 from kkstab.geometry import DomainError, make_slice, sphere_area
 from kkstab.schwarzschild import _christoffels, harmonic_metric
@@ -468,9 +468,9 @@ def zero_gamma(shape) -> GammaBlock:
     return GammaBlock(*(z.copy() for _ in range(8)))
 
 
-def integrable(params: SobolevParams) -> bool:
-    """beta > 3/2, equivalent to n > 8."""
-    return params.beta > 1.5
+def integrable(n: int) -> bool:
+    """beta = (n - 2)/4 > 3/2, equivalent to n > 8."""
+    return (n - 2) / 4.0 > 1.5
 
 
 @dataclasses.dataclass

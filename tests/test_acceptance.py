@@ -15,7 +15,6 @@ from kkstab import energy as en
 from kkstab import evolve as ev
 from kkstab import internal
 from kkstab.energy import (
-    SobolevParams,
     decay_fit,
     estimate_suite,
     hyperboloidal_energy,
@@ -253,11 +252,10 @@ def test_torus_spectrum_exact_with_multiplicities():
 
 
 def test_estimate_constants_stable():
-    params = SobolevParams.from_dims(9, 2)
     rows = []
     for dr in (1 / 32, 1 / 64):
         slices = {s: scaling_family_slice(s, 9, dr) for s in (4.0, 8.0, 16.0)}
-        rows.extend(estimate_suite(slices, params, dr_label=dr))
+        rows.extend(estimate_suite(slices, 9))
     assert constants_stable(rows, "hardy", tol=0.2)
     assert constants_stable(rows, "sobolev-sup-s", tol=0.2)
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kkstab import evolve, fields, schwarzschild
+from kkstab import cli, evolve, fields, schwarzschild
 from kkstab.geometry import make_slice
 from kkstab.cli import main
 from oracles import read_report
@@ -30,10 +30,10 @@ def stderr_line(capsys) -> str:
 
 class TestVerify:
     def test_trivial_suite_passes(self, tmp_path):
-        code, out = run_cli(["verify", "--suite", "trivial"], tmp_path, "v")
+        code, out = run_cli(["verify"], tmp_path, "v")
         assert code == 0
         report = json.loads((out / "verify-report.json").read_text())
-        assert report["suite"] == "trivial"
+        assert list(report) == ["checks", "ok"]
         assert all(c["ok"] for c in report["checks"])
         assert len(report["checks"]) >= 5
 
@@ -155,7 +155,8 @@ class TestEvolve:
         code, out = run_cli(["evolve", "--n", "3", "--lambda", "0",
                              "--t-end", "10", "--dr", "0.0625"], tmp_path, "o")
         assert code == 0
-        assert (out / "monitors.csv").exists()
+        header = (out / "monitors.csv").read_text().splitlines()[0]
+        assert header == "t,sup,support_radius,energy"
         assert (out / "final-field.bin").exists()
         assert (out / "evolve-report.json").exists()
 
@@ -287,6 +288,17 @@ class TestGeodesic:
         e = np.array([float(ln.split(",")[5]) for ln in lines[2:]])
         assert len(e) == 400
         assert np.max(np.abs(e / e[0] - 1.0)) <= 1e-9
+        drdt = float(lines[-1].split(",")[3])
+        assert report["final_drdt"] == drdt
+
+    def test_subnormal_lam_end_is_quiet(self, tmp_path, capsys):
+        """400 samples over lam in [0, 1e-320] coincide in t; dr/dt is read
+        off the state, so no difference over coincident samples warns."""
+        code, out = run_cli(["geodesic", "--lam-end", "1e-320"], tmp_path, "s")
+        assert capsys.readouterr().err == ""
+        assert code == 0
+        report = json.loads((out / "geodesic-report.json").read_text())
+        assert report["final_drdt"] == pytest.approx(1.0, abs=0.1)
 
 
 class TestRunMeta:
@@ -352,13 +364,21 @@ class TestDomainErrors:
         (["schwarzschild", "--cs", "0"], "cs=0 is the flat chart"),
         (["schwarzschild", "--cs", "nan"], "cs=nan must be finite"),
         (["geodesic", "--cs", "inf"], "cs=inf must be finite"),
+        (["evolve", "--lambda", "inf", "--n", "3", "--t-end", "8", "--dr",
+          "0.0625"], "lam=inf must be nonnegative and finite"),
+        (["energy", "--lambda", "inf", "--n", "3", "--dr", "0.0625"],
+         "lam=inf must be nonnegative and finite"),
+        (["evolve", "--dr", "1e-320"], "node count r_max/dr is not finite"),
+        (["energy", "--dr", "1e-320"], "node count r_max/dr is not finite"),
     ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-n11", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
             "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
             "geodesic-r0-negative", "evolve-t-end-before-t-start", "evolve-n0",
             "schwarzschild-r-hi-inf", "schwarzschild-r-lo-0", "spectrum-lmax-negative",
-            "schwarzschild-cs-0", "schwarzschild-cs-nan", "geodesic-cs-inf"])
+            "schwarzschild-cs-0", "schwarzschild-cs-nan", "geodesic-cs-inf",
+            "evolve-lambda-inf", "energy-lambda-inf", "evolve-dr-subnormal",
+            "energy-dr-subnormal"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2
@@ -458,12 +478,112 @@ class TestConfigPrecedence:
         assert "not found" in capsys.readouterr().err
 
 
+class TestEveryKeyIsRead:
+    """Each settable key changes an artifact besides resolved-config.ini and
+    run-meta.json.  A short base run of each subcommand comes from a config
+    file, and the changed value from the key's KKSTAB_* variable, which
+    outranks the file.  A key missing from CHANGED fails."""
+
+    BASE = {
+        "spectrum": {"lmax": "3"},
+        "evolve": {"n": "3", "t_end": "8", "dr": "0.125"},
+        "energy": {"n": "3", "t_end": "8", "dr": "0.125", "slice_s": "4,5"},
+        "schwarzschild": {},
+        "geodesic": {"lam_end": "2"},
+        "verify": {},
+    }
+    CHANGED = {
+        ("spectrum", "d"): "3",
+        ("spectrum", "periods"): "1,2",
+        ("spectrum", "lmax"): "4",
+        ("spectrum", "spectrum_file"): "internal-spectrum v1 d=2\n0.0 3\n",
+        ("evolve", "n"): "5",
+        ("evolve", "lam"): "1",
+        ("evolve", "t_end"): "9",
+        ("evolve", "dr"): "0.0625",
+        ("evolve", "eps"): "1e-3",
+        ("evolve", "slice_s"): "2",
+        ("energy", "n"): "5",
+        ("energy", "lam"): "1",
+        ("energy", "t_end"): "9",
+        ("energy", "dr"): "0.0625",
+        ("energy", "slice_s"): "4,4.5",
+        ("schwarzschild", "n"): "7",
+        ("schwarzschild", "cs"): "0.2",
+        ("schwarzschild", "r_lo"): "25",
+        ("schwarzschild", "r_hi"): "150",
+        ("schwarzschild", "samples"): "11",
+        ("geodesic", "n"): "7",
+        ("geodesic", "cs"): "0.2",
+        ("geodesic", "r0"): "12",
+        ("geodesic", "lam_end"): "3",
+    }
+    # the two keys that change no artifact, and what is asserted instead
+    EXCEPTIONS = {
+        # a cross-check of periods: a value that disagrees is refused
+        ("spectrum", "d"): "exit 2",
+        # no artifact holds evolve's captures yet; s = 2 lies before
+        # t_start, so the forward sweep is not lengthened
+        ("evolve", "slice_s"): "same artifacts",
+    }
+
+    @classmethod
+    def run(cls, sub, tmp_path, name, env=None):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(f"[{sub}]\n" + "".join(
+            f"{k} = {v}\n" for k, v in cls.BASE[sub].items()))
+        with pytest.MonkeyPatch.context() as mp:
+            for var, value in (env or {}).items():
+                mp.setenv(var, value)
+            code = main([sub, "--config", str(ini), "--out", str(tmp_path / name)])
+        artifacts = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                     if p.name not in ("resolved-config.ini", "run-meta.json")}
+        return code, artifacts
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        return {sub: self.run(sub, tmp_path_factory.mktemp(sub), "base")
+                for sub in cli.DEFAULTS}
+
+    @pytest.mark.parametrize("sub, key", [(sub, key) for sub, keys in
+                                          cli.DEFAULTS.items() for key in keys])
+    def test_key_changes_an_artifact(self, sub, key, base, tmp_path):
+        assert (sub, key) in self.CHANGED, f"no changed value listed for {sub} {key}"
+        value = self.CHANGED[sub, key]
+        if key == "spectrum_file":
+            (tmp_path / "alt.txt").write_text(value)
+            value = str(tmp_path / "alt.txt")
+        code, artifacts = self.run(sub, tmp_path, "changed",
+                                   {"KKSTAB_" + key.upper(): value})
+        base_code, base_artifacts = base[sub]
+        assert base_code == 0
+        outcome = self.EXCEPTIONS.get((sub, key))
+        if outcome == "exit 2":
+            assert code == 2
+        else:
+            assert code in (0, 1)
+            same = artifacts == base_artifacts
+            assert same is (outcome == "same artifacts"), (
+                f"{sub} {key}={value!r} changes {'no' if same else 'an'} artifact")
+
+
 class TestUsage:
     def test_no_subcommand_exit_2(self, capsys):
         assert main([]) == 2
 
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["spectrum", "--does-not-exist", "1"]) == 2
+
+    @pytest.mark.parametrize("args", [["energy", "--d", "2"],
+                                      ["geodesic", "--d", "2"],
+                                      ["verify", "--suite", "trivial"]],
+                             ids=["energy-d", "geodesic-d", "verify-suite"])
+    def test_removed_flag_is_a_usage_error(self, args, tmp_path, capsys):
+        """Flags are not abbreviated, so energy's removed --d is not read
+        as --dr."""
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -48,6 +48,17 @@ class TestConfig:
         with pytest.raises(CFLError):
             EvolutionConfig(n=3, cfl=0.6)
 
+    @pytest.mark.parametrize("cfl", [float("nan"), 0.0, -0.1])
+    def test_cfl_positive(self, cfl):
+        """A NaN or nonpositive cfl passes both stability guards, so it is
+        refused by name."""
+        with pytest.raises(ValueError, match=f"cfl={cfl} must be positive"):
+            EvolutionConfig(n=3, cfl=cfl)
+
+    def test_dr_gives_finite_node_count(self):
+        with pytest.raises(ValueError, match="node count r_max/dr is not finite"):
+            EvolutionConfig(n=3, dr=1e-320)
+
     def test_t_start_floor(self):
         with pytest.raises(ValueError):
             EvolutionConfig(n=3, t_start=1.0)

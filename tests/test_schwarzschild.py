@@ -301,7 +301,11 @@ class TestTrajectoryCsv:
         traj = integrate_geodesic(HarmonicChart(p), init, lam_end=3.0,
                                   n_output=10)
         path = tmp_path / "traj.csv"
-        sw.write_trajectory_csv(path, traj)
+        _, drdt = sw.write_trajectory_csv(path, traj)
         lines = path.read_text().splitlines()
         assert any("lam" in ln for ln in lines[:2])
         assert len(lines) >= 11
+        # a flat radial null ray: dr/dt, read off the state, is 1 at every
+        # sample, the first one included
+        assert [float(ln.split(",")[3]) for ln in lines[2:]] == list(drdt)
+        assert np.all(np.abs(drdt - 1.0) <= 1e-15)
