@@ -137,13 +137,15 @@ class _PhaseClock:
 
 
 def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None,
-                    n: int | None = None) -> None:
+                    n: int | None = None, result=None) -> None:
     """run-meta.json: how the run went, outside the byte-identical outputs.
 
     Phase timings and library versions always; counts, when given, are the
     run's work counts (`EvolutionResult.counts`, the geodesic integrator's
     right-hand-side evaluations); with n, n_in_theorem_range says whether
-    n >= 9, the range of the stability theorem.
+    n >= 9, the range of the stability theorem; result, an
+    `EvolutionResult`, gives its counts, its resolved cfl and its RK4
+    margins (`EvolutionResult.margins`).
     """
     meta = {
         "phases_s": clock.phases,
@@ -155,6 +157,8 @@ def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None
         meta["counts"] = counts
     if n is not None:
         meta.update(n=n, n_in_theorem_range=n >= 9)
+    if result is not None:
+        meta.update(counts=result.counts, cfl=result.config.cfl, **result.margins)
     _write_json(outdir / "run-meta.json", meta)
 
 
@@ -232,7 +236,7 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
         report["decay_exponent_ci"] = [fit.ci_low, fit.ci_high]
     _write_json(outdir / "evolve-report.json", report)
     clock.lap("report")
-    _write_run_meta(outdir, clock, result.counts, n)
+    _write_run_meta(outdir, clock, n=n, result=result)
     return EXIT_OK if result.blowup_time is None else EXIT_ASSERTION
 
 
@@ -261,7 +265,7 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
         boosted=boosted, estimate_rows=rows)
     energy_mod.write_report(outdir / "energy-report.json", report)
     clock.lap("write")
-    _write_run_meta(outdir, clock, result.counts, n)
+    _write_run_meta(outdir, clock, n=n, result=result)
     return EXIT_OK if drift <= 0.05 else EXIT_ASSERTION
 
 

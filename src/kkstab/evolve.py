@@ -50,17 +50,70 @@ class WindowDepthError(ValueError):
 EPS_MAX = 1e-2
 
 
+#: RK4's stability interval on the imaginary axis, |z| <= 2 sqrt(2)
+#: (Hairer & Wanner, Solving ODEs II, Sec. IV.2)
+RK4_IMAGINARY_BOUND = 2.0 * math.sqrt(2.0)
+#: Fraction of RK4's bound at which the default step runs: n = 9's step
+#: cfl = 0.4 is 0.718 of its bound 0.557
+CFL_FRACTION = 0.72
+
+
+def rk4_margin(n: int, dr: float, dt: float, lam: float = 0.0,
+               speed: float = 1.0) -> float:
+    """|dt| speed sqrt(rho(n) / dr^2 + lam) / (2 sqrt 2), at most 1 for a
+    stable step.
+
+    The wave system du/dt = v, dv/dt = (Lap_r - lam) u has the imaginary
+    eigenvalues +-i sqrt(mu + lam), mu in the spectrum of -Lap_r, whose
+    radius is rho(n) / dr^2 (`_laplacian_spectral_radius`); RK4 keeps
+    dt times them inside |z| <= 2 sqrt(2).  speed scales the principal part
+    (a characteristic speed above 1), and lam may stand for any stiffness
+    added to the radial Laplacian's.
+    """
+    rate = math.sqrt(_laplacian_spectral_radius(n) / dr ** 2 + lam)
+    return abs(dt) * speed * rate / RK4_IMAGINARY_BOUND
+
+
+#: Largest q of a default step 2/q, which n = 13 takes.  The axis rows make
+#: the radial Laplacian's stiffness grow like 1.5^n, so n = 14 would take
+#: q = 14, n = 20 47 and n = 30 352 (and a CLI run's snapshot grows with its
+#: step count)
+DEFAULT_Q_MAX = 12
+
+
+def default_cfl(n: int) -> float:
+    """2/q for the smallest integer q >= 3 whose step runs at no more than
+    CFL_FRACTION of RK4's bound: 2/3 at n <= 4, 1/2 at n 5..7, 2/5 (the
+    double 0.4) at n 8 and 9, and 2/7, 1/4, 1/5, 1/6 at n 10..13.  With a
+    dyadic dr, the step 2 dr / q divides an integer span, so the run lands
+    on t_end.  The cap cfl <= 2/3 keeps RK4's dissipation below the late
+    energy drift that the n = 3 tests gate.  An n that needs
+    q > DEFAULT_Q_MAX raises CFLError."""
+    for q in range(3, DEFAULT_Q_MAX + 1):
+        if rk4_margin(n, 1.0, 2.0 / q) <= CFL_FRACTION:
+            return 2.0 / q
+    raise CFLError(f"n={n} needs a step finer than the default's floor "
+                   f"cfl = 2/{DEFAULT_Q_MAX} (n <= 13) to stay inside RK4's bound")
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Run parameters for the radial solvers.
 
     Initial data must be supported in r <= t_start - 2 so the support cone
     r <= t - 1 contains the solution for all later times.
+
+    The step is dt = cfl * dr.  cfl = None (the default) resolves to
+    `default_cfl(n)`, 2/q at no more than CFL_FRACTION = 0.72 of RK4's bound
+    2 sqrt(2) / sqrt(rho(n)), the fraction at which n = 9 runs its
+    cfl = 0.4.  Any cfl, given or resolved, must keep `rk4_margin` <= 1;
+    the entry points check it again with their lam.  `dataclasses.replace`
+    carries the resolved cfl: a replaced n needs cfl=None to get its own.
     """
 
     n: int
     dr: float = 1.0 / 64.0
-    cfl: float = 0.4
+    cfl: float | None = None
     t_start: float = 4.0
     t_end: float = 100.0
     r_max: float | None = None
@@ -82,20 +135,20 @@ class EvolutionConfig:
             raise ValueError(f"dr={self.dr} must be positive and finite")
         if not math.isfinite(self.t_end):
             raise ValueError(f"t_end={self.t_end} must be finite")
-        if not math.isfinite(self.resolved_r_max() / self.dr):
-            raise ValueError(f"dr={self.dr} with r_max={self.resolved_r_max()} "
-                             f"gives a grid whose node count r_max/dr is not finite")
+        r_max = self.resolved_r_max()
+        if not r_max / self.dr < np.iinfo(np.intp).max:
+            raise ValueError(f"dr={self.dr} with r_max={r_max} gives a grid whose "
+                             f"node count r_max/dr is not finite or above the "
+                             f"largest array index {np.iinfo(np.intp).max}")
+        if self.cfl is None:
+            object.__setattr__(self, "cfl", default_cfl(self.n))
         if not self.cfl > 0:
             raise ValueError(f"cfl={self.cfl} must be positive")
-        if self.cfl > 0.5:
-            raise CFLError(f"cfl={self.cfl} exceeds the 0.5 stability margin")
-        # RK4 keeps the imaginary-axis eigenvalues +-i dt sqrt(rho) / dr of
-        # the wave system inside its stability interval |z| <= 2 sqrt(2)
-        root_rho = math.sqrt(_laplacian_spectral_radius(self.n))
-        if self.cfl * root_rho > 2.0 * math.sqrt(2.0):
+        if rk4_margin(self.n, 1.0, self.cfl) > 1.0:
+            bound = RK4_IMAGINARY_BOUND / math.sqrt(_laplacian_spectral_radius(self.n))
             raise CFLError(
                 f"cfl={self.cfl} breaks RK4 stability for the n={self.n} radial "
-                f"Laplacian: cfl must be <= {2.0 * math.sqrt(2.0) / root_rho:.4f}")
+                f"Laplacian: cfl must be <= {bound:.4f}")
         if self.t_start < 2.0:
             raise ValueError("t_start < 2 leaves no room for the support cone")
         if self.nonlinearity not in ("linear", "quasilinear-toy"):
@@ -196,7 +249,12 @@ def _laplacian_spectral_radius(n: int, size: int = 400) -> float:
     products.  The largest magnitude sits at the axis, where the weights
     ((k +- 1/2)/k)^(n-1) grow with n.
     """
-    rp, rm = _face_weights(n, size)
+    # the axis weight 1.5^(n-1) overflows past n = 1751, where no finite
+    # step is stable
+    with np.errstate(over="ignore"):
+        rp, rm = _face_weights(n, size)
+    if not np.isfinite(rp[0]):
+        return math.inf
     diag = np.concatenate(([-2.0 * n], -(rp + rm)))
     off = np.sqrt(np.concatenate(([2.0 * n], rp[:-1])) * rm)
     # imported here so that `import kkstab` stays free of scipy; sterf works
@@ -440,6 +498,9 @@ class EvolutionResult:
     component_slices: dict[float, list[SliceData]] = field(default_factory=dict)
     #: work of both sweeps, as counted by `_run_sweep`
     counts: dict[str, int] = field(default_factory=dict)
+    #: "rk4_margin", the step's `rk4_margin` with lam; the quasilinear run
+    #: adds "rk4_margin_peak", the largest over its measured speeds
+    margins: dict[str, float] = field(default_factory=dict)
 
 
 def _support_radius(u: np.ndarray, dr: float, tol: float = 1e-12) -> float:
@@ -800,9 +861,18 @@ def _mode_field(history: _History, lam: float, config: EvolutionConfig,
     )
 
 
-def _check_lam(lam: float) -> None:
+def _check_lam(lam: float, config: EvolutionConfig) -> float:
+    """Refuse a lam that is negative, not finite, or too stiff for RK4 at the
+    config's step; returns the step's `rk4_margin` with lam."""
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam={lam} must be nonnegative and finite")
+    n, dr, dt = config.n, config.dr, config.dt
+    margin = rk4_margin(n, dr, dt, lam)
+    if margin > 1.0:
+        lam_max = (RK4_IMAGINARY_BOUND / dt) ** 2 - _laplacian_spectral_radius(n) / dr ** 2
+        raise CFLError(f"lambda={lam} is too stiff for RK4 at n={n}, dr={dr}, "
+                       f"dt={dt:.6g}: lambda must be <= {lam_max:.6g}")
+    return margin
 
 
 def _linear_operator(n: int, dr: float, lam: float):
@@ -836,7 +906,7 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     if config.n != n:
         raise ValueError(f"n={n} differs from config.n={config.n}")
     config.check_model("linear")
-    _check_lam(lam)
+    margin = _check_lam(lam, config)
     dr, dt = config.dr, config.dt
     observers = [(f"obs_r{ro:g}", int(round(ro / dr))) for ro in config.observers]
 
@@ -859,7 +929,7 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
         field_ = _mode_field(history, lam, config)
     return EvolutionResult(
         config=config, lam=lam, monitors=monitors, blowup_time=blow,
-        counts=counts, field=field_,
+        counts=counts, margins={"rk4_margin": margin}, field=field_,
         slices=sampler.slice_data(lam) if sampler is not None else {})
 
 
@@ -1016,7 +1086,7 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     operator, so the run is bit-identical to the linear solver.
     """
     config.check_model("quasilinear-toy")
-    _check_lam(lam)
+    margins = {"rk4_margin": _check_lam(lam, config)}
     dr, eps = config.dr, config.eps
 
     def cfl_check(t, u):
@@ -1024,11 +1094,12 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
         hrr = np.max(np.abs(eps * u[2]))
         h0r = np.max(np.abs(eps * u[1]))
         speed = math.sqrt((1.0 + 2.0 * hrr) / max(1.0 - 2.0 * h00, 1e-6)) + 4.0 * h0r
-        if config.cfl * speed > 0.55:
+        margin = rk4_margin(config.n, dr, config.dt, lam, speed)
+        margins["rk4_margin_peak"] = max(margin, margins.get("rk4_margin_peak", 0.0))
+        if margin > 1.0:
             raise CFLError(
-                f"perturbed characteristic speed {speed:.3f} breaks the CFL "
-                f"margin at t={t:.3f}"
-            )
+                f"perturbed characteristic speed {speed:.3f} breaks RK4 stability "
+                f"at t={t:.3f}: margin {margin:.3f} > 1")
 
     def monitor_row(t, u, v):
         return {"t": t, "sup": float(np.max(np.abs(u))),
@@ -1047,7 +1118,7 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
                 comp_slices.setdefault(s, []).append(data)
     return EvolutionResult(
         config=config, lam=lam, field=None, monitors=monitors, blowup_time=blow,
-        counts=counts, component_slices=comp_slices,
+        counts=counts, margins=margins, component_slices=comp_slices,
         component_fields=(None if history is None else
                           [_mode_field(history, lam, config, c) for c in range(3)]))
 

@@ -179,6 +179,10 @@ def evolve_full_grid_torus(n: int, torus, init, config: ev.EvolutionConfig,
 
     k = 2.0 * np.pi * np.fft.rfftfreq(m_theta, d=L / m_theta)
     minus_k2 = -(k ** 2)[:, None]
+    # the theta term adds k_max^2 to the radial Laplacian's stiffness, which
+    # the config's RK4 guard does not see
+    assert ev.rk4_margin(n, config.dr, config.dt, lam=float(k[-1] ** 2)) <= 1.0, \
+        "the step is too large for the theta term's stiffness"
 
     def accel(t, u, v):
         lap_r = ev.radial_laplacian(u, config.dr, n)

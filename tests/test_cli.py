@@ -151,6 +151,35 @@ class TestEvolve:
         assert set(meta["versions"]) == {"kkstab", "python", "numpy", "scipy"}
         assert meta["n"] == 9 and meta["n_in_theorem_range"] is True
 
+    @pytest.mark.parametrize("args, cfl, margin", [
+        (["--n", "9"], 0.4, 0.7179),
+        (["--n", "3", "--lambda", "1000"], 2 / 3, 0.7573),
+        (["--n", "13"], 1 / 6, 0.6713),
+    ], ids=["n9", "n3-lambda", "n13"])
+    def test_run_meta_step(self, tmp_path, args, cfl, margin):
+        """run-meta.json gives the resolved cfl and the step's RK4 margin with
+        lam; n = 13, in the theorem's range, runs at its default step."""
+        code, out = run_cli(["evolve", "--t-end", "8", "--dr", "0.0625"] + args,
+                            tmp_path, "s")
+        assert code == 0
+        meta = json.loads((out / "run-meta.json").read_text())
+        assert meta["cfl"] == cfl
+        assert meta["rk4_margin"] == pytest.approx(margin, abs=1e-4)
+        assert "rk4_margin_peak" not in meta
+        assert meta["n_in_theorem_range"] is (meta["n"] >= 9)
+        steps = round(4.0 / (cfl * 0.0625))
+        assert meta["counts"]["steps"] == steps
+
+    def test_run_meta_eps_peak_margin(self, tmp_path):
+        """An eps > 0 run adds the peak of the margins its speed checks
+        measured, just above the unperturbed margin."""
+        code, out = run_cli(["evolve", "--eps", "1e-3", "--n", "3", "--t-end", "10",
+                             "--dr", "0.0625"], tmp_path, "q")
+        assert code == 0
+        meta = json.loads((out / "run-meta.json").read_text())
+        assert meta["cfl"] == 2 / 3
+        assert meta["rk4_margin"] < meta["rk4_margin_peak"] < 1.0
+
     def test_outputs_present(self, tmp_path):
         code, out = run_cli(["evolve", "--n", "3", "--lambda", "0",
                              "--t-end", "10", "--dr", "0.0625"], tmp_path, "o")
@@ -250,6 +279,16 @@ class TestEnergy:
             len(make_slice(float(s), 3, 0.0625).r) for s in report["energies"])
         assert counts["gathered_columns"] == 20 * counts["captured_nodes"]
 
+    def test_run_meta_step(self, tmp_path):
+        """energy writes its resolved cfl and RK4 margin as evolve does."""
+        code, out = run_cli(["energy", "--n", "3", "--lambda", "100", "--dr", "0.0625",
+                             "--slice-s", "4,6"], tmp_path, "s")
+        assert code == 0
+        meta = json.loads((out / "run-meta.json").read_text())
+        # (1/24) sqrt(rho(3) 256 + 100) / (2 sqrt 2)
+        assert meta["cfl"] == 2 / 3
+        assert meta["rk4_margin"] == pytest.approx(0.6150, abs=1e-4)
+
     def test_defaults_exit_0(self, tmp_path):
         """Every default slice lies inside the default run."""
         code, out = run_cli(["energy"], tmp_path, "d")
@@ -343,7 +382,9 @@ class TestDomainErrors:
           "0.0625"], "lam=nan must be nonnegative"),
         (["evolve", "--eps", "0.001", "--lambda", "-1", "--n", "3", "--t-end",
           "10", "--dr", "0.0625"], "lam=-1.0 must be nonnegative"),
-        (["evolve", "--n", "11"], "breaks RK4 stability"),
+        (["evolve", "--n", "3", "--lambda", "20000", "--dr", "0.0625", "--t-end",
+          "8"], "lambda=20000.0 is too stiff for RK4 at n=3, dr=0.0625, "
+                "dt=0.0416667: lambda must be <= 2965.4"),
         (["evolve", "--dr", "0"], "dr=0.0 must be positive and finite"),
         (["energy", "--dr", "0"], "dr=0.0 must be positive and finite"),
         (["evolve", "--t-end", "inf"], "t_end=inf must be finite"),
@@ -370,15 +411,20 @@ class TestDomainErrors:
          "lam=inf must be nonnegative and finite"),
         (["evolve", "--dr", "1e-320"], "node count r_max/dr is not finite"),
         (["energy", "--dr", "1e-320"], "node count r_max/dr is not finite"),
+        (["evolve", "--dr", "1e-300"], "dr=1e-300 with r_max=99.0 gives a grid"),
+        (["energy", "--dr", "1e-300"], "dr=1e-300 with r_max=39.0 gives a grid"),
+        (["evolve", "--n", "14"], "n=14 needs a step finer than the default's floor"),
+        (["energy", "--n", "2000"], "n=2000 needs a step finer than the default's floor"),
     ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
-            "evolve-lambda", "evolve-eps-lambda", "evolve-n11", "evolve-dr0",
+            "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
             "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
             "geodesic-r0-negative", "evolve-t-end-before-t-start", "evolve-n0",
             "schwarzschild-r-hi-inf", "schwarzschild-r-lo-0", "spectrum-lmax-negative",
             "schwarzschild-cs-0", "schwarzschild-cs-nan", "geodesic-cs-inf",
             "evolve-lambda-inf", "energy-lambda-inf", "evolve-dr-subnormal",
-            "energy-dr-subnormal"])
+            "energy-dr-subnormal", "evolve-dr-tiny", "energy-dr-tiny", "evolve-n14",
+            "energy-n2000"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2

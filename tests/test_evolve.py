@@ -45,8 +45,10 @@ def _dalembert_n3(pulse, t, r, t0):
 
 class TestConfig:
     def test_cfl_cap(self):
-        with pytest.raises(CFLError):
-            EvolutionConfig(n=3, cfl=0.6)
+        """A cfl above RK4's bound 1.1166 at n = 3 is refused; 0.6 is inside."""
+        with pytest.raises(CFLError, match="cfl must be <= 1.1166"):
+            EvolutionConfig(n=3, cfl=1.2)
+        assert EvolutionConfig(n=3, cfl=0.6).cfl == 0.6
 
     @pytest.mark.parametrize("cfl", [float("nan"), 0.0, -0.1])
     def test_cfl_positive(self, cfl):
@@ -58,6 +60,13 @@ class TestConfig:
     def test_dr_gives_finite_node_count(self):
         with pytest.raises(ValueError, match="node count r_max/dr is not finite"):
             EvolutionConfig(n=3, dr=1e-320)
+
+    def test_dr_gives_an_indexable_grid(self):
+        """A finite node count above the largest array index is refused by
+        dr and r_max, before NumPy is asked for the grid."""
+        with pytest.raises(ValueError, match=r"dr=1e-300 with r_max=99.0 gives a "
+                                             r"grid .* largest array index"):
+            EvolutionConfig(n=3, dr=1e-300)
 
     def test_t_start_floor(self):
         with pytest.raises(ValueError):
@@ -91,6 +100,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonlinearity='linear'"):
             evolve_quasilinear_toy(linear)
 
+    def test_full_grid_oracle_checks_its_step(self):
+        """The oracle's pseudospectral theta term adds k_max^2 = (16 pi)^2 =
+        2527 to the radial stiffness rho(3) / dr^2 = 1642 at dr = 1/16, which
+        the config's guard does not see: cfl = 0.8 passes it (margin 0.72)
+        but not the oracle's (1.14); the default 2/3 runs at 0.95."""
+        k_max2 = (16 * np.pi) ** 2
+        assert ev.rk4_margin(3, 1 / 16, EvolutionConfig(n=3, dr=1 / 16).dt,
+                             lam=k_max2) == pytest.approx(0.95, abs=0.005)
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_end=5.0, cfl=0.8)
+        zero = lambda R, TH: np.zeros_like(R)
+        with pytest.raises(AssertionError, match="too large for the theta term"):
+            evolve_full_grid_torus(3, FlatTorus((1.0,)), (zero, zero), cfg)
+
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
             evolve_kg_radial(-1.0, 3, config=EvolutionConfig(n=3, t_end=5.0))
@@ -112,19 +134,90 @@ class TestConfig:
         assert abs(ev._laplacian_spectral_radius(n) - rho) <= 1e-10 * rho
 
     def test_rk4_bound_per_dimension(self):
-        """cfl sqrt(rho(n)) <= 2 sqrt(2): the default cfl = 0.4 gives 2.03 at
-        n = 9 and 3.04 at n = 11, whose largest stable cfl is 0.372."""
+        """cfl sqrt(rho(n)) <= 2 sqrt(2): cfl = 0.4 gives 2.03 at n = 9 and
+        3.04 at n = 11, whose largest stable cfl is 0.372.  The default step
+        lies inside the bound at every n it serves."""
         assert 0.4 * np.sqrt(ev._laplacian_spectral_radius(9)) == pytest.approx(2.03, abs=0.01)
         assert 0.4 * np.sqrt(ev._laplacian_spectral_radius(11)) == pytest.approx(3.04, abs=0.01)
-        EvolutionConfig(n=9)
+        for n in range(1, 14):
+            cfg = EvolutionConfig(n=n)
+            assert cfg.cfl * np.sqrt(ev._laplacian_spectral_radius(n)) < 2 * np.sqrt(2)
         with pytest.raises(CFLError, match="cfl must be <= 0.3722"):
-            EvolutionConfig(n=11)
+            EvolutionConfig(n=11, cfl=0.4)
 
     def test_n11_runs_inside_the_bound(self):
         cfg = EvolutionConfig(n=11, dr=1 / 32, cfl=0.35, t_end=12.0)
         res = evolve_kg_radial(0.0, 11, config=cfg)
         assert res.blowup_time is None
         assert np.all(np.isfinite(res.field.u))
+
+
+class TestDefaultStep:
+    """cfl = None resolves to 2/q, the smallest integer q >= 3 whose step
+    runs at no more than CFL_FRACTION of RK4's bound."""
+
+    @pytest.mark.parametrize("n, q", zip(range(1, 14),
+                                         [3] * 4 + [4] * 3 + [5] * 2 + [7, 8, 10, 12]))
+    def test_step_rule(self, n, q):
+        cfl = EvolutionConfig(n=n).cfl
+        assert cfl == 2.0 / q
+        assert ev.rk4_margin(n, 1.0, cfl) <= ev.CFL_FRACTION
+        # the smallest such q: one fewer is beyond the fraction, or below 3
+        assert q == 3 or ev.rk4_margin(n, 1.0, 2.0 / (q - 1)) > ev.CFL_FRACTION
+
+    def test_n9_keeps_its_step(self):
+        """n = 9 runs at the double 0.4, so its outputs keep their bits."""
+        assert EvolutionConfig(n=9).cfl == 0.4
+
+    def test_floor(self):
+        """n = 14 would need q = 14, finer than the default's floor 2/12."""
+        with pytest.raises(CFLError, match="n=14 needs a step finer than the "
+                                           "default's floor cfl = 2/12"):
+            EvolutionConfig(n=14)
+        assert EvolutionConfig(n=14, cfl=0.1).cfl == 0.1
+        # past n = 1751 the spectral radius overflows: refused the same way,
+        # with no overflow warning
+        with pytest.raises(CFLError, match="n=2000 needs a step finer"):
+            EvolutionConfig(n=2000)
+
+    @pytest.mark.parametrize("n, dr, t_end", [(3, 1 / 16, 8.0), (5, 1 / 32, 7.0),
+                                              (10, 1 / 16, 6.0), (13, 1 / 8, 9.0)])
+    def test_run_lands_on_t_end(self, n, dr, t_end):
+        """With a dyadic dr and an integer span, span q / (2 dr) steps of
+        2 dr / q end at t_end itself."""
+        cfg = EvolutionConfig(n=n, dr=dr, t_end=t_end, monitor_every=1,
+                              store_history=False)
+        res = evolve_kg_radial(0.0, n, config=cfg)
+        q = round(2.0 / cfg.cfl)
+        assert res.counts["steps"] == round((t_end - cfg.t_start) * q / (2 * dr))
+        assert res.monitors["t"][-1] == t_end
+
+
+class TestStiffLam:
+    """lam adds lam to the eigenvalues rho / dr^2 of -Lap_r that RK4 must
+    hold: at n = 3, dr = 1/16 and the default step dt = 1/24, the largest
+    stable lam is 8 * 24^2 - rho(3) * 256 = 2965.4."""
+
+    CFG = EvolutionConfig(n=3, dr=1 / 16, t_end=8.0, store_history=False)
+
+    def test_largest_stable_lam(self):
+        rho = ev._laplacian_spectral_radius(3)
+        lam_max = 8.0 / self.CFG.dt ** 2 - rho / self.CFG.dr ** 2
+        assert lam_max == pytest.approx(2965.4, abs=0.05)
+        assert ev.rk4_margin(3, self.CFG.dr, self.CFG.dt, lam_max) == pytest.approx(1.0)
+
+    def test_kg_refuses_a_stiff_lam(self):
+        with pytest.raises(CFLError, match=r"lambda=20000.0 is too stiff for RK4 at "
+                                           r"n=3, dr=0.0625, .*lambda must be <= 2965.4"):
+            evolve_kg_radial(20000.0, 3, config=self.CFG)
+        res = evolve_kg_radial(2965.0, 3, config=self.CFG)
+        assert res.blowup_time is None
+        assert 0.99 < res.margins["rk4_margin"] <= 1.0
+
+    def test_quasilinear_refuses_a_stiff_lam(self):
+        cfg = dataclasses.replace(self.CFG, nonlinearity="quasilinear-toy", eps=1e-3)
+        with pytest.raises(CFLError, match="lambda must be <= 2965.4"):
+            evolve_quasilinear_toy(cfg, lam=3000.0)
 
 
 class TestLaplacian:
@@ -239,6 +332,32 @@ class TestLinearEvolution:
 
 
 class TestQuasilinearToy:
+    @staticmethod
+    def _run(amplitude, eps):
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_end=10.0, eps=eps, store_history=False,
+                              nonlinearity="quasilinear-toy")
+        init = (lambda r: amplitude * ev._default_pulse3(r),
+                lambda r: np.zeros((3,) + r.shape))
+        return evolve_quasilinear_toy(cfg, init=init)
+
+    def test_speed_check_fires(self):
+        """At eps = EPS_MAX, 40 times the default pulse lifts the measured
+        characteristic speed to 1.80, which takes the n = 3 default step
+        past RK4's bound: margin 0.597 * 1.80 > 1."""
+        with pytest.raises(CFLError, match=r"perturbed characteristic speed 1.798 "
+                                           r"breaks RK4 stability at t=6.083: margin 1.07"):
+            self._run(40.0, ev.EPS_MAX)
+
+    def test_speed_check_passes_at_the_default_step(self):
+        """An eps = 1e-3 run at the n = 3 default step cfl = 2/3 keeps its
+        measured margin just above the unperturbed one (speed 1), below 1.
+        The speed exceeds 1 by O(eps sup|u|), a few 1e-3 for this pulse."""
+        res = self._run(1.0, 1e-3)
+        assert res.config.cfl == 2 / 3 and res.blowup_time is None
+        static, peak = res.margins["rk4_margin"], res.margins["rk4_margin_peak"]
+        assert static == ev.rk4_margin(3, 1 / 16, res.config.dt)
+        assert static < peak < 1.01 * static
+
     def test_eps_zero_bitwise_linear(self):
         """eps=0 components with power-of-two amplitudes reproduce the linear
         run bit for bit."""
@@ -1140,14 +1259,16 @@ class TestHistory:
             assert f.t1 <= res.blowup_time
 
     @pytest.mark.parametrize("case, rows", [
-        ("normal", 31), ("blow-up", 7), ("one-row", 1), ("blow-up-one-row", 1)])
+        pytest.param("normal", None, id="normal"), ("blow-up", 7), ("one-row", 1),
+        ("blow-up-one-row", 1)])
     def test_streamed_snapshot_has_the_bytes_of_write_snapshot(self, tmp_path, case,
                                                                rows):
         """evolve_kg_radial(snapshot=) writes the bytes of write_snapshot of
         the field held in memory.  The n = 9 pulse trips blowup_factor 1.5 at
         t = 5.25 (step 50): 7 of the 31 planned rows (nt loses a digit), or
         1 of 4 with store_every 64, where dt becomes store_every * dt; the
-        one-row run has 4 steps, fewer than store_every."""
+        one-row run has 4 steps, fewer than store_every.  The normal run
+        stores steps 0, 8, 16, ... of its run at cfg.dt."""
         cfg = {
             "normal": EvolutionConfig(n=3, dr=1 / 16, t_end=10.0, r_max=12.0),
             "blow-up": EvolutionConfig(n=9, dr=1 / 16, t_end=10.0, r_max=14.0,
@@ -1156,6 +1277,8 @@ class TestHistory:
             "blow-up-one-row": EvolutionConfig(n=9, dr=1 / 16, t_end=10.0, r_max=14.0,
                                                blowup_factor=1.5, store_every=64),
         }[case]
+        if rows is None:
+            rows = math.ceil((cfg.t_end - cfg.t_start) / cfg.dt - 1e-9) // 8 + 1
         held = evolve_kg_radial(0.0, cfg.n, config=cfg)
         fields.write_snapshot(tmp_path / "held.bin", held.field)
         path = tmp_path / "final-field.bin"
