@@ -137,15 +137,17 @@ class _PhaseClock:
 
 
 def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None,
-                    n: int | None = None, result=None) -> None:
+                    n: int | None = None, result=None, chart=None) -> None:
     """run-meta.json: how the run went, outside the byte-identical outputs.
 
     Phase timings and library versions always; counts, when given, are the
     run's work counts (`EvolutionResult.counts`, the geodesic integrator's
     right-hand-side evaluations); with n, n_in_theorem_range says whether
     n >= 9, the range of the stability theorem; result, an
-    `EvolutionResult`, gives its counts, its resolved cfl and its RK4
-    margins (`EvolutionResult.margins`).
+    `EvolutionResult`, gives its counts, its resolved cfl, its RK4 margins
+    and the blow-up guard's margin (`EvolutionResult.margins`); chart, a
+    `schwarzschild.HarmonicChart`, gives chart_nfev, the right-hand-side
+    evaluations of its ODE.
     """
     meta = {
         "phases_s": clock.phases,
@@ -159,6 +161,8 @@ def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None
         meta.update(n=n, n_in_theorem_range=n >= 9)
     if result is not None:
         meta.update(counts=result.counts, cfl=result.config.cfl, **result.margins)
+    if chart is not None:
+        meta["chart_nfev"] = chart.nfev
     _write_json(outdir / "run-meta.json", meta)
 
 
@@ -191,7 +195,10 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     })
     clock.lap("write")
     _write_run_meta(outdir, clock)
-    return EXIT_OK if stable else EXIT_ASSERTION
+    if not stable:
+        return _failed(f"spectrum not linearly stable: smallest eigenvalue "
+                       f"{lam_min:.6g} < 0")
+    return EXIT_OK
 
 
 def cmd_evolve(cfg: dict, outdir: Path) -> int:
@@ -237,7 +244,11 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     _write_json(outdir / "evolve-report.json", report)
     clock.lap("report")
     _write_run_meta(outdir, clock, n=n, result=result)
-    return EXIT_OK if result.blowup_time is None else EXIT_ASSERTION
+    if result.blowup_time is not None:
+        return _failed(f"blow-up guard fired at t={result.blowup_time:.4f}: sup|u| "
+                       f"passed blowup_factor * max|u0|, blowup_factor = "
+                       f"{config.blowup_factor:g}")
+    return EXIT_OK
 
 
 def cmd_energy(cfg: dict, outdir: Path) -> int:
@@ -266,7 +277,10 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
     energy_mod.write_report(outdir / "energy-report.json", report)
     clock.lap("write")
     _write_run_meta(outdir, clock, n=n, result=result)
-    return EXIT_OK if drift <= 0.05 else EXIT_ASSERTION
+    if not drift <= 0.05:
+        return _failed(f"hyperboloidal energy drift {drift:.3g} across slices "
+                       f"s={','.join(f'{s:g}' for s in energies)} above 0.05")
+    return EXIT_OK
 
 
 def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
@@ -302,9 +316,11 @@ def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
         "expected_exponent": -(params.n - 2),
     })
     clock.lap("write")
-    _write_run_meta(outdir, clock, n=params.n)
-    ok = abs(fit.exponent + (params.n - 2)) < 0.1
-    return EXIT_OK if ok else EXIT_ASSERTION
+    _write_run_meta(outdir, clock, n=params.n, chart=chart)
+    if not abs(fit.exponent + (params.n - 2)) < 0.1:
+        return _failed(f"metric deviation exponent {fit.exponent:.4g} is not "
+                       f"-(n-2) = {2 - params.n} within 0.1")
+    return EXIT_OK
 
 
 def cmd_geodesic(cfg: dict, outdir: Path) -> int:
@@ -334,9 +350,14 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
         "t_monotone": bool(np.all(np.diff(traj.t) > 0)),
     })
     clock.lap("write")
-    _write_run_meta(outdir, clock, {"nfev": traj.nfev}, params.n)
-    ok = drift <= 1e-8 * traj.lam[-1] + 1e-12 and np.all(np.diff(traj.t) > 0)
-    return EXIT_OK if ok else EXIT_ASSERTION
+    _write_run_meta(outdir, clock, {"nfev": traj.nfev}, params.n, chart=chart)
+    bound = 1e-8 * traj.lam[-1] + 1e-12
+    if not drift <= bound:
+        return _failed(f"geodesic velocity norm drift {drift:.3g} above "
+                       f"1e-8 lam_end + 1e-12 = {bound:.3g}")
+    if not np.all(np.diff(traj.t) > 0):
+        return _failed("geodesic coordinate time t is not increasing along the probe")
+    return EXIT_OK
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> int:
@@ -407,7 +428,10 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
                  "ok": all(c["ok"] for c in checks)})
     clock.lap("write")
     _write_run_meta(outdir, clock)
-    return EXIT_OK if all(c["ok"] for c in checks) else EXIT_ASSERTION
+    failed = [c["name"] for c in checks if not c["ok"]]
+    if failed:
+        return _failed(f"verify checks failed: {', '.join(failed)}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(exc: Exception) -> None:
+def _report(exc: Exception | str) -> None:
     """One stderr line, also for a message on several (configparser's)."""
     text = " ".join(line.strip() for line in str(exc).splitlines())
     print(f"kkstab: {text}", file=sys.stderr)
+
+
+def _failed(check: str) -> int:
+    """A failed check: one stderr line that names it, and exit 1."""
+    _report(check)
+    return EXIT_ASSERTION
 
 
 def main(argv=None) -> int:

@@ -14,16 +14,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .evolve import (inverse_metric_components, inverse_metric_derivative,
-                     q_nonlinearity)
+from .evolve import (E_WEIGHTS, inverse_metric_components,
+                     inverse_metric_derivative, q_nonlinearity)
 from .fields import SliceData
 from .geometry import _eval_terms, _word_terms, _words_upto
 
 REPORT_MAGIC = "kkstab-report v1"
 
-#: Component weights of the Euclidean norm for the (h_00, h_0r, h_rr)
-#: surrogate stack: the off-diagonal component appears twice in |h|_E^2.
-E_WEIGHTS = (1.0, 2.0, 1.0)
 
 class InsufficientSpanError(ValueError):
     """Decay fit asked for with too few samples or too little dynamic range."""

@@ -17,7 +17,7 @@ past the numerical front hold exact zeros.  Each step therefore runs on an
 active window of columns that starts at the axis and ends a few columns
 past the last occupied one (see `_run_sweep`); the columns beyond it are the
 +0.0 that the full-grid step would have written there, so every output
-keeps its bits.
+keeps its bits; the blow-up guard and the monitors read that window.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ class WindowDepthError(ValueError):
 
 #: Largest amplitude eps of the quasilinear surrogate that a config accepts.
 EPS_MAX = 1e-2
+#: Weights of the (h_00, h_0r, h_rr) components in |h|_E^2: h_0r appears twice.
+E_WEIGHTS = (1.0, 2.0, 1.0)
 
 
 #: RK4's stability interval on the imaginary axis, |z| <= 2 sqrt(2)
@@ -191,6 +193,31 @@ def _face_weights(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The flux weights ((k +- 1/2)/k)^(n-1) of the nodes k = 1..size-2."""
     k = np.arange(1, size - 1, dtype=float)
     return ((k + 0.5) / k) ** (n - 1), ((k - 0.5) / k) ** (n - 1)
+
+
+@functools.lru_cache(maxsize=32)
+def _energy_norm_weights(n: int, dr: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell weights r_k^(n-1) dr (r_(1/2)^(n-1) dr / (2n) on the axis) and face
+    weights r_(k+1/2)^(n-1) / dr: cell_k (Lap u)_k = face_k du_k - face_(k-1) du_(k-1)."""
+    r = dr * np.arange(size, dtype=float)
+    cell = r ** (n - 1) * dr
+    cell[0] = (0.5 * dr) ** (n - 1) * dr / (2.0 * n)
+    face = (r[:-1] + 0.5 * dr) ** (n - 1) / dr
+    cell.flags.writeable = face.flags.writeable = False
+    return cell, face
+
+
+def discrete_energy(u, v, dr: float, n: int, lam: float) -> np.ndarray:
+    """E_h = |S^(n-1)| (sum cell (v^2 + lam u^2) + sum face (du)^2) along the
+    last axis, conserved by du/dt = v, dv/dt = Lap_r u - lam u while the edge
+    column is 0.  Summed left to right, so a window that ends past the last
+    occupied column has the bits of the whole row; the weights are built at
+    the next power of two, which growing windows share."""
+    m = u.shape[-1]
+    cell, face = _energy_norm_weights(n, dr, 1 << (m - 1).bit_length())
+    dens = (v * v + lam * (u * u)) * cell[:m]
+    dens[..., :-1] += face[:m - 1] * (u[..., 1:] - u[..., :-1]) ** 2
+    return sphere_area(n) * np.cumsum(dens, axis=-1)[..., -1]
 
 
 def _laplacian_coefficients(n: int, dr: float, size: int):
@@ -499,14 +526,14 @@ class EvolutionResult:
     #: work of both sweeps, as counted by `_run_sweep`
     counts: dict[str, int] = field(default_factory=dict)
     #: "rk4_margin", the step's `rk4_margin` with lam; the quasilinear run
-    #: adds "rk4_margin_peak", the largest over its measured speeds
+    #: adds "rk4_margin_peak", the largest over its measured speeds; and
+    #: "blowup_margin", the peak sup|u| that the blow-up guard read over
+    #: blowup_factor * max|u0| (above 1 when it fired; absent for zero u0)
     margins: dict[str, float] = field(default_factory=dict)
 
 
 def _support_radius(u: np.ndarray, dr: float, tol: float = 1e-12) -> float:
-    row = np.abs(u)
-    if row.ndim > 1:
-        row = row.max(axis=tuple(range(row.ndim - 1)))
+    row = np.abs(u).reshape(-1, u.shape[-1]).max(axis=0)
     nz = np.nonzero(row > tol * row.max())[0]
     return float(nz[-1]) * dr if len(nz) else 0.0
 
@@ -614,8 +641,10 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     four times (`_stage_step`).  Both kernels take the same steps, window,
     sampler, guard and monitors.
 
-    on_monitor(j, t, u, v) runs at step 0 and every monitor_every steps.
-    Returns the blow-up time, or None when the guard never fired.
+    on_monitor(j, t, u, v, w) runs at step 0 and every monitor_every steps;
+    from column w - 1 on, u and v hold +0.0 alone.
+    Returns the blow-up time, or None when the guard never fired, and the
+    peak sup|u| that the guard read.
 
     Active window: a step hands the kernel only the columns [0, last + 6),
     where `last` bounds the last column in which u or v is not +0.0.  One
@@ -641,13 +670,13 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     y = np.stack((u, v))
     u, v = y
     nr = y.shape[-1]
-    active_cols, blowup, j = 0, None, 0
+    active_cols, blowup, peak, j = 0, None, 0.0, 0
     t = t0
     if sampler is not None:
         sampler.new_sweep(t0, dt, n_steps)
         sampler.observe(t, u, v)
     if on_monitor is not None:
-        on_monitor(0, t, u, v)
+        on_monitor(0, t, u, v, min(_last_occupied(y) + 2, nr))
     for j in range(1, n_steps + 1):
         if (j - 1) % _RESCAN_EVERY == 0:
             last = _last_occupied(y)
@@ -664,23 +693,24 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
         if sampler is not None:
             sampler.observe(t, u, v)
         if j % 50 == 0 or j == n_steps:
-            sup = float(np.max(np.abs(u)))
+            sup = float(np.max(np.abs(u[..., :w])))
             if not np.isfinite(sup):
                 raise NaNGuardError(f"non-finite field at t={t:.4f}")
+            peak = max(peak, sup)
             if guard_scale is not None and sup > blowup_factor * guard_scale:
                 blowup = t
                 break
             if cfl_check is not None:
                 cfl_check(t, u)
         if on_monitor is not None and monitor_every and j % monitor_every == 0:
-            on_monitor(j, t, u, v)
+            on_monitor(j, t, u, v, w)
     if counts is not None:
         nodes_per_col = u.size // nr
         counts["steps"] += j
         counts[work] += per_step * j
         counts["node_steps"] += j * nr * nodes_per_col
         counts["active_node_steps"] += active_cols * nodes_per_col
-    return blowup
+    return blowup, peak
 
 
 def _prepare_init(init, r, config):
@@ -697,32 +727,6 @@ def _prepare_init(init, r, config):
             f"{config.t_start - 2.0}"
         )
     return u0, v0
-
-
-@functools.lru_cache(maxsize=4)
-def _energy_weights(n: int, dr: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """r^{n-1} and the trapezoid weights of a size-node row (read-only)."""
-    rn = (dr * np.arange(size)) ** (n - 1)
-    w = np.full(size, dr)
-    w[0] = w[-1] = 0.5 * dr
-    rn.flags.writeable = w.flags.writeable = False
-    return rn, w
-
-
-def flat_slice_energy(u, v, dr, n, lam) -> float:
-    """Energy of a flat t=const slice: int (v^2 + u_r^2 + lam u^2) r^{n-1} dr."""
-    rn, w = _energy_weights(n, dr, u.shape[-1])
-    # |x| * |x|, not x * x: a NaN keeps its sign bit through x * x
-    dens, ur, uu = np.abs(v), np.abs(np.gradient(u, dr, axis=-1)), np.abs(u)
-    dens *= dens
-    ur *= ur
-    dens += ur
-    uu *= uu
-    uu *= lam
-    dens += uu
-    dens *= rn
-    dens *= w
-    return float(sphere_area(n) * np.sum(dens))
 
 
 def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
@@ -753,13 +757,13 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
 
 def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
             operator=None, slice_s=(), slice_r_cap=None, cfl_check=None,
-            snapshot=None):
+            snapshot=None, margins=None):
     """The one evolution driver of the radial and quasilinear runs.
 
     Builds the grid r, the initial data (`_prepare_init`; their leading
     shape is the sampler's), the slice sampler and the stored history, and
     steps dv/dt = accel(t, u, v), or the linear dv/dt = operator(u) (see
-    `_run_sweep`); monitor_row(t, u, v) -> {column: value}
+    `_run_sweep`); monitor_row(t, u, v, w) -> {column: value}, w as there,
     runs every config.monitor_every steps.  The forward sweep stops when
     sup|u| exceeds config.blowup_factor * max|u0| (no guard for zero u0);
     unless it did, a backward sweep completes the slices that reach below
@@ -768,6 +772,8 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
     snapshot file when snapshot, a function (t0, dt, shape) ->
     `fields.SnapshotWriter`, is given: the file is closed with the rows
     written when the sweeps return, and removed when they raise.
+    margins, a dict, gets "blowup_margin", the forward sweep's peak sup|u|
+    over blowup_factor * max|u0| (none for zero u0).
     Returns (history, monitors, sampler, blowup_time, counts); the sampler
     is None without slices or after a blow-up, and counts are the sweeps'
     work counts with the sampler's "captured_nodes" and "gathered_columns"
@@ -807,22 +813,22 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
         history = _History(np.empty((nt,) + u0.shape), np.empty((nt,) + u0.shape))
     mon: dict[str, list] = {}
 
-    def on_monitor(j, t, u, v):
+    def on_monitor(j, t, u, v, w):
         if history is not None and j % config.store_every == 0:
             history.record(t, u=u, v=v)
         if monitor_row is not None and j % config.monitor_every == 0:
-            for key, val in monitor_row(t, u, v).items():
+            for key, val in monitor_row(t, u, v, w).items():
                 mon.setdefault(key, []).append(val)
 
     # monitor callback does double duty as history recorder; force every
     # store_every step through it
     every = math.gcd(config.store_every, config.monitor_every)
     counts: Counter = Counter()
+    guard_scale = float(np.max(np.abs(u0))) or None
     with writer or contextlib.nullcontext():
-        blow = _run_sweep(
+        blow, peak = _run_sweep(
             u0, v0, config.t_start, n_steps, dt, accel, sampler,
-            on_monitor=on_monitor, monitor_every=every,
-            guard_scale=float(np.max(np.abs(u0))) or None,
+            on_monitor=on_monitor, monitor_every=every, guard_scale=guard_scale,
             blowup_factor=config.blowup_factor, cfl_check=cfl_check, counts=counts,
             operator=operator,
         )
@@ -840,6 +846,8 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
     else:
         counts["captured_nodes"] = counts["gathered_columns"] = 0
     monitors = {k: np.array(vals) for k, vals in mon.items()}
+    if margins is not None and guard_scale is not None:
+        margins["blowup_margin"] = peak / (config.blowup_factor * guard_scale)
     return (history, monitors, None if blow is not None else sampler, blow,
             dict(counts))
 
@@ -906,14 +914,14 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     if config.n != n:
         raise ValueError(f"n={n} differs from config.n={config.n}")
     config.check_model("linear")
-    margin = _check_lam(lam, config)
+    margins = {"rk4_margin": _check_lam(lam, config)}
     dr, dt = config.dr, config.dt
     observers = [(f"obs_r{ro:g}", int(round(ro / dr))) for ro in config.observers]
 
-    def monitor_row(t, u, v):
-        row = {"t": t, "sup": float(np.max(np.abs(u))),
-               "support_radius": _support_radius(np.abs(u) + dt * np.abs(v), dr),
-               "energy": flat_slice_energy(u, v, dr, n, lam)}
+    def monitor_row(t, u, v, w):
+        row = {"t": t, "sup": float(np.max(np.abs(u[:w]))),
+               "support_radius": _support_radius(np.abs(u[:w]) + dt * np.abs(v[:w]), dr),
+               "energy": float(discrete_energy(u[:w], v[:w], dr, n, lam))}
         row.update((name, float(np.abs(u[col]))) for name, col in observers)
         return row
 
@@ -921,7 +929,7 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
               functools.partial(SnapshotWriter, snapshot, n=n, lam=lam, dr=dr))
     history, monitors, sampler, blow, counts = _evolve(
         config, init, monitor_row=monitor_row, operator=_linear_operator(n, dr, lam),
-        slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=opener)
+        slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=opener, margins=margins)
     field_ = None
     if snapshot is not None:
         field_ = read_snapshot(snapshot, mmap=True)
@@ -929,7 +937,7 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
         field_ = _mode_field(history, lam, config)
     return EvolutionResult(
         config=config, lam=lam, monitors=monitors, blowup_time=blow,
-        counts=counts, margins={"rk4_margin": margin}, field=field_,
+        counts=counts, margins=margins, field=field_,
         slices=sampler.slice_data(lam) if sampler is not None else {})
 
 
@@ -1101,16 +1109,18 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
                 f"perturbed characteristic speed {speed:.3f} breaks RK4 stability "
                 f"at t={t:.3f}: margin {margin:.3f} > 1")
 
-    def monitor_row(t, u, v):
-        return {"t": t, "sup": float(np.max(np.abs(u))),
-                "support_radius": _support_radius(u, dr)}
+    def monitor_row(t, u, v, w):
+        energies = discrete_energy(u[:, :w], v[:, :w], dr, config.n, lam)
+        return {"t": t, "sup": float(np.max(np.abs(u[:, :w]))),
+                "support_radius": _support_radius(u[:, :w], dr),
+                "energy": float(np.dot(E_WEIGHTS, energies))}
 
     if init is None:
         init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
     history, monitors, sampler, blow, counts = _evolve(
         config, init, monitor_row=monitor_row, **_quasilinear_rhs(config, lam),
         slice_s=slice_s, slice_r_cap=slice_r_cap,
-        cfl_check=cfl_check if eps != 0.0 else None)
+        cfl_check=cfl_check if eps != 0.0 else None, margins=margins)
     comp_slices = {}
     if sampler is not None:
         for c in range(3):

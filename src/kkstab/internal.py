@@ -125,10 +125,15 @@ def is_linearly_stable(model: InternalModel) -> tuple[bool, float]:
 def parse_spectrum_file(path) -> SpectralData:
     """Strict parser for the internal-spectrum text format.
 
-    Malformed lines raise SpectrumFileError with a 1-based line number.
+    Malformed lines raise SpectrumFileError with a 1-based line number, and
+    a path that cannot be read as UTF-8 text one that names the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise SpectrumFileError(f"spectrum file {str(path)!r}: {reason}") from exc
     header_seen = False
     d = None
     modes: list[tuple[float, int]] = []

@@ -22,6 +22,12 @@ from scipy.optimize import brentq
 
 HORIZON_GUARD = 1.01
 R_FAR = 1e3  # the chart ODE starts here; the asymptotic profile serves beyond
+#: Smallest start value m(R_FAR) of the chart ODE.  DOP853 at atol 1e-30
+#: stops tracking m below a start value between 1e-55 and 1e-60 at n = 5
+#: (1e-90 and 1e-95 at n = 9, 1e-125 and 1e-130 at n = 13) and returns
+#: noise: a deviation exponent of +1.19 at n = 9 where -7 is due.  The floor
+#: keeps five decades above the highest of these; at n = 9 it is cs = 1.4e-31
+M_FAR_MIN = 1e-50
 
 
 class HorizonError(ValueError):
@@ -121,21 +127,22 @@ def _static_metric(name: str, x, r, h00, dh00, a, da, b, db) -> MetricAtPoint:
     """
     n = len(x)
     xh = x / r
+    eye, xx = np.eye(n), np.outer(xh, xh)
     A, B = 1.0 + a, 1.0 + b
     D = n + 1
     g = np.zeros((D, D))
     g[0, 0] = -1.0 + h00
-    g[1:, 1:] = A * np.eye(n) + (b - a) * np.outer(xh, xh)
+    g[1:, 1:] = A * eye + (b - a) * xx
     ginv = np.zeros((D, D))
     ginv[0, 0] = 1.0 / g[0, 0]
-    ginv[1:, 1:] = np.eye(n) / A + (1.0 / B - 1.0 / A) * np.outer(xh, xh)
+    ginv[1:, 1:] = eye / A + (1.0 / B - 1.0 / A) * xx
+    # dg[1 + k, 1 + i, 1 + j], with dxh[k, i] = d_k xhat_i = (delta_ki - xhat_k xhat_i) / r
+    dxh = (eye - xh[:, None] * xh) / r
     dg = np.zeros((D, D, D))
-    for k in range(n):
-        dxh = (np.eye(n)[k] - xh[k] * xh) / r
-        dg[1 + k, 0, 0] = dh00 * xh[k]
-        dg[1 + k, 1:, 1:] = (da * xh[k] * np.eye(n)
-                             + (db - da) * xh[k] * np.outer(xh, xh)
-                             + (b - a) * (np.outer(dxh, xh) + np.outer(xh, dxh)))
+    dg[1:, 0, 0] = dh00 * xh
+    dg[1:, 1:, 1:] = ((da * xh)[:, None, None] * eye
+                      + ((db - da) * xh)[:, None, None] * xx
+                      + (b - a) * (dxh[:, :, None] * xh + xh[:, None] * dxh[:, None, :]))
     return MetricAtPoint(chart=name, x=x, g=g, ginv=ginv, dg=dg)
 
 
@@ -163,7 +170,8 @@ class HarmonicChart:
     Integrates the deviation m = rbar - r of the harmonic radial profile
     inward from the flat end, with m ~ C_S / (2 (n-2)) rbar^{3-n}
     asymptotically (the decaying particular solution of the radial ODE).
-    The massless chart is the identity, m = 0.
+    The massless chart is the identity, m = 0.  A mass whose start value
+    m(R_FAR) lies below M_FAR_MIN is refused: the ODE cannot resolve it.
     """
 
     def __init__(self, params: SchwarzschildParams):
@@ -175,6 +183,10 @@ class HarmonicChart:
             return
         self._a = cs / (2.0 * (n - 2))
         m0 = self._a * R_FAR ** (3 - n)
+        if not m0 >= M_FAR_MIN:
+            raise ValueError(
+                f"cs={cs} is below the masses the harmonic chart resolves at n={n}: "
+                f"its ODE starts from m({R_FAR:g}) = {m0:.3g} < {M_FAR_MIN:g}")
         mp0 = self._a * (3 - n) * R_FAR ** (2 - n)
 
         def rhs(rb, y):
@@ -185,6 +197,11 @@ class HarmonicChart:
         if not sol.success:
             raise StepFailureError(f"harmonic chart ODE failed: {sol.message}")
         self._sol = sol
+
+    @property
+    def nfev(self) -> int:
+        """Right-hand-side evaluations of the chart's ODE (0 when massless)."""
+        return 0 if self._trivial else int(self._sol.nfev)
 
     def _mpp(self, rb, m, mp):
         """m'' from the harmonic radial ODE written for m = rbar - r."""

@@ -195,18 +195,32 @@ def evolve_full_grid_torus(n: int, torus, init, config: ev.EvolutionConfig,
 
 
 # ---------------------------------------------------------------------------
-# The linear run's energy monitor
+# The energy monitor
 
 
-def flat_slice_energy_abs_form(u, v, dr, n, lam) -> float:
-    """int (v^2 + u_r^2 + lam u^2) r^{n-1} dr in one expression, with the
-    weights built per call and each square formed as np.abs(x) ** 2."""
-    r = dr * np.arange(u.shape[-1])
-    ur = np.gradient(u, dr, axis=-1)
-    dens = (np.abs(v) ** 2 + np.abs(ur) ** 2 + lam * np.abs(u) ** 2) * r ** (n - 1)
-    w = np.full(u.shape[-1], dr)
-    w[0] = w[-1] = 0.5 * dr
-    return float(sphere_area(n) * np.sum(dens * w))
+def discrete_energy_sums(u, v, dr, n, lam) -> float:
+    """E_h = |S^{n-1}| dr^n [sum w_k v_k^2 + sum (k+1/2)^{n-1} (u_{k+1} - u_k)^2
+    / dr^2 + lam sum w_k u_k^2], w_k = k^{n-1} and w_0 = 2^{1-n} / (2n), over
+    every entry of 1-D rows, each sum exactly rounded (math.fsum)."""
+    k = np.arange(u.shape[-1], dtype=float)
+    w = k ** (n - 1)
+    w[0] = 2.0 ** (1 - n) / (2 * n)
+    face = (k[:-1] + 0.5) ** (n - 1)
+    du = np.diff(u)
+    sums = (math.fsum(w * v * v), math.fsum(face * du * du) / dr ** 2,
+            lam * math.fsum(w * u * u))
+    return sphere_area(n) * dr ** n * math.fsum(sums)
+
+
+def pulse_energy(n: int, width: float = 2.0) -> float:
+    """|S^{n-1}| int psi'(r)^2 r^{n-1} dr of the default pulse
+    psi(r) = exp(1 - 1/(1 - (r/width)^2)), the exact energy of the data
+    (psi, 0) for lam = 0: Gauss-Legendre on 400 nodes of [0, width]."""
+    x, wq = np.polynomial.legendre.leggauss(400)
+    r = 0.5 * width * (x + 1.0)
+    y = r / width
+    dpsi = np.exp(1.0 - 1.0 / (1.0 - y * y)) * (-2.0 * y / (1.0 - y * y) ** 2) / width
+    return sphere_area(n) * 0.5 * width * float(np.sum(wq * dpsi * dpsi * r ** (n - 1)))
 
 
 def torus_spectrum_loop(periods, cutoff: float, per_component: bool = False
@@ -369,6 +383,27 @@ def sample_on_hyperboloid(field, s: float, with_second: bool = True,
         data.urr = at_slice(d2dr2(field.u, field.dr))
         data.utr = at_slice(ddr(field.v, field.dr))
     return data
+
+
+# ---------------------------------------------------------------------------
+# Static metric derivatives, one spatial axis at a time
+
+
+def static_metric_dg_loop(x, r, dh00, a, da, b, db) -> np.ndarray:
+    """dg[mu, a, b] = d_mu g_ab of g_00 = -1 + h00(r),
+    g_ij = (1 + a) delta_ij + (b - a) xhat_i xhat_j: for each axis k, with
+    d_k xhat = (e_k - xhat_k xhat) / r, the products in the order
+    `schwarzschild._static_metric` takes them."""
+    n = len(x)
+    xh = x / r
+    dg = np.zeros((n + 1,) * 3)
+    for k in range(n):
+        dxh = (np.eye(n)[k] - xh[k] * xh) / r
+        dg[1 + k, 0, 0] = dh00 * xh[k]
+        dg[1 + k, 1:, 1:] = (da * xh[k] * np.eye(n)
+                             + (db - da) * xh[k] * np.outer(xh, xh)
+                             + (b - a) * (np.outer(dxh, xh) + np.outer(xh, dxh)))
+    return dg
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """End-to-end tests of the kkstab command line interface."""
 
+import argparse
 import configparser
+import dataclasses
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kkstab import cli, evolve, fields, schwarzschild
+from kkstab import cli, energy, evolve, fields, schwarzschild
 from kkstab.geometry import make_slice
 from kkstab.cli import main
 from oracles import read_report
@@ -48,12 +51,14 @@ class TestSpectrum:
         assert report["linearly_stable"] is True
         assert report["min_eigenvalue"] == 0.0
 
-    def test_unstable_input_exit_1(self, tmp_path):
+    def test_unstable_input_exit_1(self, tmp_path, capsys):
         spec = tmp_path / "bad-spec.txt"
         spec.write_text("internal-spectrum v1 d=2\n-1.0 1\n0.0 3\n")
         code, out = run_cli(["spectrum", "--spectrum-file", str(spec)],
                             tmp_path, "u")
         assert code == 1
+        assert stderr_line(capsys) == ("kkstab: spectrum not linearly stable: "
+                                       "smallest eigenvalue -1 < 0")
 
     def test_non_finite_eigenvalue_exit_2(self, tmp_path, capsys):
         """A NaN eigenvalue is a malformed file, not a failed check whose
@@ -150,6 +155,8 @@ class TestEvolve:
         assert meta["versions"]["numpy"] == np.__version__
         assert set(meta["versions"]) == {"kkstab", "python", "numpy", "scipy"}
         assert meta["n"] == 9 and meta["n_in_theorem_range"] is True
+        # sup|u| stays below the guard's 1000 max|u0| by far
+        assert 0.0 < meta["blowup_margin"] < 0.1
 
     @pytest.mark.parametrize("args, cfl, margin", [
         (["--n", "9"], 0.4, 0.7179),
@@ -288,6 +295,7 @@ class TestEnergy:
         # (1/24) sqrt(rho(3) 256 + 100) / (2 sqrt 2)
         assert meta["cfl"] == 2 / 3
         assert meta["rk4_margin"] == pytest.approx(0.6150, abs=1e-4)
+        assert 0.0 < meta["blowup_margin"] <= 1e-3
 
     def test_defaults_exit_0(self, tmp_path):
         """Every default slice lies inside the default run."""
@@ -310,6 +318,16 @@ class TestSchwarzschild:
         for r, dev, _ in rows:
             assert dev > 0.0
             assert abs(dev / (0.1 * r ** -7) - 1.0) <= 0.01
+
+    def test_smallest_resolved_mass(self, tmp_path):
+        """cs = 1e-30 lies above the chart's floor at n = 9 (1.4e-31): the
+        run exits 0 and follows the tail, as 1e-32 is refused."""
+        code, out = run_cli(["schwarzschild", "--cs", "1e-30"], tmp_path, "g")
+        assert code == 0
+        rows = [[float(x) for x in ln.split(",")]
+                for ln in (out / "gauge.csv").read_text().splitlines()[1:]]
+        for r, dev, _ in rows:
+            assert abs(dev / (1e-30 * r ** -7) - 1.0) <= 0.01
 
 
 class TestGeodesic:
@@ -366,6 +384,11 @@ class TestRunMeta:
             assert list(meta["counts"]) == ["nfev"] and meta["counts"]["nfev"] > 0
         else:
             assert "counts" not in meta
+        # the harmonic chart's ODE work, where the run builds a chart
+        if args[0] in ("schwarzschild", "geodesic"):
+            assert meta["chart_nfev"] > 100
+        else:
+            assert "chart_nfev" not in meta
 
 
 class TestDomainErrors:
@@ -415,6 +438,16 @@ class TestDomainErrors:
         (["energy", "--dr", "1e-300"], "dr=1e-300 with r_max=39.0 gives a grid"),
         (["evolve", "--n", "14"], "n=14 needs a step finer than the default's floor"),
         (["energy", "--n", "2000"], "n=2000 needs a step finer than the default's floor"),
+        (["spectrum", "--spectrum-file", "no-such-spectrum.txt"],
+         "spectrum file 'no-such-spectrum.txt': No such file or directory"),
+        (["spectrum", "--spectrum-file", str(Path(__file__).parent)],
+         f"spectrum file {str(Path(__file__).parent)!r}: Is a directory"),
+        (["schwarzschild", "--cs", "1e-32"],
+         "cs=1e-32 is below the masses the harmonic chart resolves at n=9"),
+        (["schwarzschild", "--cs", "1e-320"],
+         "cs=1e-320 is below the masses the harmonic chart resolves at n=9"),
+        (["geodesic", "--cs", "1e-100"],
+         "cs=1e-100 is below the masses the harmonic chart resolves at n=9"),
     ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
@@ -424,7 +457,9 @@ class TestDomainErrors:
             "schwarzschild-cs-0", "schwarzschild-cs-nan", "geodesic-cs-inf",
             "evolve-lambda-inf", "energy-lambda-inf", "evolve-dr-subnormal",
             "energy-dr-subnormal", "evolve-dr-tiny", "energy-dr-tiny", "evolve-n14",
-            "energy-n2000"])
+            "energy-n2000", "spectrum-file-missing", "spectrum-file-directory",
+            "schwarzschild-cs-below-floor", "schwarzschild-cs-subnormal",
+            "geodesic-cs-tiny"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2
@@ -456,6 +491,97 @@ class TestRuntimeFailures:
         code, _ = run_cli(["geodesic", "--lam-end", "10"], tmp_path, "g")
         assert code == 1
         assert stderr_line(capsys) == "kkstab: geodesic integration failed"
+
+
+class TestFailedChecks:
+    """Each failed check exits 1 with one stderr line that names it."""
+
+    def test_evolve_blow_up(self, tmp_path, capsys, monkeypatch):
+        """A guard at 1e-3 max|u0| fires at its first check."""
+        run = evolve.evolve_kg_radial
+
+        def low_guard(lam, n, init, config, **kwargs):
+            return run(lam, n, init, dataclasses.replace(config, blowup_factor=1e-3),
+                       **kwargs)
+
+        monkeypatch.setattr(evolve, "evolve_kg_radial", low_guard)
+        code, _ = run_cli(["evolve", "--n", "3", "--t-end", "8", "--dr", "0.0625"],
+                          tmp_path, "e")
+        assert code == 1
+        assert stderr_line(capsys).startswith("kkstab: blow-up guard fired at t=")
+
+    def test_energy_drift(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(energy, "hyperboloidal_energy", lambda data: data.slc.s)
+        code, _ = run_cli(["energy", "--n", "3", "--dr", "0.0625", "--slice-s", "4,5"],
+                          tmp_path, "e")
+        assert code == 1
+        assert stderr_line(capsys) == ("kkstab: hyperboloidal energy drift 0.2 across "
+                                       "slices s=4,5 above 0.05")
+
+    def test_schwarzschild_exponent(self, tmp_path, capsys):
+        """At n = 13 the chart's start value m(R_FAR) = 4.5e-33 lies below the
+        ODE's absolute tolerance 1e-30, and the fitted exponent misses -11."""
+        code, _ = run_cli(["schwarzschild", "--n", "13"], tmp_path, "s")
+        assert code == 1
+        err = stderr_line(capsys)
+        assert err.startswith("kkstab: metric deviation exponent -11.")
+        assert err.endswith("is not -(n-2) = -11 within 0.1")
+
+    def test_geodesic_drift(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(schwarzschild.GeodesicTrajectory, "velocity_norm",
+                            lambda self: np.full(len(self.lam), 1e-3))
+        code, _ = run_cli(["geodesic", "--lam-end", "2"], tmp_path, "g")
+        assert code == 1
+        assert stderr_line(capsys) == ("kkstab: geodesic velocity norm drift 0.001 "
+                                       "above 1e-8 lam_end + 1e-12 = 2e-08")
+
+    def test_verify(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("off the hyperboloid")
+
+        monkeypatch.setattr(cli.geometry, "make_slice", fail)
+        code, _ = run_cli(["verify"], tmp_path, "v")
+        assert code == 1
+        assert stderr_line(capsys) == "kkstab: verify checks failed: hyperboloid-embedding"
+
+
+class TestExitContract:
+    """Every settable key, through the flag that `build_parser()` makes for
+    it, with each of VALUES on the short base configs of TestEveryKeyIsRead:
+    the exit code is 0, 1 or 2, no traceback escapes, a failure prints one
+    stderr line (argparse's usage block aside) and a success prints none."""
+
+    VALUES = ("nan", "inf", "-inf", "0", "-1", "-0.5", "", "1,nan", "1e-320")
+
+    @staticmethod
+    def flags():
+        """(subcommand, flag) of every key of cli.DEFAULTS, from the parser."""
+        parser = cli.build_parser()
+        subs = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        return [(sub, action.option_strings[0])
+                for sub, sp in subs.choices.items() for action in sp._actions
+                if action.dest in cli.DEFAULTS[sub]]
+
+    def test_every_key_has_a_flag(self):
+        assert len(self.flags()) == sum(map(len, cli.DEFAULTS.values()))
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("sub, flag", flags())
+    def test_contract(self, sub, flag, value, tmp_path, capsys):
+        ini = tmp_path / "base.ini"
+        ini.write_text(f"[{sub}]\n" + "".join(
+            f"{k} = {v}\n" for k, v in TestEveryKeyIsRead.BASE[sub].items()))
+        code = main([sub, "--config", str(ini), f"{flag}={value}",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if lines and lines[0].startswith("usage: "):
+            # argparse's usage block: its first line and indented continuations
+            lines = [ln for ln in lines[1:] if not ln.startswith(" ")]
+        assert len(lines) == (0 if code == 0 else 1), err
 
 
 class TestConfigPrecedence:

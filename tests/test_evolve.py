@@ -18,15 +18,15 @@ from kkstab.evolve import (
     EvolutionConfig,
     SliceSampler,
     default_pulse,
+    discrete_energy,
     evolve_kg_radial,
     evolve_quasilinear_toy,
-    flat_slice_energy,
     radial_laplacian,
 )
 from kkstab.internal import FlatTorus
-from oracles import (ETA2, _radial_stencil, d2dr2, ddr, evolve_full_grid_torus,
-                     flat_slice_energy_abs_form, interp_rows, inverse_metric_einsum,
-                     pack_sym, q_contractions, sample_on_hyperboloid)
+from oracles import (ETA2, _radial_stencil, d2dr2, ddr, discrete_energy_sums,
+                     evolve_full_grid_torus, interp_rows, inverse_metric_einsum,
+                     pack_sym, pulse_energy, q_contractions, sample_on_hyperboloid)
 
 
 def _dalembert_n3(pulse, t, r, t0):
@@ -636,12 +636,12 @@ def full_grid_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     four stages of accel, or, given the linear operator L, by the Taylor
     polynomial of the step in Horner form, with P = L(u, v) = (a, b) and
     Q = L P = (c, d)."""
-    t = t0
+    t, peak, nr = t0, 0.0, u.shape[-1]
     if sampler is not None:
         sampler.new_sweep(t0, dt, n_steps)
         sampler.observe(t, u, v)
     if on_monitor is not None:
-        on_monitor(0, t, u, v)
+        on_monitor(0, t, u, v, nr)
     for j in range(1, n_steps + 1):
         if operator is not None:
             a, b = p = operator(np.stack((u, v)))
@@ -671,13 +671,14 @@ def full_grid_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
             sup = float(np.max(np.abs(u)))
             if not np.isfinite(sup):
                 raise ev.NaNGuardError(f"non-finite field at t={t:.4f}")
+            peak = max(peak, sup)
             if guard_scale is not None and sup > blowup_factor * guard_scale:
-                return t
+                return t, peak
             if cfl_check is not None:
                 cfl_check(t, u)
         if on_monitor is not None and monitor_every and j % monitor_every == 0:
-            on_monitor(j, t, u, v)
-    return None
+            on_monitor(j, t, u, v, nr)
+    return None, peak
 
 
 @pytest.fixture
@@ -693,7 +694,7 @@ def full_grid(monkeypatch):
 
 def _result_bytes(res) -> dict:
     """Every array of a result, by name, as bytes: -0.0 and 0.0 differ."""
-    out = {"blowup_time": repr(res.blowup_time)}
+    out = {"blowup_time": repr(res.blowup_time), "margins": repr(res.margins)}
     out.update((f"monitor {k}", v.tobytes()) for k, v in res.monitors.items())
     fields_ = [res.field] if res.field is not None else res.component_fields or []
     for c, f in enumerate(fields_):
@@ -768,7 +769,7 @@ class TestActiveWindow:
             seen = states[name] = []
             sweep(u0.copy(), np.zeros_like(u0), cfg.t_start, 150, direction * cfg.dt,
                   sampler=None, monitor_every=1, **ev._quasilinear_rhs(cfg, 0.0),
-                  on_monitor=lambda j, t, u, v: seen.append(u.tobytes() + v.tobytes()))
+                  on_monitor=lambda j, t, u, v, w: seen.append(u.tobytes() + v.tobytes()))
         assert len(states["window"]) == 151
         assert states["window"] == states["full"]
 
@@ -840,7 +841,7 @@ def _last_state(u0, n_steps, dt, **kernel):
     seen = []
     ev._run_sweep(u0, np.zeros_like(u0), 4.0, n_steps, dt, sampler=None,
                   monitor_every=n_steps, **kernel,
-                  on_monitor=lambda j, t, u, v: seen.append(np.stack((u, v))))
+                  on_monitor=lambda j, t, u, v, w: seen.append(np.stack((u, v))))
     return seen[-1]
 
 
@@ -948,33 +949,103 @@ class TestLaplacianCache:
 
 
 class TestEnergyMonitor:
-    @pytest.mark.parametrize("n, dr", [(3, 1 / 16), (9, 0.05)])
-    def test_matches_the_abs_form_bit_for_bit(self, n, dr):
-        """Cached weights and in-place squares have the bits of the
-        one-expression form, also on rows that hold +-inf or a NaN of either
-        sign (inf - inf makes -NaN, which x * x would keep negative)."""
-        rng = np.random.default_rng(n)
-        bad = (np.inf, -np.inf, np.nan, -np.float64(np.nan))
-        with np.errstate(invalid="ignore"):
-            for size in (5, 300):
-                for lam in (0.0, 1.0):
-                    rows = [(rng.standard_normal(size), rng.standard_normal(size))]
-                    for a in bad:
-                        for b in bad:
-                            u, v = rng.standard_normal((2, size))
-                            u[size // 2], v[0] = a, b
-                            rows.append((u, v))
-                    for u, v in rows:
-                        want = flat_slice_energy_abs_form(u, v, dr, n, lam)
-                        got = flat_slice_energy(u, v, dr, n, lam)
-                        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    """E_h, the energy of the monitors (`evolve.discrete_energy`)."""
 
-    def test_flat_slice_energy_positive_definite(self):
+    @pytest.mark.parametrize("n, dr", [(3, 1 / 16), (9, 0.05), (13, 1 / 64)])
+    def test_matches_the_sums(self, n, dr):
+        """The oracle's three exactly rounded sums, to 1e-13 relative (the
+        module sums left to right: at most 300 roundings of 1.1e-16), for
+        each component of a stack as for a single row."""
+        rng = np.random.default_rng(n)
+        for lam in (0.0, 1.0):
+            for size in (2, 5, 300):
+                u, v = rng.standard_normal((2, 3, size))
+                got = discrete_energy(u, v, dr, n, lam)
+                assert got.shape == (3,)
+                for c in range(3):
+                    want = discrete_energy_sums(u[c], v[c], dr, n, lam)
+                    assert got[c] == pytest.approx(want, rel=1e-13, abs=0.0)
+                    assert float(discrete_energy(u[c], v[c], dr, n, lam)) == got[c]
+
+    def test_positive_definite(self):
+        """Positive on nonzero data, with or without mass, and exactly 0.0
+        for zero data."""
         r = 0.05 * np.arange(100)
         u = default_pulse(r)
-        e = flat_slice_energy(u, np.zeros_like(u), 0.05, 3, 1.0)
-        assert e > 0.0
-        assert flat_slice_energy(np.zeros_like(u), np.zeros_like(u), 0.05, 3, 1.0) == 0.0
+        zero = np.zeros_like(u)
+        for lam in (0.0, 1.0):
+            assert discrete_energy(u, zero, 0.05, 3, lam) > 0.0
+            assert discrete_energy(zero, u, 0.05, 3, lam) > 0.0
+            assert discrete_energy(zero, zero, 0.05, 3, lam) == 0.0
+
+    def test_trailing_zeros_keep_the_bits(self):
+        """A window that ends past the last occupied column has the bits of
+        the whole row, as the monitors read it."""
+        u, v = np.random.default_rng(1).standard_normal((2, 3, 700))
+        u[:, 300:] = v[:, 300:] = 0.0
+        whole = discrete_energy(u, v, 1 / 16, 9, 0.5)
+        for w in (301, 302, 333, 699):
+            assert discrete_energy(u[:, :w], v[:, :w], 1 / 16, 9, 0.5).tobytes() \
+                == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 9, 13])
+    def test_semi_discrete_identity(self, n):
+        """dE_h/dt = 0 along du/dt = v, dv/dt = L u - lam u with L the radial
+        Laplacian, for data whose edge column is 0:
+            sum w v (L u - lam u) + sum face (du)(dv) + lam sum w u v = 0
+        with the module's weights, to 1e-13 relative to the largest term
+        (200 terms per sum, each rounded to 1.1e-16).  The same holds for
+        discrete_energy itself by polarization: E(x + y) = E(x - y) for
+        x = (u, v) and y along the flow."""
+        dr, lam = 1 / 16, 0.7
+        rng = np.random.default_rng(n)
+        u, v = rng.standard_normal((2, 200))
+        u[-1] = v[-1] = 0.0
+        acc = ev._linear_operator(n, dr, lam)(u)
+        cell, face = ev._energy_norm_weights(n, dr, 200)
+        terms = (cell * v * acc, face * np.diff(u) * np.diff(v), lam * cell * u * v)
+        scale = max(np.sum(np.abs(t)) for t in terms)
+        assert abs(sum(np.sum(t) for t in terms)) <= 1e-13 * scale
+        # y = s (v, L u - lam u), scaled to the size of x
+        s = 1.0 / np.max(np.abs(acc))
+        plus = discrete_energy(u + s * v, v + s * acc, dr, n, lam)
+        minus = discrete_energy(u - s * v, v - s * acc, dr, n, lam)
+        assert abs(plus - minus) <= 1e-13 * (plus + minus)
+
+    @pytest.mark.parametrize("n, lam, dr, t_end", [(3, 0.0, 1 / 32, 20.0),
+                                                   (3, 1.0, 1 / 32, 20.0),
+                                                   (9, 0.0, 1 / 16, 40.0)])
+    def test_never_increases(self, n, lam, dr, t_end):
+        """RK4 inside its stability bound damps every mode of the system
+        that E_h's norm makes skew, so E_h never grows over a run: each of
+        its steps grows by at most 1e-13 relative (the round-off of a sum
+        of some 1000 terms), and the run loses some of it."""
+        cfg = EvolutionConfig(n=n, dr=dr, t_start=4.0, t_end=t_end,
+                              monitor_every=1, store_history=False)
+        e = evolve_kg_radial(lam, n, config=cfg).monitors["energy"]
+        assert len(e) == round((t_end - 4.0) / cfg.dt) + 1
+        assert np.max(np.diff(e)) <= 1e-13 * e[0]
+        assert e[-1] < e[0]
+
+    def test_tracks_the_exact_energy(self):
+        """On the defaults of `kkstab evolve` (n = 9, dr = 1/64, t 4..100),
+        E_h stays within 1e-3 of the pulse's exact energy on every monitor
+        row (2.9e-4 measured; the flat quadrature it replaced read 1.15e-3)."""
+        cfg = EvolutionConfig(n=9, store_history=False)
+        e = evolve_kg_radial(0.0, 9, config=cfg).monitors["energy"]
+        assert len(e) == 961
+        assert np.max(np.abs(e / pulse_energy(9) - 1.0)) <= 1e-3
+
+    def test_quasilinear_column(self):
+        """The surrogate's energy adds E_h of its components with E_WEIGHTS;
+        at eps = 0 its components are the linear run's rows times 1, 1/2
+        and -1."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=10.0, r_max=14.0,
+                              store_history=False)
+        lin = evolve_kg_radial(0.5, 3, config=cfg).monitors["energy"]
+        q = evolve_quasilinear_toy(dataclasses.replace(cfg, nonlinearity="quasilinear-toy"),
+                                   lam=0.5).monitors["energy"]
+        np.testing.assert_allclose(q, (1.0 + 2.0 * 0.25 + 1.0) * lin, rtol=1e-14)
 
 
 def _stencil_sample(row, cols, b, dr):
