@@ -254,7 +254,10 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
 def cmd_energy(cfg: dict, outdir: Path) -> int:
     clock = _PhaseClock()
     n, lam = int(cfg["n"]), float(cfg["lam"])
-    slice_s = _float_list(cfg["slice_s"]) or [4.0, 8.0, 10.0]
+    slice_s = _float_list(cfg["slice_s"])
+    if not slice_s:
+        raise ConfigError(f"slice_s={cfg['slice_s']!r} names no slice s to read "
+                          f"energies on")
     config = evolve_mod.EvolutionConfig(
         n=n, dr=float(cfg["dr"]), t_end=float(cfg["t_end"]),
         sample_derivs=3, store_history=False)

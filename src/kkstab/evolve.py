@@ -159,10 +159,16 @@ class EvolutionConfig:
             raise ValueError(f"eps={self.eps} outside [0, eps_max={EPS_MAX}]")
 
     def check_model(self, model: str) -> None:
-        """Each entry point runs one model, which nonlinearity must name."""
+        """Each entry point runs one model, which nonlinearity must name, and
+        refuses the key that its model does not read: the linear equation
+        has no eps, and the surrogate's monitors have no observers."""
         if self.nonlinearity != model:
             raise ValueError(f"nonlinearity={self.nonlinearity!r}, but this "
                              f"solver runs {model!r}")
+        key = "eps" if model == "linear" else "observers"
+        if getattr(self, key):
+            raise ValueError(f"{key}={getattr(self, key)!r} is not read by the "
+                             f"{model!r} solver")
 
     @property
     def dt(self) -> float:
@@ -185,57 +191,47 @@ def default_pulse(r: np.ndarray, width: float = 2.0, amplitude: float = 1.0) -> 
     return out
 
 
-#: folded coefficients of `radial_laplacian`, one entry per (n, dr)
-_LAP_COEFF_CACHE: dict = {}
-
-
-def _face_weights(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flux weights ((k +- 1/2)/k)^(n-1) of the nodes k = 1..size-2."""
-    k = np.arange(1, size - 1, dtype=float)
-    return ((k + 0.5) / k) ** (n - 1), ((k - 0.5) / k) ** (n - 1)
-
-
 @functools.lru_cache(maxsize=32)
-def _energy_norm_weights(n: int, dr: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell weights r_k^(n-1) dr (r_(1/2)^(n-1) dr / (2n) on the axis) and face
-    weights r_(k+1/2)^(n-1) / dr: cell_k (Lap u)_k = face_k du_k - face_(k-1) du_(k-1)."""
-    r = dr * np.arange(size, dtype=float)
-    cell = r ** (n - 1) * dr
-    cell[0] = (0.5 * dr) ** (n - 1) * dr / (2.0 * n)
-    face = (r[:-1] + 0.5 * dr) ** (n - 1) / dr
-    cell.flags.writeable = face.flags.writeable = False
-    return cell, face
+def _radial_operator(n: int, dr: float, size: int):
+    """The radial weights of the nodes k = 0..size-1, read-only.  (cp, cm):
+    `radial_laplacian`'s flux coefficients ((k +- 1/2)/k)^(n-1) / dr^2, with
+    the axis coefficient 2n / dr^2 in cp[0].  (cell, face): E_h's cell
+    weights r_k^(n-1) dr (r_(1/2)^(n-1) dr / (2n) on the axis) and face
+    weights r_(k+1/2)^(n-1) / dr, so cell_k (Lap u)_k = face_k du_k -
+    face_(k-1) du_(k-1).  Each entry depends on its k alone: callers read
+    the prefix of the build at `_pow2` of their length, which the growing
+    windows of a run share.  Past n = 1751 the weights overflow to inf,
+    where no finite step is stable."""
+    k = np.arange(size, dtype=float)
+    r, kk = dr * k, k[1:-1]
+    axis, dr2 = 2.0 * n, dr ** 2
+    with np.errstate(over="ignore"):
+        cp = np.concatenate(([axis], ((kk + 0.5) / kk) ** (n - 1))) / dr2
+        cm = ((kk - 0.5) / kk) ** (n - 1) / dr2
+        cell = r ** (n - 1) * dr
+        cell[0] = (0.5 * dr) ** (n - 1) * dr / axis
+        face = (r[:-1] + 0.5 * dr) ** (n - 1) / dr
+    for w in (cp, cm, cell, face):
+        w.flags.writeable = False
+    return cp, cm, cell, face
+
+
+def _pow2(m: int) -> int:
+    """The power of two at which a length-m caller reads `_radial_operator`."""
+    return 1 << (m - 1).bit_length()
 
 
 def discrete_energy(u, v, dr: float, n: int, lam: float) -> np.ndarray:
     """E_h = |S^(n-1)| (sum cell (v^2 + lam u^2) + sum face (du)^2) along the
-    last axis, conserved by du/dt = v, dv/dt = Lap_r u - lam u while the edge
-    column is 0.  Summed left to right, so a window that ends past the last
-    occupied column has the bits of the whole row; the weights are built at
-    the next power of two, which growing windows share."""
+    last axis, with the weights of `_radial_operator`, conserved by
+    du/dt = v, dv/dt = Lap_r u - lam u while the edge column is 0.  Summed
+    left to right, so a window that ends past the last occupied column has
+    the bits of the whole row."""
     m = u.shape[-1]
-    cell, face = _energy_norm_weights(n, dr, 1 << (m - 1).bit_length())
+    _, _, cell, face = _radial_operator(n, dr, _pow2(m))
     dens = (v * v + lam * (u * u)) * cell[:m]
     dens[..., :-1] += face[:m - 1] * (u[..., 1:] - u[..., :-1]) ** 2
     return sphere_area(n) * np.cumsum(dens, axis=-1)[..., -1]
-
-
-def _laplacian_coefficients(n: int, dr: float, size: int):
-    """(cp, cm) of `radial_laplacian` on grids of up to size nodes: the
-    face weights over dr^2, with the axis coefficient 2n / dr^2 in cp[0].
-
-    One entry per (n, dr), rebuilt only for a longer grid; `_evolve` builds
-    it at the grid's length before the first sweep, and every window slices
-    it.  Each entry depends on its k alone, so a slice has the bits of
-    coefficients built for the window's own length.
-    """
-    coeff = _LAP_COEFF_CACHE.get((n, dr))
-    if coeff is None or len(coeff[1]) < size - 2:
-        rp, rm = _face_weights(n, size)
-        dr2 = dr ** 2
-        _LAP_COEFF_CACHE[n, dr] = coeff = (
-            np.concatenate(([2.0 * n], rp)) / dr2, rm / dr2)
-    return coeff
 
 
 def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
@@ -247,15 +243,15 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     the spurious exponential modes the plain centered form develops near
     the axis for large n.
 
-    The 1/dr^2 is folded into the cached coefficients
-    (`_laplacian_coefficients`), so a call makes four passes over u: the
-    differences d, cp * d written into the result, cm * d in place, and its
-    subtraction in place.  For a power-of-two dr the scaling is exact, and
-    the result has the bits of (rp d - rm d) / dr^2 unless a product rounds
-    as a subnormal.
+    The 1/dr^2 is folded into the coefficients cp, cm of `_radial_operator`,
+    read at the next power of two above the length of u, so a call makes
+    four passes over u: the differences d, cp * d written into the result,
+    cm * d in place, and its subtraction in place.  For a power-of-two dr
+    the scaling is exact, and the result has the bits of the weighted
+    differences scaled by 1/dr^2 unless a product rounds as a subnormal.
     """
     size = u.shape[-1]
-    cp, cm = _laplacian_coefficients(n, dr, size)
+    cp, cm, _, _ = _radial_operator(n, dr, _pow2(size))
     out = np.empty_like(u)
     d = u[..., 1:] - u[..., :-1]
     np.multiply(cp[:size - 1], d, out=out[..., :-1])
@@ -276,14 +272,12 @@ def _laplacian_spectral_radius(n: int, size: int = 400) -> float:
     products.  The largest magnitude sits at the axis, where the weights
     ((k +- 1/2)/k)^(n-1) grow with n.
     """
-    # the axis weight 1.5^(n-1) overflows past n = 1751, where no finite
-    # step is stable
-    with np.errstate(over="ignore"):
-        rp, rm = _face_weights(n, size)
-    if not np.isfinite(rp[0]):
+    cp, cm, _, _ = _radial_operator(n, 1.0, _pow2(size))
+    cp, cm = cp[:size - 1], cm[:size - 2]
+    if not np.isfinite(cp).all():
         return math.inf
-    diag = np.concatenate(([-2.0 * n], -(rp + rm)))
-    off = np.sqrt(np.concatenate(([2.0 * n], rp[:-1])) * rm)
+    diag = -np.concatenate((cp[:1], cp[1:] + cm))
+    off = np.sqrt(cp[:-1] * cm)
     # imported here so that `import kkstab` stays free of scipy; sterf works
     # on the two diagonals, with no dense matrix and no BLAS buffers
     from scipy.linalg import eigvalsh_tridiagonal
@@ -782,9 +776,6 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
     dr, dt = config.dr, config.dt
     r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
     u0, v0 = _prepare_init(init, r, config)
-    # built at the grid's length, so that no window of either sweep, which
-    # grows a few columns at a time, rebuilds them
-    _laplacian_coefficients(config.n, dr, len(r))
 
     sampler, t_end = None, config.t_end
     if slice_s:

@@ -399,6 +399,7 @@ class TestDomainErrors:
         (["schwarzschild", "--samples", "5"], "need >= 10 positive samples"),
         (["geodesic", "--r0", "0.1"], "inside the guarded exterior"),
         (["energy", "--slice-s", "30"], "slice s=30.0 needs capture"),
+        (["energy", "--slice-s", ""], "slice_s='' names no slice s"),
         (["evolve", "--eps", "-0.001", "--n", "3", "--t-end", "10", "--dr",
           "0.0625"], "eps=-0.001 outside"),
         (["evolve", "--lambda", "nan", "--n", "3", "--t-end", "8", "--dr",
@@ -448,7 +449,7 @@ class TestDomainErrors:
          "cs=1e-320 is below the masses the harmonic chart resolves at n=9"),
         (["geodesic", "--cs", "1e-100"],
          "cs=1e-100 is below the masses the harmonic chart resolves at n=9"),
-    ], ids=["schwarzschild", "geodesic", "energy", "evolve-eps",
+    ], ids=["schwarzschild", "geodesic", "energy", "energy-slice-s-empty", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
             "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
@@ -546,10 +547,11 @@ class TestFailedChecks:
 
 
 class TestExitContract:
-    """Every settable key, through the flag that `build_parser()` makes for
-    it, with each of VALUES on the short base configs of TestEveryKeyIsRead:
-    the exit code is 0, 1 or 2, no traceback escapes, a failure prints one
-    stderr line (argparse's usage block aside) and a success prints none."""
+    """Every settable key with each of VALUES on the short base configs of
+    TestEveryKeyIsRead, through the flag that `build_parser()` makes for it,
+    its KKSTAB_* variable and its config-file key: the exit code is 0, 1 or
+    2, no traceback escapes, a failure prints one stderr line (argparse's
+    usage block aside) and a success prints none."""
 
     VALUES = ("nan", "inf", "-inf", "0", "-1", "-0.5", "", "1,nan", "1e-320")
 
@@ -566,14 +568,13 @@ class TestExitContract:
     def test_every_key_has_a_flag(self):
         assert len(self.flags()) == sum(map(len, cli.DEFAULTS.values()))
 
-    @pytest.mark.parametrize("value", VALUES)
-    @pytest.mark.parametrize("sub, flag", flags())
-    def test_contract(self, sub, flag, value, tmp_path, capsys):
+    @staticmethod
+    def assert_contract(sub, args, file_vals, tmp_path, capsys):
         ini = tmp_path / "base.ini"
         ini.write_text(f"[{sub}]\n" + "".join(
-            f"{k} = {v}\n" for k, v in TestEveryKeyIsRead.BASE[sub].items()))
-        code = main([sub, "--config", str(ini), f"{flag}={value}",
-                     "--out", str(tmp_path / "out")])
+            f"{k} = {v}\n"
+            for k, v in {**TestEveryKeyIsRead.BASE[sub], **file_vals}.items()))
+        code = main([sub, "--config", str(ini), *args, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         assert "Traceback" not in err
@@ -582,6 +583,22 @@ class TestExitContract:
             # argparse's usage block: its first line and indented continuations
             lines = [ln for ln in lines[1:] if not ln.startswith(" ")]
         assert len(lines) == (0 if code == 0 else 1), err
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("sub, flag", flags())
+    def test_contract(self, sub, flag, value, tmp_path, capsys):
+        self.assert_contract(sub, [f"{flag}={value}"], {}, tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("sub, key", [(sub, key) for sub, keys in
+                                          cli.DEFAULTS.items() for key in keys])
+    @pytest.mark.parametrize("route", ["env", "config"])
+    def test_contract_env_and_config(self, route, sub, key, value, tmp_path,
+                                     capsys, monkeypatch):
+        if route == "env":
+            monkeypatch.setenv("KKSTAB_" + key.upper(), value)
+        self.assert_contract(sub, [], {key: value} if route == "config" else {},
+                             tmp_path, capsys)
 
 
 class TestConfigPrecedence:

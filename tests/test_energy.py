@@ -38,6 +38,18 @@ def linear_slices():
 
 
 @pytest.fixture(scope="module")
+def massive_slices():
+    """{dr: slices} of the lam = 1, n = 3 run at dr = 1/16 and 1/32, with
+    slices s = 3..6 at ds = 1/8 and their second derivatives."""
+    s_grid = tuple(3.0 + k / 8 for k in range(25))
+    out = {}
+    for dr in (1 / 16, 1 / 32):
+        cfg = EvolutionConfig(n=3, dr=dr, t_end=12.0, store_history=False)
+        out[dr] = evolve_kg_radial(1.0, 3, config=cfg, slice_s=s_grid).slices
+    return out
+
+
+@pytest.fixture(scope="module")
 def family_slice():
     return scaling_family_slice(6.0, 3, 1 / 32, lam=0.0)
 
@@ -71,24 +83,49 @@ class TestConservation:
         out = energy_identity_residual(linear_slices, 3.0, 6.0)
         assert out["residual"] < 1e-3
 
-    def test_identity_manufactured_source(self):
+    def test_identity_manufactured_source(self, massive_slices):
         """The lam = 1 wave read as lam = 0 with the source F = 1 u: the
         energy without its mass term changes by the source flux alone,
         E(6) - E(3) = integral of -2 F u_t (s/t) = -3.9, about 17% of E.
         Bound, set from that size: the residual stays <= 1e-2 at dr = 1/16
         and 1/32 and falls with dr, where a flux of the wrong sign leaves a
         residual of 2 x 17%."""
-        s_grid = tuple(3.0 + k / 8 for k in range(25))
         residuals = []
-        for dr in (1 / 16, 1 / 32):
-            cfg = EvolutionConfig(n=3, dr=dr, t_end=12.0, store_history=False)
-            res = evolve_kg_radial(1.0, 3, config=cfg, slice_s=s_grid)
-            massless = {s: replace(d, lam=0.0) for s, d in res.slices.items()}
+        for slices in massive_slices.values():
+            massless = {s: replace(d, lam=0.0) for s, d in slices.items()}
             out = energy_identity_residual(massless, 3.0, 6.0,
                                            f_at=lambda s, comps: comps[0].u)
             assert out["flux_integral"] < -0.1 * out["E1"]
             residuals.append(out["residual"])
         assert max(residuals) <= 1e-2 and residuals[1] < residuals[0], residuals
+
+    def test_identity_manufactured_gamma(self, massive_slices):
+        """The lam = 1 wave read as (eta + gamma)^{ab} d_a d_b u - u = F with
+        F = gamma^{ab} d_a d_b u = c00 u_tt + 2 c0r u_tr + crr u_rr, for a
+        prescribed smooth gamma of size 0.05 (c0r ~ r, crr ~ r^2, so the
+        Cartesian components are smooth on the axis) whose derivatives come
+        from sympy.  Bound, set before the run: the identity closes to 10%
+        of the flux it balances, residual <= 0.1 |flux| / E, at dr = 1/16
+        and 1/32.  A flux of the wrong sign leaves at least 1.9 |flux| / E."""
+        phi = sp.exp(-(R ** 2 + (T - 5) ** 2) / 32) / 20
+        exprs = {"c00": phi, "c0r": phi * R / 4, "crr": phi * R ** 2 / 16}
+        exprs.update({f"dt{c}": sp.diff(exprs["c" + c], T) for c in ("00", "0r", "rr")})
+        exprs.update({f"dr{c}": sp.diff(exprs["c" + c], R) for c in ("0r", "rr")})
+        funcs = {k: sp.lambdify((T, R), e, "numpy") for k, e in exprs.items()}
+
+        def gamma_at(s, comps):
+            return en.GammaBlock(**{k: f(comps[0].t, comps[0].r)
+                                    for k, f in funcs.items()})
+
+        def f_at(s, comps):
+            d, g = comps[0], gamma_at(s, comps)
+            return g.c00 * d.deriv(2, 0) + 2.0 * g.c0r * d.utr + g.crr * d.urr
+
+        for slices in massive_slices.values():
+            out = energy_identity_residual(slices, 3.0, 6.0, gamma_at=gamma_at,
+                                           f_at=f_at)
+            flux = abs(out["flux_integral"]) / max(out["E1"], out["E2"])
+            assert out["residual"] <= 0.1 * flux, out
 
     def test_identity_needs_cover(self, linear_slices):
         with pytest.raises(ValueError, match="covering"):

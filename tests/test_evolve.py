@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import functools
 import inspect
 import math
 from collections import deque
@@ -99,6 +100,21 @@ class TestConfig:
             evolve_full_grid_torus(3, FlatTorus((1.0,)), (None, None), quasi)
         with pytest.raises(ValueError, match="nonlinearity='linear'"):
             evolve_quasilinear_toy(linear)
+
+    def test_linear_solver_refuses_eps(self):
+        """The linear equation has no eps: a config with one is refused by
+        name instead of being run as the plain wave."""
+        with pytest.raises(ValueError, match="eps=0.001 is not read by the 'linear' solver"):
+            evolve_kg_radial(0.0, 3, config=EvolutionConfig(n=3, t_end=5.0, eps=1e-3))
+
+    def test_quasilinear_solver_refuses_observers(self):
+        """The surrogate's monitors have no obs_r* columns: observers are
+        refused by name instead of being dropped."""
+        cfg = EvolutionConfig(n=3, t_end=5.0, nonlinearity="quasilinear-toy",
+                              observers=(1.0,))
+        with pytest.raises(ValueError, match=r"observers=\(1.0,\) is not read by the "
+                                             r"'quasilinear-toy' solver"):
+            evolve_quasilinear_toy(cfg)
 
     def test_full_grid_oracle_checks_its_step(self):
         """The oracle's pseudospectral theta term adds k_max^2 = (16 pi)^2 =
@@ -895,40 +911,64 @@ class TestTaylorKernel:
         assert res.counts["operator_applications"] == len(calls)
 
 
+def _record_builds(monkeypatch) -> list:
+    """Replace `evolve._radial_operator` by an empty cache of the same size
+    over the same builder, and return the list of the arguments of every
+    build it makes."""
+    builds = []
+    build = ev._radial_operator.__wrapped__
+    monkeypatch.setattr(ev, "_radial_operator", functools.lru_cache(
+        **ev._radial_operator.cache_parameters())(
+            lambda *a: builds.append(a) or build(*a)))
+    return builds
+
+
 class TestLaplacianCache:
-    def test_one_entry_per_n(self, monkeypatch):
-        """Runs on several grids, each stepping windows of many sizes, leave
-        one coefficient entry per (n, dr), as long as the longest grid needs."""
-        monkeypatch.setattr(ev, "_LAP_COEFF_CACHE", {})
-        for n, r_max in ((3, 10.0), (3, 14.0), (5, 8.0), (3, 6.0)):
-            evolve_kg_radial(0.0, n, config=EvolutionConfig(
-                n=n, dr=1 / 16, t_end=8.0, r_max=r_max, store_history=False))
-        assert sorted(ev._LAP_COEFF_CACHE) == [(3, 1 / 16), (5, 1 / 16)]
-        assert len(ev._LAP_COEFF_CACHE[3, 1 / 16][1]) == 14 * 16 + 1 - 2
-        assert len(ev._LAP_COEFF_CACHE[5, 1 / 16][1]) == 8 * 16 + 1 - 2
+    def test_one_build_per_power_of_two(self, monkeypatch):
+        """Runs on several grids, each stepping windows of many sizes and
+        reading E_h on them, build the radial weights once per (n, dr,
+        power-of-two size), the powers up to the longest grid's."""
+        cfgs = [EvolutionConfig(n=n, dr=1 / 16, t_end=8.0, r_max=r_max,
+                                store_history=False)
+                for n, r_max in ((3, 10.0), (3, 14.0), (5, 8.0), (3, 6.0))]
+        builds = _record_builds(monkeypatch)
+        for cfg in cfgs:
+            evolve_kg_radial(0.0, cfg.n, config=cfg)
+        assert len(set(builds)) == len(builds)
+        assert {(n, dr) for n, dr, _ in builds} == {(3, 1 / 16), (5, 1 / 16)}
+        for n, r_max in ((3, 14.0), (5, 8.0)):
+            sizes = sorted(size for m, _, size in builds if m == n)
+            assert all(size & (size - 1) == 0 for size in sizes)
+            assert sizes[-1] == ev._pow2(int(r_max * 16) + 1)
 
     @pytest.mark.parametrize("n", [3, 9])
     def test_prefix_has_the_bits_of_its_own_coefficients(self, monkeypatch, n):
-        monkeypatch.setattr(ev, "_LAP_COEFF_CACHE", {})
+        """A window reads the weights built at the power of two above its
+        length; they have the bits of those built for its own length, and
+        the Laplacian the bits of the oracle's."""
+        build = ev._radial_operator.__wrapped__
+        builds = _record_builds(monkeypatch)
         u = np.random.default_rng(5).standard_normal((2, 3001))
         radial_laplacian(u, 0.01, n)
         for m in (3, 5, 6, 17, 64, 1000, 2999, 3001):
             got = radial_laplacian(u[..., :m], 0.01, n)
             assert got.tobytes() == full_grid_laplacian(u[..., :m], 0.01, n).tobytes(), m
-        assert list(ev._LAP_COEFF_CACHE) == [(n, 0.01)]
+            for long, own in zip(ev._radial_operator(n, 0.01, ev._pow2(m)),
+                                 build(n, 0.01, m)):
+                assert long[:len(own)].tobytes() == own.tobytes(), m
+        assert builds == [(n, 0.01, size) for size in (4096, 4, 8, 32, 64, 1024)]
 
-    def test_coefficients_built_once_per_grid(self, monkeypatch):
+    def test_builds_per_run_are_logarithmic(self, monkeypatch):
         """Both sweeps of a run step windows that grow a few columns at a
-        time, and every one slices the coefficients built for the grid."""
+        time, and read weights built at no more than ceil(log2(grid))
+        powers of two."""
         cfg = EvolutionConfig(n=3, dr=1 / 32, t_end=12.0, r_max=40.0, store_history=False)
-        calls = []
-        weights = ev._face_weights
-        monkeypatch.setattr(ev, "_LAP_COEFF_CACHE", {})
-        monkeypatch.setattr(ev, "_face_weights",
-                            lambda *a: calls.append(a) or weights(*a))
+        builds = _record_builds(monkeypatch)
         res = evolve_kg_radial(0.5, 3, config=cfg, slice_s=(3.0,))
         assert res.counts["active_node_steps"] < res.counts["node_steps"] // 2
-        assert calls == [(3, int(round(cfg.resolved_r_max() / cfg.dr)) + 1)]
+        grid = int(round(cfg.resolved_r_max() / cfg.dr)) + 1
+        assert 0 < len(builds) <= math.ceil(math.log2(grid))
+        assert all(b[:2] == (3, cfg.dr) for b in builds)
 
     @pytest.mark.parametrize("dr", [1 / 16, 1 / 64])
     @pytest.mark.parametrize("n", [3, 9])
@@ -1002,7 +1042,8 @@ class TestEnergyMonitor:
         u, v = rng.standard_normal((2, 200))
         u[-1] = v[-1] = 0.0
         acc = ev._linear_operator(n, dr, lam)(u)
-        cell, face = ev._energy_norm_weights(n, dr, 200)
+        _, _, cell, face = ev._radial_operator(n, dr, 256)
+        cell, face = cell[:200], face[:199]
         terms = (cell * v * acc, face * np.diff(u) * np.diff(v), lam * cell * u * v)
         scale = max(np.sum(np.abs(t)) for t in terms)
         assert abs(sum(np.sum(t) for t in terms)) <= 1e-13 * scale
