@@ -33,23 +33,21 @@ class SupportClassError(ValueError):
 # The basic energy
 
 
-def def_integrand(data: SliceData, gamma: dict | None = None) -> np.ndarray:
+def def_integrand(data: SliceData, gamma: GammaBlock | None = None) -> np.ndarray:
     """Energy density on the slice: (s/t)^2 u_t^2 + |Yu|^2 + lam u^2 + gamma terms."""
     t, r = data.t, data.r
     ut, ur, u = data.ut, data.ur, data.u
     yu = ur + (r / t) * ut
     out = (data.s / t) ** 2 * ut ** 2 + yu ** 2 + data.lam * u ** 2
-    if gamma:
-        g00 = gamma.get("00", 0.0)
-        g0r = gamma.get("0r", 0.0)
-        grr = gamma.get("rr", 0.0)
+    if gamma is not None:
+        g00, g0r, grr = gamma.c00, gamma.c0r, gamma.crr
         out = out - 2.0 * ((g00 * ut + g0r * ur)
                            - (r / t) * (g0r * ut + grr * ur)) * ut
         out = out + g00 * ut ** 2 + 2.0 * g0r * ut * ur + grr * ur ** 2
     return out
 
 
-def hyperboloidal_energy(data: SliceData, gamma: dict | None = None) -> float:
+def hyperboloidal_energy(data: SliceData, gamma: GammaBlock | None = None) -> float:
     return data.slc.integrate(def_integrand(data, gamma))
 
 
@@ -63,17 +61,14 @@ def word_apply(data: SliceData, word) -> np.ndarray:
 
 
 def word_energy(data: SliceData, word) -> float:
-    """E[0; Z^word u; s] via the derivative closure."""
-    terms = _word_terms(tuple(word))
-    if not terms:
+    """E[0; Z^word u; s]: the `def_integrand` of Z^word u, T Z^word u and
+    Xr Z^word u, from the derivative closure."""
+    word = tuple(word)
+    if not _word_terms(word):
         return 0.0
-    t, r = data.t, data.r
-    w = _eval_terms(t, r, data.deriv, terms)
-    wt = _eval_terms(t, r, data.deriv, _word_terms(("T",) + tuple(word)))
-    wr = _eval_terms(t, r, data.deriv, _word_terms(("Xr",) + tuple(word)))
-    yw = wr + (r / t) * wt
-    dens = (data.s / t) ** 2 * wt ** 2 + yw ** 2 + data.lam * w ** 2
-    return data.slc.integrate(dens)
+    w, wt, wr = (word_apply(data, g + word) for g in ((), ("T",), ("Xr",)))
+    samples = {(0, 0): w, (1, 0): wt, (0, 1): wr}
+    return data.slc.integrate(def_integrand(SliceData(data.slc, data.lam, samples)))
 
 
 def boosted_energy(data: SliceData, k: int) -> float:
@@ -114,9 +109,6 @@ class GammaBlock:
     dtrr: np.ndarray
     dr0r: np.ndarray
     drrr: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {"00": self.c00, "0r": self.c0r, "rr": self.crr}
 
     def euclidean_norm(self) -> np.ndarray:
         return np.sqrt(self.c00 ** 2 + 2.0 * self.c0r ** 2 + self.crr ** 2)
@@ -195,8 +187,7 @@ def energy_identity_residual(slices: dict, s1: float, s2: float,
     def total_energy(s):
         comps = components(s)
         gamma = gamma_at(s, comps) if gamma_at else None
-        gd = gamma.as_dict() if gamma is not None else None
-        return sum(w * hyperboloidal_energy(c, gd)
+        return sum(w * hyperboloidal_energy(c, gamma)
                    for w, c in zip(weights, comps))
 
     def flux(s):

@@ -157,6 +157,10 @@ class EvolutionConfig:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if not 0 <= self.eps <= EPS_MAX:
             raise ValueError(f"eps={self.eps} outside [0, eps_max={EPS_MAX}]")
+        if not (isinstance(self.sample_derivs, int)
+                and 1 <= self.sample_derivs < len(CENTRED_STENCILS)):
+            raise ValueError(f"sample_derivs={self.sample_derivs!r} is not an integer "
+                             f"in 1..4, the radial orders of the sampler's stencils")
 
     def check_model(self, model: str) -> None:
         """Each entry point runs one model, which nonlinearity must name, and
@@ -350,10 +354,10 @@ class SliceSampler:
     the next sweep or `slice_data`, one pass interpolates all completed
     captures.
 
-    The nodes of all slices share one concatenated store per (u|v, order),
-    searched through one t*-sorted index; each entry's "cols", "done" and
-    "store" arrays are views into it.  u is captured to radial order max_b,
-    v = d_t u below max(max_b, 1).
+    The nodes of all slices share one concatenated store per (a, b), the
+    samples of d_t^a d_r^b u, searched through one t*-sorted index; each
+    entry's "cols", "done" and "store" arrays are views into it.  u (a = 0)
+    is captured to radial order max_b >= 1, v = d_t u (a = 1) below max_b.
     """
 
     def __init__(self, targets, n: int, dr: float, max_b: int = 2,
@@ -369,9 +373,9 @@ class SliceSampler:
         self._order = np.argsort(self._tstar, kind="stable")
         self._tsorted = self._tstar[self._order]
         self._done = np.zeros(self._tstar.shape, dtype=bool)
-        self._n_orders = {"u": max_b + 1, "v": max(max_b, 1)}
-        self._store = {(f, b): np.zeros(leading_shape + self._tstar.shape)
-                       for f, nb in self._n_orders.items() for b in range(nb)}
+        self._n_orders = (max_b + 1, max_b)
+        self._store = {(a, b): np.zeros(leading_shape + self._tstar.shape)
+                       for a, nb in enumerate(self._n_orders) for b in range(nb)}
         self.entries = []
         start = 0
         for s, slc in zip(targets, slcs):
@@ -456,9 +460,9 @@ class SliceSampler:
             which = np.searchsorted(got[:, 0], rows)
             col = (np.cumsum(width) - width - got[:, 1])[which] + np.arange(self._next, end)
             # each field's gathers as (4 rows, ..., 5 offsets, captures)
-            g = {f: np.moveaxis(np.concatenate([gi[i] for gi in self._gathers],
-                                               axis=-1)[..., col], -2, 0)
-                 for i, f in ((2, "u"), (3, "v"))}
+            g = [np.moveaxis(np.concatenate([gi[2 + a] for gi in self._gathers],
+                                            axis=-1)[..., col], -2, 0)
+                 for a in (0, 1)]
             # Lagrange weights over the four rows: w_i is the product over j
             # of (t* - t_j) / (t_i - t_j), with the j = i ratio set to 1.0
             # (exact); the eye keeps the diagonal of den away from zero
@@ -467,18 +471,18 @@ class SliceSampler:
             ratio = (self._tstar[idx] - times) / den
             ratio[_DIAG4] = 1.0
             w = ratio[:, 0] * ratio[:, 1] * ratio[:, 2] * ratio[:, 3]
-            w = w.reshape((4,) + (1,) * (g["u"].ndim - 3) + (-1,))
-            for f, gf in g.items():
-                for b in range(self._n_orders[f]):
+            w = w.reshape((4,) + (1,) * (g[0].ndim - 3) + (-1,))
+            for a, gf in enumerate(g):
+                for b in range(self._n_orders[a]):
                     # the weighted sum in row order, as a sum over the first axis
-                    self._store[f, b][..., idx] = sum(
+                    self._store[a, b][..., idx] = sum(
                         w * centred_stencil(lambda off: gf[..., off + 2, :], b, self.dr))
             self._next = end
         # the rows that the captures still scheduled read
         self._gathers = [g for g in self._gathers if g[0] >= self._row - 3]
 
-    def slice_data(self, lam: float, component: int | None = None) -> dict[float, SliceData]:
-        """Package captures as SliceData (selecting one leading component)."""
+    def slice_data(self, lam: float) -> dict[float, SliceData]:
+        """The captures of each slice as SliceData, over the leading shape."""
         self._flush()
         out = {}
         for entry in self.entries:
@@ -488,20 +492,7 @@ class SliceSampler:
                     f"slice s={entry['s']}: {missing} nodes never crossed the "
                     f"evolved window (need t in {tuple(self.t_range_needed())})"
                 )
-            store = entry["store"]
-
-            def pick(key):
-                arr = store.get(key)
-                if arr is None:
-                    return None
-                return arr if component is None else arr[component]
-            out[entry["s"]] = SliceData(
-                slc=entry["slc"], lam=lam,
-                u=pick(("u", 0)), ut=pick(("v", 0)), ur=pick(("u", 1)),
-                urr=pick(("u", 2)), utr=pick(("v", 1)),
-                urrr=pick(("u", 3)), utrr=pick(("v", 2)),
-                urrrr=pick(("u", 4)), utrrr=pick(("v", 3)),
-            )
+            out[entry["s"]] = SliceData(entry["slc"], lam, dict(entry["store"]))
         return out
 
 
@@ -780,7 +771,7 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
     sampler, t_end = None, config.t_end
     if slice_s:
         sampler = SliceSampler(sorted(slice_s), config.n, dr,
-                               max_b=max(config.sample_derivs, 1),
+                               max_b=config.sample_derivs,
                                r_cap=_auto_slice_cap(slice_r_cap, len(r), dr),
                                leading_shape=u0.shape[:-1])
         for entry in sampler.entries:
@@ -1112,11 +1103,10 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
         config, init, monitor_row=monitor_row, **_quasilinear_rhs(config, lam),
         slice_s=slice_s, slice_r_cap=slice_r_cap,
         cfl_check=cfl_check if eps != 0.0 else None, margins=margins)
-    comp_slices = {}
-    if sampler is not None:
-        for c in range(3):
-            for s, data in sampler.slice_data(lam, component=c).items():
-                comp_slices.setdefault(s, []).append(data)
+    comp_slices = {} if sampler is None else {
+        s: [SliceData(d.slc, lam, {k: a[c] for k, a in d.samples.items()})
+            for c in range(3)]
+        for s, d in sampler.slice_data(lam).items()}
     return EvolutionResult(
         config=config, lam=lam, field=None, monitors=monitors, blowup_time=blow,
         counts=counts, margins=margins, component_slices=comp_slices,

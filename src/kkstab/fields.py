@@ -2,12 +2,13 @@
 
 A perturbation on the product spacetime is a set of radial scalar mode
 fields, each tagged with its internal eigenvalue (effective mass^2).  Slice
-samples carry enough derivative data that generator words (boosted
-energies) are evaluated without going back to the full history.
+samples, one table keyed by derivative orders (a, b), evaluate generator
+words (boosted energies) without going back to the full history.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,24 +34,24 @@ class WindowError(ValueError):
 
 @dataclass
 class SliceData:
-    """A mode field restricted to a hyperboloid, with derivative samples.
-
-    u, ut, ur are mandatory; urr, utr optionally support commuted (boosted)
-    energies.  All arrays are aligned with slice.r.  Higher pure-time
-    derivatives close through the radial Klein-Gordon operator.
-    """
+    """A mode field on a hyperboloid: samples[(a, b)] is d_t^a d_r^b u at
+    the slice nodes slc.r; `deriv` closes a >= 2 through the PDE."""
 
     slc: HyperboloidSlice
     lam: float
-    u: np.ndarray
-    ut: np.ndarray
-    ur: np.ndarray
-    urr: np.ndarray | None = None
-    utr: np.ndarray | None = None
-    urrr: np.ndarray | None = None
-    utrr: np.ndarray | None = None
-    urrrr: np.ndarray | None = None
-    utrrr: np.ndarray | None = None
+    samples: dict
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.samples[0, 0]
+
+    @property
+    def ut(self) -> np.ndarray:
+        return self.samples[1, 0]
+
+    @property
+    def ur(self) -> np.ndarray:
+        return self.samples[0, 1]
 
     @property
     def s(self) -> float:
@@ -68,63 +69,29 @@ class SliceData:
     def t(self) -> np.ndarray:
         return self.slc.t
 
-    def _radial_laplacian_of(self, w, wr, wrr):
-        # n * w_rr at the axis (regular limit), w_rr + (n-1)/r w_r elsewhere.
-        out = np.empty_like(w)
-        out[1:] = wrr[1:] + (self.n - 1) * wr[1:] / self.r[1:]
-        out[0] = self.n * wrr[0]
-        return out
-
     def deriv(self, a: int, b: int) -> np.ndarray:
-        """d_t^a d_r^b u on the slice, using the PDE to close time derivatives."""
-        table = {
-            (0, 0): self.u, (1, 0): self.ut, (0, 1): self.ur,
-            (0, 2): self.urr, (1, 1): self.utr, (0, 3): self.urrr,
-            (1, 2): self.utrr, (0, 4): self.urrrr, (1, 3): self.utrrr,
-        }
-        got = table.get((a, b), None)
-        if got is not None:
-            return got
-        if a >= 2:
-            # d_t^2 X = Lap_r X - lam X applied to X = d_t^{a-2} d_r^b u,
-            # with [d_r, Lap_r] corrections from the (n-1)/r coefficient.
-            base_a = a - 2
-            if b == 0:
-                w = self.deriv(base_a, 0)
-                wr = self.deriv(base_a, 1)
-                wrr = self.deriv(base_a, 2)
-                return self._radial_laplacian_of(w, wr, wrr) - self.lam * w
-            if b == 1:
-                # d_r of the PDE: d_t^2 u_r = u_rrr + (n-1)/r u_rr
-                #   - (n-1)/r^2 u_r - lam u_r   (axis value by even symmetry: 0)
-                wr = self.deriv(base_a, 1)
-                wrr = self.deriv(base_a, 2)
-                wrrr = self.deriv(base_a, 3)
-                out = np.empty_like(wr)
-                r = self.r
-                out[1:] = (wrrr[1:] + (self.n - 1) * wrr[1:] / r[1:]
-                           - (self.n - 1) * wr[1:] / r[1:] ** 2 - self.lam * wr[1:])
-                out[0] = 0.0
-                return out
-            if b == 2:
-                # d_r^2 of the PDE; the axis node carries zero quadrature
-                # weight (r^{n-1} measure), so copy the first interior value.
-                wr = self.deriv(base_a, 1)
-                wrr = self.deriv(base_a, 2)
-                wrrr = self.deriv(base_a, 3)
-                wrrrr = self.deriv(base_a, 4)
-                out = np.empty_like(wr)
-                r = self.r
-                nm1 = self.n - 1
-                out[1:] = (wrrrr[1:] + nm1 * wrrr[1:] / r[1:]
-                           - 2.0 * nm1 * wrr[1:] / r[1:] ** 2
-                           + 2.0 * nm1 * wr[1:] / r[1:] ** 3
-                           - self.lam * wrr[1:])
-                out[0] = out[1]
-                return out
-        raise WindowError(
-            f"derivative d_t^{a} d_r^{b} not available from the captured samples"
-        )
+        """d_t^a d_r^b u: a sample, or for a >= 2 d_r^b of the radial
+        Klein-Gordon equation d_t^2 X = X_rr + (n-1)/r X_r - lam X at
+        X = d_t^{a-2} u, with d_r^b((n-1)/r X_r) =
+        (n-1) sum_j C(b,j) (-1)^j j! r^-(j+1) d_r^(b+1-j) X."""
+        if (a, b) in self.samples:
+            return self.samples[a, b]
+        if a < 2:
+            raise WindowError(
+                f"derivative d_t^{a} d_r^{b} not available from the captured samples")
+        x = {k: self.deriv(a - 2, k) for k in range(min(b, 1), b + 3)}
+        r, nm1 = self.r[1:], self.n - 1
+        acc = x[b + 2][1:]
+        for j in range(b + 1):
+            coeff = (-1) ** j * math.perm(b, j) * nm1
+            acc = acc + coeff * x[b + 1 - j][1:] / r ** (j + 1)
+        out = np.empty_like(x[b])
+        out[1:] = acc - self.lam * x[b][1:]
+        # the axis row: the regular limit n X_rr - lam X for b = 0, 0 for odd
+        # b by even symmetry, else node 1's value (the axis has zero weight)
+        out[0] = (self.n * x[2][0] - self.lam * x[0][0] if b == 0
+                  else 0.0 if b % 2 else out[1])
+        return out
 
 
 # ---------------------------------------------------------------------------

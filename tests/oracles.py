@@ -377,12 +377,12 @@ def sample_on_hyperboloid(field, s: float, with_second: bool = True,
     def at_slice(arr):
         return interp_rows(field, arr, t_needed, kq)
 
-    data = SliceData(slc=slc, lam=field.lam, u=at_slice(field.u),
-                     ut=at_slice(field.v), ur=at_slice(ddr(field.u, field.dr)))
+    samples = {(0, 0): at_slice(field.u), (1, 0): at_slice(field.v),
+               (0, 1): at_slice(ddr(field.u, field.dr))}
     if with_second:
-        data.urr = at_slice(d2dr2(field.u, field.dr))
-        data.utr = at_slice(ddr(field.v, field.dr))
-    return data
+        samples[0, 2] = at_slice(d2dr2(field.u, field.dr))
+        samples[1, 1] = at_slice(ddr(field.v, field.dr))
+    return SliceData(slc, field.lam, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +524,7 @@ def equivalence_check(data: SliceData, gamma: GammaBlock,
                       eps_n: float = SMALLNESS_EPS) -> EquivalenceResult:
     """Ratio E[0]/E[gamma] with the smallness hypothesis sup t|gamma|_E."""
     e0 = hyperboloidal_energy(data)
-    eg = hyperboloidal_energy(data, gamma.as_dict())
+    eg = hyperboloidal_energy(data, gamma)
     ratio = e0 / eg if eg != 0 else np.inf
     sup_tg = float(np.max(data.t * gamma.euclidean_norm()))
     return EquivalenceResult(ratio=float(ratio), sup_t_gamma=sup_tg,

@@ -62,13 +62,10 @@ def slice_data_from_expr(expr_str: str, s: float, n: int, dr: float,
         fn = sp.lambdify((T, R), e, "numpy")
         return np.broadcast_to(np.nan_to_num(fn(tt, rr)), tt.shape).astype(float).copy()
 
-    d = {}
-    for a in range(2):
-        for b in range(5 - a * 1):
-            d[(a, b)] = ev(sp.diff(expr, T, a, R, b))
-    return SliceData(slc=slc, lam=lam, u=d[(0, 0)], ut=d[(1, 0)], ur=d[(0, 1)],
-                     urr=d[(0, 2)], utr=d[(1, 1)], urrr=d[(0, 3)],
-                     utrr=d[(1, 2)], urrrr=d[(0, 4)], utrrr=d[(1, 3)])
+    # the orders a sampler at sample_derivs = 4 captures
+    samples = {(a, b): ev(sp.diff(expr, T, a, R, b))
+               for a in range(2) for b in range(5 - a)}
+    return SliceData(slc, lam, samples)
 
 
 def scaling_family_slice(s: float, n: int, dr: float, q: float | None = None,

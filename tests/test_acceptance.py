@@ -183,8 +183,8 @@ def test_energy_nonnegative_on_random_draws():
         cu = rng.standard_normal(len(basis))
         cv = rng.standard_normal(len(basis))
         from kkstab.fields import SliceData
-        data = SliceData(slc=slc, lam=lam, u=cu @ basis, ut=cv @ basis,
-                         ur=cu @ dbasis)
+        data = SliceData(slc, lam, {(0, 0): cu @ basis, (1, 0): cv @ basis,
+                                    (0, 1): cu @ dbasis})
         e = hyperboloidal_energy(data)
         scale = slc.integrate(np.abs(en.def_integrand(data)))
         assert e >= -1e-10 * scale

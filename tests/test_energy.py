@@ -18,7 +18,7 @@ from kkstab.energy import (
     estimate_suite,
     hyperboloidal_energy,
 )
-from kkstab.evolve import EvolutionConfig, evolve_kg_radial
+from kkstab.evolve import EvolutionConfig, evolve_kg_radial, evolve_quasilinear_toy
 from kkstab.geometry import make_slice
 from kkstab.fields import SliceData
 from oracles import (ETA2, RADIAL_BRACKETS, EquivalenceResult, constants_stable,
@@ -68,8 +68,8 @@ class TestTwoPathDensity:
         g = zero_gamma(shape)
         g.c00 += 1e-3 * np.sin(family_slice.r)
         g.crr += 1e-3 * np.cos(family_slice.r)
-        a = def_integrand(family_slice, g.as_dict())
-        b = stress_integrand(family_slice, g.as_dict())
+        a = def_integrand(family_slice, g)
+        b = stress_integrand(family_slice, {"00": g.c00, "0r": g.c0r, "rr": g.crr})
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
 
@@ -119,13 +119,47 @@ class TestConservation:
 
         def f_at(s, comps):
             d, g = comps[0], gamma_at(s, comps)
-            return g.c00 * d.deriv(2, 0) + 2.0 * g.c0r * d.utr + g.crr * d.urr
+            return (g.c00 * d.deriv(2, 0) + 2.0 * g.c0r * d.deriv(1, 1)
+                    + g.crr * d.deriv(0, 2))
 
         for slices in massive_slices.values():
             out = energy_identity_residual(slices, 3.0, 6.0, gamma_at=gamma_at,
                                            f_at=f_at)
             flux = abs(out["flux_integral"]) / max(out["E1"], out["E2"])
             assert out["residual"] <= 0.1 * flux, out
+
+    def test_identity_quasilinear_differenced(self):
+        """The surrogate's identity with the scheme's own drift taken out:
+        n = 9, eps = 1e-3, t 4..36, r_max 40, slices s = 4..8 at ds = 1/16,
+        each run differenced against eps = 0 on the same grid.  Bound, set
+        before the run: (dE_eps - dE_0) misses the flux integral by at most
+        0.25 |flux| at dr = 1/16 and 1/32, and by less at 1/32, where
+        earlier runs missed by 0.033 and 0.020, a discretisation error; the
+        opposite relation E(s1) = E(s2) + flux misses by about 2 |flux|."""
+        s_grid = tuple(4.0 + k / 16 for k in range(65))
+        misses = []
+        for dr in (1 / 16, 1 / 32):
+            growth, outs = [], []
+            for eps in (1e-3, 0.0):
+                cfg = EvolutionConfig(n=9, dr=dr, t_start=4.0, t_end=36.0,
+                                      r_max=40.0, eps=eps, blowup_factor=1e6,
+                                      nonlinearity="quasilinear-toy",
+                                      store_history=False, sample_derivs=1)
+                slices = evolve_quasilinear_toy(cfg, slice_s=s_grid).component_slices
+                out = energy_identity_residual(
+                    slices, 4.0, 8.0, n=9,
+                    gamma_at=lambda s, comps: en.quasilinear_gamma(comps, eps),
+                    f_at=lambda s, comps: en.quasilinear_source(comps, eps))
+                growth.append(out["E2"] - out["E1"])
+                outs.append(out)
+            out, flux = outs[0], outs[0]["flux_integral"]
+            assert out["residual"] == pytest.approx(
+                abs(out["E2"] - out["E1"] - flux) / max(abs(out["E1"]), abs(out["E2"])),
+                rel=1e-9)
+            miss = abs(growth[0] - growth[1] - flux)
+            assert miss <= 0.25 * abs(flux), (dr, miss, flux)
+            misses.append(miss)
+        assert misses[1] < misses[0], misses
 
     def test_identity_needs_cover(self, linear_slices):
         with pytest.raises(ValueError, match="covering"):
@@ -143,7 +177,7 @@ class TestPositivity:
             ut = c[2] * np.exp(-slc.r ** 2)
             ur = -2 * slc.r * (c[0] * np.exp(-slc.r ** 2)
                                + 2 * c[1] * np.exp(-2 * slc.r ** 2))
-            data = SliceData(slc=slc, lam=1.3, u=u, ut=ut, ur=ur)
+            data = SliceData(slc, 1.3, {(0, 0): u, (1, 0): ut, (0, 1): ur})
             assert hyperboloidal_energy(data) >= 0.0
 
 
@@ -181,7 +215,8 @@ class TestEstimateSuite:
     def test_zero_data_skipped(self):
         slc = make_slice(4.0, 3, 1 / 8, r_cap=7.0)
         z = np.zeros_like(slc.r)
-        rows = estimate_suite({4.0: SliceData(slc=slc, lam=0.0, u=z, ut=z, ur=z)}, 3)
+        data = SliceData(slc, 0.0, {(0, 0): z, (1, 0): z, (0, 1): z})
+        rows = estimate_suite({4.0: data}, 3)
         assert all(row.skipped for row in rows)
         assert not constants_stable(rows, "hardy")
 

@@ -85,6 +85,15 @@ class TestConfig:
             EvolutionConfig(n=3, eps=0.5)
         assert EvolutionConfig(n=3, eps=ev.EPS_MAX).eps == 0.01
 
+    @pytest.mark.parametrize("sample_derivs", [0, 5, 2.0])
+    def test_sample_derivs_range(self, sample_derivs):
+        """The sampler's stencils reach radial order 4, and v = d_t u is
+        captured below sample_derivs orders: 0, 5 and a float, which the
+        sampler cannot count orders with, are refused by name."""
+        with pytest.raises(ValueError, match=f"sample_derivs={sample_derivs} is not an "
+                                             f"integer in 1..4"):
+            EvolutionConfig(n=3, sample_derivs=sample_derivs)
+
     def test_unknown_nonlinearity(self):
         with pytest.raises(ValueError):
             EvolutionConfig(n=3, nonlinearity="cubic")
@@ -719,9 +728,8 @@ def _result_bytes(res) -> dict:
     slices.update(res.component_slices)
     for s, comps in slices.items():
         for c, d in enumerate(comps):
-            for key in SAMPLE_KEYS:
-                a = getattr(d, key)
-                out[f"slice {s} {c} {key}"] = None if a is None else a.tobytes()
+            for key, a in d.samples.items():
+                out[f"slice {s} {c} {key}"] = a.tobytes()
     return out
 
 
@@ -1125,10 +1133,8 @@ class ReferenceSampler(SliceSampler):
         for s in targets:
             cap = r_cap(s) if callable(r_cap) else r_cap
             slc = ev.make_slice(s, n, dr, r_cap=cap)
-            store = {("u", b): np.zeros(leading_shape + slc.r.shape)
-                     for b in range(max_b + 1)}
-            store.update({("v", b): np.zeros(leading_shape + slc.r.shape)
-                          for b in range(max(max_b, 1))})
+            store = {(a, b): np.zeros(leading_shape + slc.r.shape)
+                     for a in (0, 1) for b in range(max_b + 1 - a)}
             self.entries.append({
                 "s": s, "slc": slc, "cols": np.round(slc.r / dr).astype(int),
                 "tstar": slc.t, "done": np.zeros(slc.r.shape, dtype=bool),
@@ -1172,20 +1178,18 @@ class ReferenceSampler(SliceSampler):
                         num *= (tq - times[j]) / (times[i] - times[j])
                 w.append(num)
             store = entry["store"]
-            for f, pos in (("u", 1), ("v", 2)):
-                for b in range(self.max_b + 1 if f == "u" else max(self.max_b, 1)):
-                    store[f, b][..., idx] = sum(
-                        wi * _stencil_sample(buf[pos], cols, b, self.dr)
+            for a in (0, 1):
+                for b in range(self.max_b + 1 - a):
+                    store[a, b][..., idx] = sum(
+                        wi * _stencil_sample(buf[1 + a], cols, b, self.dr)
                         for wi, buf in zip(w, self._buf))
             entry["done"][idx] = True
 
 
-SAMPLE_KEYS = ("u", "ut", "ur", "urr", "utr", "urrr", "utrr", "urrrr", "utrrr")
-
-
 def _sampler_case(case, sample_derivs):
-    """Slice captures of one small run, per slice a list of SliceData (one
-    per leading component)."""
+    """Slice captures of one small run, per slice a list of SliceData: one
+    per component of the quasilinear run, one stacked over the components
+    of the grid-edge sweep."""
     if case == "kg":
         # s = 2.5 lies below t_start = 4, so the backward sweep captures too;
         # s = 3.9 has nodes in the first window of either sweep
@@ -1212,18 +1216,16 @@ def _sampler_case(case, sample_derivs):
     n_steps = int(np.ceil((t_hi - cfg.t_start) / cfg.dt))
     ev._run_sweep(u0, np.zeros_like(u0), cfg.t_start, n_steps, cfg.dt,
                   sampler=sampler, **ev._quasilinear_rhs(cfg, 0.0))
-    comps = [sampler.slice_data(0.0, component=c) for c in range(3)]
-    return {s: [c[s] for c in comps] for s in comps[0]}
+    return {s: [d] for s, d in sampler.slice_data(0.0).items()}
 
 
 def _assert_same_samples(got, want):
     assert got.keys() == want.keys()
     for s in want:
         for g, w in zip(got[s], want[s], strict=True):
-            for key in SAMPLE_KEYS:
-                a, b = getattr(g, key), getattr(w, key)
-                assert (a is None) == (b is None), (s, key)
-                assert a is None or a.tobytes() == b.tobytes(), (s, key)
+            assert g.samples.keys() == w.samples.keys(), s
+            for key, a in g.samples.items():
+                assert a.tobytes() == w.samples[key].tobytes(), (s, key)
 
 
 def _capture_log(monkeypatch, cls, case):
@@ -1336,11 +1338,11 @@ class TestSliceSampler:
         assert max(held) == 8 + 3
 
     def test_uncaptured_derivative_raises(self):
-        """v = d_t u is captured below max(sample_derivs, 1) radial orders, so
-        at sample_derivs=2 d_t d_r^2 u is not available."""
+        """v = d_t u is captured below sample_derivs radial orders, so at
+        sample_derivs=2 d_t d_r^2 u is not available."""
         cfg = EvolutionConfig(n=3, dr=1 / 16, t_end=12.0, store_history=False)
         data = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(5.0,)).slices[5.0]
-        assert data.utrr is None and data.utr is not None
+        assert (1, 2) not in data.samples and (1, 1) in data.samples
         with pytest.raises(fields.WindowError):
             data.deriv(1, 2)
 
@@ -1353,7 +1355,8 @@ class TestSliceSampler:
         direct, f = res.slices[5.0], res.field
         posthoc = interp_rows(f, d2dr2(f.v, f.dr), direct.t,
                               np.round(direct.r / f.dr).astype(int))
-        assert np.max(np.abs(direct.utrr - posthoc)) < 1e-6 * np.max(np.abs(posthoc))
+        utrr = direct.samples[1, 2]
+        assert np.max(np.abs(utrr - posthoc)) < 1e-6 * np.max(np.abs(posthoc))
 
 
 class TestHistory:
