@@ -137,7 +137,7 @@ class _PhaseClock:
 
 
 def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None,
-                    n: int | None = None, result=None, chart=None) -> None:
+                    n: int | None = None, result=None) -> None:
     """run-meta.json: how the run went, outside the byte-identical outputs.
 
     Phase timings and library versions always; counts, when given, are the
@@ -145,9 +145,7 @@ def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None
     right-hand-side evaluations); with n, n_in_theorem_range says whether
     n >= 9, the range of the stability theorem; result, an
     `EvolutionResult`, gives its counts, its resolved cfl, its RK4 margins
-    and the blow-up guard's margin (`EvolutionResult.margins`); chart, a
-    `schwarzschild.HarmonicChart`, gives chart_nfev, the right-hand-side
-    evaluations of its ODE.
+    and the blow-up guard's margin (`EvolutionResult.margins`).
     """
     meta = {
         "phases_s": clock.phases,
@@ -161,8 +159,6 @@ def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None
         meta.update(n=n, n_in_theorem_range=n >= 9)
     if result is not None:
         meta.update(counts=result.counts, cfl=result.config.cfl, **result.margins)
-    if chart is not None:
-        meta["chart_nfev"] = chart.nfev
     _write_json(outdir / "run-meta.json", meta)
 
 
@@ -312,6 +308,10 @@ def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
         for r, dev, vr in rows:
             fh.write(f"{r:.17g},{dev:.17g},{vr:.17g}\n")
     devs = np.array([row[1] for row in rows])
+    zeros = int(np.sum(devs == 0))
+    if zeros:
+        raise ConfigError(f"cs={params.cs!r}: the metric deviation underflows to 0 "
+                          f"at {zeros} of the {len(devs)} radii in [{r_lo:g}, {r_hi:g}]")
     fit = energy_mod.decay_fit(radii, devs)
     _write_json(outdir / "schwarzschild-report.json", {
         "n": params.n, "cs": params.cs,
@@ -319,7 +319,7 @@ def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
         "expected_exponent": -(params.n - 2),
     })
     clock.lap("write")
-    _write_run_meta(outdir, clock, n=params.n, chart=chart)
+    _write_run_meta(outdir, clock, n=params.n)
     if not abs(fit.exponent + (params.n - 2)) < 0.1:
         return _failed(f"metric deviation exponent {fit.exponent:.4g} is not "
                        f"-(n-2) = {2 - params.n} within 0.1")
@@ -353,7 +353,7 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
         "t_monotone": bool(np.all(np.diff(traj.t) > 0)),
     })
     clock.lap("write")
-    _write_run_meta(outdir, clock, {"nfev": traj.nfev}, params.n, chart=chart)
+    _write_run_meta(outdir, clock, {"nfev": traj.nfev}, params.n)
     bound = 1e-8 * traj.lam[-1] + 1e-12
     if not drift <= bound:
         return _failed(f"geodesic velocity norm drift {drift:.3g} above "
@@ -405,8 +405,9 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
         params = schwarzschild.SchwarzschildParams(9, 1.0)
         mp = schwarzschild.schwarzschild_metric(params, 10.0)
         assert mp.lorentzian_signature()
-        r = schwarzschild.to_harmonic_chart(params, 10.0)
-        assert abs(r - 9.9999995) < 1e-12
+        m = 1.0 / 14e6  # C_S rbar^{3-n} / (2 (n-2)); the next term is 5e-8 of it
+        r = schwarzschild.HarmonicChart(params).r_of_rbar(10.0)
+        assert abs(r - (10.0 - m)) < 1e-6 * m
 
     def _flat_gauge():
         chart = schwarzschild.HarmonicChart(

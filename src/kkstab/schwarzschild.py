@@ -1,33 +1,32 @@
 """Higher-dimensional Schwarzschild exteriors and geodesic probes.
 
-The harmonic (wave-gauge) chart is constructed numerically: Cartesian
-coordinates x^i = r(rbar) xhat^i are harmonic iff the radial profile solves
+The harmonic (wave-gauge) chart is in closed form: Cartesian coordinates
+x^i = r(rbar) xhat^i are harmonic iff the radial profile solves
 
     f r'' + (f' + (n-1) f / rbar) r' - (n-1) r / rbar^2 = 0,
 
-integrated inward from the asymptotically flat end.  The deviation
-m = rbar - r is solved directly so all quantities stay accurate at the
-r^{-(n-2)} decay scale.  A HarmonicChart carries its mass and dimension, so
-every harmonic-chart function takes the chart alone.  A leading-order
-algebraic transform is exposed as a cheap fallback.
+and its solution with r ~ rbar at the flat end is r = rbar F(z), with
+D = n - 2, z = C_S rbar^{-D} and F = 2F1(-1/D, -1/D; -2/D; z) (DLMF 15.10).
+The deviation m = rbar - r = rbar (1 - F) is evaluated directly, so all
+quantities stay accurate at the r^{-(n-2)} decay scale.  A HarmonicChart
+carries its mass and dimension, so every harmonic-chart function takes the
+chart alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 HORIZON_GUARD = 1.01
-R_FAR = 1e3  # the chart ODE starts here; the asymptotic profile serves beyond
-#: Smallest start value m(R_FAR) of the chart ODE.  DOP853 at atol 1e-30
-#: stops tracking m below a start value between 1e-55 and 1e-60 at n = 5
-#: (1e-90 and 1e-95 at n = 9, 1e-125 and 1e-130 at n = 13) and returns
-#: noise: a deviation exponent of +1.19 at n = 9 where -7 is due.  The floor
-#: keeps five decades above the highest of these; at n = 9 it is cs = 1.4e-31
-M_FAR_MIN = 1e-50
+#: Below this z = C_S rbar^{2-n} the chart sums the series of 1 - F, whose
+#: term ratios stay below z; above it, hyp2f1 serves
+SERIES_Z = 0.3
 
 
 class HorizonError(ValueError):
@@ -50,6 +49,10 @@ class SchwarzschildParams:
     cs: float
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n={self.n!r} must be an integer")
+        if isinstance(self.cs, (bool, np.bool_)):
+            raise ValueError(f"cs={self.cs!r} must be a number, not a bool")
         if self.n < 5:
             raise ValueError("Schwarzschild machinery requires n >= 5")
         if self.cs < 0:
@@ -165,43 +168,50 @@ def schwarzschild_metric(params: SchwarzschildParams, point) -> MetricAtPoint:
 
 
 class HarmonicChart:
-    """Numerically solved radial profile of the wave-gauge coordinates.
+    """Closed-form radial profile of the wave-gauge coordinates.
 
-    Integrates the deviation m = rbar - r of the harmonic radial profile
-    inward from the flat end, with m ~ C_S / (2 (n-2)) rbar^{3-n}
-    asymptotically (the decaying particular solution of the radial ODE).
-    The massless chart is the identity, m = 0.  A mass whose start value
-    m(R_FAR) lies below M_FAR_MIN is refused: the ODE cannot resolve it.
+    r = rbar F(z), F = 2F1(a, a; c; z), a = -1/D, c = -2/D, D = n - 2.  The
+    deviation m = rbar (1 - F) and m' = (1 - F) + D z F', with
+    F' = (a^2/c) 2F1(a+1, a+1; c+1; z), are read off 1 - F and z F'
+    directly: below SERIES_Z from their series, above it from hyp2f1.  Far
+    out m ~ C_S rbar^{3-n} / (2 (n-2)).  The chart ends at _r_min, just
+    inside the guarded exterior (z reaches 1 at the horizon, where F has a
+    logarithmic singularity).  The massless chart is the identity, m = 0.
     """
 
     def __init__(self, params: SchwarzschildParams):
         self.params = params
-        n, cs = params.n, params.cs
         self._r_min = max(params.min_radius * 0.999, 1e-6)
-        self._trivial = cs == 0.0
+        self._trivial = params.cs == 0.0
+
+    def m_mp(self, rbar: float) -> tuple[float, float]:
+        """(m, m') at rbar; HorizonError below the chart's inner end."""
         if self._trivial:
-            return
-        self._a = cs / (2.0 * (n - 2))
-        m0 = self._a * R_FAR ** (3 - n)
-        if not m0 >= M_FAR_MIN:
-            raise ValueError(
-                f"cs={cs} is below the masses the harmonic chart resolves at n={n}: "
-                f"its ODE starts from m({R_FAR:g}) = {m0:.3g} < {M_FAR_MIN:g}")
-        mp0 = self._a * (3 - n) * R_FAR ** (2 - n)
-
-        def rhs(rb, y):
-            return [y[1], self._mpp(rb, *y)]
-
-        sol = solve_ivp(rhs, (R_FAR, self._r_min), [m0, mp0], method="DOP853",
-                        rtol=1e-12, atol=1e-30, dense_output=True)
-        if not sol.success:
-            raise StepFailureError(f"harmonic chart ODE failed: {sol.message}")
-        self._sol = sol
-
-    @property
-    def nfev(self) -> int:
-        """Right-hand-side evaluations of the chart's ODE (0 when massless)."""
-        return 0 if self._trivial else int(self._sol.nfev)
+            return 0.0, 0.0
+        if not rbar >= self._r_min:
+            raise HorizonError(
+                f"radius {rbar:.6g} inside the guarded exterior: the harmonic "
+                f"chart ends at rbar = {self._r_min:.6g}")
+        d = self.params.n - 2
+        a, c = -1.0 / d, -2.0 / d
+        z = self.params.cs / rbar ** d
+        if z >= SERIES_Z:
+            one_minus_f = 1.0 - float(hyp2f1(a, a, c, z))
+            zfp = a * a / c * z * float(hyp2f1(a + 1.0, a + 1.0, c + 1.0, z))
+        else:
+            # F = sum_k t_k, t_0 = 1, t_{k+1} = t_k (a+k)^2 z / ((c+k)(k+1)):
+            # every t_k past t_0 is negative (c < 0 < c + 1), so nothing in
+            # 1 - F or z F' = sum_k k t_k cancels; below SERIES_Z, 32 terms
+            # reach round-off
+            terms = [a * a * z / c]
+            for k in range(1, 32):
+                t = terms[-1] * (a + k) ** 2 * z / ((c + k) * (k + 1))
+                if (k + 1) * abs(t) <= 2.0 ** -54 * abs(terms[0]):
+                    break
+                terms.append(t)
+            one_minus_f = -math.fsum(terms)
+            zfp = math.fsum(k * t for k, t in enumerate(terms, 1))
+        return rbar * one_minus_f, one_minus_f + d * zfp
 
     def _mpp(self, rb, m, mp):
         """m'' from the harmonic radial ODE written for m = rbar - r."""
@@ -210,35 +220,22 @@ class HarmonicChart:
         return (-cs * rb ** (1 - n) - (fp + (n - 1) * f / rb) * mp
                 + (n - 1) * m / rb ** 2) / f
 
-    def m(self, rbar: float) -> float:
-        if self._trivial:
-            return 0.0
-        if rbar > R_FAR:
-            return self._a * rbar ** (3 - self.params.n)
-        return float(self._sol.sol(rbar)[0])
-
-    def mp(self, rbar: float) -> float:
-        if self._trivial:
-            return 0.0
-        if rbar > R_FAR:
-            return self._a * (3 - self.params.n) * rbar ** (2 - self.params.n)
-        return float(self._sol.sol(rbar)[1])
-
-    def mpp(self, rbar: float) -> float:
-        return self._mpp(rbar, self.m(rbar), self.mp(rbar))
-
     def r_of_rbar(self, rbar: float) -> float:
-        return rbar - self.m(rbar)
+        return rbar - self.m_mp(rbar)[0]
 
     def rbar_of_r(self, r: float) -> float:
         """Inverse of r_of_rbar: six fixed-point steps rb <- r + m(rb) settle
         the far field; where they have not converged (near the horizon m' is
-        not small), the root is bracketed above the chart's inner end."""
+        not small) or have left the chart, the root is bracketed above the
+        chart's inner end."""
         rb = r
-        for _ in range(6):
-            rb, last = r + self.m(rb), rb
-        if abs(rb - last) <= 1e-13 * rb:
-            return rb
+        try:
+            for _ in range(6):
+                rb, last = r + self.m_mp(rb)[0], rb
+            if abs(rb - last) <= 1e-13 * rb:
+                return rb
+        except HorizonError:
+            pass
         lo = self._r_min
         if self.r_of_rbar(lo) > r:
             raise HorizonError(
@@ -249,13 +246,6 @@ class HarmonicChart:
             hi *= 2.0
         return brentq(lambda x: self.r_of_rbar(x) - r, lo, hi,
                       xtol=1e-300, rtol=4 * np.finfo(float).eps)
-
-
-def to_harmonic_chart(params: SchwarzschildParams, rbar: float) -> float:
-    """Leading-order harmonic radius r = rbar - C_S / (2 rbar^{n-3}), the
-    algebraic fallback to the gauge-exact HarmonicChart.r_of_rbar."""
-    params.check_exterior(rbar)
-    return rbar - params.cs / (2.0 * rbar ** (params.n - 3))
 
 
 def _radial_profiles(chart: HarmonicChart, r: float):
@@ -270,7 +260,8 @@ def _radial_profiles(chart: HarmonicChart, r: float):
     n, cs = chart.params.n, chart.params.cs
     rb = chart.rbar_of_r(r)
     chart.params.check_exterior(rb)
-    m, mp, mpp = chart.m(rb), chart.mp(rb), chart.mpp(rb)
+    m, mp = chart.m_mp(rb)
+    mpp = chart._mpp(rb, m, mp)
     drb_dr = 1.0 / (1.0 - mp)
     dmp_dr = mpp * drb_dr
     # h00 = 1 - f = cs rbar^{2-n}
@@ -308,13 +299,13 @@ def harmonic_deviation(chart: HarmonicChart, r: float) -> dict:
 def harmonic_metric(chart: HarmonicChart, point) -> MetricAtPoint:
     """Metric components in the harmonic chart at spatial point x.
 
-    Radial profile functions come from the ODE chart; angular structure is
-    closed-form.  Derivatives are analytic through the chart's ODE
-    relations.
+    The radial profiles come from the chart's closed form, the angular
+    structure is exact, and the derivatives are analytic: m'' through the
+    chart's radial ODE.
     """
     x, r = _spatial_point(point, chart.params.n)
     (h00, dh00), (a, da), (b, db) = _radial_profiles(chart, r)
-    return _static_metric("harmonic-ode", x, r, h00, dh00, a, da, b, db)
+    return _static_metric("harmonic", x, r, h00, dh00, a, da, b, db)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +315,8 @@ def harmonic_metric(chart: HarmonicChart, point) -> MetricAtPoint:
 def wave_gauge_residual(chart: HarmonicChart, r: float) -> np.ndarray:
     """Residual V^c = g^{ab} Gamma^c_{ab} of the chart at radius r.
 
-    Uses the chart's closed-form metric derivatives, so the residual
-    reflects only the chart construction error (the ODE tolerance), not
+    Uses the chart's closed-form metric and analytic derivatives, so the
+    residual is the round-off of the terms g^{ab} Gamma^c_{ab}, not
     finite-difference noise.  The massless chart gives exact zeros.
     """
     mp = harmonic_metric(chart, r)
@@ -397,6 +388,12 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
         raise ValueError(f"lam_end={lam_end} must be finite and above lam={init.lam}")
     params = chart.params
     n, d = params.n, len(init.torus)
+    for name, val in (("x", init.x), ("v_x", init.v_x)):
+        if np.shape(val) != (n,):
+            raise ValueError(f"{name} has shape {np.shape(val)}, not ({n},) for n={n}")
+    for name, val in (("t", init.t), ("v_t", init.v_t)):
+        if not np.isfinite(val):
+            raise ValueError(f"{name}={val} must be finite")
     flat = params.cs == 0.0
     g0 = (np.diag([-1.0] + [1.0] * n) if flat
           else harmonic_metric(chart, init.x).g)

@@ -263,7 +263,8 @@ def test_estimate_constants_stable():
 # ---------------------------------------------------------------------------
 # 9. Harmonic Schwarzschild: |g - eta| falls like r^{-(n-2)} = r^{-7} within
 #    +-0.05 over r in [20, 200] for n = 9, C_S = 0.1; the wave-gauge residual
-#    of the ODE-refined chart falls strictly faster than r^{-(n-1)} = r^{-8}.
+#    V^c = g^{ab} Gamma^c_{ab} is round-off: at every radius |V^c| is at most
+#    4 eps times the summed magnitudes of its terms (which fall like r^{-8}).
 
 
 def test_schwarzschild_deviation_and_gauge_slopes():
@@ -275,15 +276,16 @@ def test_schwarzschild_deviation_and_gauge_slopes():
         dev = harmonic_deviation(chart, r)
         dev_mag.append(np.sqrt(dev["h00"] ** 2 + dev["tangential"] ** 2
                                + dev["radial"] ** 2))
-        gauge_mag.append(np.linalg.norm(wave_gauge_residual(chart, r)))
+        v = wave_gauge_residual(chart, r)
+        gauge_mag.append(np.linalg.norm(v))
+        mp = harmonic_metric(chart, r)
+        terms = np.abs(np.einsum("ab,cab->cab", mp.ginv, mp.christoffels))
+        assert np.all(np.abs(v) <= 4 * np.finfo(float).eps * terms.sum(axis=(1, 2)))
     slope = np.polyfit(np.log(radii), np.log(dev_mag), 1)[0]
     assert abs(slope - (-7.0)) <= 0.05
 
-    gauge_mag = np.array(gauge_mag)
-    keep = gauge_mag > 0  # denormal-range values may underflow to zero
+    keep = np.array(gauge_mag) > 0  # denormal-range values may underflow to zero
     assert keep.sum() >= 5
-    vslope = np.polyfit(np.log(radii[keep]), np.log(gauge_mag[keep]), 1)[0]
-    assert vslope < -8.0
 
 
 # ---------------------------------------------------------------------------

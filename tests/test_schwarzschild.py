@@ -1,5 +1,8 @@
 """Tests for the harmonic-gauge Schwarzschild machinery and geodesics."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +17,6 @@ from kkstab.schwarzschild import (
     harmonic_metric,
     integrate_geodesic,
     schwarzschild_metric,
-    to_harmonic_chart,
     wave_gauge_residual,
 )
 from oracles import (
@@ -50,6 +52,15 @@ class TestParams:
     def test_exterior_guard(self):
         with pytest.raises(HorizonError):
             P.check_exterior(0.5 * P.horizon_radius)
+
+    @pytest.mark.parametrize("n, cs, message", [
+        (9.5, 0.1, "n=9.5 must be an integer"),
+        (True, 0.1, "n=True must be an integer"),
+        (9, True, "cs=True must be a number, not a bool"),
+    ], ids=["n-float", "n-bool", "cs-bool"])
+    def test_field_types_refused(self, n, cs, message):
+        with pytest.raises(ValueError, match=message):
+            SchwarzschildParams(n=n, cs=cs)
 
 
 class TestExactMetric:
@@ -109,17 +120,39 @@ class TestExactMetric:
 
 
 class TestHarmonicChart:
-    def test_pinned_leading_example(self):
-        """r(10) for C_S = 1, n = 9: leading transform gives 10 - 1/(2e6)."""
-        p = SchwarzschildParams(n=9, cs=1.0)
-        r = to_harmonic_chart(p, 10.0)
-        assert r == pytest.approx(9.9999995, abs=1e-9)
+    def test_closed_form_matches_mpmath(self):
+        """m and m' against 2F1 at 60 digits, from just outside the guard to
+        100 horizon radii, on both sides of SERIES_Z (the series and
+        hyp2f1): relative error <= 1e-13 (3.0e-14 measured)."""
+        worst, branches = 0.0, set()
+        with mpmath.workdps(60):
+            for n in (5, 6, 9, 11, 13, 20):
+                d = n - 2
+                a, c = mpmath.mpf(-1) / d, mpmath.mpf(-2) / d
+                for cs in (1e-13, 1e-3, 0.1, 1.0, 7.0):
+                    ch = HarmonicChart(SchwarzschildParams(n=n, cs=cs))
+                    for q in (1.0101, 1.05, 1.2, 2.0, 5.0, 20.0, 100.0):
+                        rb = q * ch.params.horizon_radius
+                        z = mpmath.mpf(cs) / mpmath.mpf(rb) ** d
+                        branches.add(z >= sw.SERIES_Z)
+                        one_minus_f = 1 - mpmath.hyp2f1(a, a, c, z)
+                        zfp = a * a / c * z * mpmath.hyp2f1(a + 1, a + 1, c + 1, z)
+                        want = (rb * one_minus_f, one_minus_f + d * zfp)
+                        for got, exact in zip(ch.m_mp(rb), want):
+                            worst = max(worst, float(abs(got / exact - 1)))
+        assert branches == {False, True}
+        assert worst <= 1e-13
 
-    def test_ode_chart_matches_leading_far_out(self, chart):
-        for rbar in (50.0, 200.0):
-            r_lead = to_harmonic_chart(P, rbar)
-            r_ode = chart.r_of_rbar(rbar)
-            assert abs(r_lead - r_ode) < 1e-10 * rbar
+    def test_m_below_chart_end_refused_quietly(self):
+        """Below the chart's inner end z approaches 1 and passes it inside
+        the horizon, where hyp2f1 gives NaN and a warning: m and m' refuse
+        the radius instead."""
+        ch = HarmonicChart(SchwarzschildParams(n=5, cs=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rb in (0.999 * ch._r_min, 0.5, float("nan")):
+                with pytest.raises(HorizonError, match="chart ends at"):
+                    ch.m_mp(rb)
 
     def test_roundtrip(self, chart):
         for rbar in (2.0, 10.0, 300.0):
@@ -144,7 +177,7 @@ class TestHarmonicChart:
         """m(r) ~ C_S r^{3-n} / (2(n-2)) far out."""
         r = 50.0
         expect = P.cs * r ** (3 - P.n) / (2.0 * (P.n - 2))
-        assert chart.m(r) == pytest.approx(expect, rel=1e-3)
+        assert chart.m_mp(r)[0] == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 class TestHarmonicDeviation:
@@ -159,8 +192,18 @@ class TestHarmonicDeviation:
         slope = np.polyfit(np.log(radii), np.log(mags), 1)[0]
         assert slope == pytest.approx(-(P.n - 2), abs=0.05)
 
+    @pytest.mark.parametrize("cs", [0.1, 1e-13, 1e-30])
+    @pytest.mark.parametrize("n", [5, 9, 11, 13])
+    def test_tangential_leading_term(self, n, cs):
+        """a = (rbar/r)^2 - 1 follows cs r^{2-n} / (n-2) within 1e-3 over
+        r in [20, 200], also at masses far below the deviation's scale."""
+        ch = HarmonicChart(SchwarzschildParams(n=n, cs=cs))
+        for r in np.geomspace(20.0, 200.0, 6):
+            a = harmonic_deviation(ch, r)["tangential"]
+            assert abs(a / (cs * r ** (2 - n) / (n - 2)) - 1.0) <= 1e-3
+
     def test_wave_gauge_residual_steeper(self, chart):
-        """|V| decays faster than r^{-(n-1)} on the ODE chart."""
+        """|V| decays faster than r^{-(n-1)} on the harmonic chart."""
         radii = np.geomspace(20.0, 200.0, 8)
         vals = np.array([np.linalg.norm(wave_gauge_residual(chart, r))
                          for r in radii])
@@ -269,6 +312,19 @@ class TestGeodesics:
         init = GeodesicState(t=50.0, x=np.zeros(9), v_t=1.0, v_x=vx)
         with pytest.raises(ValueError, match="spacelike"):
             integrate_geodesic(HarmonicChart(p), init, lam_end=10.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x", np.array([10.0, 0.0, 0.0]), r"x has shape \(3,\), not \(9,\)"),
+        ("v_x", np.eye(8)[0], r"v_x has shape \(8,\), not \(9,\)"),
+        ("t", np.nan, "t=nan must be finite"),
+        ("v_t", np.nan, "v_t=nan must be finite"),
+    ], ids=["x-length", "v_x-length", "t-nan", "v_t-nan"])
+    def test_malformed_state_refused(self, field, value, message):
+        x0 = np.eye(9)[0] * 10.0
+        init = GeodesicState(t=50.0, x=x0, v_t=1.1, v_x=np.eye(9)[0])
+        setattr(init, field, value)
+        with pytest.raises(ValueError, match=message):
+            integrate_geodesic(HarmonicChart(P), init, lam_end=10.0)
 
     def test_launch_cone_guard(self):
         p = SchwarzschildParams(n=9, cs=0.0)
