@@ -26,7 +26,8 @@ import contextlib
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -98,6 +99,31 @@ def default_cfl(n: int) -> float:
                    f"cfl = 2/{DEFAULT_Q_MAX} (n <= 13) to stay inside RK4's bound")
 
 
+#: EvolutionConfig's domain, field -> (test(value, config), what it must be),
+#: checked in field order, so a test may read the fields above its own
+_DOMAIN = {
+    "n": (lambda v, c: isinstance(v, Integral) and v >= 1, "an integer >= 1"),
+    "dr": (lambda v, c: 0 < v < math.inf, "positive and finite"),
+    "cfl": (lambda v, c: v is None or v > 0, "positive, or None for default_cfl(n)"),
+    "t_start": (lambda v, c: 2 <= v < math.inf, "finite and >= 2"),
+    "t_end": (lambda v, c: c.t_start <= v < math.inf, "finite and >= t_start"),
+    "r_max": (lambda v, c: v is None or c.t_start - 2 < v < math.inf,
+              "None, or finite and above t_start - 2"),
+    "nonlinearity": (lambda v, c: v in ("linear", "quasilinear-toy"),
+                     "'linear' or 'quasilinear-toy'"),
+    "eps": (lambda v, c: 0 <= v <= EPS_MAX, f"in [0, eps_max={EPS_MAX}]"),
+    "store_history": (lambda v, c: isinstance(v, bool), "a bool"),
+    "store_every": (lambda v, c: isinstance(v, Integral) and v >= 1, "an integer >= 1"),
+    "monitor_every": (lambda v, c: isinstance(v, Integral) and v >= 1, "an integer >= 1"),
+    "sample_derivs": (lambda v, c: isinstance(v, Integral) and 1 <= v < len(CENTRED_STENCILS),
+                      "an integer in 1..4, the radial orders of the sampler's stencils"),
+    "observers": (lambda v, c: isinstance(v, tuple)
+                  and all(0 <= r <= c.resolved_r_max() for r in v),
+                  "a tuple of radii on the grid, 0 <= r <= r_max"),
+    "blowup_factor": (lambda v, c: 0 < v < math.inf, "positive and finite"),
+}
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Run parameters for the radial solvers.
@@ -131,36 +157,24 @@ class EvolutionConfig:
     blowup_factor: float = 1e3
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ValueError(f"n={self.n} must be at least 1")
-        if not 0 < self.dr < math.inf:
-            raise ValueError(f"dr={self.dr} must be positive and finite")
-        if not math.isfinite(self.t_end):
-            raise ValueError(f"t_end={self.t_end} must be finite")
-        r_max = self.resolved_r_max()
-        if not r_max / self.dr < np.iinfo(np.intp).max:
-            raise ValueError(f"dr={self.dr} with r_max={r_max} gives a grid whose "
-                             f"node count r_max/dr is not finite or above the "
-                             f"largest array index {np.iinfo(np.intp).max}")
+        for f in fields(self):
+            v, (test, what) = getattr(self, f.name), _DOMAIN[f.name]
+            # a field takes a bool where its default is one; a raising test fails
+            with contextlib.suppress(TypeError):
+                if isinstance(v, bool) == isinstance(f.default, bool) and test(v, self):
+                    continue
+            raise ValueError(f"{f.name}={v!r} must be {what}")
         if self.cfl is None:
             object.__setattr__(self, "cfl", default_cfl(self.n))
-        if not self.cfl > 0:
-            raise ValueError(f"cfl={self.cfl} must be positive")
         if rk4_margin(self.n, 1.0, self.cfl) > 1.0:
             bound = RK4_IMAGINARY_BOUND / math.sqrt(_laplacian_spectral_radius(self.n))
-            raise CFLError(
-                f"cfl={self.cfl} breaks RK4 stability for the n={self.n} radial "
-                f"Laplacian: cfl must be <= {bound:.4f}")
-        if self.t_start < 2.0:
-            raise ValueError("t_start < 2 leaves no room for the support cone")
-        if self.nonlinearity not in ("linear", "quasilinear-toy"):
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if not 0 <= self.eps <= EPS_MAX:
-            raise ValueError(f"eps={self.eps} outside [0, eps_max={EPS_MAX}]")
-        if not (isinstance(self.sample_derivs, int)
-                and 1 <= self.sample_derivs < len(CENTRED_STENCILS)):
-            raise ValueError(f"sample_derivs={self.sample_derivs!r} is not an integer "
-                             f"in 1..4, the radial orders of the sampler's stencils")
+            raise CFLError(f"cfl={self.cfl} breaks RK4 stability for the n={self.n} "
+                           f"radial Laplacian: cfl must be <= {bound:.4f}")
+        r_max, top = self.resolved_r_max(), np.iinfo(np.intp).max
+        if not (r_max / self.dr < top and (self.t_end - self.t_start) / self.dt < top):
+            raise ValueError(f"dr={self.dr} with r_max={r_max} gives a grid whose node "
+                             f"count r_max/dr, or with cfl={self.cfl} whose step count, "
+                             f"is not finite or above the largest array index {top}")
 
     def check_model(self, model: str) -> None:
         """Each entry point runs one model, which nonlinearity must name, and
@@ -698,19 +712,17 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     return blowup, peak
 
 
-def _prepare_init(init, r, config):
+def _prepare_init(init, r, config, lead):
     if init is None:
-        u0, v0 = default_pulse(r), np.zeros_like(r)
-    else:
-        u0, v0 = init
-        u0 = u0(r) if callable(u0) else np.asarray(u0, dtype=float).copy()
-        v0 = v0(r) if callable(v0) else np.asarray(v0, dtype=float).copy()
+        init = default_pulse, np.zeros_like
+    u0, v0 = (np.array(f(r) if callable(f) else f, dtype=float) for f in init)
+    if not u0.shape == v0.shape == lead + r.shape:
+        raise ValueError(f"init has u of shape {u0.shape} and v of shape {v0.shape}, "
+                         f"where the solver wants {lead + r.shape}")
     sup_r = _support_radius(np.abs(u0) + np.abs(v0), config.dr)
     if sup_r > config.t_start - 2.0 + 1e-9:
-        raise ValueError(
-            f"initial support radius {sup_r:.3f} exceeds t_start - 2 = "
-            f"{config.t_start - 2.0}"
-        )
+        raise ValueError(f"initial support radius {sup_r:.3f} exceeds t_start - 2 = "
+                         f"{config.t_start - 2.0} for t_start={config.t_start}")
     return u0, v0
 
 
@@ -741,12 +753,12 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
 
 
 def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
-            operator=None, slice_s=(), slice_r_cap=None, cfl_check=None,
+            lead=(), operator=None, slice_s=(), slice_r_cap=None, cfl_check=None,
             snapshot=None, margins=None):
     """The one evolution driver of the radial and quasilinear runs.
 
-    Builds the grid r, the initial data (`_prepare_init`; their leading
-    shape is the sampler's), the slice sampler and the stored history, and
+    Builds the grid r, the initial data (`_prepare_init`, of shape lead +
+    r.shape), the slice sampler and the stored history, and
     steps dv/dt = accel(t, u, v), or the linear dv/dt = operator(u) (see
     `_run_sweep`); monitor_row(t, u, v, w) -> {column: value}, w as there,
     runs every config.monitor_every steps.  The forward sweep stops when
@@ -766,7 +778,7 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
     """
     dr, dt = config.dr, config.dt
     r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
-    u0, v0 = _prepare_init(init, r, config)
+    u0, v0 = _prepare_init(init, r, config, lead)
 
     sampler, t_end = None, config.t_end
     if slice_s:
@@ -781,8 +793,6 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
                     f"beyond the grid; raise r_max or pass slice_r_cap"
                 )
         t_end = max(t_end, sampler.t_range_needed()[1] + 4 * dt)
-    if t_end < config.t_start:
-        raise ValueError(f"t_end={t_end} lies before t_start={config.t_start}")
     n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
 
     nt = n_steps // config.store_every + 1
@@ -1100,7 +1110,7 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     if init is None:
         init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
     history, monitors, sampler, blow, counts = _evolve(
-        config, init, monitor_row=monitor_row, **_quasilinear_rhs(config, lam),
+        config, init, monitor_row=monitor_row, lead=(3,), **_quasilinear_rhs(config, lam),
         slice_s=slice_s, slice_r_cap=slice_r_cap,
         cfl_check=cfl_check if eps != 0.0 else None, margins=margins)
     comp_slices = {} if sampler is None else {

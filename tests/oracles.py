@@ -190,7 +190,8 @@ def evolve_full_grid_torus(n: int, torus, init, config: ev.EvolutionConfig,
         return lap_r + lap_th
 
     history = ev._evolve(dataclasses.replace(config, store_history=True),
-                         (on_mesh(init[0]), on_mesh(init[1])), accel)[0]
+                         (on_mesh(init[0]), on_mesh(init[1])), accel,
+                         lead=(m_theta,))[0]
     return np.array(history.t), history["u"]
 
 

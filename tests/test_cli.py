@@ -418,7 +418,7 @@ class TestDomainErrors:
         (["energy", "--slice-s", "30"], "slice s=30.0 needs capture"),
         (["energy", "--slice-s", ""], "slice_s='' names no slice s"),
         (["evolve", "--eps", "-0.001", "--n", "3", "--t-end", "10", "--dr",
-          "0.0625"], "eps=-0.001 outside"),
+          "0.0625"], "eps=-0.001 must be in [0, eps_max=0.01]"),
         (["evolve", "--lambda", "nan", "--n", "3", "--t-end", "8", "--dr",
           "0.0625"], "lam=nan must be nonnegative"),
         (["evolve", "--eps", "0.001", "--lambda", "-1", "--n", "3", "--t-end",
@@ -436,9 +436,9 @@ class TestDomainErrors:
         (["geodesic", "--lam-end", "inf"], "lam_end=inf must be finite"),
         (["geodesic", "--r0", "-1"], "r0=-1.0 must be positive"),
         (["evolve", "--t-end", "3", "--dr", "0.0625"],
-         "t_end=3.0 lies before t_start=4.0"),
+         "t_end=3.0 must be finite and >= t_start"),
         (["evolve", "--n", "0", "--t-end", "8", "--dr", "0.0625"],
-         "n=0 must be at least 1"),
+         "n=0 must be an integer >= 1"),
         (["schwarzschild", "--r-hi", "inf"], "r_hi=inf: the radii must satisfy "
                                              "0 < r_lo < r_hi < inf"),
         (["schwarzschild", "--r-lo", "0"], "r_lo=0.0, r_hi=200.0: the radii"),
@@ -450,8 +450,10 @@ class TestDomainErrors:
           "0.0625"], "lam=inf must be nonnegative and finite"),
         (["energy", "--lambda", "inf", "--n", "3", "--dr", "0.0625"],
          "lam=inf must be nonnegative and finite"),
-        (["evolve", "--dr", "1e-320"], "node count r_max/dr is not finite"),
-        (["energy", "--dr", "1e-320"], "node count r_max/dr is not finite"),
+        (["evolve", "--dr", "1e-320"], "node count r_max/dr, or with cfl=0.4 whose step "
+                                   "count, is not finite"),
+        (["energy", "--dr", "1e-320"], "node count r_max/dr, or with cfl=0.4 whose step "
+                                   "count, is not finite"),
         (["evolve", "--dr", "1e-300"], "dr=1e-300 with r_max=99.0 gives a grid"),
         (["energy", "--dr", "1e-300"], "dr=1e-300 with r_max=39.0 gives a grid"),
         (["evolve", "--n", "14"], "n=14 needs a step finer than the default's floor"),

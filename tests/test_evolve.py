@@ -5,6 +5,7 @@ import filecmp
 import functools
 import inspect
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -59,7 +60,8 @@ class TestConfig:
             EvolutionConfig(n=3, cfl=cfl)
 
     def test_dr_gives_finite_node_count(self):
-        with pytest.raises(ValueError, match="node count r_max/dr is not finite"):
+        with pytest.raises(ValueError, match="node count r_max/dr, or with cfl=.* whose "
+                                             "step count, is not finite"):
             EvolutionConfig(n=3, dr=1e-320)
 
     def test_dr_gives_an_indexable_grid(self):
@@ -75,13 +77,13 @@ class TestConfig:
 
     def test_n_floor(self):
         """n = 0 is refused by name; n = 1, the half-line, still runs."""
-        with pytest.raises(ValueError, match="n=0 must be at least 1"):
+        with pytest.raises(ValueError, match="n=0 must be an integer >= 1"):
             EvolutionConfig(n=0)
         cfg = EvolutionConfig(n=1, dr=1 / 16, t_end=8.0, store_history=False)
         assert evolve_kg_radial(0.0, 1, config=cfg).blowup_time is None
 
     def test_eps_cap(self):
-        with pytest.raises(ValueError, match=r"outside \[0, eps_max=0.01\]"):
+        with pytest.raises(ValueError, match=r"eps=0.5 must be in \[0, eps_max=0.01\]"):
             EvolutionConfig(n=3, eps=0.5)
         assert EvolutionConfig(n=3, eps=ev.EPS_MAX).eps == 0.01
 
@@ -90,7 +92,7 @@ class TestConfig:
         """The sampler's stencils reach radial order 4, and v = d_t u is
         captured below sample_derivs orders: 0, 5 and a float, which the
         sampler cannot count orders with, are refused by name."""
-        with pytest.raises(ValueError, match=f"sample_derivs={sample_derivs} is not an "
+        with pytest.raises(ValueError, match=f"sample_derivs={sample_derivs} must be an "
                                              f"integer in 1..4"):
             EvolutionConfig(n=3, sample_derivs=sample_derivs)
 
@@ -175,6 +177,53 @@ class TestConfig:
         res = evolve_kg_radial(0.0, 11, config=cfg)
         assert res.blowup_time is None
         assert np.all(np.isfinite(res.field.u))
+
+
+class TestConfigDomain:
+    """Every EvolutionConfig field, read from `dataclasses.fields`, with each
+    of VALUES (wrapped in a tuple for observers) on a short valid base: the
+    config, or its short run of the model its nonlinearity names, raises a
+    ValueError (a CFLError for a cfl above RK4's bound) that names the
+    field, or the run finishes with finite monitors."""
+
+    BASE = dict(n=3, dr=1 / 8, t_end=8.0)
+    VALUES = (math.nan, math.inf, -1, 0, 2.5, 1e-320, True, "x", None)
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EvolutionConfig)])
+    def test_refused_by_name_or_runs(self, name, value):
+        assert name in ev._DOMAIN
+        value = (value,) if name == "observers" else value
+        try:
+            cfg = EvolutionConfig(**{**self.BASE, name: value})
+            res = (evolve_kg_radial(0.0, cfg.n, config=cfg)
+                   if cfg.nonlinearity == "linear" else evolve_quasilinear_toy(cfg))
+        except ValueError as err:
+            assert re.search(rf"\b{name}=", str(err)), err
+            return
+        assert all(np.isfinite(col).all() for col in res.monitors.values())
+
+
+class TestInitShape:
+    """init must hold u and v of the entry point's leading shape (() for the
+    linear solver, (3,) for the surrogate) on the config's 65-node grid."""
+
+    @pytest.mark.parametrize("model, lead", [("linear", ()), ("quasilinear-toy", (3,))])
+    @pytest.mark.parametrize("case", ["short", "long", "leading", "u-v-differ"])
+    def test_refused_by_name(self, model, lead, case):
+        u_shape = {"short": lead + (5,), "long": lead + (200,), "leading": (2, 65),
+                   "u-v-differ": lead + (65,)}[case]
+        v_shape = lead + (64,) if case == "u-v-differ" else u_shape
+        cfg = EvolutionConfig(n=3, dr=1 / 8, t_end=8.0, nonlinearity=model,
+                              store_history=False)
+        init = (np.zeros(u_shape), np.zeros(v_shape))
+        message = (f"init has u of shape {u_shape} and v of shape {v_shape}, "
+                   f"where the solver wants {lead + (65,)}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if model == "linear":
+                evolve_kg_radial(0.0, 3, init=init, config=cfg)
+            else:
+                evolve_quasilinear_toy(cfg, init=init)
 
 
 class TestDefaultStep:
