@@ -332,8 +332,9 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
     chart = schwarzschild.HarmonicChart(params)
     clock.lap("chart")
     r0 = float(cfg["r0"])
-    if not r0 > 0:
-        raise ConfigError(f"r0={r0} must be positive: the probe launches outward")
+    if not 0 < r0 < np.inf:
+        raise ConfigError(f"r0={r0} must be positive and finite: the probe "
+                          f"launches outward")
     mp = schwarzschild.harmonic_metric(chart, r0)
     # outgoing radial null velocity: -f vt^2 + g_rr vr^2 = 0
     vr = 1.0

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
 HORIZON_GUARD = 1.01
@@ -35,6 +34,15 @@ class HorizonError(ValueError):
 
 class StepFailureError(RuntimeError):
     """Adaptive geodesic integration failed to converge."""
+
+
+def _over_pow(c, x, k):
+    """c / x**k for a float x > 0, also where x**k overflows a float."""
+    try:
+        return c / x ** k
+    except OverflowError:  # x = s 2^e with s in [0.5, 1)
+        s, e = math.frexp(x)
+        return math.ldexp(c / s ** k, -e * k)
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,10 @@ class SchwarzschildParams:
         return HORIZON_GUARD * self.horizon_radius
 
     def f(self, rbar):
-        return 1.0 - self.cs / rbar ** (self.n - 2)
+        return 1.0 - _over_pow(self.cs, rbar, self.n - 2)
 
     def fp(self, rbar):
-        return (self.n - 2) * self.cs / rbar ** (self.n - 1)
+        return _over_pow((self.n - 2) * self.cs, rbar, self.n - 1)
 
     def check_exterior(self, rbar) -> None:
         if np.any(rbar < self.min_radius) or np.any(rbar <= 0):
@@ -91,9 +99,8 @@ def _christoffels(ginv, dg):
 
 @dataclass
 class MetricAtPoint:
-    """Metric data in a named chart: components, inverse, derivatives."""
+    """Metric data at a point: components, inverse, derivatives."""
 
-    chart: str
     x: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
@@ -119,10 +126,10 @@ def _spatial_point(point, n: int):
     x = np.atleast_1d(np.asarray(point, dtype=float))
     if x.size == 1:
         x = np.concatenate([x, np.zeros(n - 1)])
-    return x, float(np.linalg.norm(x))
+    return x, math.hypot(*x)
 
 
-def _static_metric(name: str, x, r, h00, dh00, a, da, b, db) -> MetricAtPoint:
+def _static_metric(x, r, h00, dh00, a, da, b, db) -> MetricAtPoint:
     """Static, spherically symmetric metric from its radial profiles.
 
     g_00 = -1 + h00, g_ij = (1 + a) delta_ij + (b - a) xhat_i xhat_j, with
@@ -146,7 +153,7 @@ def _static_metric(name: str, x, r, h00, dh00, a, da, b, db) -> MetricAtPoint:
     dg[1:, 1:, 1:] = ((da * xh)[:, None, None] * eye
                       + ((db - da) * xh)[:, None, None] * xx
                       + (b - a) * (dxh[:, :, None] * xh + xh[:, None] * dxh[:, None, :]))
-    return MetricAtPoint(chart=name, x=x, g=g, ginv=ginv, dg=dg)
+    return MetricAtPoint(x=x, g=g, ginv=ginv, dg=dg)
 
 
 def schwarzschild_metric(params: SchwarzschildParams, point) -> MetricAtPoint:
@@ -157,9 +164,8 @@ def schwarzschild_metric(params: SchwarzschildParams, point) -> MetricAtPoint:
     """
     x, rbar = _spatial_point(point, params.n)
     params.check_exterior(rbar)
-    f = params.f(rbar)
-    fp = params.fp(rbar)
-    return _static_metric("schwarzschild", x, rbar, 1.0 - f, -fp,
+    f, fp = params.f(rbar), params.fp(rbar)
+    return _static_metric(x, rbar, 1.0 - f, -fp,
                           0.0, 0.0, 1.0 / f - 1.0, -fp / f ** 2)
 
 
@@ -194,7 +200,7 @@ class HarmonicChart:
                 f"chart ends at rbar = {self._r_min:.6g}")
         d = self.params.n - 2
         a, c = -1.0 / d, -2.0 / d
-        z = self.params.cs / rbar ** d
+        z = _over_pow(self.params.cs, rbar, d)
         if z >= SERIES_Z:
             one_minus_f = 1.0 - float(hyp2f1(a, a, c, z))
             zfp = a * a / c * z * float(hyp2f1(a + 1.0, a + 1.0, c + 1.0, z))
@@ -218,34 +224,32 @@ class HarmonicChart:
         n, cs = self.params.n, self.params.cs
         f, fp = self.params.f(rb), self.params.fp(rb)
         return (-cs * rb ** (1 - n) - (fp + (n - 1) * f / rb) * mp
-                + (n - 1) * m / rb ** 2) / f
+                + _over_pow((n - 1) * m, rb, 2)) / f
 
     def r_of_rbar(self, rbar: float) -> float:
         return rbar - self.m_mp(rbar)[0]
 
     def rbar_of_r(self, r: float) -> float:
-        """Inverse of r_of_rbar: six fixed-point steps rb <- r + m(rb) settle
-        the far field; where they have not converged (near the horizon m' is
-        not small) or have left the chart, the root is bracketed above the
-        chart's inner end."""
-        rb = r
-        try:
-            for _ in range(6):
-                rb, last = r + self.m_mp(rb)[0], rb
-            if abs(rb - last) <= 1e-13 * rb:
+        """Inverse of r_of_rbar by Newton's method from max(r, chart end):
+        r(rbar) = rbar - m is increasing and concave (m' < 0 < m''), so the
+        iterates rise to the root on the chart.  Each is the fixed-point step
+        rb <- r + m plus Newton's correction m' delta, so a far-field root is
+        the float that the fixed point settles on."""
+        if self._trivial:
+            return r
+        if not r < math.inf:
+            raise ValueError(f"harmonic radius {r} must be finite")
+        # r_of_rbar(_r_min) <= _r_min: only r below _r_min can be inside the chart
+        if r < self._r_min and r < (end := self.r_of_rbar(self._r_min)):
+            raise HorizonError(f"harmonic radius {r:.6g} inside the guarded "
+                               f"exterior: the chart ends at r = {end:.6g}")
+        rb = max(r, self._r_min)
+        for _ in range(32):  # 9 steps suffice
+            m, mp = self.m_mp(rb)
+            rb, last = r + m + mp * ((r + m - rb) / (1.0 - mp)), rb
+            if abs(rb - last) <= 2.0 ** -51 * rb:
                 return rb
-        except HorizonError:
-            pass
-        lo = self._r_min
-        if self.r_of_rbar(lo) > r:
-            raise HorizonError(
-                f"harmonic radius {r:.6g} inside the guarded exterior: the "
-                f"chart ends at r = {self.r_of_rbar(lo):.6g}")
-        hi = max(2.0 * r, lo)
-        while self.r_of_rbar(hi) < r:
-            hi *= 2.0
-        return brentq(lambda x: self.r_of_rbar(x) - r, lo, hi,
-                      xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        raise ValueError(f"harmonic radius {r!r}: no rbar in 32 Newton steps")
 
 
 def _radial_profiles(chart: HarmonicChart, r: float):
@@ -268,18 +272,16 @@ def _radial_profiles(chart: HarmonicChart, r: float):
     h00 = cs * rb ** (2 - n)
     dh00 = cs * (2 - n) * rb ** (1 - n) * drb_dr
     # a = (rbar/r)^2 - 1 = (2 m r + m^2)/r^2 with rbar = r + m
-    a = (2.0 * m * r + m * m) / r ** 2
+    a = _over_pow(2.0 * m * r + m * m, r, 2)
     # da = 2 (rbar/r) d(rbar/r) with d(rbar/r) = (r mp/(1-mp) - m)/r^2
-    da = 2.0 * (rb / r) * (r * mp / (1.0 - mp) - m) / r ** 2
-    # b: 1 + b = 1/((1-mp)^2 (1 - h00bar)), h00bar = cs rbar^{2-n}
-    w = h00
-    denom = (1.0 - mp) ** 2 * (1.0 - w)
-    num = 2.0 * mp - mp * mp + w * (1.0 - mp) ** 2
+    da = _over_pow(2.0 * (rb / r) * (r * mp / (1.0 - mp) - m), r, 2)
+    # b: 1 + b = 1/((1-mp)^2 (1 - h00))
+    denom = (1.0 - mp) ** 2 * (1.0 - h00)
+    num = 2.0 * mp - mp * mp + h00 * (1.0 - mp) ** 2
     b = num / denom
-    dw = dh00
-    dnum = (2.0 - 2.0 * mp) * dmp_dr + dw * (1.0 - mp) ** 2 \
-        - 2.0 * w * (1.0 - mp) * dmp_dr
-    ddenom = -2.0 * (1.0 - mp) * dmp_dr * (1.0 - w) - (1.0 - mp) ** 2 * dw
+    dnum = (2.0 - 2.0 * mp) * dmp_dr + dh00 * (1.0 - mp) ** 2 \
+        - 2.0 * h00 * (1.0 - mp) * dmp_dr
+    ddenom = -2.0 * (1.0 - mp) * dmp_dr * (1.0 - h00) - (1.0 - mp) ** 2 * dh00
     db = (dnum * denom - num * ddenom) / denom ** 2
     return (h00, dh00), (a, da), (b, db)
 
@@ -305,7 +307,7 @@ def harmonic_metric(chart: HarmonicChart, point) -> MetricAtPoint:
     """
     x, r = _spatial_point(point, chart.params.n)
     (h00, dh00), (a, da), (b, db) = _radial_profiles(chart, r)
-    return _static_metric("harmonic", x, r, h00, dh00, a, da, b, db)
+    return _static_metric(x, r, h00, dh00, a, da, b, db)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +357,7 @@ class GeodesicTrajectory:
 
     @property
     def r(self) -> np.ndarray:
-        return np.linalg.norm(self.x, axis=1)
+        return np.array([math.hypot(*x) for x in self.x])
 
     def velocity_norm(self) -> np.ndarray:
         """g(dot gamma, dot gamma) along the flow (drift diagnostic)."""
@@ -368,11 +370,8 @@ class GeodesicTrajectory:
 
     def energy(self) -> np.ndarray:
         """Killing charge -g(dot gamma, d_t)."""
-        out = np.empty(len(self.lam))
-        for i in range(len(self.lam)):
-            rb = self.chart.rbar_of_r(float(np.linalg.norm(self.x[i])))
-            out[i] = self.chart.params.f(rb) * self.v_t[i]
-        return out
+        f, inverse = self.chart.params.f, self.chart.rbar_of_r
+        return np.array([f(inverse(r)) for r in self.r.tolist()]) * self.v_t
 
 
 def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
@@ -401,7 +400,7 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
     norm0 = v0 @ g0 @ v0 + np.dot(init.v_torus, init.v_torus)
     if norm0 > 1e-10:
         raise ValueError(f"initial velocity is spacelike: g(v,v) = {norm0:.3e}")
-    if not exterior_probe and np.linalg.norm(init.x) > init.t - 2.0:
+    if not exterior_probe and math.hypot(*init.x) > init.t - 2.0:
         raise ValueError(
             "launch point outside |x| <= t - 2; pass exterior_probe=True"
         )
@@ -419,7 +418,7 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
         return np.concatenate([[vt], vx, vth, dv, np.zeros(d)])
 
     def horizon(lam, y):
-        rb = chart.rbar_of_r(float(np.linalg.norm(y[1:1 + n])))
+        rb = chart.rbar_of_r(math.hypot(*y[1:1 + n]))
         # stop slightly above the hard exterior guard so trial evaluations
         # of the right-hand side never cross it during the capture step
         return rb - 1.05 * params.min_radius

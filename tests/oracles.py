@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from kkstab import evolve as ev
 from kkstab.energy import REPORT_MAGIC, GammaBlock, hyperboloidal_energy
@@ -384,6 +385,21 @@ def sample_on_hyperboloid(field, s: float, with_second: bool = True,
         samples[0, 2] = at_slice(d2dr2(field.u, field.dr))
         samples[1, 1] = at_slice(ddr(field.v, field.dr))
     return SliceData(slc, field.lam, samples)
+
+
+# ---------------------------------------------------------------------------
+# The harmonic chart's inverse by bracketing
+
+
+def rbar_of_r_bracketed(chart, r: float) -> float:
+    """rbar with chart.r_of_rbar(rbar) = r, by brentq between the chart's
+    inner end and an upper end doubled until it brackets the root."""
+    lo = chart._r_min
+    hi = max(2.0 * r, lo)
+    while chart.r_of_rbar(hi) < r:
+        hi *= 2.0
+    return brentq(lambda x: chart.r_of_rbar(x) - r, lo, hi,
+                  xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------

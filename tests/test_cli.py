@@ -435,6 +435,7 @@ class TestDomainErrors:
         (["geodesic", "--lam-end", "0"], "lam_end=0.0 must be finite"),
         (["geodesic", "--lam-end", "inf"], "lam_end=inf must be finite"),
         (["geodesic", "--r0", "-1"], "r0=-1.0 must be positive"),
+        (["geodesic", "--r0", "inf"], "r0=inf must be positive and finite"),
         (["evolve", "--t-end", "3", "--dr", "0.0625"],
          "t_end=3.0 must be finite and >= t_start"),
         (["evolve", "--n", "0", "--t-end", "8", "--dr", "0.0625"],
@@ -470,7 +471,8 @@ class TestDomainErrors:
             "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
             "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
-            "geodesic-r0-negative", "evolve-t-end-before-t-start", "evolve-n0",
+            "geodesic-r0-negative", "geodesic-r0-inf", "evolve-t-end-before-t-start",
+            "evolve-n0",
             "schwarzschild-r-hi-inf", "schwarzschild-r-lo-0", "spectrum-lmax-negative",
             "schwarzschild-cs-0", "schwarzschild-cs-nan", "geodesic-cs-inf",
             "evolve-lambda-inf", "energy-lambda-inf", "evolve-dr-subnormal",
@@ -601,6 +603,18 @@ class TestExitContract:
             # argparse's usage block: its first line and indented continuations
             lines = [ln for ln in lines[1:] if not ln.startswith(" ")]
         assert len(lines) == (0 if code == 0 else 1), err
+
+    @pytest.mark.parametrize("args", [
+        ["schwarzschild", "--r-hi", "1e40"], ["geodesic", "--r0", "1e40"],
+        ["geodesic", "--lam-end", "1e45"], ["geodesic", "--r0", "1e200"],
+    ], ids=["schwarzschild-r-hi-1e40", "geodesic-r0-1e40",
+            "geodesic-lam-end-1e45", "geodesic-r0-1e200"])
+    def test_far_radius_runs(self, args, tmp_path, capsys):
+        """Radii past where rbar^(n-1) or |x|^2 overflow a float run to exit
+        0 with an empty stderr (a RuntimeWarning fails the suite)."""
+        code, _ = run_cli(args, tmp_path, args[0])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("value", VALUES)
     @pytest.mark.parametrize("sub, flag", flags())

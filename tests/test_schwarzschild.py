@@ -21,6 +21,7 @@ from kkstab.schwarzschild import (
 )
 from oracles import (
     product_slice_metric,
+    rbar_of_r_bracketed,
     ricci_tensor,
     scalar_curvature,
     static_metric_dg_loop,
@@ -86,7 +87,7 @@ class TestExactMetric:
                 x[int(rng.integers(1, n)):] = 0.0
             r = float(np.linalg.norm(x))
             h00, dh00, a, da, b, db = rng.standard_normal(6) * 10.0 ** rng.uniform(-12, -1, 6)
-            got = sw._static_metric("test", x, r, h00, dh00, a, da, b, db).dg
+            got = sw._static_metric(x, r, h00, dh00, a, da, b, db).dg
             want = static_metric_dg_loop(x, r, dh00, a, da, b, db)
             assert got.tobytes() == want.tobytes(), i
 
@@ -115,8 +116,8 @@ class TestExactMetric:
         bad = g.copy()
         bad[0, 1] = 1e-3
         with pytest.raises(ValueError, match="symmetric"):
-            MetricAtPoint(chart="test", x=np.zeros(2), g=bad,
-                          ginv=np.linalg.inv(g), dg=np.zeros((3, 3, 3)))
+            MetricAtPoint(x=np.zeros(2), g=bad, ginv=np.linalg.inv(g),
+                          dg=np.zeros((3, 3, 3)))
 
 
 class TestHarmonicChart:
@@ -161,17 +162,55 @@ class TestHarmonicChart:
 
     @pytest.mark.parametrize("r", [0.9, 0.95, 0.9932, 1.2, 2.0])
     def test_inverse_converges_near_horizon(self, r):
-        """n = 5, C_S = 1 (horizon at rbar = 1): m' is not small there, so
-        fixed-point steps alone do not invert r_of_rbar."""
+        """n = 5, C_S = 1 (horizon at rbar = 1): m' is not small there, where
+        a fixed-point step rb <- r + m(rb) would barely move, yet Newton's
+        method inverts r_of_rbar to 1e-12."""
         ch = HarmonicChart(SchwarzschildParams(n=5, cs=1.0))
         rb = ch.rbar_of_r(r)
         assert rb >= ch.params.horizon_radius
         assert abs(ch.r_of_rbar(rb) - r) <= 1e-12
 
+    @pytest.mark.parametrize("cs", [1e-6, 0.1, 1e3])
+    @pytest.mark.parametrize("n", [5, 9, 13])
+    def test_inverse_against_bracketed_root(self, n, cs, monkeypatch):
+        """At 50 radii from just outside the chart's inner end to 1e4 times
+        it, rbar_of_r is within 1e-15 of the bracketed root, evaluates the
+        chart at most 10 times, and at r >= 10 r_h lands on the float
+        r + m(rbar) itself.  The massless chart returns r."""
+        ch = HarmonicChart(SchwarzschildParams(n=n, cs=cs))
+        calls = []
+        m_mp = ch.m_mp
+        monkeypatch.setattr(ch, "m_mp", lambda rb: calls.append(rb) or m_mp(rb))
+        r_end = ch.r_of_rbar(ch._r_min)
+        for r in np.geomspace(r_end * (1 + 1e-13), 1e4 * ch._r_min, 50).tolist():
+            calls.clear()
+            rb = ch.rbar_of_r(r)
+            assert len(calls) <= 10
+            assert abs(rb / rbar_of_r_bracketed(ch, r) - 1) <= 1e-15
+            if r >= 10 * ch.params.horizon_radius:
+                assert rb == r + m_mp(rb)[0]
+        flat = HarmonicChart(SchwarzschildParams(n=n, cs=0.0))
+        assert flat.rbar_of_r(r) is r
+
+    def test_far_field_past_float_powers(self):
+        """Where rbar^(n-2) overflows a float, m, f and f' still follow
+        their far-field forms, and so does the tangential deviation."""
+        p = SchwarzschildParams(n=5, cs=1e300)
+        ch = HarmonicChart(p)
+        for rb in (1e110, 1e160):
+            assert ch.m_mp(rb)[0] == pytest.approx(1e300 / rb / rb / 6, rel=1e-12)
+            assert p.f(rb) == 1.0
+        assert p.fp(1e110) == pytest.approx(3e300 / 1e110 / 1e110 / 1e110 / 1e110)
+        a = harmonic_deviation(ch, 1e160)["tangential"]
+        assert a == pytest.approx(1e300 / 1e160 / 1e160 / 1e160 / 3, rel=1e-12)
+
     def test_inverse_refuses_inside_chart(self):
         ch = HarmonicChart(SchwarzschildParams(n=5, cs=1.0))
         with pytest.raises(HorizonError, match="inside the guarded exterior"):
             ch.rbar_of_r(0.1)
+        for r in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"harmonic radius {r} must be finite"):
+                ch.rbar_of_r(r)
 
     def test_mass_profile_asymptote(self, chart):
         """m(r) ~ C_S r^{3-n} / (2(n-2)) far out."""
