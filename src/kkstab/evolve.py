@@ -560,10 +560,6 @@ class _History:
         return self._rows[f][:len(self.t)]
 
 
-#: columns that one RK4 step can move the last occupied column: each of the
-#: stage kernel's four right-hand sides applies 3-point radial stencils once,
-#: and the Taylor kernel's two operator applications move it by 2
-_FRONT_STEP = 4
 #: steps between exact rescans of the last occupied column
 _RESCAN_EVERY = 64
 
@@ -645,16 +641,17 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     Returns the blow-up time, or None when the guard never fired, and the
     peak sup|u| that the guard read.
 
-    Active window: a step hands the kernel only the columns [0, last + 6),
-    where `last` bounds the last column in which u or v is not +0.0.  One
-    step moves that column by at most _FRONT_STEP, so `last` grows by that
-    much per step and is rescanned exactly every _RESCAN_EVERY steps.  The
-    window's edge column lies past the stencils' reach, where the full-grid
-    step writes zeros, and every column beyond it keeps +0.0, which is what
-    the full-grid step makes of +0.0 data.  accel and operator must act
-    column by column, up to the radial stencils, and map zero data to zero.
-    Each step writes fresh full-length u and v (the rows of one new (2, ...)
-    array); the sampler and the history copy what they keep of a row.
+    Active window: a step hands the kernel only the columns [0, last + k +
+    2), where `last` bounds the last column in which u or v is not +0.0.
+    A step applies 3-point stencils k = per_step times, each moving that
+    column by at most 1, so `last` grows by k per step and is rescanned
+    every _RESCAN_EVERY steps.  The window's edge column lies past the
+    stencils' reach, where the full-grid step writes zeros, and every column
+    beyond it keeps +0.0, the full-grid step's image of +0.0 data.  accel
+    and operator must act column by column, up to the radial stencils, and
+    map zero data to zero.  Each step writes fresh full-length u and v (the
+    rows of one new (2, ...) array); the sampler and the history copy what
+    they keep of a row.
 
     counts, when given, accumulates "steps", "operator_applications" (Taylor
     kernel) or "rhs_evals" (stage kernel), "node_steps" (grid nodes times
@@ -679,8 +676,8 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     for j in range(1, n_steps + 1):
         if (j - 1) % _RESCAN_EVERY == 0:
             last = _last_occupied(y)
-        w = min(last + _FRONT_STEP + 2, nr)
-        last += _FRONT_STEP
+        w = min(last + per_step + 2, nr)
+        last += per_step
         y_next = np.empty_like(y)
         step(t, y[..., :w], y_next[..., :w])
         # the columns past the window and the Dirichlet edge column
@@ -937,15 +934,6 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
 # Quasilinear toy with the quadratic nonlinearity Q
 
 
-def _pack_sym(a00, a0r, arr) -> np.ndarray:
-    """Symmetric (..., 2, 2) matrices from their (00, 0r, rr) components."""
-    out = np.empty(np.shape(a00) + (2, 2))
-    out[..., 0, 0] = a00
-    out[..., 0, 1] = out[..., 1, 0] = a0r
-    out[..., 1, 1] = arr
-    return out
-
-
 def inverse_metric_components(h):
     """H = (eta + h)^{-1} - eta^{-1} to second order, component-wise.
 
@@ -973,6 +961,33 @@ def inverse_metric_derivative(h, dh):
             -drr + 2.0 * (hrr * drr - h0r * d0r))
 
 
+#: the 21 products D_i D_j, i <= j, of Q's derivative rows D = (d_t h, d_r h)
+_PAIRS = np.triu_indices(6)
+
+
+def _q_table() -> np.ndarray:
+    """Q's (18, 21) coefficients: row 6 q + m holds, for the component q of
+    (Q_00, Q_0r, Q_rr) and the monomial m of (XX, XY, XZ, YY, YZ, ZZ), the
+    coefficient of each product D_i D_j, i <= j.  Each einsum is one of the
+    contractions of `q_nonlinearity`, with adj^ij one of X, Y, Z (x, y) and
+    d_k g_ij the row D_{3k+i+j} (s, t); an unordered pair sums both orders."""
+    adj = np.eye(3)[[[0, 1], [1, 2]]]
+    dg = np.eye(6)[[[[0, 1], [1, 2]], [[3, 4], [4, 5]]]]
+
+    def term(factors):
+        return np.einsum(f"cdx,aby,{factors}->mnxyst", adj, adj, dg, dg)
+
+    q = (term("ndbs,amct") + term("mcas,bndt") - 0.5 * term("ndbs,mcat")
+         + term("cmas,dnbt") - term("cmas,bndt"))[[0, 0, 1], [0, 1, 1]]
+    i, j = np.triu_indices(3)
+    q = (q[:, i, j] + q[:, j, i]) / (1 + (i == j))[:, None, None]
+    i, j = _PAIRS
+    return ((q[..., i, j] + q[..., j, i]) / (1 + (i == j))).reshape(18, 21)
+
+
+_Q_TABLE = _q_table()
+
+
 def q_nonlinearity(h, dh_t, dh_r):
     """The quadratic form Q_mn(dg, dg) of the reduced system, component-wise.
 
@@ -984,68 +999,35 @@ def q_nonlinearity(h, dh_t, dh_r):
                            + d_c g_ma d_d g_nb - d_c g_ma d_b g_nd )
              = t1_mn + t2_mn - 1/2 t3_mn + t4_mn - t5_mn.
     h, dh_t, dh_r are the (00, 0r, rr) components of h = g - eta and of
-    d_t g, d_r g.
+    d_t g, d_r g: scalars or arrays of one shape.
 
     Q is homogeneous of degree 2 in g^{-1} = adj(g) / det g, with
         adj(g) = [[X, Y], [Y, Z]],  X = g_rr = 1 + h_rr,  Y = -h_0r,
         Z = g_00 = h_00 - 1,  det g = XZ - Y^2,
-    so Q_mn = P_mn / det^2 with P_mn a sum over the monomials XX, XY, XZ,
-    YY, YZ, ZZ, each times a quadratic polynomial in the derivatives
-    (a0, b0, c0) = d_t h and (a1, b1, c1) = d_r h.  Expanding the five
-    contractions (once, with sympy; the tests check the expansion exactly)
-    gives, with p = a1 + 2 b0, q = c0 + 2 b1 and s = a1 c0 + 2 b0 b1:
-        P_00 = 3/2 a0^2 XX + 2 a0 p XY + (a1^2 + 2 b0^2) XZ
-               + (a0 q + a1 (4 b0 - a1)) YY + 2 s YZ + 1/2 c0 (4 b1 - c0) ZZ,
-        P_0r = 1/2 a0 p XX + (a0 q + a1^2 + 2 b0^2) XY + (p q - 2 s) XZ
-               + 1/2 (3 a0 c1 + p q) YY + (c1 p + c0^2 + 2 b1^2) YZ
-               + 1/2 c1 q ZZ,
-        P_rr = 1/2 a1 (4 b0 - a1) XX + 2 s XY + (c0^2 + 2 b1^2) XZ
-               + (c1 p + c0 (4 b1 - c0)) YY + 2 c1 q YZ + 3/2 c1^2 ZZ.
-    P_rr is P_00 with t and r exchanged (X <-> Z, a0 <-> c1, b0 <-> b1,
-    c0 <-> a1).
-
+    so Q = P / det^2 with P = sum_m A_m (table @ (D_i D_j)_{i<=j})_m over
+    the monomials A = (XX, XY, XZ, YY, YZ, ZZ) and the rows D = (d_t h,
+    d_r h), the table `_q_table` folds from the contractions.
     Returns the (3, ...) stack (Q_00, Q_0r, Q_rr); Q is symmetric.
     """
     h00, h0r, hrr = h
-    a0, b0, c0 = dh_t
-    a1, b1, c1 = dh_r
     X, Y, Z = hrr + 1.0, -h0r, h00 - 1.0
-    xx, xy, xz, yy, yz, zz = X * X, X * Y, X * Z, Y * Y, Y * Z, Z * Z
-    inv_det2 = 1.0 / (xz - yy) ** 2
-
-    two_b0, two_b1 = 2.0 * b0, 2.0 * b1
-    p, q = a1 + two_b0, c0 + two_b1
-    two_s = 2.0 * (a1 * c0 + two_b0 * b1)
-    pq = p * q
-    a0p, a0q, c1p, c1q = a0 * p, a0 * q, c1 * p, c1 * q
-    m_t = a1 * (2.0 * two_b0 - a1)          # a1 (4 b0 - a1)
-    m_r = c0 * (2.0 * two_b1 - c0)          # c0 (4 b1 - c0)
-    e_t = a1 * a1 + two_b0 * b0             # a1^2 + 2 b0^2
-    e_r = c0 * c0 + two_b1 * b1             # c0^2 + 2 b1^2
-
-    p00 = (1.5 * a0 * a0 * xx + 2.0 * a0p * xy + e_t * xz + (a0q + m_t) * yy
-           + two_s * yz + 0.5 * m_r * zz)
-    p0r = (0.5 * a0p * xx + (a0q + e_t) * xy + (pq - two_s) * xz
-           + 0.5 * (3.0 * a0 * c1 + pq) * yy + (c1p + e_r) * yz + 0.5 * c1q * zz)
-    prr = (0.5 * m_t * xx + two_s * xy + e_r * xz + (c1p + m_r) * yy
-           + 2.0 * c1q * yz + 1.5 * c1 * c1 * zz)
-    out = np.stack((p00, p0r, prr))
-    out *= inv_det2
-    return out
+    shape = np.shape(dh_t[0])
+    d = np.array([*dh_t, *dh_r]).reshape(6, -1)
+    coef = (_Q_TABLE @ (d[_PAIRS[0]] * d[_PAIRS[1]])).reshape(3, 6, -1)
+    mono = np.array([X * X, X * Y, X * Z, Y * Y, Y * Z, Z * Z]).reshape(6, -1)
+    out = np.einsum("qmk,mk->qk", coef, mono)
+    out *= 1.0 / (mono[2] - mono[3]) ** 2
+    return out.reshape((3,) + shape)
 
 
 def quasilinear_coefficients(u3: np.ndarray, v3: np.ndarray, ur3: np.ndarray,
                              eps: float):
-    """H components and Q stack for the 3-component surrogate.
-
-    Returns (H, Q3) where H has shape (..., 2, 2) and Q3 = (3, ...) is Q
-    packed back to the component stack.  h = eps * u; dg built from
-    (d_t u = v, d_r u).
-    """
+    """(H, Q3) of the 3-component surrogate at h = eps u3, d_t h = eps v3,
+    d_r h = eps ur3: H as (..., 2, 2) matrices, Q3 the (3, ...) stack of Q."""
     h = eps * u3
-    H = _pack_sym(*inverse_metric_components(h))
-    q3 = q_nonlinearity(h, eps * v3, eps * ur3)
-    return H, q3
+    H00, H0r, Hrr = inverse_metric_components(h)
+    H = np.stack((H00, H0r, H0r, Hrr), axis=-1).reshape(np.shape(H00) + (2, 2))
+    return H, q_nonlinearity(h, eps * v3, eps * ur3)
 
 
 def _quasilinear_rhs(config: EvolutionConfig, lam: float) -> dict:
@@ -1057,15 +1039,17 @@ def _quasilinear_rhs(config: EvolutionConfig, lam: float) -> dict:
         return {"accel": None, "operator": _linear_operator(n, dr, lam)}
 
     def accel(t, u, v):
-        H, q3 = quasilinear_coefficients(u, v, radial_derivative(u, 1, dr), eps)
+        h = eps * u
+        H00, H0r, Hrr = inverse_metric_components(h)
+        q3 = q_nonlinearity(h, eps * v, eps * radial_derivative(u, 1, dr))
         # (lap + H^rr u_rr + 2 H^0r v_r - lam u - eps Q) / (1 - H^00),
         # accumulated in place in the Laplacian's result, left to right
         rhs = radial_laplacian(u, dr, n)
-        rhs += H[..., 1, 1] * radial_derivative(u, 2, dr)
-        rhs += 2.0 * H[..., 0, 1] * radial_derivative(v, 1, dr)
+        rhs += Hrr * radial_derivative(u, 2, dr)
+        rhs += 2.0 * H0r * radial_derivative(v, 1, dr)
         rhs -= lam * u
         rhs -= eps * q3
-        rhs /= 1.0 - H[..., 0, 0]
+        rhs /= 1.0 - H00
         return rhs
 
     return {"accel": accel, "operator": None}

@@ -16,6 +16,7 @@ chart alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,9 @@ HORIZON_GUARD = 1.01
 #: Below this z = C_S rbar^{2-n} the chart sums the series of 1 - F, whose
 #: term ratios stay below z; above it, hyp2f1 serves
 SERIES_Z = 0.3
+#: Largest span lam_end - lam of a geodesic, sqrt(float max): the
+#: integrator's error norm squares quantities of the step's size
+_SPAN_MAX = math.sqrt(sys.float_info.max)
 
 
 class HorizonError(ValueError):
@@ -43,6 +47,13 @@ def _over_pow(c, x, k):
     except OverflowError:  # x = s 2^e with s in [0.5, 1)
         s, e = math.frexp(x)
         return math.ldexp(c / s ** k, -e * k)
+
+
+def _times_pow(c, x, k):
+    """c * x**-k for a float x > 0: the plain product while x**-k is a
+    normal float, and `_over_pow` where it underflows."""
+    p = x ** -k
+    return c * p if p >= sys.float_info.min else _over_pow(c, x, k)
 
 
 @dataclass(frozen=True)
@@ -198,9 +209,9 @@ class HarmonicChart:
             raise HorizonError(
                 f"radius {rbar:.6g} inside the guarded exterior: the harmonic "
                 f"chart ends at rbar = {self._r_min:.6g}")
-        d = self.params.n - 2
+        d, cs = self.params.n - 2, self.params.cs
         a, c = -1.0 / d, -2.0 / d
-        z = _over_pow(self.params.cs, rbar, d)
+        z = _over_pow(cs, rbar, d)
         if z >= SERIES_Z:
             one_minus_f = 1.0 - float(hyp2f1(a, a, c, z))
             zfp = a * a / c * z * float(hyp2f1(a + 1.0, a + 1.0, c + 1.0, z))
@@ -217,13 +228,16 @@ class HarmonicChart:
                 terms.append(t)
             one_minus_f = -math.fsum(terms)
             zfp = math.fsum(k * t for k, t in enumerate(terms, 1))
+            if z < sys.float_info.min:
+                # z is subnormal: m is its leading term, cs rbar^{1-D} / (2D)
+                return _over_pow(cs, rbar, d - 1) / (2 * d), one_minus_f + d * zfp
         return rbar * one_minus_f, one_minus_f + d * zfp
 
     def _mpp(self, rb, m, mp):
         """m'' from the harmonic radial ODE written for m = rbar - r."""
         n, cs = self.params.n, self.params.cs
         f, fp = self.params.f(rb), self.params.fp(rb)
-        return (-cs * rb ** (1 - n) - (fp + (n - 1) * f / rb) * mp
+        return (_times_pow(-cs, rb, n - 1) - (fp + (n - 1) * f / rb) * mp
                 + _over_pow((n - 1) * m, rb, 2)) / f
 
     def r_of_rbar(self, rbar: float) -> float:
@@ -269,8 +283,8 @@ def _radial_profiles(chart: HarmonicChart, r: float):
     drb_dr = 1.0 / (1.0 - mp)
     dmp_dr = mpp * drb_dr
     # h00 = 1 - f = cs rbar^{2-n}
-    h00 = cs * rb ** (2 - n)
-    dh00 = cs * (2 - n) * rb ** (1 - n) * drb_dr
+    h00 = _times_pow(cs, rb, n - 2)
+    dh00 = _times_pow(cs * (2 - n), rb, n - 1) * drb_dr
     # a = (rbar/r)^2 - 1 = (2 m r + m^2)/r^2 with rbar = r + m
     a = _over_pow(2.0 * m * r + m * m, r, 2)
     # da = 2 (rbar/r) d(rbar/r) with d(rbar/r) = (r mp/(1-mp) - m)/r^2
@@ -383,8 +397,9 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
     must be flagged as exterior probes.  Terminates on horizon capture.
     Flat space (C_S = 0) skips the metric, so it may launch at the origin.
     """
-    if not init.lam < lam_end < np.inf:
-        raise ValueError(f"lam_end={lam_end} must be finite and above lam={init.lam}")
+    if not 0 < lam_end - init.lam < _SPAN_MAX:
+        raise ValueError(f"lam_end={lam_end} must be finite, above lam={init.lam} "
+                         f"and less than {_SPAN_MAX:.3g} past it")
     params = chart.params
     n, d = params.n, len(init.torus)
     for name, val in (("x", init.x), ("v_x", init.v_x)):

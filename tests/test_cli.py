@@ -136,6 +136,15 @@ class TestEvolve:
         _, out2 = run_cli(list(args), tmp_path, "b")
         _differ_only_in_run_meta(out1, out2)
 
+    def test_quasilinear_deterministic_byte_identical(self, tmp_path):
+        """The eps > 0 surrogate, whose Q goes through a BLAS matrix
+        product, also writes the same bytes twice."""
+        args = ["evolve", "--eps", "1e-3", "--n", "9", "--slice-s", "4.5,6",
+                "--t-end", "20", "--dr", "0.0625"]
+        _, out1 = run_cli(list(args), tmp_path, "a")
+        _, out2 = run_cli(list(args), tmp_path, "b")
+        _differ_only_in_run_meta(out1, out2)
+
     def test_run_meta(self, tmp_path):
         """run-meta.json: phase timings, the sweep's work counts, library
         versions and whether n is in the theorem range n >= 9."""
@@ -467,6 +476,10 @@ class TestDomainErrors:
          "cs=1e-320: the metric deviation underflows to 0 at 12 of the 12 radii"),
         (["schwarzschild", "--cs", "1e-310"],
          "cs=1e-310: the metric deviation underflows to 0 at 4 of the 12 radii"),
+        (["geodesic", "--lam-end", "1e200"],
+         "lam_end=1e+200 must be finite, above lam=0.0 and less than 1.34e+154 past it"),
+        (["geodesic", "--r0", "1e300", "--lam-end", "1e308"],
+         "lam_end=1e+308 must be finite, above lam=0.0 and less than 1.34e+154 past it"),
     ], ids=["schwarzschild", "geodesic", "energy", "energy-slice-s-empty", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
@@ -478,7 +491,8 @@ class TestDomainErrors:
             "evolve-lambda-inf", "energy-lambda-inf", "evolve-dr-subnormal",
             "energy-dr-subnormal", "evolve-dr-tiny", "energy-dr-tiny", "evolve-n14",
             "energy-n2000", "spectrum-file-missing", "spectrum-file-directory",
-            "schwarzschild-cs-subnormal", "schwarzschild-cs-partly-subnormal"])
+            "schwarzschild-cs-subnormal", "schwarzschild-cs-partly-subnormal",
+            "geodesic-lam-end-1e200", "geodesic-r0-1e300-lam-end-1e308"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2

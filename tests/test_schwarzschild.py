@@ -198,11 +198,23 @@ class TestHarmonicChart:
         p = SchwarzschildParams(n=5, cs=1e300)
         ch = HarmonicChart(p)
         for rb in (1e110, 1e160):
-            assert ch.m_mp(rb)[0] == pytest.approx(1e300 / rb / rb / 6, rel=1e-12)
+            assert ch.m_mp(rb)[0] == pytest.approx(1e300 / rb / rb / 6, rel=1e-12, abs=0)
             assert p.f(rb) == 1.0
-        assert p.fp(1e110) == pytest.approx(3e300 / 1e110 / 1e110 / 1e110 / 1e110)
+        assert p.fp(1e110) == pytest.approx(3e300 / 1e110 / 1e110 / 1e110 / 1e110, rel=1e-12, abs=0)
         a = harmonic_deviation(ch, 1e160)["tangential"]
-        assert a == pytest.approx(1e300 / 1e160 / 1e160 / 1e160 / 3, rel=1e-12)
+        assert a == pytest.approx(1e300 / 1e160 / 1e160 / 1e160 / 3, rel=1e-12, abs=0)
+
+    def test_far_field_past_float_underflow(self):
+        """Where rbar^(2-n) or z = cs rbar^(2-n) underflows a float while
+        h00, dh00 or m is a normal float, each follows its leading term:
+        h00 = cs r^(2-n), dh00 = (2-n) cs r^(1-n), m = cs rbar^(3-n) / (2(n-2))."""
+        ch = HarmonicChart(SchwarzschildParams(n=5, cs=1e300))
+        for r in (1e120, 1e160):
+            dev = harmonic_deviation(ch, r)
+            assert dev["h00"] == pytest.approx(1e300 / r / r / r, rel=1e-12, abs=0)
+        dh00 = harmonic_deviation(ch, 1e120)["dh00"]
+        assert dh00 == pytest.approx(-3e300 / 1e120 / 1e120 / 1e120 / 1e120, rel=1e-12, abs=0)
+        assert ch.m_mp(1e300)[0] == pytest.approx(1e300 / 1e300 / 1e300 / 6, rel=1e-12, abs=0)
 
     def test_inverse_refuses_inside_chart(self):
         ch = HarmonicChart(SchwarzschildParams(n=5, cs=1.0))
