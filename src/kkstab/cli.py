@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import platform
@@ -257,6 +258,10 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
     config = evolve_mod.EvolutionConfig(
         n=n, dr=float(cfg["dr"]), t_end=float(cfg["t_end"]),
         sample_derivs=3, store_history=False)
+    # t_end sizes the grid, and through it the slice caps; the sweep itself
+    # stops 4 steps past the last slice capture, where the slices end
+    config = dataclasses.replace(config, r_max=config.resolved_r_max(),
+                                 t_end=config.t_start)
     result = evolve_mod.evolve_kg_radial(lam, n, None, config,
                                          slice_s=slice_s)
     clock.lap("evolve")

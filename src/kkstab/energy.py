@@ -40,7 +40,7 @@ def def_integrand(data: SliceData, gamma: GammaBlock | None = None) -> np.ndarra
     yu = ur + (r / t) * ut
     out = (data.s / t) ** 2 * ut ** 2 + yu ** 2 + data.lam * u ** 2
     if gamma is not None:
-        g00, g0r, grr = gamma.c00, gamma.c0r, gamma.crr
+        g00, g0r, grr = gamma.H
         out = out - 2.0 * ((g00 * ut + g0r * ur)
                            - (r / t) * (g0r * ut + grr * ur)) * ut
         out = out + g00 * ut ** 2 + 2.0 * g0r * ut * ur + grr * ur ** 2
@@ -97,21 +97,17 @@ def boosted_energy(data: SliceData, k: int) -> float:
 class GammaBlock:
     """Contravariant perturbation gamma^{ab} on a slice, radially reduced.
 
-    gamma^{00} = c00, gamma^{0i} = c0r x^i/r, gamma^{ij} = crr x^i x^j / r^2.
-    Time and radial derivatives are stored for the identity's flux terms.
+    H = (gamma^00, gamma^0r, gamma^rr) as (3, m) rows, with gamma^{0i} =
+    gamma^0r x^i/r and gamma^{ij} = gamma^rr x^i x^j / r^2; dH_t and dH_r
+    are their time and radial derivatives, for the identity's flux terms.
     """
 
-    c00: np.ndarray
-    c0r: np.ndarray
-    crr: np.ndarray
-    dt00: np.ndarray
-    dt0r: np.ndarray
-    dtrr: np.ndarray
-    dr0r: np.ndarray
-    drrr: np.ndarray
+    H: np.ndarray
+    dH_t: np.ndarray
+    dH_r: np.ndarray
 
     def euclidean_norm(self) -> np.ndarray:
-        return np.sqrt(self.c00 ** 2 + 2.0 * self.c0r ** 2 + self.crr ** 2)
+        return np.sqrt(self.H[0] ** 2 + 2.0 * self.H[1] ** 2 + self.H[2] ** 2)
 
 
 def quasilinear_gamma(comp_slices: list, eps: float) -> GammaBlock:
@@ -123,13 +119,10 @@ def quasilinear_gamma(comp_slices: list, eps: float) -> GammaBlock:
     the latter fed the sampled first derivatives of u.
     """
     h = [eps * c.u for c in comp_slices]
-    c00, c0r, crr = inverse_metric_components(h)
-    dt00, dt0r, dtrr = inverse_metric_derivative(
-        h, [eps * c.ut for c in comp_slices])
-    _, dr0r, drrr = inverse_metric_derivative(
-        h, [eps * c.ur for c in comp_slices])
-    return GammaBlock(c00=c00, c0r=c0r, crr=crr, dt00=dt00, dt0r=dt0r,
-                      dtrr=dtrr, dr0r=dr0r, drrr=drrr)
+    dh_t, dh_r = ([eps * getattr(c, f) for c in comp_slices] for f in ("ut", "ur"))
+    return GammaBlock(np.stack(inverse_metric_components(h)),
+                      np.stack(inverse_metric_derivative(h, dh_t)),
+                      np.stack(inverse_metric_derivative(h, dh_r)))
 
 
 def quasilinear_source(comp_slices: list, eps: float) -> np.ndarray:
@@ -148,15 +141,12 @@ def _gamma_flux_density(data: SliceData, gamma: GammaBlock, n: int) -> np.ndarra
     """
     r = data.r
     safe_r = np.where(r > 0, r, 1.0)
-    div0 = gamma.dt00 + gamma.dr0r + (n - 1) * gamma.c0r / safe_r
-    divr = gamma.dt0r + gamma.drrr + (n - 1) * gamma.crr / safe_r
-    div0 = np.where(r > 0, div0, 0.0)
-    divr = np.where(r > 0, divr, 0.0)
+    div0, divr = np.where(r > 0, gamma.dH_t[:2] + gamma.dH_r[1:]
+                          + (n - 1) * gamma.H[1:] / safe_r, 0.0)
     ut, ur = data.ut, data.ur
     flux = -2.0 * (div0 * ut + divr * ur) * ut
-    flux = flux + (gamma.dt00 * ut ** 2 + 2.0 * gamma.dt0r * ut * ur
-                   + gamma.dtrr * ur ** 2)
-    return flux
+    dt00, dt0r, dtrr = gamma.dH_t
+    return flux + (dt00 * ut ** 2 + 2.0 * dt0r * ut * ur + dtrr * ur ** 2)
 
 
 def energy_identity_residual(slices: dict, s1: float, s2: float,
@@ -184,15 +174,14 @@ def energy_identity_residual(slices: dict, s1: float, s2: float,
     if n is None:
         n = components(ss[0])[0].n
 
+    gammas = {s: gamma_at(s, components(s)) if gamma_at else None for s in ss}
+
     def total_energy(s):
-        comps = components(s)
-        gamma = gamma_at(s, comps) if gamma_at else None
-        return sum(w * hyperboloidal_energy(c, gamma)
-                   for w, c in zip(weights, comps))
+        return sum(w * hyperboloidal_energy(c, gammas[s])
+                   for w, c in zip(weights, components(s)))
 
     def flux(s):
-        comps = components(s)
-        gamma = gamma_at(s, comps) if gamma_at else None
+        comps, gamma = components(s), gammas[s]
         fsrc = f_at(s, comps) if f_at else None
         slc = comps[0].slc
         st = s / comps[0].t

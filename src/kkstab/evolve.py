@@ -406,12 +406,11 @@ class SliceSampler:
 
     @property
     def captured_nodes(self) -> int:
-        return sum(int(np.count_nonzero(e["done"])) for e in self.entries)
+        return int(np.count_nonzero(self._done))
 
     def t_range_needed(self) -> tuple[float, float]:
-        los = [e["tstar"][0] for e in self.entries]
-        his = [e["tstar"][-1] for e in self.entries]
-        return (min(los), max(his)) if los else (np.inf, -np.inf)
+        t = self._tsorted
+        return (t[0], t[-1]) if t.size else (np.inf, -np.inf)
 
     def new_sweep(self, t0: float, dt: float, n_steps: int) -> None:
         """Start a sweep whose row j = 0..n_steps comes at t0 + j * dt,
@@ -625,21 +624,20 @@ def _taylor_step(operator, dt):
     return step
 
 
-def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
-               monitor_every=0, guard_scale=None, blowup_factor=np.inf,
-               cfl_check=None, counts=None, operator=None):
+def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_row=None, counts=None,
+               operator=None):
     """Shared stepping loop of du/dt = v, dv/dt = accel(t, u, v).
 
     Given operator, a linear map L of stacked rows, the system is the linear
     autonomous dv/dt = L u, accel is not called (it may be None), and each
     step applies L twice (`_taylor_step`); otherwise each step runs accel
     four times (`_stage_step`).  Both kernels take the same steps, window,
-    sampler, guard and monitors.
+    sampler and rows.
 
-    on_monitor(j, t, u, v, w) runs at step 0 and every monitor_every steps;
-    from column w - 1 on, u and v hold +0.0 alone.
-    Returns the blow-up time, or None when the guard never fired, and the
-    peak sup|u| that the guard read.
+    Row j = 0..n_steps comes at t = t0 + j * dt: sampler.observe(t, u, v)
+    takes it, as `SliceSampler.new_sweep` announced, and then on_row(j, t,
+    u, v, w), where from column w - 1 on u and v hold +0.0 alone; a true
+    return ends the sweep at that row.  Returns the last row's j.
 
     Active window: a step hands the kernel only the columns [0, last + k +
     2), where `last` bounds the last column in which u or v is not +0.0.
@@ -650,14 +648,12 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     beyond it keeps +0.0, the full-grid step's image of +0.0 data.  accel
     and operator must act column by column, up to the radial stencils, and
     map zero data to zero.  Each step writes fresh full-length u and v (the
-    rows of one new (2, ...) array); the sampler and the history copy what
-    they keep of a row.
+    rows of one new (2, ...) array); the sampler and on_row copy what they
+    keep of a row.
 
     counts, when given, accumulates "steps", "operator_applications" (Taylor
     kernel) or "rhs_evals" (stage kernel), "node_steps" (grid nodes times
     steps) and "active_node_steps" (window nodes times steps).
-    sampler.observe receives row j at t0 + j * dt, j = 0..n_steps, as
-    `SliceSampler.new_sweep` announced.
     """
     if operator is not None:
         step, work, per_step = _taylor_step(operator, dt), "operator_applications", 2
@@ -666,14 +662,13 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
     y = np.stack((u, v))
     u, v = y
     nr = y.shape[-1]
-    active_cols, blowup, peak, j = 0, None, 0.0, 0
-    t = t0
+    active_cols, j, t = 0, 0, t0
     if sampler is not None:
         sampler.new_sweep(t0, dt, n_steps)
         sampler.observe(t, u, v)
-    if on_monitor is not None:
-        on_monitor(0, t, u, v, min(_last_occupied(y) + 2, nr))
-    for j in range(1, n_steps + 1):
+    stop = on_row is not None and on_row(0, t, u, v, min(_last_occupied(y) + 2, nr))
+    while not stop and j < n_steps:
+        j += 1
         if (j - 1) % _RESCAN_EVERY == 0:
             last = _last_occupied(y)
         w = min(last + per_step + 2, nr)
@@ -688,25 +683,14 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_monitor=None,
         t = t0 + j * dt
         if sampler is not None:
             sampler.observe(t, u, v)
-        if j % 50 == 0 or j == n_steps:
-            sup = float(np.max(np.abs(u[..., :w])))
-            if not np.isfinite(sup):
-                raise NaNGuardError(f"non-finite field at t={t:.4f}")
-            peak = max(peak, sup)
-            if guard_scale is not None and sup > blowup_factor * guard_scale:
-                blowup = t
-                break
-            if cfl_check is not None:
-                cfl_check(t, u)
-        if on_monitor is not None and monitor_every and j % monitor_every == 0:
-            on_monitor(j, t, u, v, w)
+        stop = on_row is not None and on_row(j, t, u, v, w)
     if counts is not None:
         nodes_per_col = u.size // nr
         counts["steps"] += j
         counts[work] += per_step * j
         counts["node_steps"] += j * nr * nodes_per_col
         counts["active_node_steps"] += active_cols * nodes_per_col
-    return blowup, peak
+    return j
 
 
 def _prepare_init(init, r, config, lead):
@@ -749,19 +733,39 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
     return cap
 
 
-def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
-            lead=(), operator=None, slice_s=(), slice_r_cap=None, cfl_check=None,
+#: steps between the blow-up guard's reads, which also read the last step
+_GUARD_EVERY = 50
+
+
+def _guard_sup(j, n_steps, t, u, w):
+    """sup|u| over the window at the guard's rows, every _GUARD_EVERY steps
+    and the last of n_steps (None at row 0 and the others); a non-finite
+    field raises NaNGuardError."""
+    if j == 0 or (j % _GUARD_EVERY and j != n_steps):
+        return None
+    sup = float(np.max(np.abs(u[..., :w])))
+    if not np.isfinite(sup):
+        raise NaNGuardError(f"non-finite field at t={t:.4f}")
+    return sup
+
+
+def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
+            operator=None, slice_s=(), slice_r_cap=None, cfl_check=None,
             snapshot=None, margins=None):
     """The one evolution driver of the radial and quasilinear runs.
 
     Builds the grid r, the initial data (`_prepare_init`, of shape lead +
-    r.shape), the slice sampler and the stored history, and
-    steps dv/dt = accel(t, u, v), or the linear dv/dt = operator(u) (see
-    `_run_sweep`); monitor_row(t, u, v, w) -> {column: value}, w as there,
-    runs every config.monitor_every steps.  The forward sweep stops when
-    sup|u| exceeds config.blowup_factor * max|u0| (no guard for zero u0);
-    unless it did, a backward sweep completes the slices that reach below
-    t_start.  Both sweeps step the light-cone active window (`_run_sweep`).
+    r.shape), the slice sampler and the stored history, and steps
+    dv/dt = accel(t, u, v), or the linear dv/dt = operator(u), on the
+    light-cone window (`_run_sweep`).  Each forward row meets, in order:
+    the guard (`_guard_sup`), which ends the sweep before the row is kept
+    when sup|u| > config.blowup_factor * max|u0| (never for zero u0), and
+    otherwise runs cfl_check(t, u); the history, every store_every steps;
+    the monitors, every monitor_every steps: t, sup |u|, support_radius of
+    |u| + dt |v|, energy (E_h at lam, summed with E_WEIGHTS over the
+    surrogate's components) and |u| at each observer ("obs_r<radius>").
+    Unless the guard fired, a backward sweep, whose rows meet the guard's
+    NaN check alone, completes the slices that reach below t_start.
     The history is stored when config.store_history is set, or into a
     snapshot file when snapshot, a function (t0, dt, shape) ->
     `fields.SnapshotWriter`, is given: the file is closed with the rows
@@ -800,43 +804,55 @@ def _evolve(config: EvolutionConfig, init, accel=None, monitor_row=None, *,
         history = _History(writer.u, writer.v)
     elif config.store_history:
         history = _History(np.empty((nt,) + u0.shape), np.empty((nt,) + u0.shape))
-    mon: dict[str, list] = {}
+    observers = [(f"obs_r{ro:g}", int(round(ro / dr))) for ro in config.observers]
+    surrogate, rows = config.nonlinearity == "quasilinear-toy", []
+    guard_scale = float(np.max(np.abs(u0))) or None
+    limit = config.blowup_factor * guard_scale if guard_scale else math.inf
+    peak, blow = 0.0, None
 
-    def on_monitor(j, t, u, v, w):
+    def on_row(j, t, u, v, w):
+        nonlocal peak, blow
+        sup = _guard_sup(j, n_steps, t, u, w)
+        if sup is not None:
+            peak = max(peak, sup)
+            if sup > limit:
+                blow = t
+                return True
+            if cfl_check is not None:
+                cfl_check(t, u)
         if history is not None and j % config.store_every == 0:
             history.record(t, u=u, v=v)
-        if monitor_row is not None and j % config.monitor_every == 0:
-            for key, val in monitor_row(t, u, v, w).items():
-                mon.setdefault(key, []).append(val)
+        if j % config.monitor_every == 0:
+            uw, vw = u[..., :w], v[..., :w]
+            e = discrete_energy(uw, vw, dr, config.n, lam)
+            rows.append({"t": t, "sup": float(np.max(np.abs(uw))),
+                         "support_radius": _support_radius(np.abs(uw) + dt * np.abs(vw), dr),
+                         "energy": float(np.dot(E_WEIGHTS, e) if surrogate else np.sum(e)),
+                         **{name: float(np.abs(u[..., col])) for name, col in observers}})
+        return False
 
-    # monitor callback does double duty as history recorder; force every
-    # store_every step through it
-    every = math.gcd(config.store_every, config.monitor_every)
     counts: Counter = Counter()
-    guard_scale = float(np.max(np.abs(u0))) or None
     with writer or contextlib.nullcontext():
-        blow, peak = _run_sweep(
-            u0, v0, config.t_start, n_steps, dt, accel, sampler,
-            on_monitor=on_monitor, monitor_every=every, guard_scale=guard_scale,
-            blowup_factor=config.blowup_factor, cfl_check=cfl_check, counts=counts,
-            operator=operator,
-        )
+        _run_sweep(u0, v0, config.t_start, n_steps, dt, accel, sampler, on_row,
+                   counts=counts, operator=operator)
         if blow is None and sampler is not None:
             t_lo = sampler.t_range_needed()[0]
             if t_lo < config.t_start:
                 n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
+
+                def nan_check(j, t, u, v, w):
+                    _guard_sup(j, n_back, t, u, w)
+
                 _run_sweep(u0, v0, config.t_start, n_back, -dt, accel, sampler,
-                           counts=counts, operator=operator)
+                           nan_check, counts=counts, operator=operator)
         if writer is not None:
             writer.close(len(history.t), _row_dt(config, len(history.t)))
-    if sampler is not None:
-        counts["captured_nodes"] = sampler.captured_nodes
-        counts["gathered_columns"] = sampler.gathered_columns
-    else:
-        counts["captured_nodes"] = counts["gathered_columns"] = 0
-    monitors = {k: np.array(vals) for k, vals in mon.items()}
+    for key in ("captured_nodes", "gathered_columns"):
+        counts[key] = getattr(sampler, key) if sampler is not None else 0
+    # row 0 is a monitor row of every run
+    monitors = {k: np.array([row[k] for row in rows]) for k in rows[0]}
     if margins is not None and guard_scale is not None:
-        margins["blowup_margin"] = peak / (config.blowup_factor * guard_scale)
+        margins["blowup_margin"] = peak / limit
     return (history, monitors, None if blow is not None else sampler, blow,
             dict(counts))
 
@@ -904,20 +920,11 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
         raise ValueError(f"n={n} differs from config.n={config.n}")
     config.check_model("linear")
     margins = {"rk4_margin": _check_lam(lam, config)}
-    dr, dt = config.dr, config.dt
-    observers = [(f"obs_r{ro:g}", int(round(ro / dr))) for ro in config.observers]
-
-    def monitor_row(t, u, v, w):
-        row = {"t": t, "sup": float(np.max(np.abs(u[:w]))),
-               "support_radius": _support_radius(np.abs(u[:w]) + dt * np.abs(v[:w]), dr),
-               "energy": float(discrete_energy(u[:w], v[:w], dr, n, lam))}
-        row.update((name, float(np.abs(u[col]))) for name, col in observers)
-        return row
-
+    dr = config.dr
     opener = (None if snapshot is None else
               functools.partial(SnapshotWriter, snapshot, n=n, lam=lam, dr=dr))
     history, monitors, sampler, blow, counts = _evolve(
-        config, init, monitor_row=monitor_row, operator=_linear_operator(n, dr, lam),
+        config, init, lam, operator=_linear_operator(n, dr, lam),
         slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=opener, margins=margins)
     field_ = None
     if snapshot is not None:
@@ -1085,16 +1092,10 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
                 f"perturbed characteristic speed {speed:.3f} breaks RK4 stability "
                 f"at t={t:.3f}: margin {margin:.3f} > 1")
 
-    def monitor_row(t, u, v, w):
-        energies = discrete_energy(u[:, :w], v[:, :w], dr, config.n, lam)
-        return {"t": t, "sup": float(np.max(np.abs(u[:, :w]))),
-                "support_radius": _support_radius(u[:, :w], dr),
-                "energy": float(np.dot(E_WEIGHTS, energies))}
-
     if init is None:
         init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
     history, monitors, sampler, blow, counts = _evolve(
-        config, init, monitor_row=monitor_row, lead=(3,), **_quasilinear_rhs(config, lam),
+        config, init, lam, lead=(3,), **_quasilinear_rhs(config, lam),
         slice_s=slice_s, slice_r_cap=slice_r_cap,
         cfl_check=cfl_check if eps != 0.0 else None, margins=margins)
     comp_slices = {} if sampler is None else {

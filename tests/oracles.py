@@ -191,7 +191,7 @@ def evolve_full_grid_torus(n: int, torus, init, config: ev.EvolutionConfig,
         return lap_r + lap_th
 
     history = ev._evolve(dataclasses.replace(config, store_history=True),
-                         (on_mesh(init[0]), on_mesh(init[1])), accel,
+                         (on_mesh(init[0]), on_mesh(init[1])), 0.0, accel,
                          lead=(m_theta,))[0]
     return np.array(history.t), history["u"]
 
@@ -520,8 +520,7 @@ SMALLNESS_EPS = 0.05
 
 def zero_gamma(shape) -> GammaBlock:
     """The gamma block that vanishes, with its derivatives, on every node."""
-    z = np.zeros(shape)
-    return GammaBlock(*(z.copy() for _ in range(8)))
+    return GammaBlock(*(np.zeros((3,) + tuple(shape)) for _ in range(3)))
 
 
 def integrable(n: int) -> bool:

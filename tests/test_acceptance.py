@@ -203,8 +203,8 @@ def test_energy_equivalence_window():
 
     def gamma_of(delta):
         g = zero_gamma(shape)
-        g.c00 += delta * profile
-        g.crr -= 0.5 * delta * profile
+        g.H[0] += delta * profile
+        g.H[2] -= 0.5 * delta * profile
         return g
 
     unit_sup = float(np.max(data.t * gamma_of(1.0).euclidean_norm()))
