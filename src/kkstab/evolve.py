@@ -26,7 +26,7 @@ import contextlib
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 
 import numpy as np
@@ -414,7 +414,8 @@ class SliceSampler:
 
     def new_sweep(self, t0: float, dt: float, n_steps: int) -> None:
         """Start a sweep whose row j = 0..n_steps comes at t0 + j * dt,
-        the floats `_run_sweep` passes to `observe`."""
+        the floats of `_run_sweep`'s rows, which `_evolve` passes to
+        `observe`."""
         self._flush()
         self._t0, self._dt, self._n_steps = t0, dt, n_steps
         self._row = self._next = 0
@@ -536,29 +537,6 @@ def _support_radius(u: np.ndarray, dr: float, tol: float = 1e-12) -> float:
     return float(nz[-1]) * dr if len(nz) else 0.0
 
 
-class _History:
-    """Decimated rows of a sweep, written into row stores sized for the whole
-    run: arrays, or the blocks of a snapshot file (`fields.SnapshotWriter`).
-
-    Rows come at steps 0, every, 2 every, ...; store[k] = row takes row k.
-    Indexing by field name gives the rows written so far to an array store,
-    fewer than allocated after an early return.
-    """
-
-    def __init__(self, u, v):
-        self.t: list[float] = []
-        self._rows = {"u": u, "v": v}
-
-    def record(self, t: float, **rows) -> None:
-        k = len(self.t)
-        self.t.append(t)
-        for f, row in rows.items():
-            self._rows[f][k] = row
-
-    def __getitem__(self, f: str) -> np.ndarray:
-        return self._rows[f][:len(self.t)]
-
-
 #: steps between exact rescans of the last occupied column
 _RESCAN_EVERY = 64
 
@@ -624,19 +602,17 @@ def _taylor_step(operator, dt):
     return step
 
 
-def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_row=None, counts=None,
-               operator=None):
+def _run_sweep(u, v, t0, n_steps, dt, accel, on_row=None, counts=None, operator=None):
     """Shared stepping loop of du/dt = v, dv/dt = accel(t, u, v).
 
     Given operator, a linear map L of stacked rows, the system is the linear
     autonomous dv/dt = L u, accel is not called (it may be None), and each
     step applies L twice (`_taylor_step`); otherwise each step runs accel
-    four times (`_stage_step`).  Both kernels take the same steps, window,
-    sampler and rows.
+    four times (`_stage_step`).  Both kernels take the same steps, window
+    and rows.
 
-    Row j = 0..n_steps comes at t = t0 + j * dt: sampler.observe(t, u, v)
-    takes it, as `SliceSampler.new_sweep` announced, and then on_row(j, t,
-    u, v, w), where from column w - 1 on u and v hold +0.0 alone; a true
+    Row j = 0..n_steps comes at t = t0 + j * dt, and on_row(j, t, u, v, w)
+    takes it, where from column w - 1 on u and v hold +0.0 alone; a true
     return ends the sweep at that row.  Returns the last row's j.
 
     Active window: a step hands the kernel only the columns [0, last + k +
@@ -648,8 +624,7 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_row=None, counts=None,
     beyond it keeps +0.0, the full-grid step's image of +0.0 data.  accel
     and operator must act column by column, up to the radial stencils, and
     map zero data to zero.  Each step writes fresh full-length u and v (the
-    rows of one new (2, ...) array); the sampler and on_row copy what they
-    keep of a row.
+    rows of one new (2, ...) array); on_row copies what it keeps of a row.
 
     counts, when given, accumulates "steps", "operator_applications" (Taylor
     kernel) or "rhs_evals" (stage kernel), "node_steps" (grid nodes times
@@ -663,9 +638,6 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_row=None, counts=None,
     u, v = y
     nr = y.shape[-1]
     active_cols, j, t = 0, 0, t0
-    if sampler is not None:
-        sampler.new_sweep(t0, dt, n_steps)
-        sampler.observe(t, u, v)
     stop = on_row is not None and on_row(0, t, u, v, min(_last_occupied(y) + 2, nr))
     while not stop and j < n_steps:
         j += 1
@@ -681,8 +653,6 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_row=None, counts=None,
         u, v = y
         active_cols += w
         t = t0 + j * dt
-        if sampler is not None:
-            sampler.observe(t, u, v)
         stop = on_row is not None and on_row(j, t, u, v, w)
     if counts is not None:
         nodes_per_col = u.size // nr
@@ -694,6 +664,8 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, sampler, on_row=None, counts=None,
 
 
 def _prepare_init(init, r, config, lead):
+    """(u0, v0, R): the initial data on r, of shape lead + r.shape, and the
+    radius R of their support, which must lie in r <= t_start - 2."""
     if init is None:
         init = default_pulse, np.zeros_like
     u0, v0 = (np.array(f(r) if callable(f) else f, dtype=float) for f in init)
@@ -704,16 +676,22 @@ def _prepare_init(init, r, config, lead):
     if sup_r > config.t_start - 2.0 + 1e-9:
         raise ValueError(f"initial support radius {sup_r:.3f} exceeds t_start - 2 = "
                          f"{config.t_start - 2.0} for t_start={config.t_start}")
-    return u0, v0
+    return u0, v0, sup_r
 
 
-def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
+def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float, t_start: float,
+                    support: float):
     """Default capture cap: full slice if it fits, else the grid edge.
 
-    Truncating at the grid edge is exact when the edge lies outside the
-    solution's light cone on the slice (support radius (s^2 - 4)/4 for data
-    supported in r <= t_start - 2 = 2); otherwise the grid cannot hold the
-    slice and we refuse.
+    The full slice ends at r = (s^2 - 1)/2, t = (s^2 + 1)/2.  Data supported
+    in r <= support at t_start stay in r <= support + |t - t_start|, so the
+    cut there is exact when s^2 >= t_start + support (always when the end
+    comes after t_start, as support <= t_start - 2); a slice whose end lies
+    inside the data's backward light cone is refused.  Truncating at the
+    grid edge is exact when the edge lies outside the solution's light cone
+    on the slice (support radius (s^2 - 4)/4 for data supported in
+    r <= t_start - 2 = 2); otherwise the grid cannot hold the slice and we
+    refuse.  A given slice_r_cap is taken as it is.
     """
     if slice_r_cap is not None:
         return slice_r_cap
@@ -721,6 +699,12 @@ def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float):
 
     def cap(s):
         full = (s * s - 1.0) / 2.0
+        if s * s < t_start + support:
+            raise ValueError(
+                f"slice s={s} ends at r={full:g}, t={full + 1.0:g}, inside the backward "
+                f"light cone of the data (support r <= {support:g} at t_start="
+                f"{t_start:g}), where the field is not zero; take s^2 >= t_start + "
+                f"{support:g} = {t_start + support:g} or pass slice_r_cap")
         if full <= r_top:
             return full
         if (s * s - 4.0) / 4.0 + 2.0 <= r_top:
@@ -751,42 +735,45 @@ def _guard_sup(j, n_steps, t, u, w):
 
 def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
             operator=None, slice_s=(), slice_r_cap=None, cfl_check=None,
-            snapshot=None, margins=None):
+            snapshot=None, margins=None) -> EvolutionResult:
     """The one evolution driver of the radial and quasilinear runs.
 
     Builds the grid r, the initial data (`_prepare_init`, of shape lead +
     r.shape), the slice sampler and the stored history, and steps
     dv/dt = accel(t, u, v), or the linear dv/dt = operator(u), on the
-    light-cone window (`_run_sweep`).  Each forward row meets, in order:
-    the guard (`_guard_sup`), which ends the sweep before the row is kept
-    when sup|u| > config.blowup_factor * max|u0| (never for zero u0), and
-    otherwise runs cfl_check(t, u); the history, every store_every steps;
-    the monitors, every monitor_every steps: t, sup |u|, support_radius of
-    |u| + dt |v|, energy (E_h at lam, summed with E_WEIGHTS over the
-    surrogate's components) and |u| at each observer ("obs_r<radius>").
-    Unless the guard fired, a backward sweep, whose rows meet the guard's
-    NaN check alone, completes the slices that reach below t_start.
+    light-cone window (`_run_sweep`).  Before each sweep the sampler hears
+    of its times (`SliceSampler.new_sweep`).  Each forward row meets, in
+    order: the sampler (`SliceSampler.observe`); the guard (`_guard_sup`),
+    which ends the sweep before the row is kept when sup|u| >
+    config.blowup_factor * max|u0| (never for zero u0), and otherwise runs
+    cfl_check(t, u); the history, every store_every steps; the monitors,
+    every monitor_every steps: t, sup |u|, support_radius of |u| + dt |v|,
+    energy (E_h at lam, summed with E_WEIGHTS over the surrogate's
+    components) and |u| at each observer ("obs_r<radius>").  Unless the
+    guard fired, a backward sweep, whose rows meet the sampler and the
+    guard's NaN check alone, completes the slices that reach below t_start.
     The history is stored when config.store_history is set, or into a
     snapshot file when snapshot, a function (t0, dt, shape) ->
     `fields.SnapshotWriter`, is given: the file is closed with the rows
     written when the sweeps return, and removed when they raise.
     margins, a dict, gets "blowup_margin", the forward sweep's peak sup|u|
     over blowup_factor * max|u0| (none for zero u0).
-    Returns (history, monitors, sampler, blowup_time, counts); the sampler
-    is None without slices or after a blow-up, and counts are the sweeps'
+
+    Returns the EvolutionResult: field is the ModeField of the stored rows
+    over lead + r.shape (None for a snapshot run or without history),
+    slices the sampler's (none after a blow-up), and counts the sweeps'
     work counts with the sampler's "captured_nodes" and "gathered_columns"
     (0 without slices).
     """
     dr, dt = config.dr, config.dt
     r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
-    u0, v0 = _prepare_init(init, r, config, lead)
+    u0, v0, support = _prepare_init(init, r, config, lead)
 
     sampler, t_end = None, config.t_end
     if slice_s:
-        sampler = SliceSampler(sorted(slice_s), config.n, dr,
-                               max_b=config.sample_derivs,
-                               r_cap=_auto_slice_cap(slice_r_cap, len(r), dr),
-                               leading_shape=u0.shape[:-1])
+        cap = _auto_slice_cap(slice_r_cap, len(r), dr, config.t_start, support)
+        sampler = SliceSampler(sorted(slice_s), config.n, dr, max_b=config.sample_derivs,
+                               r_cap=cap, leading_shape=u0.shape[:-1])
         for entry in sampler.entries:
             if entry["cols"].max() > len(r) - 4:
                 raise ValueError(
@@ -796,14 +783,18 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
         t_end = max(t_end, sampler.t_range_needed()[1] + 4 * dt)
     n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
 
-    nt = n_steps // config.store_every + 1
-    history = writer = None
+    # the stored rows come every store_every steps; their spacing is t_1 - t_0
+    # of the row times as `_run_sweep` forms them, or store_every steps for a
+    # single row, the same float in a snapshot's header at open and at close
+    nt, every = n_steps // config.store_every + 1, config.store_every * dt
+    row_dt = (config.t_start + every) - config.t_start
+    times, store, writer = [], None, None
     if snapshot is not None:
-        writer = snapshot(t0=config.t_start, dt=_row_dt(config, nt),
+        writer = snapshot(t0=config.t_start, dt=row_dt if nt > 1 else every,
                           shape=(nt,) + u0.shape)
-        history = _History(writer.u, writer.v)
+        store = writer.u, writer.v
     elif config.store_history:
-        history = _History(np.empty((nt,) + u0.shape), np.empty((nt,) + u0.shape))
+        store = np.empty((nt,) + u0.shape), np.empty((nt,) + u0.shape)
     observers = [(f"obs_r{ro:g}", int(round(ro / dr))) for ro in config.observers]
     surrogate, rows = config.nonlinearity == "quasilinear-toy", []
     guard_scale = float(np.max(np.abs(u0))) or None
@@ -812,6 +803,8 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
 
     def on_row(j, t, u, v, w):
         nonlocal peak, blow
+        if sampler is not None:
+            sampler.observe(t, u, v)
         sup = _guard_sup(j, n_steps, t, u, w)
         if sup is not None:
             peak = max(peak, sup)
@@ -820,8 +813,9 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
                 return True
             if cfl_check is not None:
                 cfl_check(t, u)
-        if history is not None and j % config.store_every == 0:
-            history.record(t, u=u, v=v)
+        if store is not None and j % config.store_every == 0:
+            store[0][len(times)], store[1][len(times)] = u, v
+            times.append(t)
         if j % config.monitor_every == 0:
             uw, vw = u[..., :w], v[..., :w]
             e = discrete_energy(uw, vw, dr, config.n, lam)
@@ -833,7 +827,9 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
 
     counts: Counter = Counter()
     with writer or contextlib.nullcontext():
-        _run_sweep(u0, v0, config.t_start, n_steps, dt, accel, sampler, on_row,
+        if sampler is not None:
+            sampler.new_sweep(config.t_start, dt, n_steps)
+        _run_sweep(u0, v0, config.t_start, n_steps, dt, accel, on_row,
                    counts=counts, operator=operator)
         if blow is None and sampler is not None:
             t_lo = sampler.t_range_needed()[0]
@@ -841,37 +837,30 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
                 n_back = int(math.ceil((config.t_start - t_lo) / dt)) + 4
 
                 def nan_check(j, t, u, v, w):
+                    sampler.observe(t, u, v)
                     _guard_sup(j, n_back, t, u, w)
 
-                _run_sweep(u0, v0, config.t_start, n_back, -dt, accel, sampler,
-                           nan_check, counts=counts, operator=operator)
+                sampler.new_sweep(config.t_start, -dt, n_back)
+                _run_sweep(u0, v0, config.t_start, n_back, -dt, accel, nan_check,
+                           counts=counts, operator=operator)
+        row_dt = row_dt if len(times) > 1 else every
         if writer is not None:
-            writer.close(len(history.t), _row_dt(config, len(history.t)))
+            writer.close(len(times), row_dt)
     for key in ("captured_nodes", "gathered_columns"):
         counts[key] = getattr(sampler, key) if sampler is not None else 0
-    # row 0 is a monitor row of every run
-    monitors = {k: np.array([row[k] for row in rows]) for k in rows[0]}
-    if margins is not None and guard_scale is not None:
+    margins = {} if margins is None else margins
+    if guard_scale is not None:
         margins["blowup_margin"] = peak / limit
-    return (history, monitors, None if blow is not None else sampler, blow,
-            dict(counts))
-
-
-def _row_dt(config: EvolutionConfig, rows: int) -> float:
-    """Time between stored rows: t_1 - t_0 of the row times as `_run_sweep`
-    forms them, or store_every steps when one row is stored."""
-    if rows > 1:
-        return (config.t_start + config.store_every * config.dt) - config.t_start
-    return config.dt * config.store_every
-
-
-def _mode_field(history: _History, lam: float, config: EvolutionConfig,
-                c=Ellipsis) -> ModeField:
-    """ModeField of the stored rows (of leading component c)."""
-    return ModeField(
-        lam=lam, n=config.n, t0=history.t[0], dt=_row_dt(config, len(history.t)),
-        dr=config.dr, u=history["u"][:, c], v=history["v"][:, c],
-    )
+    field_ = None
+    if store is not None and writer is None:
+        field_ = ModeField(lam=lam, n=config.n, t0=times[0], dt=row_dt, dr=dr,
+                           u=store[0][:len(times)], v=store[1][:len(times)])
+    return EvolutionResult(
+        config=config, lam=lam, field=field_,
+        # row 0 is a monitor row of every run
+        monitors={k: np.array([row[k] for row in rows]) for k in rows[0]},
+        slices=sampler.slice_data(lam) if sampler is not None and blow is None else {},
+        blowup_time=blow, counts=dict(counts), margins=margins)
 
 
 def _check_lam(lam: float, config: EvolutionConfig) -> float:
@@ -923,18 +912,10 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     dr = config.dr
     opener = (None if snapshot is None else
               functools.partial(SnapshotWriter, snapshot, n=n, lam=lam, dr=dr))
-    history, monitors, sampler, blow, counts = _evolve(
-        config, init, lam, operator=_linear_operator(n, dr, lam),
-        slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=opener, margins=margins)
-    field_ = None
-    if snapshot is not None:
-        field_ = read_snapshot(snapshot, mmap=True)
-    elif history is not None:
-        field_ = _mode_field(history, lam, config)
-    return EvolutionResult(
-        config=config, lam=lam, monitors=monitors, blowup_time=blow,
-        counts=counts, margins=margins, field=field_,
-        slices=sampler.slice_data(lam) if sampler is not None else {})
+    res = _evolve(config, init, lam, operator=_linear_operator(n, dr, lam),
+                  slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=opener,
+                  margins=margins)
+    return res if snapshot is None else replace(res, field=read_snapshot(snapshot, mmap=True))
 
 
 # ---------------------------------------------------------------------------
@@ -1094,19 +1075,16 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
 
     if init is None:
         init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
-    history, monitors, sampler, blow, counts = _evolve(
-        config, init, lam, lead=(3,), **_quasilinear_rhs(config, lam),
-        slice_s=slice_s, slice_r_cap=slice_r_cap,
-        cfl_check=cfl_check if eps != 0.0 else None, margins=margins)
-    comp_slices = {} if sampler is None else {
-        s: [SliceData(d.slc, lam, {k: a[c] for k, a in d.samples.items()})
-            for c in range(3)]
-        for s, d in sampler.slice_data(lam).items()}
-    return EvolutionResult(
-        config=config, lam=lam, field=None, monitors=monitors, blowup_time=blow,
-        counts=counts, margins=margins, component_slices=comp_slices,
-        component_fields=(None if history is None else
-                          [_mode_field(history, lam, config, c) for c in range(3)]))
+    res = _evolve(config, init, lam, lead=(3,), **_quasilinear_rhs(config, lam),
+                  slice_s=slice_s, slice_r_cap=slice_r_cap,
+                  cfl_check=cfl_check if eps != 0.0 else None, margins=margins)
+    comps = None if res.field is None else [
+        replace(res.field, u=res.field.u[:, c], v=res.field.v[:, c]) for c in range(3)]
+    return replace(res, field=None, slices={}, component_fields=comps,
+                   component_slices={
+                       s: [SliceData(d.slc, lam, {k: a[c] for k, a in d.samples.items()})
+                           for c in range(3)]
+                       for s, d in res.slices.items()})
 
 
 def write_monitor_csv(path, monitors: dict) -> None:

@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import sympy as sp
 from scipy.optimize import brentq
 
 from kkstab import evolve as ev
@@ -190,10 +191,100 @@ def evolve_full_grid_torus(n: int, torus, init, config: ev.EvolutionConfig,
         lap_th = np.fft.irfft(minus_k2 * np.fft.rfft(u, axis=0), n=m_theta, axis=0)
         return lap_r + lap_th
 
-    history = ev._evolve(dataclasses.replace(config, store_history=True),
-                         (on_mesh(init[0]), on_mesh(init[1])), 0.0, accel,
-                         lead=(m_theta,))[0]
-    return np.array(history.t), history["u"]
+    field = ev._evolve(dataclasses.replace(config, store_history=True),
+                       (on_mesh(init[0]), on_mesh(init[1])), 0.0, accel,
+                       lead=(m_theta,)).field
+    return field.t0 + field.dt * np.arange(len(field.u)), field.u
+
+
+# ---------------------------------------------------------------------------
+# Exact solutions of the radial wave equation
+
+
+def full_grid_laplacian(u, dr, n):
+    """Oracle: the flux-form Laplacian with 1/dr^2 folded into coefficients
+    built for this array's own length."""
+    size = u.shape[-1]
+    k = np.arange(1, size - 1, dtype=float)
+    cp = ((k + 0.5) / k) ** (n - 1) / dr ** 2
+    cm = ((k - 0.5) / k) ** (n - 1) / dr ** 2
+    out = np.empty_like(u)
+    d = u[..., 1:] - u[..., :-1]
+    out[..., 1:-1] = cp * d[..., 1:] - cm * d[..., :-1]
+    out[..., 0] = 2.0 * n / dr ** 2 * d[..., 0]
+    out[..., -1] = 0.0
+    return out
+
+
+def odd_n_wave(n: int, power: int = 12, width: int = 2):
+    """The exact lam = 0 radial wave of odd n from zero velocity, as
+    u(tau, r) with tau = t - t_start (arrays of one shape, tau >= 0).
+
+    With k = (n - 1)/2 and the even profile Phi(x) = (1 - x^2/W^2)^P on
+    |x| < W (0 outside), u = (1/r d_r)^k [Phi(r + tau) + Phi(r - tau)] / c
+    solves u_tt = u_rr + (n - 1)/r u_r: (1/r) d_r maps radial waves in
+    dimension m to radial waves in dimension m + 2.  c makes u(0, 0) = 1.
+    The data are supported in r <= W.  For r < W - tau both terms are
+    inside, their sum is a polynomial S in q = r^2, and u = (2 d_q)^k S / c
+    is evaluated without the cancellation of 1/r near the axis; for
+    |r - tau| < W <= r + tau one term is left; elsewhere u = 0.  P > 2k
+    keeps Phi^(2k), and with it the axis value, continuous.
+    """
+    k = (n - 1) // 2
+    if n % 2 != 1 or power <= 2 * k:
+        raise ValueError(f"n={n} must be odd and power={power} above n - 1")
+    x, r, q, tau = sp.symbols("x r q tau", real=True)
+    phi = (1 - x ** 2 / sp.Integer(width) ** 2) ** power
+    both = sp.Poly(sp.expand(phi.subs(x, r + tau) + phi.subs(x, r - tau)), r)
+    inner = sum(coef * q ** (deg // 2) for (deg,), coef in both.terms())
+    inner = 2 ** k * sp.diff(inner, q, k)
+    c = inner.subs({q: 0, tau: 0})
+    outer = phi.subs(x, r - tau)
+    for _ in range(k):
+        outer = sp.diff(outer, r) / r
+    inner = sp.lambdify((q, tau), sp.expand(inner / c), "numpy")
+    outer = sp.lambdify((r, tau), outer / c, "numpy")
+
+    def u(tau_, r_):
+        tau_, r_ = np.broadcast_arrays(np.asarray(tau_, float), np.asarray(r_, float))
+        out = np.zeros(tau_.shape)
+        a = r_ < width - tau_
+        out[a] = inner(r_[a] ** 2, tau_[a])
+        # r = 0 lies in the one-term region only at tau >= W, where u = 0
+        b = ~a & (np.abs(r_ - tau_) < width) & (r_ > 0)
+        out[b] = outer(r_[b], tau_[b])
+        return out
+
+    return u
+
+
+def semi_discrete_solution(n: int, dr: float, lam: float, u0, v0, t):
+    """(u, v) at the times t (an array, measured from the data's time) of
+    the semi-discrete system du/dt = v, dv/dt = (L - lam) u, exact in time.
+
+    L is `full_grid_laplacian` on the grid of u0, read off as a matrix, with
+    the Dirichlet edge column held at 0.  It is tridiagonal with positive
+    products of opposite off-diagonal entries, so D L D^-1 = S is symmetric
+    for the diagonal D with D_(i+1) / D_i = sqrt(L_(i,i+1) / L_(i+1,i));
+    `eigh_tridiagonal` gives S = Q diag(mu) Q^T, and with omega = sqrt(lam
+    - mu), u(t) = D^-1 Q (cos(omega t) a + sin(omega t) / omega b) for
+    a = Q^T D u0 and b = Q^T D v0.  Returns arrays of shape t.shape + u0.shape.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    m = u0.shape[-1] - 1
+    L = full_grid_laplacian(np.eye(m + 1), dr, n).T[:m, :m]
+    up, down = np.diag(L, 1), np.diag(L, -1)
+    d = np.concatenate(([1.0], np.cumprod(np.sqrt(up / down))))
+    mu, Q = eigh_tridiagonal(np.diag(L), np.sqrt(up * down))
+    omega = np.sqrt(lam - mu)
+    a, b = Q.T @ (d * u0[:m]), Q.T @ (d * v0[:m])
+    wt = np.multiply.outer(np.asarray(t, float), omega)
+    cos, sin = np.cos(wt), np.sin(wt)
+    u, v = np.zeros(wt.shape[:-1] + (m + 1,)), np.zeros(wt.shape[:-1] + (m + 1,))
+    u[..., :m] = ((cos * a + sin / omega * b) @ Q.T) / d
+    v[..., :m] = ((-omega * sin * a + cos * b) @ Q.T) / d
+    return u, v
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,8 @@ class TestDomainErrors:
          "lam_end=1e+200 must be finite, above lam=0.0 and less than 1.34e+154 past it"),
         (["geodesic", "--r0", "1e300", "--lam-end", "1e308"],
          "lam_end=1e+308 must be finite, above lam=0.0 and less than 1.34e+154 past it"),
+        (["energy", "--slice-s", "2,3", "--t-end", "10", "--dr", "0.125"],
+         "slice s=2.0 ends at r=1.5, t=2.5, inside the backward light cone of the data"),
     ], ids=["schwarzschild", "geodesic", "energy", "energy-slice-s-empty", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
@@ -492,7 +494,8 @@ class TestDomainErrors:
             "energy-dr-subnormal", "evolve-dr-tiny", "energy-dr-tiny", "evolve-n14",
             "energy-n2000", "spectrum-file-missing", "spectrum-file-directory",
             "schwarzschild-cs-subnormal", "schwarzschild-cs-partly-subnormal",
-            "geodesic-lam-end-1e200", "geodesic-r0-1e300-lam-end-1e308"])
+            "geodesic-lam-end-1e200", "geodesic-r0-1e300-lam-end-1e308",
+            "energy-slice-in-the-backward-cone"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, _ = run_cli(args, tmp_path, args[0])
         assert code == 2
@@ -737,7 +740,7 @@ class TestEveryKeyIsRead:
         ("evolve", "t_end"): "9",
         ("evolve", "dr"): "0.0625",
         ("evolve", "eps"): "1e-3",
-        ("evolve", "slice_s"): "2",
+        ("evolve", "slice_s"): "2.5",
         ("energy", "n"): "5",
         ("energy", "lam"): "1",
         ("energy", "t_end"): "9",
@@ -757,7 +760,7 @@ class TestEveryKeyIsRead:
     EXCEPTIONS = {
         # a cross-check of periods: a value that disagrees is refused
         ("spectrum", "d"): "exit 2",
-        # no artifact holds evolve's captures yet; s = 2 lies before
+        # no artifact holds evolve's captures yet; s = 2.5 lies before
         # t_start, so the forward sweep is not lengthened
         ("evolve", "slice_s"): "same artifacts",
     }
