@@ -119,9 +119,38 @@ def write_resolved(outdir: Path, sub: str, cfg: dict) -> None:
     (outdir / "resolved-config.ini").write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1,
-                               default=energy_mod._jsonable) + "\n")
+#: first line of energy-report.json, above its JSON body
+REPORT_MAGIC = "kkstab-report v1"
+
+
+def _jsonable(obj):
+    """obj with NumPy scalars and arrays, tuples and dataclasses made JSON
+    types, and dict keys made strings: before `json.dumps`, so that
+    sort_keys orders float keys as strings ("10.0" < "4.0")."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(dataclasses.asdict(obj))
+    return obj
+
+
+def _write_json(path: Path, payload, magic: str = "") -> None:
+    """payload as sorted, indented JSON, under the magic line when one is given."""
+    body = json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n"
+    path.write_text(f"{magic}\n{body}" if magic else body)
+
+
+def _write_csv(path: Path, header: str, rows, comment: str = "") -> None:
+    """An optional comment line, the header, then one comma-separated line per
+    row: a str as it is, any other value as %.17g."""
+    with open(path, "w") as fh:
+        fh.write(f"{comment}\n{header}\n" if comment else f"{header}\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
 class _PhaseClock:
@@ -227,12 +256,12 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
         result = evolve_mod.evolve_kg_radial(
             lam, n, None, config, slice_s=slice_s or None, snapshot=snapshot)
     clock.lap("evolve")
-    evolve_mod.write_monitor_csv(outdir / "monitors.csv", result.monitors)
+    monitors = result.monitors
+    _write_csv(outdir / "monitors.csv", ",".join(monitors), zip(*monitors.values()))
     clock.lap("write")
     report = {"n": n, "lam": lam, "t_end": config.t_end,
               "blowup_time": result.blowup_time}
-    t = result.monitors["t"]
-    sup = result.monitors["sup"]
+    t, sup = monitors["t"], monitors["sup"]
     mask = (t >= max(20.0, config.t_end / 10)) & (sup > 0)
     if mask.sum() >= 10 and t[mask][-1] / t[mask][0] >= 4.0:
         fit = energy_mod.decay_fit(t[mask], sup[mask])
@@ -273,12 +302,17 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
                for s, data in sorted(result.slices.items())}
     rows = energy_mod.estimate_suite(result.slices, n)
     clock.lap("estimates")
-    energy_mod.write_estimate_csv(outdir / "estimates.csv", rows)
-    report = energy_mod.EnergyReport(
-        s_grid=list(energies),
-        energies={s: float(e) for s, e in energies.items()},
-        boosted=boosted, estimate_rows=rows)
-    energy_mod.write_report(outdir / "energy-report.json", report)
+    _write_csv(outdir / "estimates.csv",
+               ",".join(f.name for f in dataclasses.fields(energy_mod.EstimateRow)),
+               map(dataclasses.astuple, rows))
+    # energies: {s: E[0; u; s]}; boosted: {s: {k: E_k(s)}}
+    _write_json(outdir / "energy-report.json", {
+        "s_grid": list(energies), "energies": energies, "boosted": boosted,
+        "estimate_rows": rows,
+        "notes": ["commuted estimate verification capped at order 2; the suite "
+                  "checks inequality shape and constant stability, not "
+                  "full-order statements"],
+    }, magic=REPORT_MAGIC)
     clock.lap("write")
     _write_run_meta(outdir, clock, n=n, result=result)
     if not drift <= 0.05:
@@ -308,10 +342,7 @@ def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
         v = schwarzschild.wave_gauge_residual(chart, float(r))
         rows.append((float(r), dev, float(np.max(np.abs(v)))))
     clock.lap("samples")
-    with open(outdir / "gauge.csv", "w") as fh:
-        fh.write("r,metric_deviation,wave_gauge_residual\n")
-        for r, dev, vr in rows:
-            fh.write(f"{r:.17g},{dev:.17g},{vr:.17g}\n")
+    _write_csv(outdir / "gauge.csv", "r,metric_deviation,wave_gauge_residual", rows)
     devs = np.array([row[1] for row in rows])
     zeros = int(np.sum(devs == 0))
     if zeros:
@@ -350,8 +381,12 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
     traj = schwarzschild.integrate_geodesic(
         chart, init, float(cfg["lam_end"]), exterior_probe=True)
     clock.lap("integrate")
-    gnorm, drdt = schwarzschild.write_trajectory_csv(outdir / "trajectory.csv",
-                                                     traj)
+    # the metric refuses a sample at r = 0 before dr/dt would divide by it
+    gnorm = traj.velocity_norm()
+    drdt = traj.drdt
+    _write_csv(outdir / "trajectory.csv", "lam,t,r,drdt,gnorm,energy",
+               zip(traj.lam, traj.t, traj.r, drdt, gnorm, traj.energy()),
+               comment=f"# n={params.n} cs={params.cs!r} captured={int(traj.captured)}")
     drift = float(np.max(np.abs(gnorm)))
     _write_json(outdir / "geodesic-report.json", {
         "captured": traj.captured, "final_r": float(traj.r[-1]),

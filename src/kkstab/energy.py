@@ -8,9 +8,8 @@ so boosted energies need no extra stored history.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from .evolve import (E_WEIGHTS, inverse_metric_components,
                      inverse_metric_derivative, q_nonlinearity)
 from .fields import SliceData
 from .geometry import _eval_terms, _word_terms, _words_upto
-
-REPORT_MAGIC = "kkstab-report v1"
 
 
 class InsufficientSpanError(ValueError):
@@ -342,55 +339,3 @@ def decay_fit(x, y, window=None) -> DecayFit:
     lo_q, hi_q = np.quantile(slopes, [0.025, 0.975])
     return DecayFit(exponent=float(coef[0]), ci_low=float(lo_q),
                     ci_high=float(hi_q), n_samples=len(x), span=float(span))
-
-
-# ---------------------------------------------------------------------------
-# Reports
-
-
-@dataclass
-class EnergyReport:
-    """Energies, boosted energies and estimate tables of one run.
-
-    energies: {s: E[0; u; s]}; boosted: {s: {k: E_k(s)}} (`boosted_energy`).
-    """
-
-    s_grid: list = field(default_factory=list)
-    energies: dict = field(default_factory=dict)
-    boosted: dict = field(default_factory=dict)
-    estimate_rows: list = field(default_factory=list)
-    notes: list = field(default_factory=lambda: [
-        "commuted estimate verification capped at order 2; the suite checks "
-        "inequality shape and constant stability, not full-order statements",
-    ])
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "__dataclass_fields__"):
-        return _jsonable(asdict(obj))
-    return obj
-
-
-def write_report(path, report: EnergyReport) -> None:
-    """Serialize as versioned structured text (JSON body under a magic line)."""
-    body = json.dumps(_jsonable(report), sort_keys=True, indent=1)
-    with open(path, "w") as fh:
-        fh.write(REPORT_MAGIC + "\n")
-        fh.write(body + "\n")
-
-
-def write_estimate_csv(path, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write("name,s,dr,lhs,rhs,c_measured,support_class,skipped\n")
-        for row in rows:
-            fh.write(f"{row.name},{row.s:.17g},{row.dr:.17g},{row.lhs:.17g},"
-                     f"{row.rhs:.17g},{row.c_measured:.17g},"
-                     f"{row.support_class},{int(row.skipped)}\n")

@@ -410,7 +410,7 @@ class SliceSampler:
 
     def t_range_needed(self) -> tuple[float, float]:
         t = self._tsorted
-        return (t[0], t[-1]) if t.size else (np.inf, -np.inf)
+        return (float(t[0]), float(t[-1])) if t.size else (math.inf, -math.inf)
 
     def new_sweep(self, t0: float, dt: float, n_steps: int) -> None:
         """Start a sweep whose row j = 0..n_steps comes at t0 + j * dt,
@@ -504,7 +504,7 @@ class SliceSampler:
                 missing = (~entry["done"]).sum()
                 raise WindowDepthError(
                     f"slice s={entry['s']}: {missing} nodes never crossed the "
-                    f"evolved window (need t in {tuple(self.t_range_needed())})"
+                    f"evolved window (need t in {self.t_range_needed()})"
                 )
             out[entry["s"]] = SliceData(entry["slc"], lam, dict(entry["store"]))
         return out
@@ -772,8 +772,10 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
     sampler, t_end = None, config.t_end
     if slice_s:
         cap = _auto_slice_cap(slice_r_cap, len(r), dr, config.t_start, support)
-        sampler = SliceSampler(sorted(slice_s), config.n, dr, max_b=config.sample_derivs,
-                               r_cap=cap, leading_shape=u0.shape[:-1])
+        # a repeated s is one slice, captured once
+        sampler = SliceSampler(sorted(set(slice_s)), config.n, dr,
+                               max_b=config.sample_derivs, r_cap=cap,
+                               leading_shape=u0.shape[:-1])
         for entry in sampler.entries:
             if entry["cols"].max() > len(r) - 4:
                 raise ValueError(
@@ -1085,12 +1087,3 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
                        s: [SliceData(d.slc, lam, {k: a[c] for k, a in d.samples.items()})
                            for c in range(3)]
                        for s, d in res.slices.items()})
-
-
-def write_monitor_csv(path, monitors: dict) -> None:
-    keys = list(monitors)
-    rows = len(monitors[keys[0]]) if keys else 0
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for i in range(rows):
-            fh.write(",".join(f"{monitors[k][i]:.17g}" for k in keys) + "\n")

@@ -137,9 +137,10 @@ class ModeField:
 
 
 def _header(n, lam, t0, dt, dr, shape) -> bytes:
+    # float(x)!r: a NumPy scalar's repr would be "np.float64(0.5)"
     return (f"{SNAPSHOT_MAGIC}\n"
-            f"n={n} lam={lam!r} component=minkowski\n"
-            f"dt={dt!r} dr={dr!r} t0={t0!r}\n"
+            f"n={n} lam={float(lam)!r} component=minkowski\n"
+            f"dt={float(dt)!r} dr={float(dr)!r} t0={float(t0)!r}\n"
             f"shape={shape[0]}x{shape[1]}\n").encode()
 
 

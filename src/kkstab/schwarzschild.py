@@ -373,6 +373,12 @@ class GeodesicTrajectory:
     def r(self) -> np.ndarray:
         return np.array([math.hypot(*x) for x in self.x])
 
+    @property
+    def drdt(self) -> np.ndarray:
+        """dr/dt = (x . v_x) / (r v_t), read off each sample's state, not
+        differenced along the trajectory."""
+        return np.einsum("ij,ij->i", self.x, self.v_x) / (self.r * self.v_t)
+
     def velocity_norm(self) -> np.ndarray:
         """g(dot gamma, dot gamma) along the flow (drift diagnostic)."""
         out = np.empty(len(self.lam))
@@ -455,26 +461,3 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
         v_x=Y[2 + n + d:2 + 2 * n + d].T, v_torus=Y[2 + 2 * n + d:].T,
         captured=captured, nfev=sol.nfev,
     )
-
-
-def write_trajectory_csv(path,
-                         traj: GeodesicTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Write the trajectory's samples; return the velocity norms and the
-    dr/dt written.
-
-    dr/dt = (x . v_x) / (r v_t) is read off each sample's state, not
-    differenced along the trajectory.
-    """
-    # the metric refuses a sample at r = 0 before dr/dt would divide by it
-    gnorm = traj.velocity_norm()
-    energy = traj.energy()
-    r = traj.r
-    drdt = np.einsum("ij,ij->i", traj.x, traj.v_x) / (r * traj.v_t)
-    with open(path, "w") as fh:
-        fh.write(f"# n={traj.chart.params.n} cs={traj.chart.params.cs!r} "
-                 f"captured={int(traj.captured)}\n")
-        fh.write("lam,t,r,drdt,gnorm,energy\n")
-        for i in range(len(traj.lam)):
-            fh.write(f"{traj.lam[i]:.17g},{traj.t[i]:.17g},{r[i]:.17g},"
-                     f"{drdt[i]:.17g},{gnorm[i]:.17g},{energy[i]:.17g}\n")
-    return gnorm, drdt

@@ -14,7 +14,8 @@ import sympy as sp
 from scipy.optimize import brentq
 
 from kkstab import evolve as ev
-from kkstab.energy import REPORT_MAGIC, GammaBlock, hyperboloidal_energy
+from kkstab.cli import REPORT_MAGIC
+from kkstab.energy import GammaBlock, hyperboloidal_energy
 from kkstab.fields import SliceData, WindowError
 from kkstab.geometry import DomainError, make_slice, sphere_area
 from kkstab.schwarzschild import _christoffels, harmonic_metric
@@ -593,7 +594,7 @@ def constants_stable(rows: list, name: str, tol: float = 0.2) -> bool:
 
 
 def read_report(path) -> dict:
-    """The JSON body of a file written by `energy.write_report`."""
+    """The JSON body of energy-report.json, below its magic line."""
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != REPORT_MAGIC:

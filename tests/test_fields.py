@@ -165,6 +165,19 @@ class TestSnapshots:
                 == (tmp_path / "whole.kks").read_bytes())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.kks", "whole.kks"]
 
+    def test_numpy_scalar_header_round_trips(self, tmp_path):
+        """A ModeField whose numbers are NumPy scalars writes plain floats,
+        not "np.float64(0.01)", and reads back."""
+        f = _analytic_field(lam=2.5, nt=10, nr=12)
+        f = dataclasses.replace(f, lam=np.float64(f.lam), t0=np.float64(f.t0),
+                                dt=np.float64(f.dt), dr=np.float64(f.dr))
+        p = tmp_path / "field.kks"
+        write_snapshot(p, f)
+        assert p.read_bytes().split(b"\n")[1:3] == [
+            b"n=3 lam=2.5 component=minkowski", b"dt=0.01 dr=0.05 t0=2.0"]
+        g = read_snapshot(p)
+        assert (g.lam, g.dt, g.dr, g.t0) == (2.5, 0.01, 0.05, 2.0)
+
     def test_magic_line(self, tmp_path):
         f = _analytic_field(nt=10, nr=10)
         p = tmp_path / "field.kks"
