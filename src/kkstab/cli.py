@@ -19,6 +19,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import scipy
 from . import __version__
 from . import energy as energy_mod
 from . import evolve as evolve_mod
-from . import fields, geometry, internal, schwarzschild
+from . import fields, internal, schwarzschild
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -405,7 +406,10 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> int:
-    """Fast structural checks, run in seconds."""
+    """Three fast checks of numbers the laboratory computes: the torus's
+    tensor spectrum against its lattice, the snapshot round trip (written in
+    a temporary directory, not in outdir) and the harmonic chart's radius
+    against its asymptote."""
     clock = _PhaseClock()
     checks = []
 
@@ -419,12 +423,12 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     def _spectrum():
         torus = internal.FlatTorus((1.0, 1.0))
         cutoff = 4 * np.pi ** 2 * 9 + 1e-9
-        spec = internal.lichnerowicz_spectrum(torus, cutoff,
-                                              per_component=True)
-        oracle = sorted(
+        spec = internal.lichnerowicz_spectrum(torus, cutoff)
+        # each lattice eigenvalue 4 pi^2 |k|^2 once per tensor component
+        oracle = np.repeat(sorted(
             4 * np.pi ** 2 * (k1 ** 2 + k2 ** 2)
             for k1 in range(-3, 4) for k2 in range(-3, 4)
-            if k1 ** 2 + k2 ** 2 <= 9)
+            if k1 ** 2 + k2 ** 2 <= 9), internal.tensor_multiplicity(2))
         got = sorted(np.repeat([l for l, _ in spec.modes],
                                [m for _, m in spec.modes]))
         assert len(got) == len(oracle)
@@ -433,14 +437,15 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     def _snapshot_roundtrip():
         cfg0 = evolve_mod.EvolutionConfig(n=3, dr=1.0 / 16, t_end=6.0)
         res = evolve_mod.evolve_kg_radial(0.0, 3, None, cfg0)
-        path = outdir / "roundtrip.bin"
-        fields.write_snapshot(path, res.field)
-        back = fields.read_snapshot(path)
-        assert np.array_equal(back.u, res.field.u)
-        # the history written as it is recorded has the same bytes
-        whole = path.read_bytes()
-        evolve_mod.evolve_kg_radial(0.0, 3, None, cfg0, snapshot=path)
-        assert path.read_bytes() == whole
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "roundtrip.bin"
+            fields.write_snapshot(path, res.field)
+            back = fields.read_snapshot(path)
+            assert np.array_equal(back.u, res.field.u)
+            # the history written as it is recorded has the same bytes
+            whole = path.read_bytes()
+            evolve_mod.evolve_kg_radial(0.0, 3, None, cfg0, snapshot=path)
+            assert path.read_bytes() == whole
 
     def _metric_identity():
         params = schwarzschild.SchwarzschildParams(9, 1.0)
@@ -450,22 +455,9 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
         r = schwarzschild.HarmonicChart(params).r_of_rbar(10.0)
         assert abs(r - (10.0 - m)) < 1e-6 * m
 
-    def _flat_gauge():
-        chart = schwarzschild.HarmonicChart(
-            schwarzschild.SchwarzschildParams(5, 0.0))
-        v = schwarzschild.wave_gauge_residual(chart, 10.0)
-        assert np.max(np.abs(v)) == 0.0
-
-    def _hyperboloid():
-        slc = geometry.make_slice(4.0, 3, 1.0 / 32)
-        t, r = slc.t, slc.r
-        assert np.allclose(t ** 2 - r ** 2, 16.0)
-
     check("torus-spectrum-oracle", _spectrum)
     check("snapshot-roundtrip", _snapshot_roundtrip)
     check("schwarzschild-metric", _metric_identity)
-    check("flat-wave-gauge", _flat_gauge)
-    check("hyperboloid-embedding", _hyperboloid)
     clock.lap("checks")
 
     _write_json(outdir / "verify-report.json",

@@ -308,7 +308,7 @@ class DecayFit:
 FIT_BOOTSTRAP, FIT_SEED = 200, 0
 
 
-def decay_fit(x, y, window=None) -> DecayFit:
+def decay_fit(x, y) -> DecayFit:
     """Least-squares slope of log y vs log x with a residual-bootstrap CI.
 
     Requires >= 10 samples spanning a factor >= 4 in x.  Zero or negative
@@ -316,10 +316,6 @@ def decay_fit(x, y, window=None) -> DecayFit:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if window is not None:
-        lo, hi = window
-        keep = (x >= lo) & (x <= hi)
-        x, y = x[keep], y[keep]
     keep = y > 0
     x, y = x[keep], y[keep]
     if len(x) < 10:

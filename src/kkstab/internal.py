@@ -67,14 +67,11 @@ def tensor_multiplicity(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def lichnerowicz_spectrum(
-    model: InternalModel, cutoff: float, per_component: bool = False
-) -> SpectralData:
+def lichnerowicz_spectrum(model: InternalModel, cutoff: float) -> SpectralData:
     """Eigenvalues of -Lap - 2 R(.) up to the cutoff.
 
     Flat torus: lambda = 4 pi^2 |k/L|^2, |k/L|^2 = sum_j (k_j / L_j)^2 over
-    k in Z^d, each wavevector carrying tensor multiplicity d(d+1)/2 unless
-    per_component is set (scalar counting: multiplicity 1 per wavevector).
+    k in Z^d, each wavevector carrying tensor multiplicity d(d+1)/2.
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
@@ -82,7 +79,7 @@ def lichnerowicz_spectrum(
         return SpectralData(
             modes=tuple((l, m) for l, m in model.modes if l <= cutoff), d=model.d)
 
-    tmult = 1 if per_component else tensor_multiplicity(model.d)
+    tmult = tensor_multiplicity(model.d)
     k_bounds = [int(math.floor(math.sqrt(cutoff) * L / TWO_PI)) for L in model.periods]
     # |k/L|^2 over the whole lattice, flattened in C order (k_1 slowest); the
     # axis terms are added left to right, as a sum over j adds them, so each

@@ -30,6 +30,9 @@ SERIES_Z = 0.3
 #: Largest span lam_end - lam of a geodesic, sqrt(float max): the
 #: integrator's error norm squares quantities of the step's size
 _SPAN_MAX = math.sqrt(sys.float_info.max)
+#: Samples of a geodesic, evenly spaced in its affine parameter from lam to
+#: lam_end (fewer when the probe is captured)
+GEODESIC_SAMPLES = 400
 
 
 class HorizonError(ValueError):
@@ -395,9 +398,10 @@ class GeodesicTrajectory:
 
 
 def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
-                       lam_end: float, exterior_probe: bool = False,
-                       n_output: int = 400) -> GeodesicTrajectory:
-    """Integrate the geodesic equation on harmonic Schwarzschild x torus.
+                       lam_end: float, exterior_probe: bool = False
+                       ) -> GeodesicTrajectory:
+    """Integrate the geodesic equation on harmonic Schwarzschild x torus,
+    sampled at GEODESIC_SAMPLES evenly spaced affine parameters.
 
     Causal initial velocity required.  Launch points outside |x| <= t - 2
     must be flagged as exterior probes.  Terminates on horizon capture.
@@ -448,7 +452,7 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
 
     y0 = np.concatenate([[init.t], init.x, init.torus,
                          [init.v_t], init.v_x, init.v_torus])
-    t_eval = np.linspace(init.lam, lam_end, n_output)
+    t_eval = np.linspace(init.lam, lam_end, GEODESIC_SAMPLES)
     sol = solve_ivp(rhs, (init.lam, lam_end), y0, method="DOP853",
                     rtol=1e-12, atol=1e-14, events=horizon, t_eval=t_eval)
     if sol.status == -1:

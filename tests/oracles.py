@@ -317,14 +317,13 @@ def pulse_energy(n: int, width: float = 2.0) -> float:
     return sphere_area(n) * 0.5 * width * float(np.sum(wq * dpsi * dpsi * r ** (n - 1)))
 
 
-def torus_spectrum_loop(periods, cutoff: float, per_component: bool = False
-                        ) -> list[tuple[float, int]]:
+def torus_spectrum_loop(periods, cutoff: float) -> list[tuple[float, int]]:
     """(eigenvalue, multiplicity) pairs of a flat torus, one wavevector at a
     time: every k from `itertools.product`, its |k/L|^2 as a Python sum,
     buckets keyed on round(|k/L|^2, 9), each bucket's eigenvalue from its
-    first wavevector."""
+    first wavevector, each wavevector counted once per tensor component."""
     d = len(periods)
-    tmult = 1 if per_component else d * (d + 1) // 2
+    tmult = d * (d + 1) // 2
     two_pi = 2.0 * math.pi
 
     def lattice_norm(k):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kkstab import cli, energy, evolve, fields, schwarzschild
+from kkstab import cli, energy, evolve, fields, internal, schwarzschild
 from kkstab.geometry import make_slice
 from kkstab.cli import main
 from oracles import read_report
@@ -31,6 +31,40 @@ def stderr_line(capsys) -> str:
     return err[0]
 
 
+def _shift_one_eigenvalue(monkeypatch):
+    spectrum = internal.lichnerowicz_spectrum
+
+    def shifted(model, cutoff):
+        data = spectrum(model, cutoff)
+        (lam, mult), *rest = data.modes
+        return internal.SpectralData(((lam + 1e-3, mult), *rest), data.d)
+
+    monkeypatch.setattr(internal, "lichnerowicz_spectrum", shifted)
+
+
+def _alter_snapshot_u(monkeypatch):
+    read = fields.read_snapshot
+
+    def altered(path, **kwargs):
+        field = read(path, **kwargs)
+        return dataclasses.replace(field, u=field.u + 1e-12)
+
+    monkeypatch.setattr(fields, "read_snapshot", altered)
+
+
+def _drop_chart_deviation(monkeypatch):
+    monkeypatch.setattr(schwarzschild.HarmonicChart, "r_of_rbar",
+                        lambda self, rbar: rbar)
+
+
+#: verify's checks in report order, each with a way to break its subject
+VERIFY_CHECKS = {
+    "torus-spectrum-oracle": _shift_one_eigenvalue,
+    "snapshot-roundtrip": _alter_snapshot_u,
+    "schwarzschild-metric": _drop_chart_deviation,
+}
+
+
 class TestVerify:
     def test_trivial_suite_passes(self, tmp_path):
         code, out = run_cli(["verify"], tmp_path, "v")
@@ -38,7 +72,10 @@ class TestVerify:
         report = json.loads((out / "verify-report.json").read_text())
         assert list(report) == ["checks", "ok"]
         assert all(c["ok"] for c in report["checks"])
-        assert len(report["checks"]) >= 5
+        assert [c["name"] for c in report["checks"]] == list(VERIFY_CHECKS)
+        # the round trip's snapshot is written outside the output directory
+        assert {p.name for p in out.iterdir()} == {
+            "resolved-config.ini", "verify-report.json", "run-meta.json"}
 
 
 class TestSpectrum:
@@ -573,14 +610,13 @@ class TestFailedChecks:
         assert stderr_line(capsys) == ("kkstab: geodesic velocity norm drift 0.001 "
                                        "above 1e-8 lam_end + 1e-12 = 2e-08")
 
-    def test_verify(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("off the hyperboloid")
-
-        monkeypatch.setattr(cli.geometry, "make_slice", fail)
+    @pytest.mark.parametrize("name", list(VERIFY_CHECKS))
+    def test_verify(self, tmp_path, capsys, monkeypatch, name):
+        """Each verify check fails, alone, when its subject is broken."""
+        VERIFY_CHECKS[name](monkeypatch)
         code, _ = run_cli(["verify"], tmp_path, "v")
         assert code == 1
-        assert stderr_line(capsys) == "kkstab: verify checks failed: hyperboloid-embedding"
+        assert stderr_line(capsys) == f"kkstab: verify checks failed: {name}"
 
 
 class TestExitContract:

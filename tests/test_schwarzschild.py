@@ -425,8 +425,7 @@ class TestTrajectoryDrdt:
         vx = np.zeros(9)
         vx[0] = 1.0
         init = GeodesicState(t=50.0, x=x0, v_t=1.0, v_x=vx)
-        traj = integrate_geodesic(HarmonicChart(p), init, lam_end=3.0,
-                                  n_output=10)
+        traj = integrate_geodesic(HarmonicChart(p), init, lam_end=3.0)
         drdt = traj.drdt
         # a flat radial null ray: dr/dt, read off the state, is 1 at every
         # sample, the first one included
