@@ -4,10 +4,10 @@ Subcommands: spectrum, evolve, energy, schwarzschild, geodesic, verify.
 Option precedence: command-line flag > KKSTAB_* environment variable >
 config-file key > built-in default.  Every run writes its resolved
 configuration and the tool version beside its outputs; outputs are
-byte-stable for a fixed config.  Every subcommand that completes also writes
-run-meta.json, which explains the run (phase timings, library versions, and
-work counts where the run counts its work) and is the one file that differs
-between identical runs.
+byte-stable for a fixed config.  `main` writes run-meta.json once a
+subcommand returns, passed or failed: it explains the run (phase timings,
+library versions, and the subcommand's own keys, such as work counts) and is
+the one file that differs between identical runs.
 """
 
 from __future__ import annotations
@@ -167,38 +167,20 @@ class _PhaseClock:
         self._start = now
 
 
-def _write_run_meta(outdir: Path, clock: _PhaseClock, counts: dict | None = None,
-                    n: int | None = None, result=None) -> None:
-    """run-meta.json: how the run went, outside the byte-identical outputs.
-
-    Phase timings and library versions always; counts, when given, are the
-    run's work counts (`EvolutionResult.counts`, the geodesic integrator's
-    right-hand-side evaluations); with n, n_in_theorem_range says whether
-    n >= 9, the range of the stability theorem; result, an
-    `EvolutionResult`, gives its counts, its resolved cfl, its RK4 margins
-    and the blow-up guard's margin (`EvolutionResult.margins`).
-    """
-    meta = {
-        "phases_s": clock.phases,
-        "versions": {"kkstab": __version__,
-                     "python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
-    }
-    if counts is not None:
-        meta["counts"] = counts
-    if n is not None:
-        meta.update(n=n, n_in_theorem_range=n >= 9)
-    if result is not None:
-        meta.update(counts=result.counts, cfl=result.config.cfl, **result.margins)
-    _write_json(outdir / "run-meta.json", meta)
-
-
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each cmd_* takes (cfg, outdir, clock), laps the clock at
+# the end of each phase and returns (meta, failure), the run-meta.json keys
+# that the run alone knows and the failed check's one-line message, or None
 
 
-def cmd_spectrum(cfg: dict, outdir: Path) -> int:
-    clock = _PhaseClock()
+def _evolution_meta(result) -> dict:
+    """An `EvolutionResult`'s run-meta keys: n, its work counts, the resolved
+    cfl, its RK4 margins and the blow-up guard's margin."""
+    return {"n": result.config.n, "counts": result.counts,
+            "cfl": result.config.cfl, **result.margins}
+
+
+def cmd_spectrum(cfg: dict, outdir: Path, clock: _PhaseClock):
     if cfg["spectrum_file"]:
         data = internal.parse_spectrum_file(cfg["spectrum_file"])
     else:
@@ -221,14 +203,11 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         "linearly_stable": bool(stable),
     })
     clock.lap("write")
-    _write_run_meta(outdir, clock)
-    if not stable:
-        return _failed(f"spectrum not linearly stable: smallest eigenvalue "
-                       f"{lam_min:.6g} < 0")
-    return EXIT_OK
+    return {}, None if stable else (f"spectrum not linearly stable: smallest "
+                                    f"eigenvalue {lam_min:.6g} < 0")
 
 
-def cmd_evolve(cfg: dict, outdir: Path) -> int:
+def cmd_evolve(cfg: dict, outdir: Path, clock: _PhaseClock):
     """Run one radial evolution and write its artifacts.
 
     monitors.csv holds the monitor series and evolve-report.json the decay
@@ -240,7 +219,6 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     snapshot left in outdir by an earlier run is removed first, so that a
     run without one leaves none.
     """
-    clock = _PhaseClock()
     snapshot = outdir / "final-field.bin"
     for stale in (snapshot, snapshot.with_name(snapshot.name + ".tmp")):
         stale.unlink(missing_ok=True)
@@ -270,16 +248,12 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
         report["decay_exponent_ci"] = [fit.ci_low, fit.ci_high]
     _write_json(outdir / "evolve-report.json", report)
     clock.lap("report")
-    _write_run_meta(outdir, clock, n=n, result=result)
-    if result.blowup_time is not None:
-        return _failed(f"blow-up guard fired at t={result.blowup_time:.4f}: sup|u| "
-                       f"passed blowup_factor * max|u0|, blowup_factor = "
-                       f"{config.blowup_factor:g}")
-    return EXIT_OK
+    return _evolution_meta(result), None if result.blowup_time is None else (
+        f"blow-up guard fired at t={result.blowup_time:.4f}: sup|u| passed "
+        f"blowup_factor * max|u0|, blowup_factor = {config.blowup_factor:g}")
 
 
-def cmd_energy(cfg: dict, outdir: Path) -> int:
-    clock = _PhaseClock()
+def cmd_energy(cfg: dict, outdir: Path, clock: _PhaseClock):
     n, lam = int(cfg["n"]), float(cfg["lam"])
     slice_s = _float_list(cfg["slice_s"])
     if not slice_s:
@@ -315,15 +289,12 @@ def cmd_energy(cfg: dict, outdir: Path) -> int:
                   "full-order statements"],
     }, magic=REPORT_MAGIC)
     clock.lap("write")
-    _write_run_meta(outdir, clock, n=n, result=result)
-    if not drift <= 0.05:
-        return _failed(f"hyperboloidal energy drift {drift:.3g} across slices "
-                       f"s={','.join(f'{s:g}' for s in energies)} above 0.05")
-    return EXIT_OK
+    return _evolution_meta(result), None if drift <= 0.05 else (
+        f"hyperboloidal energy drift {drift:.3g} across slices "
+        f"s={','.join(f'{s:g}' for s in energies)} above 0.05")
 
 
-def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
-    clock = _PhaseClock()
+def cmd_schwarzschild(cfg: dict, outdir: Path, clock: _PhaseClock):
     if float(cfg["cs"]) == 0.0:
         raise ConfigError("cs=0 is the flat chart: its metric deviation is identically 0")
     r_lo, r_hi = float(cfg["r_lo"]), float(cfg["r_hi"])
@@ -356,15 +327,12 @@ def cmd_schwarzschild(cfg: dict, outdir: Path) -> int:
         "expected_exponent": -(params.n - 2),
     })
     clock.lap("write")
-    _write_run_meta(outdir, clock, n=params.n)
-    if not abs(fit.exponent + (params.n - 2)) < 0.1:
-        return _failed(f"metric deviation exponent {fit.exponent:.4g} is not "
-                       f"-(n-2) = {2 - params.n} within 0.1")
-    return EXIT_OK
+    return {"n": params.n}, None if abs(fit.exponent + (params.n - 2)) < 0.1 else (
+        f"metric deviation exponent {fit.exponent:.4g} is not -(n-2) = "
+        f"{2 - params.n} within 0.1")
 
 
-def cmd_geodesic(cfg: dict, outdir: Path) -> int:
-    clock = _PhaseClock()
+def cmd_geodesic(cfg: dict, outdir: Path, clock: _PhaseClock):
     params = schwarzschild.SchwarzschildParams(int(cfg["n"]), float(cfg["cs"]))
     chart = schwarzschild.HarmonicChart(params)
     clock.lap("chart")
@@ -379,8 +347,7 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
     init = schwarzschild.GeodesicState(
         t=0.0, x=np.concatenate([[r0], np.zeros(params.n - 1)]),
         v_t=vt, v_x=np.concatenate([[vr], np.zeros(params.n - 1)]))
-    traj = schwarzschild.integrate_geodesic(
-        chart, init, float(cfg["lam_end"]), exterior_probe=True)
+    traj = schwarzschild.integrate_geodesic(chart, init, float(cfg["lam_end"]))
     clock.lap("integrate")
     # the metric refuses a sample at r = 0 before dr/dt would divide by it
     gnorm = traj.velocity_norm()
@@ -389,28 +356,28 @@ def cmd_geodesic(cfg: dict, outdir: Path) -> int:
                zip(traj.lam, traj.t, traj.r, drdt, gnorm, traj.energy()),
                comment=f"# n={params.n} cs={params.cs!r} captured={int(traj.captured)}")
     drift = float(np.max(np.abs(gnorm)))
+    monotone = bool(np.all(np.diff(traj.t) > 0))
     _write_json(outdir / "geodesic-report.json", {
         "captured": traj.captured, "final_r": float(traj.r[-1]),
         "final_drdt": float(drdt[-1]), "norm_drift": drift,
-        "t_monotone": bool(np.all(np.diff(traj.t) > 0)),
+        "t_monotone": monotone,
     })
     clock.lap("write")
-    _write_run_meta(outdir, clock, {"nfev": traj.nfev}, params.n)
+    meta = {"n": params.n, "counts": {"nfev": traj.nfev}}
     bound = 1e-8 * traj.lam[-1] + 1e-12
     if not drift <= bound:
-        return _failed(f"geodesic velocity norm drift {drift:.3g} above "
-                       f"1e-8 lam_end + 1e-12 = {bound:.3g}")
-    if not np.all(np.diff(traj.t) > 0):
-        return _failed("geodesic coordinate time t is not increasing along the probe")
-    return EXIT_OK
+        return meta, (f"geodesic velocity norm drift {drift:.3g} above "
+                      f"1e-8 lam_end + 1e-12 = {bound:.3g}")
+    return meta, None if monotone else (
+        "geodesic coordinate time t is not increasing along the probe")
 
 
-def cmd_verify(cfg: dict, outdir: Path) -> int:
+def cmd_verify(cfg: dict, outdir: Path, clock: _PhaseClock):
     """Three fast checks of numbers the laboratory computes: the torus's
     tensor spectrum against its lattice, the snapshot round trip (written in
     a temporary directory, not in outdir) and the harmonic chart's radius
-    against its asymptote."""
-    clock = _PhaseClock()
+    against its asymptote.  A failed check's error gives the number it
+    measured and its bound."""
     checks = []
 
     def check(name, fn):
@@ -431,8 +398,11 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
             if k1 ** 2 + k2 ** 2 <= 9), internal.tensor_multiplicity(2))
         got = sorted(np.repeat([l for l, _ in spec.modes],
                                [m for _, m in spec.modes]))
-        assert len(got) == len(oracle)
-        assert np.allclose(got, oracle, atol=1e-8)
+        assert len(got) == len(oracle), (f"{len(got)} eigenvalues counted with "
+                                         f"multiplicity, not the lattice's {len(oracle)}")
+        assert np.allclose(got, oracle, atol=1e-8), (
+            f"an eigenvalue is {np.max(np.abs(np.subtract(got, oracle))):.3g} off "
+            f"its lattice value, above 1e-8 + 1e-5 of that value")
 
     def _snapshot_roundtrip():
         cfg0 = evolve_mod.EvolutionConfig(n=3, dr=1.0 / 16, t_end=6.0)
@@ -441,19 +411,32 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
             path = Path(tmp) / "roundtrip.bin"
             fields.write_snapshot(path, res.field)
             back = fields.read_snapshot(path)
-            assert np.array_equal(back.u, res.field.u)
+            off = {f.name: float(np.max(np.abs(np.subtract(getattr(back, f.name),
+                                                           getattr(res.field, f.name)))))
+                   for f in dataclasses.fields(back)}
+            assert not any(off.values()), (
+                "the snapshot reads back off by " + ", ".join(
+                    f"{name} {x:.3g}" for name, x in off.items() if x) + ", not 0")
             # the history written as it is recorded has the same bytes
             whole = path.read_bytes()
             evolve_mod.evolve_kg_radial(0.0, 3, None, cfg0, snapshot=path)
-            assert path.read_bytes() == whole
+            streamed = path.read_bytes()
+            assert streamed == whole, (
+                f"the snapshot written as the history is recorded has "
+                f"{len(streamed)} bytes, {sum(a != b for a, b in zip(streamed, whole))} "
+                f"of them unlike write_snapshot's {len(whole)}")
 
     def _metric_identity():
         params = schwarzschild.SchwarzschildParams(9, 1.0)
         mp = schwarzschild.schwarzschild_metric(params, 10.0)
-        assert mp.lorentzian_signature()
+        assert mp.lorentzian_signature(), (
+            f"the metric has {int(np.sum(np.linalg.eigvalsh(mp.g) < 0))} negative "
+            f"eigenvalues, not 1")
         m = 1.0 / 14e6  # C_S rbar^{3-n} / (2 (n-2)); the next term is 5e-8 of it
         r = schwarzschild.HarmonicChart(params).r_of_rbar(10.0)
-        assert abs(r - (10.0 - m)) < 1e-6 * m
+        assert abs(r - (10.0 - m)) < 1e-6 * m, (
+            f"r(rbar = 10) is {r - (10.0 - m):.3g} off 10 - m, above 1e-6 m = "
+            f"{1e-6 * m:.3g}")
 
     check("torus-spectrum-oracle", _spectrum)
     check("snapshot-roundtrip", _snapshot_roundtrip)
@@ -464,11 +447,8 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
                 {"checks": checks,
                  "ok": all(c["ok"] for c in checks)})
     clock.lap("write")
-    _write_run_meta(outdir, clock)
     failed = [c["name"] for c in checks if not c["ok"]]
-    if failed:
-        return _failed(f"verify checks failed: {', '.join(failed)}")
-    return EXIT_OK
+    return {}, f"verify checks failed: {', '.join(failed)}" if failed else None
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +487,6 @@ def _report(exc: Exception | str) -> None:
     print(f"kkstab: {text}", file=sys.stderr)
 
 
-def _failed(check: str) -> int:
-    """A failed check: one stderr line that names it, and exit 1."""
-    _report(check)
-    return EXIT_ASSERTION
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -527,7 +501,8 @@ def main(argv=None) -> int:
         handler = {"spectrum": cmd_spectrum, "evolve": cmd_evolve,
                    "energy": cmd_energy, "schwarzschild": cmd_schwarzschild,
                    "geodesic": cmd_geodesic, "verify": cmd_verify}[sub]
-        return handler(cfg, outdir)
+        clock = _PhaseClock()
+        meta, failure = handler(cfg, outdir, clock)
     except ValueError as exc:
         # ConfigError and the package's domain errors (a slice past the grid,
         # a probe inside the horizon, a malformed spectrum file, ...) are
@@ -539,6 +514,19 @@ def main(argv=None) -> int:
         # adaptive integration
         _report(exc)
         return EXIT_ASSERTION
+    # run-meta.json: how the run went, outside the byte-identical outputs;
+    # n_in_theorem_range says whether n >= 9, the stability theorem's range
+    if "n" in meta:
+        meta["n_in_theorem_range"] = meta["n"] >= 9
+    _write_json(outdir / "run-meta.json", {
+        "phases_s": clock.phases,
+        "versions": {"kkstab": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        **meta})
+    if failure is None:
+        return EXIT_OK
+    _report(failure)
+    return EXIT_ASSERTION
 
 
 if __name__ == "__main__":

@@ -135,7 +135,7 @@ class EvolutionConfig:
     `default_cfl(n)`, 2/q at no more than CFL_FRACTION = 0.72 of RK4's bound
     2 sqrt(2) / sqrt(rho(n)), the fraction at which n = 9 runs its
     cfl = 0.4.  Any cfl, given or resolved, must keep `rk4_margin` <= 1;
-    the entry points check it again with their lam.  `dataclasses.replace`
+    `_evolve` checks it again with the run's lam.  `dataclasses.replace`
     carries the resolved cfl: a replaced n needs cfl=None to get its own.
     """
 
@@ -735,36 +735,38 @@ def _guard_sup(j, n_steps, t, u, w):
 
 def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
             operator=None, slice_s=(), slice_r_cap=None, cfl_check=None,
-            snapshot=None, margins=None) -> EvolutionResult:
+            snapshot=None) -> EvolutionResult:
     """The one evolution driver of the radial and quasilinear runs.
 
-    Builds the grid r, the initial data (`_prepare_init`, of shape lead +
-    r.shape), the slice sampler and the stored history, and steps
-    dv/dt = accel(t, u, v), or the linear dv/dt = operator(u), on the
-    light-cone window (`_run_sweep`).  Before each sweep the sampler hears
-    of its times (`SliceSampler.new_sweep`).  Each forward row meets, in
-    order: the sampler (`SliceSampler.observe`); the guard (`_guard_sup`),
-    which ends the sweep before the row is kept when sup|u| >
-    config.blowup_factor * max|u0| (never for zero u0), and otherwise runs
-    cfl_check(t, u); the history, every store_every steps; the monitors,
-    every monitor_every steps: t, sup |u|, support_radius of |u| + dt |v|,
-    energy (E_h at lam, summed with E_WEIGHTS over the surrogate's
-    components) and |u| at each observer ("obs_r<radius>").  Unless the
-    guard fired, a backward sweep, whose rows meet the sampler and the
-    guard's NaN check alone, completes the slices that reach below t_start.
-    The history is stored when config.store_history is set, or into a
-    snapshot file when snapshot, a function (t0, dt, shape) ->
-    `fields.SnapshotWriter`, is given: the file is closed with the rows
-    written when the sweeps return, and removed when they raise.
-    margins, a dict, gets "blowup_margin", the forward sweep's peak sup|u|
-    over blowup_factor * max|u0| (none for zero u0).
+    Checks lam (`_check_lam`), builds the grid r, the initial data
+    (`_prepare_init`, of shape lead + r.shape), the slice sampler and the
+    stored history, and steps dv/dt = accel(t, u, v), or the linear
+    dv/dt = operator(u), on the light-cone window (`_run_sweep`).  Before
+    each sweep the sampler hears of its times (`SliceSampler.new_sweep`).
+    Each forward row meets, in order: the sampler (`SliceSampler.observe`);
+    the guard (`_guard_sup`), which ends the sweep before the row is kept
+    when sup|u| > config.blowup_factor * max|u0| (never for zero u0), and
+    otherwise runs cfl_check(t, u), which returns the step's RK4 margin at
+    t or raises CFLError; the history, every store_every steps; the
+    monitors, every monitor_every steps: t, sup |u|, support_radius of
+    |u| + dt |v|, energy (E_h at lam, summed with E_WEIGHTS over the
+    surrogate's components) and |u| at each observer ("obs_r<radius>").
+    Unless the guard fired, a backward sweep, whose rows meet the sampler
+    and the guard's NaN check alone, completes the slices that reach below
+    t_start.
+    The history is stored when config.store_history is set, or, when
+    snapshot, a path, is given, written there as it is recorded
+    (`fields.SnapshotWriter`, for lead = () alone): the file is closed with
+    the rows written when the sweeps return, and removed when they raise.
 
     Returns the EvolutionResult: field is the ModeField of the stored rows
-    over lead + r.shape (None for a snapshot run or without history),
-    slices the sampler's (none after a blow-up), and counts the sweeps'
-    work counts with the sampler's "captured_nodes" and "gathered_columns"
-    (0 without slices).
+    over lead + r.shape (mapped read-only from a snapshot file, None
+    without history), slices the sampler's (none after a blow-up), counts
+    the sweeps' work counts with the sampler's "captured_nodes" and
+    "gathered_columns" (0 without slices), and margins every margin of
+    `EvolutionResult.margins`, "rk4_margin_peak" the peak of cfl_check's.
     """
+    margins = {"rk4_margin": _check_lam(lam, config)}
     dr, dt = config.dr, config.dt
     r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
     u0, v0, support = _prepare_init(init, r, config, lead)
@@ -792,8 +794,9 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
     row_dt = (config.t_start + every) - config.t_start
     times, store, writer = [], None, None
     if snapshot is not None:
-        writer = snapshot(t0=config.t_start, dt=row_dt if nt > 1 else every,
-                          shape=(nt,) + u0.shape)
+        writer = SnapshotWriter(snapshot, n=config.n, lam=lam, t0=config.t_start,
+                                dt=row_dt if nt > 1 else every, dr=dr,
+                                shape=(nt,) + u0.shape)
         store = writer.u, writer.v
     elif config.store_history:
         store = np.empty((nt,) + u0.shape), np.empty((nt,) + u0.shape)
@@ -814,7 +817,8 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
                 blow = t
                 return True
             if cfl_check is not None:
-                cfl_check(t, u)
+                margins["rk4_margin_peak"] = max(cfl_check(t, u),
+                                                 margins.get("rk4_margin_peak", 0.0))
         if store is not None and j % config.store_every == 0:
             store[0][len(times)], store[1][len(times)] = u, v
             times.append(t)
@@ -850,11 +854,12 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
             writer.close(len(times), row_dt)
     for key in ("captured_nodes", "gathered_columns"):
         counts[key] = getattr(sampler, key) if sampler is not None else 0
-    margins = {} if margins is None else margins
     if guard_scale is not None:
         margins["blowup_margin"] = peak / limit
     field_ = None
-    if store is not None and writer is None:
+    if writer is not None:
+        field_ = read_snapshot(snapshot, mmap=True)
+    elif store is not None:
         field_ = ModeField(lam=lam, n=config.n, t0=times[0], dt=row_dt, dr=dr,
                            u=store[0][:len(times)], v=store[1][:len(times)])
     return EvolutionResult(
@@ -910,14 +915,8 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     if config.n != n:
         raise ValueError(f"n={n} differs from config.n={config.n}")
     config.check_model("linear")
-    margins = {"rk4_margin": _check_lam(lam, config)}
-    dr = config.dr
-    opener = (None if snapshot is None else
-              functools.partial(SnapshotWriter, snapshot, n=n, lam=lam, dr=dr))
-    res = _evolve(config, init, lam, operator=_linear_operator(n, dr, lam),
-                  slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=opener,
-                  margins=margins)
-    return res if snapshot is None else replace(res, field=read_snapshot(snapshot, mmap=True))
+    return _evolve(config, init, lam, operator=_linear_operator(n, config.dr, lam),
+                   slice_s=slice_s, slice_r_cap=slice_r_cap, snapshot=snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,7 +1059,6 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
     operator, so the run is bit-identical to the linear solver.
     """
     config.check_model("quasilinear-toy")
-    margins = {"rk4_margin": _check_lam(lam, config)}
     dr, eps = config.dr, config.eps
 
     def cfl_check(t, u):
@@ -1069,17 +1067,17 @@ def evolve_quasilinear_toy(config: EvolutionConfig, lam: float = 0.0, init=None,
         h0r = np.max(np.abs(eps * u[1]))
         speed = math.sqrt((1.0 + 2.0 * hrr) / max(1.0 - 2.0 * h00, 1e-6)) + 4.0 * h0r
         margin = rk4_margin(config.n, dr, config.dt, lam, speed)
-        margins["rk4_margin_peak"] = max(margin, margins.get("rk4_margin_peak", 0.0))
         if margin > 1.0:
             raise CFLError(
                 f"perturbed characteristic speed {speed:.3f} breaks RK4 stability "
                 f"at t={t:.3f}: margin {margin:.3f} > 1")
+        return margin
 
     if init is None:
         init = (_default_pulse3, lambda r: np.zeros((3,) + r.shape))
     res = _evolve(config, init, lam, lead=(3,), **_quasilinear_rhs(config, lam),
                   slice_s=slice_s, slice_r_cap=slice_r_cap,
-                  cfl_check=cfl_check if eps != 0.0 else None, margins=margins)
+                  cfl_check=cfl_check if eps != 0.0 else None)
     comps = None if res.field is None else [
         replace(res.field, u=res.field.u[:, c], v=res.field.v[:, c]) for c in range(3)]
     return replace(res, field=None, slices={}, component_fields=comps,

@@ -398,13 +398,11 @@ class GeodesicTrajectory:
 
 
 def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
-                       lam_end: float, exterior_probe: bool = False
-                       ) -> GeodesicTrajectory:
+                       lam_end: float) -> GeodesicTrajectory:
     """Integrate the geodesic equation on harmonic Schwarzschild x torus,
     sampled at GEODESIC_SAMPLES evenly spaced affine parameters.
 
-    Causal initial velocity required.  Launch points outside |x| <= t - 2
-    must be flagged as exterior probes.  Terminates on horizon capture.
+    Causal initial velocity required.  Terminates on horizon capture.
     Flat space (C_S = 0) skips the metric, so it may launch at the origin.
     """
     if not 0 < lam_end - init.lam < _SPAN_MAX:
@@ -425,10 +423,6 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
     norm0 = v0 @ g0 @ v0 + np.dot(init.v_torus, init.v_torus)
     if norm0 > 1e-10:
         raise ValueError(f"initial velocity is spacelike: g(v,v) = {norm0:.3e}")
-    if not exterior_probe and math.hypot(*init.x) > init.t - 2.0:
-        raise ValueError(
-            "launch point outside |x| <= t - 2; pass exterior_probe=True"
-        )
 
     def rhs(lam, y):
         xs = y[1:1 + n]

@@ -31,6 +31,16 @@ def stderr_line(capsys) -> str:
     return err[0]
 
 
+def assert_run_meta(out, written: bool) -> None:
+    """run-meta.json, with its phase timings and versions, is in out exactly
+    when written: after a subcommand returns, passed or failed, and not
+    after one that raised."""
+    path = out / "run-meta.json"
+    assert path.exists() is written
+    if written:
+        assert {"phases_s", "versions"} <= set(json.loads(path.read_text()))
+
+
 def _shift_one_eigenvalue(monkeypatch):
     spectrum = internal.lichnerowicz_spectrum
 
@@ -42,14 +52,18 @@ def _shift_one_eigenvalue(monkeypatch):
     monkeypatch.setattr(internal, "lichnerowicz_spectrum", shifted)
 
 
-def _alter_snapshot_u(monkeypatch):
-    read = fields.read_snapshot
+def _alter_snapshot(change):
+    """A snapshot reader whose field takes the dataclasses.replace keywords
+    change(field)."""
+    def patch(monkeypatch):
+        read = fields.read_snapshot
 
-    def altered(path, **kwargs):
-        field = read(path, **kwargs)
-        return dataclasses.replace(field, u=field.u + 1e-12)
+        def altered(path, **kwargs):
+            field = read(path, **kwargs)
+            return dataclasses.replace(field, **change(field))
 
-    monkeypatch.setattr(fields, "read_snapshot", altered)
+        monkeypatch.setattr(fields, "read_snapshot", altered)
+    return patch
 
 
 def _drop_chart_deviation(monkeypatch):
@@ -57,11 +71,18 @@ def _drop_chart_deviation(monkeypatch):
                         lambda self, rbar: rbar)
 
 
-#: verify's checks in report order, each with a way to break its subject
-VERIFY_CHECKS = {
-    "torus-spectrum-oracle": _shift_one_eigenvalue,
-    "snapshot-roundtrip": _alter_snapshot_u,
-    "schwarzschild-metric": _drop_chart_deviation,
+#: verify's checks in report order
+VERIFY_CHECKS = ["torus-spectrum-oracle", "snapshot-roundtrip", "schwarzschild-metric"]
+#: (check, a way to break its subject), by test id
+VERIFY_BREAKS = {
+    "torus-spectrum-oracle": ("torus-spectrum-oracle", _shift_one_eigenvalue),
+    "snapshot-roundtrip": ("snapshot-roundtrip",
+                           _alter_snapshot(lambda f: {"u": f.u + 1e-12})),
+    "snapshot-roundtrip-v": ("snapshot-roundtrip",
+                             _alter_snapshot(lambda f: {"v": f.v + 1.0})),
+    "snapshot-roundtrip-dt": ("snapshot-roundtrip",
+                              _alter_snapshot(lambda f: {"dt": 99.0})),
+    "schwarzschild-metric": ("schwarzschild-metric", _drop_chart_deviation),
 }
 
 
@@ -72,7 +93,7 @@ class TestVerify:
         report = json.loads((out / "verify-report.json").read_text())
         assert list(report) == ["checks", "ok"]
         assert all(c["ok"] for c in report["checks"])
-        assert [c["name"] for c in report["checks"]] == list(VERIFY_CHECKS)
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
         # the round trip's snapshot is written outside the output directory
         assert {p.name for p in out.iterdir()} == {
             "resolved-config.ini", "verify-report.json", "run-meta.json"}
@@ -534,10 +555,11 @@ class TestDomainErrors:
             "geodesic-lam-end-1e200", "geodesic-r0-1e300-lam-end-1e308",
             "energy-slice-in-the-backward-cone"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
-        code, _ = run_cli(args, tmp_path, args[0])
+        code, out = run_cli(args, tmp_path, args[0])
         assert code == 2
         err = stderr_line(capsys)
         assert err.startswith("kkstab: ") and message in err
+        assert_run_meta(out, written=False)
 
 
 class TestRuntimeFailures:
@@ -553,21 +575,24 @@ class TestRuntimeFailures:
     def test_nan_guard_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(evolve, "_run_sweep", self._raise(
             evolve.NaNGuardError("non-finite field at t=5.0000")))
-        code, _ = run_cli(["evolve", "--n", "3", "--t-end", "8", "--dr",
-                           "0.0625"], tmp_path, "e")
+        code, out = run_cli(["evolve", "--n", "3", "--t-end", "8", "--dr",
+                             "0.0625"], tmp_path, "e")
         assert code == 1
         assert stderr_line(capsys) == "kkstab: non-finite field at t=5.0000"
+        assert_run_meta(out, written=False)
 
     def test_step_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(schwarzschild, "integrate_geodesic", self._raise(
             schwarzschild.StepFailureError("geodesic integration failed")))
-        code, _ = run_cli(["geodesic", "--lam-end", "10"], tmp_path, "g")
+        code, out = run_cli(["geodesic", "--lam-end", "10"], tmp_path, "g")
         assert code == 1
         assert stderr_line(capsys) == "kkstab: geodesic integration failed"
+        assert_run_meta(out, written=False)
 
 
 class TestFailedChecks:
-    """Each failed check exits 1 with one stderr line that names it."""
+    """Each failed check exits 1 with one stderr line that names it, and
+    run-meta.json is written."""
 
     def test_evolve_blow_up(self, tmp_path, capsys, monkeypatch):
         """A guard at 1e-3 max|u0| fires at its first check."""
@@ -578,45 +603,55 @@ class TestFailedChecks:
                        **kwargs)
 
         monkeypatch.setattr(evolve, "evolve_kg_radial", low_guard)
-        code, _ = run_cli(["evolve", "--n", "3", "--t-end", "8", "--dr", "0.0625"],
-                          tmp_path, "e")
+        code, out = run_cli(["evolve", "--n", "3", "--t-end", "8", "--dr", "0.0625"],
+                            tmp_path, "e")
         assert code == 1
         assert stderr_line(capsys).startswith("kkstab: blow-up guard fired at t=")
+        assert_run_meta(out, written=True)
 
     def test_energy_drift(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(energy, "hyperboloidal_energy", lambda data: data.slc.s)
-        code, _ = run_cli(["energy", "--n", "3", "--dr", "0.0625", "--slice-s", "4,5"],
-                          tmp_path, "e")
+        code, out = run_cli(["energy", "--n", "3", "--dr", "0.0625", "--slice-s", "4,5"],
+                            tmp_path, "e")
         assert code == 1
         assert stderr_line(capsys) == ("kkstab: hyperboloidal energy drift 0.2 across "
                                        "slices s=4,5 above 0.05")
+        assert_run_meta(out, written=True)
 
     def test_schwarzschild_exponent(self, tmp_path, capsys, monkeypatch):
         """A chart whose deviation m falls like rbar^-5, not like the
         harmonic chart's rbar^-6, makes the metric deviation fall like r^-6."""
         monkeypatch.setattr(schwarzschild.HarmonicChart, "m_mp",
                             lambda self, rb: (0.01 * rb ** -5, -0.05 * rb ** -6))
-        code, _ = run_cli(["schwarzschild"], tmp_path, "s")
+        code, out = run_cli(["schwarzschild"], tmp_path, "s")
         assert code == 1
         err = stderr_line(capsys)
         assert err.startswith("kkstab: metric deviation exponent -5.9")
         assert err.endswith("is not -(n-2) = -7 within 0.1")
+        assert_run_meta(out, written=True)
 
     def test_geodesic_drift(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(schwarzschild.GeodesicTrajectory, "velocity_norm",
                             lambda self: np.full(len(self.lam), 1e-3))
-        code, _ = run_cli(["geodesic", "--lam-end", "2"], tmp_path, "g")
+        code, out = run_cli(["geodesic", "--lam-end", "2"], tmp_path, "g")
         assert code == 1
         assert stderr_line(capsys) == ("kkstab: geodesic velocity norm drift 0.001 "
                                        "above 1e-8 lam_end + 1e-12 = 2e-08")
+        assert_run_meta(out, written=True)
 
-    @pytest.mark.parametrize("name", list(VERIFY_CHECKS))
-    def test_verify(self, tmp_path, capsys, monkeypatch, name):
-        """Each verify check fails, alone, when its subject is broken."""
-        VERIFY_CHECKS[name](monkeypatch)
-        code, _ = run_cli(["verify"], tmp_path, "v")
+    @pytest.mark.parametrize("case", list(VERIFY_BREAKS))
+    def test_verify(self, tmp_path, capsys, monkeypatch, case):
+        """Each verify check fails, alone, when its subject is broken, and
+        its error says by how much."""
+        name, breaks = VERIFY_BREAKS[case]
+        breaks(monkeypatch)
+        code, out = run_cli(["verify"], tmp_path, "v")
         assert code == 1
         assert stderr_line(capsys) == f"kkstab: verify checks failed: {name}"
+        failed = [c for c in json.loads((out / "verify-report.json").read_text())["checks"]
+                  if not c["ok"]]
+        assert [c["name"] for c in failed] == [name] and failed[0]["error"]
+        assert_run_meta(out, written=True)
 
 
 class TestExitContract:

@@ -380,16 +380,6 @@ class TestGeodesics:
         with pytest.raises(ValueError, match=message):
             integrate_geodesic(HarmonicChart(P), init, lam_end=10.0)
 
-    def test_launch_cone_guard(self):
-        p = SchwarzschildParams(n=9, cs=0.0)
-        x0 = np.zeros(9)
-        x0[0] = 10.0
-        vx = np.zeros(9)
-        vx[0] = 1.0
-        init = GeodesicState(t=4.0, x=x0, v_t=1.0, v_x=vx)
-        with pytest.raises(ValueError, match="exterior_probe"):
-            integrate_geodesic(HarmonicChart(p), init, lam_end=10.0)
-
     def test_horizon_capture(self):
         p = SchwarzschildParams(n=5, cs=1.0)  # horizon at rbar = 1
         ch = HarmonicChart(p)
@@ -400,8 +390,7 @@ class TestGeodesics:
         vx[0] = -1.0
         vt = np.sqrt(mp.g[1, 1] / -mp.g[0, 0])
         init = GeodesicState(t=50.0, x=x0, v_t=vt, v_x=vx)
-        traj = integrate_geodesic(ch, init, lam_end=100.0,
-                                  exterior_probe=True)
+        traj = integrate_geodesic(ch, init, lam_end=100.0)
         assert traj.captured
 
     def test_internal_motion_flat(self):
