@@ -503,10 +503,11 @@ def main(argv=None) -> int:
                    "geodesic": cmd_geodesic, "verify": cmd_verify}[sub]
         clock = _PhaseClock()
         meta, failure = handler(cfg, outdir, clock)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # ConfigError and the package's domain errors (a slice past the grid,
         # a probe inside the horizon, a malformed spectrum file, ...) are
-        # ValueErrors
+        # ValueErrors; an input too large to allocate (a grid or a lattice)
+        # is refused as one
         _report(exc)
         return EXIT_USAGE
     except (evolve_mod.NaNGuardError, schwarzschild.StepFailureError) as exc:

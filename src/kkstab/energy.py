@@ -219,12 +219,10 @@ class EstimateRow:
 
 
 def _classify_support(data: SliceData, n: int) -> str:
+    """Support class, "compact" or "tail", of a field that is not
+    identically 0 on its slice (estimate_suite writes a zero field's rows)."""
     amp = np.abs(data.u)
-    scale = amp.max()
-    if scale == 0.0:
-        return "zero"
-    edge = amp[-3:].max()
-    if edge <= 1e-10 * scale:
+    if amp[-3:].max() <= 1e-10 * amp.max():
         return "compact"
     # tail-decay hypothesis: |u| <~ r^{-(n-1)/2} on the outer quarter
     m = len(amp)
@@ -300,8 +298,6 @@ class DecayFit:
     exponent: float
     ci_low: float
     ci_high: float
-    n_samples: int
-    span: float
 
 
 #: Resamples and generator seed of `decay_fit`'s residual bootstrap.
@@ -333,5 +329,4 @@ def decay_fit(x, y) -> DecayFit:
         perturbed = fitted + rng.choice(resid, size=len(resid), replace=True)
         slopes[i] = np.polyfit(lx, perturbed, 1)[0]
     lo_q, hi_q = np.quantile(slopes, [0.025, 0.975])
-    return DecayFit(exponent=float(coef[0]), ci_low=float(lo_q),
-                    ci_high=float(hi_q), n_samples=len(x), span=float(span))
+    return DecayFit(exponent=float(coef[0]), ci_low=float(lo_q), ci_high=float(hi_q))

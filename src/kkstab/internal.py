@@ -59,15 +59,12 @@ class SpectralData:
         object.__setattr__(self, "modes", modes)
 
 
-InternalModel = FlatTorus | SpectralData
-
-
 def tensor_multiplicity(d: int) -> int:
     """Components of a symmetric 2-tensor on a d-dimensional space."""
     return d * (d + 1) // 2
 
 
-def lichnerowicz_spectrum(model: InternalModel, cutoff: float) -> SpectralData:
+def lichnerowicz_spectrum(model: FlatTorus, cutoff: float) -> SpectralData:
     """Eigenvalues of -Lap - 2 R(.) up to the cutoff.
 
     Flat torus: lambda = 4 pi^2 |k/L|^2, |k/L|^2 = sum_j (k_j / L_j)^2 over
@@ -75,10 +72,6 @@ def lichnerowicz_spectrum(model: InternalModel, cutoff: float) -> SpectralData:
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    if isinstance(model, SpectralData):
-        return SpectralData(
-            modes=tuple((l, m) for l, m in model.modes if l <= cutoff), d=model.d)
-
     tmult = tensor_multiplicity(model.d)
     k_bounds = [int(math.floor(math.sqrt(cutoff) * L / TWO_PI)) for L in model.periods]
     # |k/L|^2 over the whole lattice, flattened in C order (k_1 slowest); the
@@ -103,7 +96,7 @@ def lichnerowicz_spectrum(model: InternalModel, cutoff: float) -> SpectralData:
         d=model.d)
 
 
-def is_linearly_stable(model: InternalModel) -> tuple[bool, float]:
+def is_linearly_stable(model: FlatTorus | SpectralData) -> tuple[bool, float]:
     """Stability certificate: lowest eigenvalue of the tensor operator >= 0.
 
     A flat torus is always stable with lam_min = 0 (constant tensors are

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -27,10 +27,10 @@ HORIZON_GUARD = 1.01
 #: Below this z = C_S rbar^{2-n} the chart sums the series of 1 - F, whose
 #: term ratios stay below z; above it, hyp2f1 serves
 SERIES_Z = 0.3
-#: Largest span lam_end - lam of a geodesic, sqrt(float max): the
+#: Largest affine span lam_end of a geodesic, sqrt(float max): the
 #: integrator's error norm squares quantities of the step's size
 _SPAN_MAX = math.sqrt(sys.float_info.max)
-#: Samples of a geodesic, evenly spaced in its affine parameter from lam to
+#: Samples of a geodesic, evenly spaced in its affine parameter from 0 to
 #: lam_end (fewer when the probe is captured)
 GEODESIC_SAMPLES = 400
 
@@ -115,7 +115,6 @@ def _christoffels(ginv, dg):
 class MetricAtPoint:
     """Metric data at a point: components, inverse, derivatives."""
 
-    x: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray  # dg[mu, a, b] = d_mu g_{ab}
@@ -167,7 +166,7 @@ def _static_metric(x, r, h00, dh00, a, da, b, db) -> MetricAtPoint:
     dg[1:, 1:, 1:] = ((da * xh)[:, None, None] * eye
                       + ((db - da) * xh)[:, None, None] * xx
                       + (b - a) * (dxh[:, :, None] * xh + xh[:, None] * dxh[:, None, :]))
-    return MetricAtPoint(x=x, g=g, ginv=ginv, dg=dg)
+    return MetricAtPoint(g=g, ginv=ginv, dg=dg)
 
 
 def schwarzschild_metric(params: SchwarzschildParams, point) -> MetricAtPoint:
@@ -269,14 +268,16 @@ class HarmonicChart:
         raise ValueError(f"harmonic radius {r!r}: no rbar in 32 Newton steps")
 
 
-def _radial_profiles(chart: HarmonicChart, r: float):
-    """Deviation-form radial profiles of the harmonic-chart metric.
+def harmonic_deviation(chart: HarmonicChart, r: float) -> dict:
+    """Deviation h = g - eta of the harmonic-chart metric at radius r.
 
     g_00 = -1 + h00, g_ij = (1 + a) delta_ij + (b - a) xhat_i xhat_j with
     1 + a = rbar^2 / r^2 (tangential), 1 + b = (drbar/dr)^2 / f (radial).
-    Returns ((h00, dh00), (a, da), (b, db)); every quantity is assembled
-    from the small deviations m, m' directly, never by subtracting O(1)
-    numbers, so the r^{-(n-2)} tail survives in double precision.
+    Returns the scalar profiles {"h00", "tangential", "radial"} and their
+    radial derivatives; every quantity is assembled from the small
+    deviations m, m' directly, never by subtracting O(1) numbers, so the
+    r^{-(n-2)} tail survives in double precision (usable far below machine
+    epsilon relative to the identity part).
     """
     n, cs = chart.params.n, chart.params.cs
     rb = chart.rbar_of_r(r)
@@ -300,17 +301,6 @@ def _radial_profiles(chart: HarmonicChart, r: float):
         - 2.0 * h00 * (1.0 - mp) * dmp_dr
     ddenom = -2.0 * (1.0 - mp) * dmp_dr * (1.0 - h00) - (1.0 - mp) ** 2 * dh00
     db = (dnum * denom - num * ddenom) / denom ** 2
-    return (h00, dh00), (a, da), (b, db)
-
-
-def harmonic_deviation(chart: HarmonicChart, r: float) -> dict:
-    """Deviation h = g - eta of the harmonic-chart metric at radius r.
-
-    Returns the scalar profiles {"h00", "tangential", "radial"} and their
-    radial derivatives, computed without O(1) cancellation (usable far
-    below machine epsilon relative to the identity part).
-    """
-    (h00, dh00), (a, da), (b, db) = _radial_profiles(chart, r)
     return {"h00": h00, "tangential": a, "radial": b,
             "dh00": dh00, "dtangential": da, "dradial": db}
 
@@ -323,8 +313,9 @@ def harmonic_metric(chart: HarmonicChart, point) -> MetricAtPoint:
     chart's radial ODE.
     """
     x, r = _spatial_point(point, chart.params.n)
-    (h00, dh00), (a, da), (b, db) = _radial_profiles(chart, r)
-    return _static_metric(x, r, h00, dh00, a, da, b, db)
+    h = harmonic_deviation(chart, r)
+    return _static_metric(x, r, h["h00"], h["dh00"], h["tangential"],
+                          h["dtangential"], h["radial"], h["dradial"])
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +339,14 @@ def wave_gauge_residual(chart: HarmonicChart, r: float) -> np.ndarray:
 
 @dataclass
 class GeodesicState:
-    """Position and velocity on the product spacetime (harmonic chart)."""
+    """A probe's position and velocity in the harmonic chart at affine
+    parameter 0.  On a flat internal torus a momentum p is a straight line
+    there, so it enters as a timelike launch with g(v, v) = -|p|^2."""
 
     t: float
     x: np.ndarray
     v_t: float
     v_x: np.ndarray
-    torus: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v_torus: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    lam: float = 0.0
 
 
 @dataclass
@@ -367,8 +357,6 @@ class GeodesicTrajectory:
     x: np.ndarray           # (N, n)
     v_t: np.ndarray
     v_x: np.ndarray         # (N, n)
-    torus: np.ndarray
-    v_torus: np.ndarray
     captured: bool
     nfev: int               # right-hand-side evaluations of the integration
 
@@ -388,7 +376,7 @@ class GeodesicTrajectory:
         for i in range(len(self.lam)):
             mp = harmonic_metric(self.chart, self.x[i])
             v = np.concatenate([[self.v_t[i]], self.v_x[i]])
-            out[i] = v @ mp.g @ v + np.dot(self.v_torus[i], self.v_torus[i])
+            out[i] = v @ mp.g @ v
         return out
 
     def energy(self) -> np.ndarray:
@@ -399,17 +387,18 @@ class GeodesicTrajectory:
 
 def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
                        lam_end: float) -> GeodesicTrajectory:
-    """Integrate the geodesic equation on harmonic Schwarzschild x torus,
-    sampled at GEODESIC_SAMPLES evenly spaced affine parameters.
+    """Integrate the geodesic equation in the harmonic chart from affine
+    parameter 0 to lam_end, sampled at GEODESIC_SAMPLES evenly spaced
+    affine parameters.
 
     Causal initial velocity required.  Terminates on horizon capture.
     Flat space (C_S = 0) skips the metric, so it may launch at the origin.
     """
-    if not 0 < lam_end - init.lam < _SPAN_MAX:
-        raise ValueError(f"lam_end={lam_end} must be finite, above lam={init.lam} "
-                         f"and less than {_SPAN_MAX:.3g} past it")
+    if not 0 < lam_end < _SPAN_MAX:
+        raise ValueError(f"lam_end={lam_end} must be finite, above 0 and less "
+                         f"than {_SPAN_MAX:.3g}")
     params = chart.params
-    n, d = params.n, len(init.torus)
+    n = params.n
     for name, val in (("x", init.x), ("v_x", init.v_x)):
         if np.shape(val) != (n,):
             raise ValueError(f"{name} has shape {np.shape(val)}, not ({n},) for n={n}")
@@ -420,21 +409,18 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
     g0 = (np.diag([-1.0] + [1.0] * n) if flat
           else harmonic_metric(chart, init.x).g)
     v0 = np.concatenate([[init.v_t], init.v_x])
-    norm0 = v0 @ g0 @ v0 + np.dot(init.v_torus, init.v_torus)
+    norm0 = v0 @ g0 @ v0
     if norm0 > 1e-10:
         raise ValueError(f"initial velocity is spacelike: g(v,v) = {norm0:.3e}")
 
     def rhs(lam, y):
-        xs = y[1:1 + n]
-        vt = y[1 + n + d]
-        vx = y[2 + n + d:2 + 2 * n + d]
-        vth = y[2 + 2 * n + d:]
+        # y = [t, x, v_t, v_x]
+        v = y[1 + n:]
         dv = np.zeros(1 + n)
         if not flat:
-            gam = harmonic_metric(chart, xs).christoffels
-            v = np.concatenate([[vt], vx])
+            gam = harmonic_metric(chart, y[1:1 + n]).christoffels
             dv = -np.einsum("cab,a,b->c", gam, v, v)
-        return np.concatenate([[vt], vx, vth, dv, np.zeros(d)])
+        return np.concatenate([v, dv])
 
     def horizon(lam, y):
         rb = chart.rbar_of_r(math.hypot(*y[1:1 + n]))
@@ -444,18 +430,15 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
     horizon.terminal = True
     horizon.direction = -1
 
-    y0 = np.concatenate([[init.t], init.x, init.torus,
-                         [init.v_t], init.v_x, init.v_torus])
-    t_eval = np.linspace(init.lam, lam_end, GEODESIC_SAMPLES)
-    sol = solve_ivp(rhs, (init.lam, lam_end), y0, method="DOP853",
+    y0 = np.concatenate([[init.t], init.x, [init.v_t], init.v_x])
+    t_eval = np.linspace(0.0, lam_end, GEODESIC_SAMPLES)
+    sol = solve_ivp(rhs, (0.0, lam_end), y0, method="DOP853",
                     rtol=1e-12, atol=1e-14, events=horizon, t_eval=t_eval)
     if sol.status == -1:
         raise StepFailureError(f"geodesic integration failed: {sol.message}")
     captured = sol.status == 1
     Y = sol.y
     return GeodesicTrajectory(
-        chart=chart, lam=sol.t, t=Y[0], x=Y[1:1 + n].T,
-        torus=Y[1 + n:1 + n + d].T, v_t=Y[1 + n + d],
-        v_x=Y[2 + n + d:2 + 2 * n + d].T, v_torus=Y[2 + 2 * n + d:].T,
-        captured=captured, nfev=sol.nfev,
+        chart=chart, lam=sol.t, t=Y[0], x=Y[1:1 + n].T, v_t=Y[1 + n],
+        v_x=Y[2 + n:].T, captured=captured, nfev=sol.nfev,
     )

@@ -263,6 +263,21 @@ class TestEvolve:
         assert (out / "final-field.bin").exists()
         assert (out / "evolve-report.json").exists()
 
+    def test_decay_fit(self, tmp_path):
+        """A run long enough for the sup-norm fit (t >= 20 spanning a factor
+        4) writes its exponent and CI.  The massless wave at n = 3 decays
+        like t^{-(n-1)/2} = t^-1; the fit reads -1.098 here, -1.116 at
+        dr = 1/32 and -1.111 at t_end = 160, so the 0.1 offset is the fit
+        window's, not the grid's."""
+        n = 3
+        code, out = run_cli(["evolve", "--n", str(n), "--dr", "0.0625",
+                             "--t-end", "80"], tmp_path, "fit")
+        assert code == 0
+        report = json.loads((out / "evolve-report.json").read_text())
+        exponent, (ci_low, ci_high) = report["decay_exponent"], report["decay_exponent_ci"]
+        assert ci_low <= exponent <= ci_high
+        assert abs(exponent + (n - 1) / 2) <= 0.2
+
     def test_history_is_not_held_in_memory(self, tmp_path):
         """final-field.bin is written as the history is recorded: the traced
         peak of the run stays below a quarter of the file's payload (3.7 MiB
@@ -535,11 +550,16 @@ class TestDomainErrors:
         (["schwarzschild", "--cs", "1e-310"],
          "cs=1e-310: the metric deviation underflows to 0 at 4 of the 12 radii"),
         (["geodesic", "--lam-end", "1e200"],
-         "lam_end=1e+200 must be finite, above lam=0.0 and less than 1.34e+154 past it"),
+         "lam_end=1e+200 must be finite, above 0 and less than 1.34e+154"),
         (["geodesic", "--r0", "1e300", "--lam-end", "1e308"],
-         "lam_end=1e+308 must be finite, above lam=0.0 and less than 1.34e+154 past it"),
+         "lam_end=1e+308 must be finite, above 0 and less than 1.34e+154"),
         (["energy", "--slice-s", "2,3", "--t-end", "10", "--dr", "0.125"],
          "slice s=2.0 ends at r=1.5, t=2.5, inside the backward light cone of the data"),
+        # each request is above the user address space of 64-bit Linux
+        # (128 TiB, or 128 PiB with 5-level paging), so it fails at once
+        # whatever the overcommit setting
+        (["evolve", "--dr", "1e-15"], "Unable to allocate 703. PiB"),
+        (["energy", "--dr", "1e-15"], "Unable to allocate 277. PiB"),
     ], ids=["schwarzschild", "geodesic", "energy", "energy-slice-s-empty", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
@@ -553,12 +573,27 @@ class TestDomainErrors:
             "energy-n2000", "spectrum-file-missing", "spectrum-file-directory",
             "schwarzschild-cs-subnormal", "schwarzschild-cs-partly-subnormal",
             "geodesic-lam-end-1e200", "geodesic-r0-1e300-lam-end-1e308",
-            "energy-slice-in-the-backward-cone"])
+            "energy-slice-in-the-backward-cone", "evolve-dr-too-large-to-allocate",
+            "energy-dr-too-large-to-allocate"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, out = run_cli(args, tmp_path, args[0])
         assert code == 2
         err = stderr_line(capsys)
         assert err.startswith("kkstab: ") and message in err
+        assert_run_meta(out, written=False)
+
+    def test_spectrum_too_large_to_allocate(self, tmp_path, capsys, monkeypatch):
+        """A lattice too large to allocate is refused like the grids above.
+        The spectrum is monkeypatched: the real request (233 TiB at --lmax
+        2000000) fits a 5-level-paging address space, where an overcommitting
+        kernel could grant it."""
+        def too_large(model, cutoff):
+            raise MemoryError("Unable to allocate 233. TiB for an array")
+
+        monkeypatch.setattr(internal, "lichnerowicz_spectrum", too_large)
+        code, out = run_cli(["spectrum", "--lmax", "2000000"], tmp_path, "s")
+        assert code == 2
+        assert stderr_line(capsys) == "kkstab: Unable to allocate 233. TiB for an array"
         assert_run_meta(out, written=False)
 
 

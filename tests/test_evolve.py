@@ -204,6 +204,13 @@ class TestConfigDomain:
             return
         assert all(np.isfinite(col).all() for col in res.monitors.values())
 
+    def test_n_differs_from_config(self):
+        """The linear entry point takes n beside its config: the two must
+        agree."""
+        cfg = EvolutionConfig(**self.BASE)
+        with pytest.raises(ValueError, match=r"^n=9 differs from config.n=3$"):
+            evolve_kg_radial(0.0, 9, config=cfg)
+
 
 class TestInitShape:
     """init must hold u and v of the entry point's leading shape (() for the

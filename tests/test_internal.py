@@ -105,6 +105,39 @@ def test_missing_header(tmp_path):
         internal.parse_spectrum_file(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("internal-spectrum v1 n=2\n0.0 3\n", "line 1: missing d=<d> in header"),
+    ("# comment\ninternal-spectrum v1 d=x\n0.0 3\n", "line 2: bad dimension 'd=x'"),
+    ("internal-spectrum v1 d=2\n0.0 3\nabc 1\n", "line 3: bad eigenvalue 'abc'"),
+    ("internal-spectrum v1 d=2\n0.0 1.5\n", "line 2: bad multiplicity '1.5'"),
+    ("internal-spectrum v1 d=2\n0.0 3\n\n1.0 0\n", "line 4: multiplicity must be positive"),
+    ("internal-spectrum v1 d=2\n# no rows\n", "line 2: no modes listed"),
+    ("# only a comment\n\n", "line 1: missing 'internal-spectrum v1' header"),
+], ids=["header-without-d", "d-not-an-integer", "eigenvalue-abc", "multiplicity-1.5",
+        "multiplicity-0", "header-without-rows", "no-header"])
+def test_spectrum_file_refusal_names_its_line(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(internal.SpectrumFileError) as err:
+        internal.parse_spectrum_file(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("modes, d, message", [
+    (((0.0, 3), (1.0, 0)), 2, "mode multiplicities must be positive"),
+    (((0.0, 3),), 0, "internal dimension d=0 must be positive"),
+], ids=["multiplicity-0", "d-0"])
+def test_spectral_data_refusals(modes, d, message):
+    with pytest.raises(ValueError, match=message):
+        internal.SpectralData(modes=modes, d=d)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0])
+def test_nonpositive_cutoff_refused(cutoff):
+    with pytest.raises(ValueError, match=f"cutoff must be positive, got {cutoff}"):
+        internal.lichnerowicz_spectrum(internal.FlatTorus((1.0, 1.0)), cutoff)
+
+
 @pytest.mark.parametrize("row", ["nan 1", "-1e400 2", "inf 3"])
 def test_non_finite_eigenvalue_reports_line(tmp_path, row):
     path = tmp_path / "bad.txt"
