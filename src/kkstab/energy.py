@@ -1,14 +1,16 @@
 """Hyperboloidal energies, the energy identity, and estimate verification.
 
 All quantities live on radially sampled hyperboloid slices (SliceData).
-Generator words over {T, Xr, Z0r} act through the exact expansion of
-`geometry._word_terms`, evaluated here with the slice's derivative closure,
+Generator words over {T, Xr, Z0r} act through their exact integer
+expansion (`_word_terms`), evaluated with the slice's derivative closure,
 so boosted energies need no extra stored history.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,6 @@ import numpy as np
 from .evolve import (E_WEIGHTS, inverse_metric_components,
                      inverse_metric_derivative, q_nonlinearity)
 from .fields import SliceData
-from .geometry import _eval_terms, _word_terms, _words_upto
 
 
 class InsufficientSpanError(ValueError):
@@ -52,9 +53,62 @@ def hyperboloidal_energy(data: SliceData, gamma: GammaBlock | None = None) -> fl
 # Generator words on slices (exact integer coefficient expansion)
 
 
+# Each radial generator as a sum of t^i r^j d_axis pieces (i, j, axis), with
+# axis 0 for d_t and 1 for d_r: Z0r = t d_r + r d_t.
+_GENERATORS = {"T": ((0, 0, 0),), "Xr": ((0, 0, 1),),
+               "Z0r": ((1, 0, 1), (0, 1, 0))}
+
+
+@functools.lru_cache(maxsize=None)
+def _word_terms(word: tuple) -> tuple:
+    """Expand Z^word u into ((a, b), ((i, j, c), ...)) terms.
+
+    The coefficient of d_t^a d_r^b u is the sum of c t^i r^j over the listed
+    monomials.  The generators act right to left by the product rule on
+    integer polynomials, so the expansion is exact; "rotation" annihilates
+    radial fields and gives the empty expansion.
+    """
+    terms = {(0, 0): Counter({(0, 0): 1})}
+    for kind in reversed(word):
+        if kind == "rotation":
+            return ()
+        if kind not in _GENERATORS:
+            raise ValueError(f"unknown generator {kind!r}")
+        new = defaultdict(Counter)
+        for (a, b), poly in terms.items():
+            for p, q, axis in _GENERATORS[kind]:
+                for (i, j), c in poly.items():
+                    # t^p r^q d_axis (C d_t^a d_r^b u), C = c t^i r^j
+                    new[a + 1 - axis, b + axis][i + p, j + q] += c
+                    k = (i, j)[axis]
+                    if k:
+                        new[a, b][i + p - 1 + axis, j + q - axis] += k * c
+        terms = new
+    return tuple(sorted(
+        (key, tuple(sorted((i, j, c) for (i, j), c in poly.items() if c)))
+        for key, poly in terms.items() if any(poly.values())))
+
+
+def _words_upto(length: int, alphabet=("T", "Xr", "Z0r")):
+    words = [()]
+    horizon = [()]
+    for _ in range(length):
+        horizon = [w + (a,) for w in horizon for a in alphabet]
+        words.extend(horizon)
+    return words
+
+
 def word_apply(data: SliceData, word) -> np.ndarray:
-    """Z^word u sampled on the slice."""
-    return _eval_terms(data.t, data.r, data.deriv, _word_terms(tuple(word)))
+    """Z^word u sampled on the slice: the sum of coefficient(t, r) *
+    d_t^a d_r^b u over the word's expanded terms."""
+    t, r = data.t, data.r
+    out = np.zeros_like(t)
+    for (a, b), monomials in _word_terms(tuple(word)):
+        # c * r**j * t**i left to right, as the tests' lambdified symbolic
+        # coefficients evaluate it (a zero power is an exact factor 1.0)
+        coeff = sum(c * r ** j * t ** i for i, j, c in monomials)
+        out = out + coeff * data.deriv(a, b)
+    return out
 
 
 def word_energy(data: SliceData, word) -> float:

@@ -31,8 +31,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .fields import ModeField, SliceData, SnapshotWriter, read_snapshot
-from .geometry import make_slice, sphere_area
+from .fields import (ModeField, SliceData, SnapshotWriter, make_slice, read_snapshot,
+                     sphere_area)
 
 
 class CFLError(ValueError):
@@ -350,7 +350,8 @@ _FLUSH_EVERY = 64
 class SliceSampler:
     """Captures hyperboloid samples as a sweep passes through them.
 
-    Each radial node k of a target slice s crosses the evolution at
+    The slices (`_plan_slices`) have their nodes on grid columns of spacing
+    dr.  Each radial node k of a slice s crosses the evolution at
     t*_k = sqrt(s^2 + r_k^2).  Row j of a sweep comes at t_j = t0 + j dt;
     the row j >= 3 captures the nodes whose t* lies in [t_{j-2}, t_{j-1})
     ([t_0, t_2) for j = 3; the bounds swap in a backward sweep), and each
@@ -374,15 +375,12 @@ class SliceSampler:
     is captured to radial order max_b >= 1, v = d_t u (a = 1) below max_b.
     """
 
-    def __init__(self, targets, n: int, dr: float, max_b: int = 2,
-                 r_cap=None, leading_shape: tuple = ()):
+    def __init__(self, slices, dr: float, max_b: int = 2, leading_shape: tuple = ()):
         self.dr = dr
         #: grid columns gathered per row of u (the same of v), over all rows
         self.gathered_columns = 0
-        slcs = [make_slice(s, n, dr, r_cap=r_cap(s) if callable(r_cap) else r_cap)
-                for s in targets]
-        self._tstar = np.concatenate([slc.t for slc in slcs] or [np.empty(0)])
-        self._cols = np.round(np.concatenate([slc.r for slc in slcs] or [np.empty(0)])
+        self._tstar = np.concatenate([slc.t for slc in slices] or [np.empty(0)])
+        self._cols = np.round(np.concatenate([slc.r for slc in slices] or [np.empty(0)])
                               / dr).astype(int)
         self._order = np.argsort(self._tstar, kind="stable")
         self._tsorted = self._tstar[self._order]
@@ -392,12 +390,11 @@ class SliceSampler:
                        for a, nb in enumerate(self._n_orders) for b in range(nb)}
         self.entries = []
         start = 0
-        for s, slc in zip(targets, slcs):
+        for slc in slices:
             sel = slice(start, start + len(slc.r))
             start = sel.stop
             self.entries.append({
-                "s": s, "slc": slc, "cols": self._cols[sel], "tstar": slc.t,
-                "done": self._done[sel],
+                "s": slc.s, "slc": slc, "cols": self._cols[sel], "done": self._done[sel],
                 "store": {key: arr[..., sel] for key, arr in self._store.items()},
             })
         # no sweep yet: observe refuses every row, and _flush has nothing
@@ -679,42 +676,43 @@ def _prepare_init(init, r, config, lead):
     return u0, v0, sup_r
 
 
-def _auto_slice_cap(slice_r_cap, n_nodes: int, dr: float, t_start: float,
-                    support: float):
-    """Default capture cap: full slice if it fits, else the grid edge.
+def _plan_slices(slice_s, slice_r_cap, config: EvolutionConfig, r: np.ndarray,
+                 support: float) -> list:
+    """The slices of a run's captures: one `make_slice` per distinct s of
+    slice_s, in increasing s, cut at slice_r_cap or by default at the grid
+    edge, column len(r) - 5 (a repeated s is one slice, captured once).
 
-    The full slice ends at r = (s^2 - 1)/2, t = (s^2 + 1)/2.  Data supported
-    in r <= support at t_start stay in r <= support + |t - t_start|, so the
-    cut there is exact when s^2 >= t_start + support (always when the end
-    comes after t_start, as support <= t_start - 2); a slice whose end lies
-    inside the data's backward light cone is refused.  Truncating at the
-    grid edge is exact when the edge lies outside the solution's light cone
-    on the slice (support radius (s^2 - 4)/4 for data supported in
-    r <= t_start - 2 = 2); otherwise the grid cannot hold the slice and we
-    refuse.  A given slice_r_cap is taken as it is.
+    A default slice ends where it fits: at its full end r = (s^2 - 1)/2,
+    t = (s^2 + 1)/2, or at the grid edge.  Data supported in r <= support
+    at t_start stay in r <= support + |t - t_start|, so the full end is exact
+    when s^2 >= t_start + support (always when the end comes after t_start,
+    as support <= t_start - 2); a slice whose end lies inside the data's
+    backward light cone is refused.  The edge is exact when it lies outside
+    the solution's light cone on the slice (support radius (s^2 - 4)/4 for
+    data supported in r <= t_start - 2 = 2); a slice that fits neither way
+    is refused.  A given slice_r_cap is taken as it is, and refused when the
+    slice then reaches past column len(r) - 4.
     """
-    if slice_r_cap is not None:
-        return slice_r_cap
-    r_top = (n_nodes - 5) * dr
-
-    def cap(s):
-        full = (s * s - 1.0) / 2.0
-        if s * s < t_start + support:
-            raise ValueError(
-                f"slice s={s} ends at r={full:g}, t={full + 1.0:g}, inside the backward "
-                f"light cone of the data (support r <= {support:g} at t_start="
-                f"{t_start:g}), where the field is not zero; take s^2 >= t_start + "
-                f"{support:g} = {t_start + support:g} or pass slice_r_cap")
-        if full <= r_top:
-            return full
-        if (s * s - 4.0) / 4.0 + 2.0 <= r_top:
-            return r_top
-        raise ValueError(
-            f"slice s={s} needs capture out to r={(s * s - 4.0) / 4.0 + 2.0:.1f} "
-            f"but the grid ends at r={r_top:.1f}; raise r_max or t_end"
-        )
-
-    return cap
+    t_start, r_top, slices = config.t_start, (len(r) - 5) * config.dr, []
+    for s in sorted(set(slice_s)):
+        if slice_r_cap is None:
+            full, reach = (s * s - 1.0) / 2.0, (s * s - 4.0) / 4.0 + 2.0
+            if s * s < t_start + support:
+                raise ValueError(
+                    f"slice s={s} ends at r={full:g}, t={full + 1.0:g}, inside the backward "
+                    f"light cone of the data (support r <= {support:g} at t_start="
+                    f"{t_start:g}), where the field is not zero; take s^2 >= t_start + "
+                    f"{support:g} = {t_start + support:g} or pass slice_r_cap")
+            if min(full, reach) > r_top:
+                raise ValueError(f"slice s={s} needs capture out to r={reach:.1f} but the "
+                                 f"grid ends at r={r_top:.1f}; raise r_max or t_end")
+        slc = make_slice(s, config.n, config.dr,
+                         r_cap=r_top if slice_r_cap is None else slice_r_cap)
+        if len(slc.r) > len(r) - 3:
+            raise ValueError(f"slice s={s} reaches r={slc.r[-1]:.2f}, beyond the grid; "
+                             f"raise r_max or pass slice_r_cap")
+        slices.append(slc)
+    return slices
 
 
 #: steps between the blow-up guard's reads, which also read the last step
@@ -767,23 +765,19 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
     `EvolutionResult.margins`, "rk4_margin_peak" the peak of cfl_check's.
     """
     margins = {"rk4_margin": _check_lam(lam, config)}
-    dr, dt = config.dr, config.dt
-    r = dr * np.arange(int(round(config.resolved_r_max() / dr)) + 1)
+    dr, dt, r_max = config.dr, config.dt, config.resolved_r_max()
+    n_nodes = int(round(r_max / dr)) + 1
+    try:
+        r = dr * np.arange(n_nodes)
+    except MemoryError as exc:
+        raise MemoryError(f"dr={dr} with r_max={r_max} gives {n_nodes} grid nodes: "
+                          f"{exc}") from exc
     u0, v0, support = _prepare_init(init, r, config, lead)
 
     sampler, t_end = None, config.t_end
     if slice_s:
-        cap = _auto_slice_cap(slice_r_cap, len(r), dr, config.t_start, support)
-        # a repeated s is one slice, captured once
-        sampler = SliceSampler(sorted(set(slice_s)), config.n, dr,
-                               max_b=config.sample_derivs, r_cap=cap,
-                               leading_shape=u0.shape[:-1])
-        for entry in sampler.entries:
-            if entry["cols"].max() > len(r) - 4:
-                raise ValueError(
-                    f"slice s={entry['s']} reaches r={entry['cols'].max() * dr:.2f}, "
-                    f"beyond the grid; raise r_max or pass slice_r_cap"
-                )
+        sampler = SliceSampler(_plan_slices(slice_s, slice_r_cap, config, r, support), dr,
+                               max_b=config.sample_derivs, leading_shape=u0.shape[:-1])
         t_end = max(t_end, sampler.t_range_needed()[1] + 4 * dt)
     n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
 
@@ -904,8 +898,9 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
 
     slice_s requests hyperboloid captures; slices whose nodes cross times
     before t_start are completed by a backward sweep (the scheme is time
-    reversible).  slice_r_cap(s) truncates capture where the solution is
-    known to vanish.  snapshot, a path, writes the stored history there as
+    reversible).  slice_r_cap, a radius, cuts every slice there instead of
+    at its default end (`_plan_slices`), where the solution is known to
+    vanish beyond it.  snapshot, a path, writes the stored history there as
     it is recorded (the bytes of `fields.write_snapshot` of the in-memory
     field), whatever config.store_history says; result.field then maps the
     finished file read-only instead of holding the history in memory.

@@ -1,4 +1,5 @@
-"""Radial mode fields, their hyperboloid slice samples, and snapshot I/O.
+"""Hyperboloid slices, radial mode fields, their slice samples, and
+snapshot I/O.
 
 A perturbation on the product spacetime is a set of radial scalar mode
 fields, each tagged with its internal eigenvalue (effective mass^2).  Slice
@@ -10,12 +11,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from .geometry import HyperboloidSlice
 
 SNAPSHOT_MAGIC = "kkstab-field v1"
 #: longest header line read: a payload without newlines is not read whole
@@ -26,6 +25,63 @@ _MOVE_CHUNK = 1 << 20
 
 class WindowError(ValueError):
     """Requested slice or time outside the stored evolution window."""
+
+
+class DomainError(ValueError):
+    """Point outside the chart's domain of validity."""
+
+
+def sphere_area(n: int) -> float:
+    """Surface measure of the unit (n-1)-sphere in R^n."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Hyperboloid slices
+
+
+@dataclass(frozen=True)
+class HyperboloidSlice:
+    """The surface s = const, radially sampled, with flat-measure quadrature.
+
+    Quadrature weights integrate f over the slice with the flat Euclidean
+    volume form dx, radially reduced: integral = sum_k w_k f(r_k) with
+    w_k = vol(S^{n-1}) r_k^{n-1} * (trapezoid weight).
+    """
+
+    s: float
+    n: int
+    r: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.s < 2:
+            raise DomainError(f"energy slices require s >= 2, got s={self.s}")
+        dr = self.r[1] - self.r[0] if len(self.r) > 1 else 1.0
+        trap = np.full(len(self.r), dr)
+        trap[0] = trap[-1] = 0.5 * dr
+        w = sphere_area(self.n) * self.r ** (self.n - 1) * trap
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.sqrt(self.s ** 2 + self.r ** 2)
+
+    def integrate(self, values: np.ndarray) -> float:
+        return float(np.dot(self.weights, values))
+
+
+def make_slice(s: float, n: int, dr: float, r_cap: float | None = None) -> HyperboloidSlice:
+    """Build a radial slice sampled at spacing dr out to r_cap.
+
+    By default the slice is truncated where it meets |x| = t - 1, the region
+    the energy integrals live on.
+    """
+    limit = 0.5 * (s * s - 1.0)
+    cap = limit if r_cap is None else min(r_cap, limit)
+    k_max = max(int(math.floor(cap / dr)), 2)
+    r = np.arange(k_max + 1) * dr
+    return HyperboloidSlice(s=s, n=n, r=r)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from scipy.optimize import brentq
 from kkstab import evolve as ev
 from kkstab.cli import REPORT_MAGIC
 from kkstab.energy import GammaBlock, hyperboloidal_energy
-from kkstab.fields import SliceData, WindowError
-from kkstab.geometry import DomainError, make_slice, sphere_area
+from kkstab.fields import DomainError, SliceData, WindowError, make_slice, sphere_area
 from kkstab.schwarzschild import _christoffels, harmonic_metric
 
 

@@ -7,8 +7,7 @@ sympy is a test-only dependency; the package itself never imports it.
 import numpy as np
 import sympy as sp
 
-from kkstab.fields import SliceData
-from kkstab.geometry import make_slice
+from kkstab.fields import SliceData, make_slice
 
 T, R = sp.symbols("t r", positive=True)
 

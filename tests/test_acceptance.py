@@ -20,7 +20,7 @@ from kkstab.energy import (
     hyperboloidal_energy,
 )
 from kkstab.evolve import EvolutionConfig, evolve_kg_radial, evolve_quasilinear_toy
-from kkstab.geometry import make_slice
+from kkstab.fields import make_slice
 from kkstab.schwarzschild import (
     GeodesicState,
     HarmonicChart,

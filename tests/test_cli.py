@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kkstab import cli, energy, evolve, fields, internal, schwarzschild
-from kkstab.geometry import make_slice
+from kkstab.fields import make_slice
 from kkstab.cli import main
 from oracles import read_report
 
@@ -558,8 +558,12 @@ class TestDomainErrors:
         # each request is above the user address space of 64-bit Linux
         # (128 TiB, or 128 PiB with 5-level paging), so it fails at once
         # whatever the overcommit setting
-        (["evolve", "--dr", "1e-15"], "Unable to allocate 703. PiB"),
-        (["energy", "--dr", "1e-15"], "Unable to allocate 277. PiB"),
+        (["evolve", "--dr", "1e-15"], "dr=1e-15 with r_max=99.00000000000001 gives "
+                                      "99000000000000001 grid nodes: Unable to allocate "
+                                      "703. PiB"),
+        (["energy", "--dr", "1e-15"], "dr=1e-15 with r_max=39.00000000000001 gives "
+                                      "39000000000000009 grid nodes: Unable to allocate "
+                                      "277. PiB"),
     ], ids=["schwarzschild", "geodesic", "energy", "energy-slice-s-empty", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
@@ -956,7 +960,7 @@ class TestConsoleScript:
         nor sympy: each is imported where a computation needs it."""
         script = ("import sys, kkstab; "
                   "import kkstab.evolve, kkstab.energy, kkstab.fields, "
-                  "kkstab.geometry, kkstab.internal; "
+                  "kkstab.internal; "
                   "print('scipy' in sys.modules, 'sympy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)

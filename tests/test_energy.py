@@ -13,6 +13,7 @@ import sympy as sp
 from kkstab import energy as en
 from kkstab.energy import (
     InsufficientSpanError,
+    SupportClassError,
     boosted_energy,
     decay_fit,
     def_integrand,
@@ -21,8 +22,7 @@ from kkstab.energy import (
     hyperboloidal_energy,
 )
 from kkstab.evolve import EvolutionConfig, evolve_kg_radial, evolve_quasilinear_toy
-from kkstab.geometry import make_slice
-from kkstab.fields import SliceData
+from kkstab.fields import SliceData, make_slice
 from oracles import (ETA2, RADIAL_BRACKETS, EquivalenceResult, constants_stable,
                      envelope, equivalence_check, integrable, inverse_metric_einsum,
                      pack_sym, sharp, sharp_prod, stress_integrand, zero_gamma)
@@ -243,6 +243,27 @@ class TestEstimateSuite:
         rows = estimate_suite({4.0: data}, 3)
         assert all(row.skipped for row in rows)
         assert not constants_stable(rows, "hardy")
+
+    @pytest.mark.parametrize("expr, support_class", [
+        ("(1 + r**2)**(-5/2) / t", "tail"),
+        ("exp(-r**2)", "compact"),
+    ])
+    def test_support_class(self, expr, support_class):
+        """At s = 4, n = 9, dr = 1/16: a field that does not vanish at the
+        slice's edge (2e-5 of its peak) but falls on the outer quarter faster
+        than r^(-(n-1)/2 + 1/2) = r^-3.5 is "tail" (slope -5.61); a Gaussian
+        is "compact"."""
+        rows = estimate_suite({4.0: slice_data_from_expr(expr, 4.0, 9, 1 / 16)}, 9)
+        assert len(rows) == 4
+        assert all(row.support_class == support_class and not row.skipped
+                   for row in rows)
+
+    def test_slow_tail_refused(self):
+        """(1 + r^2)^-1 / t falls with outer slope -2.68 on the s = 4 slice,
+        slower than the tail bound -3.5: the suite refuses it."""
+        data = slice_data_from_expr("(1 + r**2)**(-1) / t", 4.0, 9, 1 / 16)
+        with pytest.raises(SupportClassError, match=r"outer slope -2\.68"):
+            estimate_suite({4.0: data}, 9)
 
     #: relative quadrature slack of a measured Hardy constant over 2/(n - 2),
     #: set before the runs: on the family below the ratios agree to four

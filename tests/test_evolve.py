@@ -395,6 +395,22 @@ class TestLinearEvolution:
         with pytest.raises(ValueError, match="slice_r_cap|grid"):
             evolve_kg_radial(0.0, 3, config=cfg, slice_s=(8.0,))
 
+    def test_planned_slices_are_make_slice_s(self):
+        """The run's slices are `make_slice`'s: s = 4 whole, out to
+        (s^2 - 1)/2 = 7.5, and s = 6, whose end 17.5 lies past the grid
+        edge, cut at column len(r) - 5, r = 13.75 (r_max = 14).  A given
+        slice_r_cap = 17 keeps s = 4 whole and takes s = 6 off the grid."""
+        cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, t_end=4.0, r_max=14.0,
+                              store_history=False)
+        slices = evolve_kg_radial(0.0, 3, config=cfg, slice_s=(6.0, 4.0)).slices
+        assert list(slices) == [4.0, 6.0]
+        assert slices[4.0].r.tobytes() == fields.make_slice(4.0, 3, 1 / 16).r.tobytes()
+        assert slices[4.0].r[-1] == 7.5
+        want = fields.make_slice(6.0, 3, 1 / 16, r_cap=13.75).r
+        assert slices[6.0].r.tobytes() == want.tobytes() and want[-1] == 13.75
+        with pytest.raises(ValueError, match=r"slice s=6.0 reaches r=17.00, beyond the grid"):
+            evolve_kg_radial(0.0, 3, config=cfg, slice_s=(4.0, 6.0), slice_r_cap=17.0)
+
     def test_slice_inside_the_backward_cone_rejected(self):
         """A default cap ends slice s at r = (s^2 - 1)/2, t = (s^2 + 1)/2,
         which is exact only where the field vanishes: s^2 >= t_start + R
@@ -1299,18 +1315,16 @@ class ReferenceSampler(SliceSampler):
 
     gathered_columns = 0  # not counted
 
-    def __init__(self, targets, n, dr, max_b=2, r_cap=None, leading_shape=()):
-        self.n, self.dr, self.max_b = n, dr, max_b
+    def __init__(self, slices, dr, max_b=2, leading_shape=()):
+        self.dr, self.max_b = dr, max_b
         self._buf = deque(maxlen=4)
         self._first_window = False
         self.entries = []
-        for s in targets:
-            cap = r_cap(s) if callable(r_cap) else r_cap
-            slc = ev.make_slice(s, n, dr, r_cap=cap)
+        for slc in slices:
             store = {(a, b): np.zeros(leading_shape + slc.r.shape)
                      for a in (0, 1) for b in range(max_b + 1 - a)}
             self.entries.append({
-                "s": s, "slc": slc, "cols": np.round(slc.r / dr).astype(int),
+                "s": slc.s, "slc": slc, "cols": np.round(slc.r / dr).astype(int),
                 "tstar": slc.t, "done": np.zeros(slc.r.shape, dtype=bool),
                 "store": store,
             })
@@ -1393,8 +1407,8 @@ def _sampler_case(case, sample_derivs):
     r = cfg.dr * np.arange(int(cfg.r_max / cfg.dr) + 1)
     base = default_pulse(r)
     u0 = np.stack([base, 0.5 * base, -base])
-    sampler = ev.SliceSampler((6.0,), 3, cfg.dr, max_b=sample_derivs, r_cap=14.0,
-                              leading_shape=(3,))
+    sampler = ev.SliceSampler([fields.make_slice(6.0, 3, cfg.dr, r_cap=14.0)], cfg.dr,
+                              max_b=sample_derivs, leading_shape=(3,))
     t_hi = sampler.t_range_needed()[1] + 4 * cfg.dt
     n_steps = int(np.ceil((t_hi - cfg.t_start) / cfg.dt))
     sampler.new_sweep(cfg.t_start, cfg.dt, n_steps)
@@ -1481,7 +1495,7 @@ class TestSliceSampler:
         same times, with twice the data, leaves every sample as it was."""
         cfg = EvolutionConfig(n=3, dr=1 / 16, t_start=4.0, r_max=14.0)
         r = cfg.dr * np.arange(int(cfg.r_max / cfg.dr) + 1)
-        sampler = SliceSampler((5.0,), 3, cfg.dr, r_cap=6.0)
+        sampler = SliceSampler([fields.make_slice(5.0, 3, cfg.dr, r_cap=6.0)], cfg.dr)
         t_hi = sampler.t_range_needed()[1] + 4 * cfg.dt
         n_steps = int(np.ceil((t_hi - cfg.t_start) / cfg.dt))
         first = None
@@ -1498,7 +1512,7 @@ class TestSliceSampler:
     def test_rows_off_the_announced_times_raise(self):
         """observe takes row k = 0..n_steps at t0 + k dt, as new_sweep
         announced, and no row before a sweep is announced."""
-        sampler = SliceSampler((5.0,), 3, 1 / 16, r_cap=6.0)
+        sampler = SliceSampler([fields.make_slice(5.0, 3, 1 / 16, r_cap=6.0)], 1 / 16)
         row = np.zeros(200)
         with pytest.raises(ValueError, match="row 0 of the sweep"):
             sampler.observe(0.0, row, row)
@@ -1516,7 +1530,7 @@ class TestSliceSampler:
         needed, as plain floats."""
         dr = 1 / 16
         dt = EvolutionConfig(n=9, dr=dr).dt
-        sampler = SliceSampler((5.0,), 9, dr)
+        sampler = SliceSampler([fields.make_slice(5.0, 9, dr)], dr)
         assert sampler.t_range_needed() == (5.0, 13.0)
         assert all(type(t) is float for t in sampler.t_range_needed())
         row = np.zeros(200)
