@@ -756,6 +756,8 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
     snapshot, a path, is given, written there as it is recorded
     (`fields.SnapshotWriter`, for lead = () alone): the file is closed with
     the rows written when the sweeps return, and removed when they raise.
+    Its rows are spaced (t_start + store_every*dt) - t_start, also when a
+    single row is kept.
 
     Returns the EvolutionResult: field is the ModeField of the stored rows
     over lead + r.shape (mapped read-only from a snapshot file, None
@@ -782,15 +784,13 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
     n_steps = int(math.ceil((t_end - config.t_start) / dt - 1e-9))
 
     # the stored rows come every store_every steps; their spacing is t_1 - t_0
-    # of the row times as `_run_sweep` forms them, or store_every steps for a
-    # single row, the same float in a snapshot's header at open and at close
-    nt, every = n_steps // config.store_every + 1, config.store_every * dt
-    row_dt = (config.t_start + every) - config.t_start
+    # of the row times as `_run_sweep` forms them, however many rows are kept
+    nt = n_steps // config.store_every + 1
+    row_dt = (config.t_start + config.store_every * dt) - config.t_start
     times, store, writer = [], None, None
     if snapshot is not None:
         writer = SnapshotWriter(snapshot, n=config.n, lam=lam, t0=config.t_start,
-                                dt=row_dt if nt > 1 else every, dr=dr,
-                                shape=(nt,) + u0.shape)
+                                dt=row_dt, dr=dr, shape=(nt,) + u0.shape)
         store = writer.u, writer.v
     elif config.store_history:
         store = np.empty((nt,) + u0.shape), np.empty((nt,) + u0.shape)
@@ -843,16 +843,15 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
                 sampler.new_sweep(config.t_start, -dt, n_back)
                 _run_sweep(u0, v0, config.t_start, n_back, -dt, accel, nan_check,
                            counts=counts, operator=operator)
-        row_dt = row_dt if len(times) > 1 else every
         if writer is not None:
-            writer.close(len(times), row_dt)
+            writer.close(len(times))
     for key in ("captured_nodes", "gathered_columns"):
         counts[key] = getattr(sampler, key) if sampler is not None else 0
     if guard_scale is not None:
         margins["blowup_margin"] = peak / limit
     field_ = None
     if writer is not None:
-        field_ = read_snapshot(snapshot, mmap=True)
+        field_ = read_snapshot(snapshot)
     elif store is not None:
         field_ = ModeField(lam=lam, n=config.n, t0=times[0], dt=row_dt, dr=dr,
                            u=store[0][:len(times)], v=store[1][:len(times)])

@@ -209,12 +209,12 @@ def _pwrite(fd: int, data, offset: int) -> None:
 
 
 def _move(fd: int, src: int, dst: int, size: int) -> None:
-    """Copy size bytes from offset src to offset dst of the file, in chunks,
-    in the order that reads every byte before the copy overwrites it."""
+    """Copy size bytes from offset src to offset dst <= src of the file, in
+    chunks from front to back, so each chunk is read before a later chunk's
+    copy overwrites it."""
     if src == dst:
         return
-    starts = range(0, size, _MOVE_CHUNK)
-    for start in (starts if dst < src else reversed(starts)):
+    for start in range(0, size, _MOVE_CHUNK):
         length = min(_MOVE_CHUNK, size - start)
         _pwrite(fd, os.pread(fd, length, src + start), dst + start)
 
@@ -235,30 +235,30 @@ class _Block:
 class SnapshotWriter:
     """A snapshot file written as its rows arrive.
 
-    The header and block offsets are those of a `shape` = (nt, nr)
-    payload.  The file is made under a temporary name beside `path`; `u`
-    and `v` are its two blocks (`_Block`).  `close(rows, dt)` keeps the first
-    `rows` rows of each block, rewriting the header for that count and
-    dt, and renames the file to `path`.  Used as a context manager, an
-    exception removes the file and a normal exit closes it at its planned
-    shape and dt.
+    The header, with its dt fixed here, and the block offsets are those of
+    a `shape` = (nt, nr) payload.  The file is made under a temporary name
+    beside `path`; `u` and `v` are its two blocks (`_Block`).  `close(rows)`
+    keeps the first `rows` <= nt rows of each block, rewriting the header's
+    shape for that count, which can only shorten it, and renames the file
+    to `path`.  Used as a context manager, an exception removes the file
+    and a normal exit closes it at its planned shape.
     """
 
     def __init__(self, path, *, n, lam, t0, dt, dr, shape):
         self.path = Path(path)
         self._tmp = self.path.with_name(self.path.name + ".tmp")
-        self._meta = {"n": n, "lam": lam, "t0": t0, "dr": dr}
-        self._dt, self._shape = dt, shape
-        self._head = _header(dt=dt, shape=shape, **self._meta)
+        self._meta = {"n": n, "lam": lam, "t0": t0, "dt": dt, "dr": dr}
+        self._shape = shape
+        self._head = _header(shape=shape, **self._meta)
         self._fd = os.open(self._tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
         _pwrite(self._fd, self._head, 0)
         nt, nr = shape
         self.u = _Block(self._fd, len(self._head), 8 * nr)
         self.v = _Block(self._fd, len(self._head) + 8 * nt * nr, 8 * nr)
 
-    def close(self, rows: int, dt: float) -> None:
+    def close(self, rows: int) -> None:
         nt, nr = self._shape
-        head = _header(dt=dt, shape=(rows, nr), **self._meta)
+        head = _header(shape=(rows, nr), **self._meta)
         block, old = 8 * rows * nr, len(self._head)
         # v next to the rows kept of u, then both behind the new header
         _move(self._fd, old + 8 * nt * nr, old + block, block)
@@ -280,7 +280,7 @@ class SnapshotWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._fd is not None:
             if exc_type is None:
-                self.close(self._shape[0], self._dt)
+                self.close(self._shape[0])
             else:
                 self.discard()
 
@@ -315,9 +315,9 @@ def _header_line(fh, lineno: int, spec: dict) -> dict:
                          f"expected {want}") from None
 
 
-def read_snapshot(path, mmap: bool = False) -> ModeField:
-    """The ModeField of a snapshot file; with mmap, u and v are read-only
-    np.memmap views of the file instead of arrays read into memory."""
+def read_snapshot(path) -> ModeField:
+    """The ModeField of a snapshot file, whose u and v are read-only
+    np.memmap views of the file: the payload is not read into memory."""
     with open(path, "rb") as fh:
         magic = fh.readline(_HEADER_LINE_MAX).decode("utf-8", errors="replace").strip()
         if magic != SNAPSHOT_MAGIC:
@@ -335,11 +335,7 @@ def read_snapshot(path, mmap: bool = False) -> ModeField:
                 f"snapshot payload is {found} bytes, but the header shape "
                 f"{shape[0]}x{shape[1]} needs {16 * count} bytes (u and v)"
             )
-        if mmap:
-            u, v = (np.memmap(path, dtype="<f8", mode="r", shape=shape,
-                              offset=fh.tell() + 8 * count * i) for i in (0, 1))
-        else:
-            u = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
-            v = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+        u, v = (np.memmap(path, dtype="<f8", mode="r", shape=shape,
+                          offset=fh.tell() + 8 * count * i) for i in (0, 1))
     return ModeField(lam=meta["lam"], n=meta["n"], t0=grid["t0"], dt=grid["dt"],
                      dr=grid["dr"], u=u, v=v)

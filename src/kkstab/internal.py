@@ -74,13 +74,15 @@ def lichnerowicz_spectrum(model: FlatTorus, cutoff: float) -> SpectralData:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     tmult = tensor_multiplicity(model.d)
     k_bounds = [int(math.floor(math.sqrt(cutoff) * L / TWO_PI)) for L in model.periods]
-    # |k/L|^2 over the whole lattice, flattened in C order (k_1 slowest); the
-    # axis terms are added left to right, as a sum over j adds them, so each
-    # norm has the bits of that sum
-    q = np.zeros(())
+    # |k/L|^2 over the lattice's ball, in C order (k_1 slowest); the axis
+    # terms are added left to right, as a sum over j adds them, so each norm
+    # has the bits of that sum.  A partial sum past the cutoff is dropped
+    # after each axis: the terms are nonnegative and rounding is monotone,
+    # so no later term brings it back
+    q = np.zeros(1)
     for b, L in zip(k_bounds, model.periods):
-        q = np.add.outer(q, [(kj / L) ** 2 for kj in range(-b, b + 1)])
-    q = q[TWO_PI ** 2 * q <= cutoff + 1e-12]
+        q = np.add.outer(q, [(kj / L) ** 2 for kj in range(-b, b + 1)]).ravel()
+        q = q[TWO_PI ** 2 * q <= cutoff + 1e-12]
     # bucket on |k/L|^2, before the 4 pi^2 factor: the sum is exact on unit
     # and power-of-two periods, so equal lattice norms share one key; the
     # rounding absorbs last-bit differences for other periods.  A bucket's

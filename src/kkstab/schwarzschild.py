@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import hyp2f1
 
 HORIZON_GUARD = 1.01
 #: Below this z = C_S rbar^{2-n} the chart sums the series of 1 - F, whose
@@ -215,6 +213,7 @@ class HarmonicChart:
         a, c = -1.0 / d, -2.0 / d
         z = _over_pow(cs, rbar, d)
         if z >= SERIES_Z:
+            from scipy.special import hyp2f1  # imported where it is called
             one_minus_f = 1.0 - float(hyp2f1(a, a, c, z))
             zfp = a * a / c * z * float(hyp2f1(a + 1.0, a + 1.0, c + 1.0, z))
         else:
@@ -432,6 +431,7 @@ def integrate_geodesic(chart: HarmonicChart, init: GeodesicState,
 
     y0 = np.concatenate([[init.t], init.x, [init.v_t], init.v_x])
     t_eval = np.linspace(0.0, lam_end, GEODESIC_SAMPLES)
+    from scipy.integrate import solve_ivp  # imported where it is called
     sol = solve_ivp(rhs, (0.0, lam_end), y0, method="DOP853",
                     rtol=1e-12, atol=1e-14, events=horizon, t_eval=t_eval)
     if sol.status == -1:

@@ -338,6 +338,26 @@ def torus_spectrum_loop(periods, cutoff: float) -> list[tuple[float, int]]:
             for _, ks in sorted(buckets.items())]
 
 
+def torus_spectrum_box(model, cutoff: float) -> list[tuple[float, int]]:
+    """The modes of `internal.lichnerowicz_spectrum` from the whole
+    (2b+1)^d box of |k/L|^2, which it formed before it kept the ball: the
+    same sums in the same lattice order, filtered once at the end."""
+    tmult = model.d * (model.d + 1) // 2
+    two_pi = 2.0 * math.pi
+    k_bounds = [int(math.floor(math.sqrt(cutoff) * L / two_pi)) for L in model.periods]
+    q = np.zeros(())
+    for b, L in zip(k_bounds, model.periods):
+        q = np.add.outer(q, [(kj / L) ** 2 for kj in range(-b, b + 1)])
+    q = q[two_pi ** 2 * q <= cutoff + 1e-12]
+    norms, first, counts = np.unique(q, return_index=True, return_counts=True)
+    buckets: dict[float, tuple[int, int]] = {}
+    for norm, i, c in zip(norms.tolist(), first.tolist(), counts.tolist()):
+        key = round(norm, 9)
+        i0, c0 = buckets.get(key, (i, 0))
+        buckets[key] = (min(i0, i), c0 + c)
+    return sorted((two_pi ** 2 * float(q[i]), c * tmult) for i, c in buckets.values())
+
+
 class AliasingError(ValueError):
     """Grid field has content above the internal Nyquist limit."""
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from kkstab import cli, energy, evolve, fields, internal, schwarzschild
 from kkstab.fields import make_slice
@@ -58,12 +59,19 @@ def _alter_snapshot(change):
     def patch(monkeypatch):
         read = fields.read_snapshot
 
-        def altered(path, **kwargs):
-            field = read(path, **kwargs)
+        def altered(path):
+            field = read(path)
             return dataclasses.replace(field, **change(field))
 
         monkeypatch.setattr(fields, "read_snapshot", altered)
     return patch
+
+
+def _alter_written_rows(monkeypatch):
+    """A snapshot writer whose blocks store every row 1e-12 above its value."""
+    write = fields._Block.__setitem__
+    monkeypatch.setattr(fields._Block, "__setitem__",
+                        lambda block, k, rows: write(block, k, np.add(rows, 1e-12)))
 
 
 def _drop_chart_deviation(monkeypatch):
@@ -82,6 +90,7 @@ VERIFY_BREAKS = {
                              _alter_snapshot(lambda f: {"v": f.v + 1.0})),
     "snapshot-roundtrip-dt": ("snapshot-roundtrip",
                               _alter_snapshot(lambda f: {"dt": 99.0})),
+    "snapshot-roundtrip-writer": ("snapshot-roundtrip", _alter_written_rows),
     "schwarzschild-metric": ("schwarzschild-metric", _drop_chart_deviation),
 }
 
@@ -291,7 +300,7 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert code == 0
-        field = fields.read_snapshot(out / "final-field.bin", mmap=True)
+        field = fields.read_snapshot(out / "final-field.bin")
         payload = field.u.nbytes + field.v.nbytes
         assert peak < 0.25 * payload, (peak, payload)
 
@@ -692,6 +701,17 @@ class TestFailedChecks:
         assert [c["name"] for c in failed] == [name] and failed[0]["error"]
         assert_run_meta(out, written=True)
 
+    def test_verify_names_the_rows_a_broken_writer_stored(self, tmp_path, monkeypatch):
+        """Rows that the streaming writer stores off by 1e-12 are named, with
+        their size, against the history held in memory."""
+        _alter_written_rows(monkeypatch)
+        code, out = run_cli(["verify"], tmp_path, "v")
+        assert code == 1
+        check = json.loads((out / "verify-report.json").read_text())["checks"][1]
+        assert check == {"name": "snapshot-roundtrip", "ok": False,
+                         "error": "the snapshot written as the history is recorded "
+                                  "reads back off by u 1e-12, v 1e-12, not 0"}
+
 
 class TestExitContract:
     """Every settable key with each of VALUES on the short base configs of
@@ -956,13 +976,27 @@ class TestConsoleScript:
         assert proc.stdout.split() == ["0", "False"]
 
     def test_import_is_free_of_scipy_and_sympy(self):
-        """Importing the package and its computing modules loads neither scipy
-        nor sympy: each is imported where a computation needs it."""
+        """Importing the package, its computing modules and the CLI loads
+        neither scipy nor sympy: each is imported where a computation needs
+        it."""
         script = ("import sys, kkstab; "
                   "import kkstab.evolve, kkstab.energy, kkstab.fields, "
-                  "kkstab.internal; "
+                  "kkstab.internal, kkstab.schwarzschild, kkstab.cli; "
                   "print('scipy' in sys.modules, 'sympy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
+
+    def test_spectrum_runs_without_scipy(self, tmp_path):
+        """A whole `spectrum` run, run-meta.json's scipy version included,
+        loads no scipy module."""
+        script = ("import sys; from kkstab.cli import main; "
+                  f"code = main(['spectrum', '--out', {str(tmp_path / 's')!r}]); "
+                  "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+        meta = json.loads((tmp_path / "s" / "run-meta.json").read_text())
+        assert meta["versions"]["scipy"] == scipy.__version__

@@ -1600,7 +1600,7 @@ class TestHistory:
         """evolve_kg_radial(snapshot=) writes the bytes of write_snapshot of
         the field held in memory.  The n = 9 pulse trips blowup_factor 1.5 at
         t = 5.25 (step 50): 7 of the 31 planned rows (nt loses a digit), or
-        1 of 4 with store_every 64, where dt becomes store_every * dt; the
+        1 of 4 with store_every 64, spaced as the planned rows are; the
         one-row run has 4 steps, fewer than store_every.  The normal run
         stores steps 0, 8, 16, ... of its run at cfg.dt."""
         cfg = {

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kkstab import internal
-from oracles import torus_spectrum_loop
+from oracles import torus_spectrum_box, torus_spectrum_loop
 
 TWO_PI_SQ = 4.0 * np.pi ** 2
 
@@ -68,6 +70,36 @@ def test_lattice_pass_matches_wavevector_loop(periods, lmax, per_component):
     spec = internal.lichnerowicz_spectrum(internal.FlatTorus(periods), cutoff)
     assert spec.d == len(periods)
     assert list(spec.modes) == torus_spectrum_loop(periods, cutoff)
+
+
+#: Unequal periods, d = 1..6 from their first d, with the lmax of each
+BOX_PERIODS = (1.0, 1.7, 0.6, 2.3, 1.3, 0.9)
+
+
+@pytest.mark.parametrize("d, lmax", [(1, 40), (2, 12), (3, 6), (4, 4), (5, 2), (6, 2)])
+def test_ball_matches_box(d, lmax):
+    """Dropping partial sums past the cutoff after each axis keeps the
+    norms, their buckets and each bucket's first wavevector of the whole
+    box, filtered at the end."""
+    periods = BOX_PERIODS[:d]
+    cutoff = TWO_PI_SQ * lmax ** 2 * sum(1.0 / L ** 2 for L in periods) + 1e-9
+    spec = internal.lichnerowicz_spectrum(internal.FlatTorus(periods), cutoff)
+    assert list(spec.modes) == torus_spectrum_box(internal.FlatTorus(periods), cutoff)
+
+
+def test_spectrum_memory_follows_the_ball():
+    """d = 6 at lmax = 3 keeps 829201 (7%) of its 15^6 box of norms: the
+    traced peak stays below 64 MiB (28 MiB measured), where the whole box
+    of float64 norms and its mask took 185 MiB."""
+    periods = (1.0,) * 6
+    cutoff = TWO_PI_SQ * 9 * 6 + 1e-9
+    tracemalloc.start()
+    try:
+        internal.lichnerowicz_spectrum(internal.FlatTorus(periods), cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_stability_certificates():
