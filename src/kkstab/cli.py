@@ -54,14 +54,6 @@ DEFAULTS = {
 }
 
 
-def _parse_value(raw: str, like):
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
-
-
 def resolve_config(sub: str, args: argparse.Namespace) -> dict:
     """Merge flags, environment, config file, and defaults for `sub`."""
     defaults = DEFAULTS[sub]
@@ -94,18 +86,20 @@ def resolve_config(sub: str, args: argparse.Namespace) -> dict:
             out[key] = default
             continue
         try:
-            out[key] = _parse_value(raw, default)
+            out[key] = type(default)(raw)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return out
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _float_list(cfg: dict, key: str) -> list[float]:
+    try:
+        return [float(tok) for tok in cfg[key].split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{key}={cfg[key]!r}: {exc}") from exc
 
 
 def write_resolved(outdir: Path, sub: str, cfg: dict) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     lines = [f"[{sub}]"]
     for key in sorted(cfg):
         val = cfg[key]
@@ -117,7 +111,11 @@ def write_resolved(outdir: Path, sub: str, cfg: dict) -> None:
     lines.append("")
     lines.append("[tool]")
     lines.append(f"version = {__version__}")
-    (outdir / "resolved-config.ini").write_text("\n".join(lines) + "\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "resolved-config.ini").write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"--out {str(outdir)!r}: {exc.strerror}") from exc
 
 
 #: first line of energy-report.json, above its JSON body
@@ -184,7 +182,7 @@ def cmd_spectrum(cfg: dict, outdir: Path, clock: _PhaseClock):
     if cfg["spectrum_file"]:
         data = internal.parse_spectrum_file(cfg["spectrum_file"])
     else:
-        periods = tuple(_float_list(cfg["periods"]))
+        periods = tuple(_float_list(cfg, "periods"))
         if int(cfg["d"]) != len(periods):
             raise ConfigError(f"d={cfg['d']} but {len(periods)} periods given")
         torus = internal.FlatTorus(periods)
@@ -223,7 +221,7 @@ def cmd_evolve(cfg: dict, outdir: Path, clock: _PhaseClock):
     for stale in (snapshot, snapshot.with_name(snapshot.name + ".tmp")):
         stale.unlink(missing_ok=True)
     n, lam = int(cfg["n"]), float(cfg["lam"])
-    slice_s = _float_list(cfg["slice_s"])
+    slice_s = _float_list(cfg, "slice_s")
     config = evolve_mod.EvolutionConfig(
         n=n, dr=float(cfg["dr"]), t_end=float(cfg["t_end"]),
         nonlinearity="quasilinear-toy" if float(cfg["eps"]) > 0 else "linear",
@@ -255,7 +253,7 @@ def cmd_evolve(cfg: dict, outdir: Path, clock: _PhaseClock):
 
 def cmd_energy(cfg: dict, outdir: Path, clock: _PhaseClock):
     n, lam = int(cfg["n"]), float(cfg["lam"])
-    slice_s = _float_list(cfg["slice_s"])
+    slice_s = _float_list(cfg, "slice_s")
     if not slice_s:
         raise ConfigError(f"slice_s={cfg['slice_s']!r} names no slice s to read "
                           f"energies on")
@@ -275,7 +273,7 @@ def cmd_energy(cfg: dict, outdir: Path, clock: _PhaseClock):
     drift = float(np.ptp(vals) / vals.max()) if vals.max() > 0 else 0.0
     boosted = {s: {k: energy_mod.boosted_energy(data, k) for k in (1, 2, 3)}
                for s, data in sorted(result.slices.items())}
-    rows = energy_mod.estimate_suite(result.slices, n)
+    rows = energy_mod.estimate_suite(result.slices)
     clock.lap("estimates")
     _write_csv(outdir / "estimates.csv",
                ",".join(f.name for f in dataclasses.fields(energy_mod.EstimateRow)),

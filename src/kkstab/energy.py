@@ -65,13 +65,10 @@ def _word_terms(word: tuple) -> tuple:
 
     The coefficient of d_t^a d_r^b u is the sum of c t^i r^j over the listed
     monomials.  The generators act right to left by the product rule on
-    integer polynomials, so the expansion is exact; "rotation" annihilates
-    radial fields and gives the empty expansion.
+    integer polynomials, so the expansion is exact.
     """
     terms = {(0, 0): Counter({(0, 0): 1})}
     for kind in reversed(word):
-        if kind == "rotation":
-            return ()
         if kind not in _GENERATORS:
             raise ValueError(f"unknown generator {kind!r}")
         new = defaultdict(Counter)
@@ -98,12 +95,12 @@ def _words_upto(length: int, alphabet=("T", "Xr", "Z0r")):
     return words
 
 
-def word_apply(data: SliceData, word) -> np.ndarray:
+def word_apply(data: SliceData, word: tuple) -> np.ndarray:
     """Z^word u sampled on the slice: the sum of coefficient(t, r) *
     d_t^a d_r^b u over the word's expanded terms."""
     t, r = data.t, data.r
     out = np.zeros_like(t)
-    for (a, b), monomials in _word_terms(tuple(word)):
+    for (a, b), monomials in _word_terms(word):
         # c * r**j * t**i left to right, as the tests' lambdified symbolic
         # coefficients evaluate it (a zero power is an exact factor 1.0)
         coeff = sum(c * r ** j * t ** i for i, j, c in monomials)
@@ -111,12 +108,9 @@ def word_apply(data: SliceData, word) -> np.ndarray:
     return out
 
 
-def word_energy(data: SliceData, word) -> float:
+def word_energy(data: SliceData, word: tuple) -> float:
     """E[0; Z^word u; s]: the `def_integrand` of Z^word u, T Z^word u and
     Xr Z^word u, from the derivative closure."""
-    word = tuple(word)
-    if not _word_terms(word):
-        return 0.0
     w, wt, wr = (word_apply(data, g + word) for g in ((), ("T",), ("Xr",)))
     samples = {(0, 0): w, (1, 0): wt, (0, 1): wr}
     return data.slc.integrate(def_integrand(SliceData(data.slc, data.lam, samples)))
@@ -272,7 +266,7 @@ class EstimateRow:
     skipped: bool = False
 
 
-def _classify_support(data: SliceData, n: int) -> str:
+def _classify_support(data: SliceData) -> str:
     """Support class, "compact" or "tail", of a field that is not
     identically 0 on its slice (estimate_suite writes a zero field's rows)."""
     amp = np.abs(data.u)
@@ -286,7 +280,7 @@ def _classify_support(data: SliceData, n: int) -> str:
     if good.sum() < 5:
         return "compact"
     slope = np.polyfit(np.log(rr[good]), np.log(aa[good]), 1)[0]
-    if slope <= -(n - 1) / 2.0 + 0.5:
+    if slope <= -(data.n - 1) / 2.0 + 0.5:
         return "tail"
     raise SupportClassError(
         f"field neither compactly supported nor tail-decaying "
@@ -294,14 +288,13 @@ def _classify_support(data: SliceData, n: int) -> str:
     )
 
 
-def estimate_suite(slices: dict, n: int) -> list[EstimateRow]:
+def estimate_suite(slices: dict) -> list[EstimateRow]:
     """Measured constants of the Hardy, Sobolev and distributed estimates.
 
-    slices: {s: SliceData} in R^{1+n}; each row's dr is its slice's spacing.
+    slices: {s: SliceData}; each row's n and dr are its slice's.
     Commutation is capped at order 2: the suite verifies inequality shape
     and constant stability, not the full-order statements.
     """
-    beta = (n - 2) / 4.0
     rows = []
     words = _words_upto(2, alphabet=("Z0r",))
     for s in sorted(slices):
@@ -311,8 +304,8 @@ def estimate_suite(slices: dict, n: int) -> list[EstimateRow]:
             for name in ("hardy", "sobolev-sup-t", "sobolev-sup-s", "l2-distributed"):
                 rows.append(EstimateRow(name, s, dr, 0.0, 0.0, 0.0, "zero", True))
             continue
-        support = _classify_support(data, n)
-        slc, t, r = data.slc, data.t, data.r
+        support = _classify_support(data)
+        slc, t, r, n = data.slc, data.t, data.r, data.n
 
         # Hardy: ||r^{-1} u|| <= C ||Y u||
         safe_r = np.where(r > 0, r, 1.0)
@@ -324,20 +317,21 @@ def estimate_suite(slices: dict, n: int) -> list[EstimateRow]:
                                 lhs / rhs if rhs else np.inf, support))
 
         # Sobolev sup estimates: sup weight^2 |u|^2 <= C sum E[0; Z^I u]
-        rhs_e = sum(word_energy(data, w) for w in words)
+        energies = [word_energy(data, w) for w in words]  # words[0] is ()
+        rhs_e = sum(energies)
         if data.lam:
-            rhs_e += data.lam ** 2 * word_energy(data, ())
+            rhs_e += data.lam ** 2 * energies[0]
         sup_t = float(np.max(t ** n * data.u ** 2))
         rows.append(EstimateRow("sobolev-sup-t", s, dr, sup_t, rhs_e,
                                 sup_t / rhs_e if rhs_e else np.inf, support))
-        sup_s = float(s ** (4 * beta) * np.max(data.u ** 2))
+        sup_s = float(s ** (n - 2) * np.max(data.u ** 2))
         rows.append(EstimateRow("sobolev-sup-s", s, dr, sup_s, rhs_e,
                                 sup_s / rhs_e if rhs_e else np.inf, support))
 
         # distributed derivative: ||t^{-1} Z^I u|| <= C sum E^{1/2}
         lhs_d = max(math.sqrt(slc.integrate((word_apply(data, w) / t) ** 2))
                     for w in words)
-        rhs_d = sum(math.sqrt(max(word_energy(data, w), 0.0)) for w in words)
+        rhs_d = sum(math.sqrt(max(e, 0.0)) for e in energies)
         rows.append(EstimateRow("l2-distributed", s, dr, lhs_d, rhs_d,
                                 lhs_d / rhs_d if rhs_d else np.inf, support))
     return rows

@@ -199,13 +199,13 @@ class EvolutionConfig:
         return self.t_end - 1.0 + 8.0 * self.dr
 
 
-def default_pulse(r: np.ndarray, width: float = 2.0, amplitude: float = 1.0) -> np.ndarray:
-    """Smooth compactly supported bump, = amplitude at r=0, 0 for r >= width."""
+def default_pulse(r: np.ndarray, width: float = 2.0) -> np.ndarray:
+    """Smooth compactly supported bump, = 1 at r=0, 0 for r >= width."""
     r = np.asarray(r, dtype=float)
     x = np.clip(r / width, 0.0, 1.0)
     out = np.zeros_like(r)
     inside = x < 1.0
-    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
     return out
 
 
@@ -371,7 +371,7 @@ class SliceSampler:
 
     The nodes of all slices share one concatenated store per (a, b), the
     samples of d_t^a d_r^b u, searched through one t*-sorted index; each
-    entry's "cols", "done" and "store" arrays are views into it.  u (a = 0)
+    entry's "done" and "store" arrays are views into it.  u (a = 0)
     is captured to radial order max_b >= 1, v = d_t u (a = 1) below max_b.
     """
 
@@ -379,9 +379,8 @@ class SliceSampler:
         self.dr = dr
         #: grid columns gathered per row of u (the same of v), over all rows
         self.gathered_columns = 0
-        self._tstar = np.concatenate([slc.t for slc in slices] or [np.empty(0)])
-        self._cols = np.round(np.concatenate([slc.r for slc in slices] or [np.empty(0)])
-                              / dr).astype(int)
+        self._tstar = np.concatenate([slc.t for slc in slices])
+        self._cols = np.round(np.concatenate([slc.r for slc in slices]) / dr).astype(int)
         self._order = np.argsort(self._tstar, kind="stable")
         self._tsorted = self._tstar[self._order]
         self._done = np.zeros(self._tstar.shape, dtype=bool)
@@ -394,7 +393,7 @@ class SliceSampler:
             sel = slice(start, start + len(slc.r))
             start = sel.stop
             self.entries.append({
-                "s": slc.s, "slc": slc, "cols": self._cols[sel], "done": self._done[sel],
+                "s": slc.s, "slc": slc, "done": self._done[sel],
                 "store": {key: arr[..., sel] for key, arr in self._store.items()},
             })
         # no sweep yet: observe refuses every row, and _flush has nothing
@@ -406,8 +405,7 @@ class SliceSampler:
         return int(np.count_nonzero(self._done))
 
     def t_range_needed(self) -> tuple[float, float]:
-        t = self._tsorted
-        return (float(t[0]), float(t[-1])) if t.size else (math.inf, -math.inf)
+        return float(self._tsorted[0]), float(self._tsorted[-1])
 
     def new_sweep(self, t0: float, dt: float, n_steps: int) -> None:
         """Start a sweep whose row j = 0..n_steps comes at t0 + j * dt,
@@ -512,7 +510,6 @@ class EvolutionResult:
     """Output bundle of a radial run."""
 
     config: EvolutionConfig
-    lam: float
     field: ModeField | None
     monitors: dict[str, np.ndarray]
     slices: dict[float, SliceData] = field(default_factory=dict)
@@ -528,9 +525,9 @@ class EvolutionResult:
     margins: dict[str, float] = field(default_factory=dict)
 
 
-def _support_radius(u: np.ndarray, dr: float, tol: float = 1e-12) -> float:
+def _support_radius(u: np.ndarray, dr: float) -> float:
     row = np.abs(u).reshape(-1, u.shape[-1]).max(axis=0)
-    nz = np.nonzero(row > tol * row.max())[0]
+    nz = np.nonzero(row > 1e-12 * row.max())[0]
     return float(nz[-1]) * dr if len(nz) else 0.0
 
 
@@ -856,7 +853,7 @@ def _evolve(config: EvolutionConfig, init, lam: float, accel=None, *, lead=(),
         field_ = ModeField(lam=lam, n=config.n, t0=times[0], dt=row_dt, dr=dr,
                            u=store[0][:len(times)], v=store[1][:len(times)])
     return EvolutionResult(
-        config=config, lam=lam, field=field_,
+        config=config, field=field_,
         # row 0 is a monitor row of every run
         monitors={k: np.array([row[k] for row in rows]) for k in rows[0]},
         slices=sampler.slice_data(lam) if sampler is not None and blow is None else {},

@@ -55,9 +55,9 @@ class HyperboloidSlice:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.s < 2:
-            raise DomainError(f"energy slices require s >= 2, got s={self.s}")
-        dr = self.r[1] - self.r[0] if len(self.r) > 1 else 1.0
+        if not 2 <= self.s < math.inf:
+            raise DomainError(f"energy slices require 2 <= s < inf, got s={self.s}")
+        dr = self.r[1] - self.r[0]
         trap = np.full(len(self.r), dr)
         trap[0] = trap[-1] = 0.5 * dr
         w = sphere_area(self.n) * self.r ** (self.n - 1) * trap
@@ -269,11 +269,6 @@ class SnapshotWriter:
         self._fd = None
         os.replace(self._tmp, self.path)
 
-    def discard(self) -> None:
-        os.close(self._fd)
-        self._fd = None
-        self._tmp.unlink()
-
     def __enter__(self) -> SnapshotWriter:
         return self
 
@@ -282,7 +277,8 @@ class SnapshotWriter:
             if exc_type is None:
                 self.close(self._shape[0])
             else:
-                self.discard()
+                os.close(self._fd)
+                self._tmp.unlink()
 
 
 def write_snapshot(path, field_: ModeField) -> None:

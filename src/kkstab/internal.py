@@ -98,14 +98,9 @@ def lichnerowicz_spectrum(model: FlatTorus, cutoff: float) -> SpectralData:
         d=model.d)
 
 
-def is_linearly_stable(model: FlatTorus | SpectralData) -> tuple[bool, float]:
-    """Stability certificate: lowest eigenvalue of the tensor operator >= 0.
-
-    A flat torus is always stable with lam_min = 0 (constant tensors are
-    harmonic); SpectralData is judged from its supplied list.
-    """
-    if isinstance(model, FlatTorus):
-        return True, 0.0
+def is_linearly_stable(model: SpectralData) -> tuple[bool, float]:
+    """Stability certificate from the model's eigenvalue list: the lowest
+    eigenvalue of the tensor operator is >= 0 (0 on a flat torus)."""
     lam_min = min(l for l, _ in model.modes)
     return lam_min >= -STABILITY_TOL, lam_min
 

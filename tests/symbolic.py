@@ -32,8 +32,6 @@ def sympy_word_terms(word: tuple) -> tuple:
                 add((a, b), T * sp.diff(c, R) + R * sp.diff(c, T))
                 add((a, b + 1), T * c)
                 add((a + 1, b), R * c)
-            elif kind == "rotation":
-                return ()
             else:
                 raise ValueError(f"unknown generator {kind!r}")
         terms = {k: c for k, c in new.items() if c != 0}

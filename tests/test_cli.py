@@ -573,6 +573,15 @@ class TestDomainErrors:
         (["energy", "--dr", "1e-15"], "dr=1e-15 with r_max=39.00000000000001 gives "
                                       "39000000000000009 grid nodes: Unable to allocate "
                                       "277. PiB"),
+        # refused when the slices are planned, before the first step
+        (["evolve", "--slice-s", "nan"], "energy slices require 2 <= s < inf, got s=nan"),
+        (["energy", "--slice-s", "4,nan"], "energy slices require 2 <= s < inf, got s=nan"),
+        (["spectrum", "--periods", "1,x"],
+         "periods='1,x': could not convert string to float: 'x'"),
+        (["evolve", "--slice-s", "abc"],
+         "slice_s='abc': could not convert string to float: 'abc'"),
+        (["energy", "--slice-s", "4,abc"],
+         "slice_s='4,abc': could not convert string to float: 'abc'"),
     ], ids=["schwarzschild", "geodesic", "energy", "energy-slice-s-empty", "evolve-eps",
             "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
@@ -587,12 +596,43 @@ class TestDomainErrors:
             "schwarzschild-cs-subnormal", "schwarzschild-cs-partly-subnormal",
             "geodesic-lam-end-1e200", "geodesic-r0-1e300-lam-end-1e308",
             "energy-slice-in-the-backward-cone", "evolve-dr-too-large-to-allocate",
-            "energy-dr-too-large-to-allocate"])
+            "energy-dr-too-large-to-allocate", "evolve-slice-s-nan", "energy-slice-s-nan",
+            "spectrum-periods-not-a-number", "evolve-slice-s-not-a-number",
+            "energy-slice-s-not-a-number"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, out = run_cli(args, tmp_path, args[0])
         assert code == 2
         err = stderr_line(capsys)
         assert err.startswith("kkstab: ") and message in err
+        assert_run_meta(out, written=False)
+        assert not (out / "final-field.bin").exists()
+
+    @pytest.mark.parametrize("route", ["env", "config"])
+    def test_comma_list_names_its_key(self, route, tmp_path, capsys, monkeypatch):
+        """A bad token of a comma list read from KKSTAB_* or a config key is
+        refused, like the flag's, with the key and the whole value."""
+        ini = tmp_path / "periods.ini"
+        ini.write_text("[spectrum]\nperiods = 1,x\n")
+        if route == "env":
+            monkeypatch.setenv("KKSTAB_PERIODS", "1,x")
+        code, out = run_cli(["spectrum"] + (["--config", str(ini)] if route == "config"
+                                            else []), tmp_path, route)
+        assert code == 2
+        assert stderr_line(capsys) == ("kkstab: periods='1,x': could not convert "
+                                       "string to float: 'x'")
+        assert_run_meta(out, written=False)
+
+    @pytest.mark.parametrize("rel, reason", [("F", "File exists"),
+                                             ("F/sub", "Not a directory")],
+                             ids=["file", "below-a-file"])
+    def test_out_naming_a_file(self, rel, reason, tmp_path, capsys):
+        """--out naming a file, or a path below one, is refused before the
+        run with the OS's reason, and the file is left as it was."""
+        (tmp_path / "F").write_text("kept\n")
+        code, out = run_cli(["spectrum"], tmp_path, rel)
+        assert code == 2
+        assert stderr_line(capsys) == f"kkstab: --out {str(out)!r}: {reason}"
+        assert (tmp_path / "F").read_text() == "kept\n"
         assert_run_meta(out, written=False)
 
     def test_spectrum_too_large_to_allocate(self, tmp_path, capsys, monkeypatch):

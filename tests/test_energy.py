@@ -232,7 +232,7 @@ def _hardy_family(n, a, s=16.0, dr=1 / 32):
 class TestEstimateSuite:
     def test_constants_stable_across_s(self):
         slices = {s: scaling_family_slice(s, 9, 1 / 32) for s in (4.0, 8.0, 16.0)}
-        rows = estimate_suite(slices, 9)
+        rows = estimate_suite(slices)
         assert constants_stable(rows, "hardy", tol=0.2)
         assert constants_stable(rows, "sobolev-sup-s", tol=0.2)
 
@@ -240,7 +240,7 @@ class TestEstimateSuite:
         slc = make_slice(4.0, 3, 1 / 8, r_cap=7.0)
         z = np.zeros_like(slc.r)
         data = SliceData(slc, 0.0, {(0, 0): z, (1, 0): z, (0, 1): z})
-        rows = estimate_suite({4.0: data}, 3)
+        rows = estimate_suite({4.0: data})
         assert all(row.skipped for row in rows)
         assert not constants_stable(rows, "hardy")
 
@@ -253,7 +253,7 @@ class TestEstimateSuite:
         slice's edge (2e-5 of its peak) but falls on the outer quarter faster
         than r^(-(n-1)/2 + 1/2) = r^-3.5 is "tail" (slope -5.61); a Gaussian
         is "compact"."""
-        rows = estimate_suite({4.0: slice_data_from_expr(expr, 4.0, 9, 1 / 16)}, 9)
+        rows = estimate_suite({4.0: slice_data_from_expr(expr, 4.0, 9, 1 / 16)})
         assert len(rows) == 4
         assert all(row.support_class == support_class and not row.skipped
                    for row in rows)
@@ -263,7 +263,7 @@ class TestEstimateSuite:
         slower than the tail bound -3.5: the suite refuses it."""
         data = slice_data_from_expr("(1 + r**2)**(-1) / t", 4.0, 9, 1 / 16)
         with pytest.raises(SupportClassError, match=r"outer slope -2\.68"):
-            estimate_suite({4.0: data}, 9)
+            estimate_suite({4.0: data})
 
     #: relative quadrature slack of a measured Hardy constant over 2/(n - 2),
     #: set before the runs: on the family below the ratios agree to four
@@ -297,7 +297,7 @@ class TestEstimateSuite:
         it is within 30% (n = 3) or 2% (n = 9, 13) of the constant."""
         ratios = []
         for a in (0.5, 0.1, 0.02):
-            (row,) = [row for row in estimate_suite({16.0: _hardy_family(n, a)}, n)
+            (row,) = [row for row in estimate_suite({16.0: _hardy_family(n, a)})
                       if row.name == "hardy"]
             assert row.support_class == "compact"
             ratios.append(row.c_measured / (2 / (n - 2)))
@@ -346,10 +346,7 @@ class TestWordAlgebra:
                     defect.subtract(self.as_poly(en._word_terms((g,) + w), int(c)))
                 assert not any(defect.values()), (a, b, w)
 
-    def test_rotation_and_unknown_generator(self, family_slice):
-        assert en._word_terms(("rotation",)) == ()
-        assert en._word_terms(("Z0r", "rotation")) == ()
-        assert en.word_energy(family_slice, ("rotation",)) == 0.0
+    def test_unknown_generator(self):
         with pytest.raises(ValueError, match="unknown generator"):
             en._word_terms(("Y",))
 

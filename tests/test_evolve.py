@@ -1500,7 +1500,7 @@ class TestSliceSampler:
         n_steps = int(np.ceil((t_hi - cfg.t_start) / cfg.dt))
         first = None
         for amplitude in (1.0, 2.0):
-            u0 = default_pulse(r, amplitude=amplitude)
+            u0 = amplitude * default_pulse(r)
             sampler.new_sweep(cfg.t_start, cfg.dt, n_steps)
             ev._run_sweep(u0, np.zeros_like(u0), cfg.t_start, n_steps, cfg.dt, None,
                           lambda j, t, u, v, w: sampler.observe(t, u, v),
