@@ -43,8 +43,7 @@ class ConfigError(ValueError):
 # Defaults per subcommand; every key is also a flag and a KKSTAB_ env var.
 DEFAULTS = {
     "spectrum": {"d": 2, "periods": "1,1", "lmax": 5, "spectrum_file": ""},
-    "evolve": {"n": 9, "lam": 0.0, "t_end": 100.0, "dr": 1.0 / 64,
-               "eps": 0.0, "slice_s": ""},
+    "evolve": {"n": 9, "lam": 0.0, "t_end": 100.0, "dr": 1.0 / 64, "eps": 0.0},
     "energy": {"n": 9, "lam": 0.0, "t_end": 40.0, "dr": 1.0 / 32,
                "slice_s": "4,8,10"},
     "schwarzschild": {"n": 9, "cs": 0.1, "r_lo": 20.0, "r_hi": 200.0,
@@ -221,17 +220,14 @@ def cmd_evolve(cfg: dict, outdir: Path, clock: _PhaseClock):
     for stale in (snapshot, snapshot.with_name(snapshot.name + ".tmp")):
         stale.unlink(missing_ok=True)
     n, lam = int(cfg["n"]), float(cfg["lam"])
-    slice_s = _float_list(cfg, "slice_s")
     config = evolve_mod.EvolutionConfig(
         n=n, dr=float(cfg["dr"]), t_end=float(cfg["t_end"]),
         nonlinearity="quasilinear-toy" if float(cfg["eps"]) > 0 else "linear",
         eps=float(cfg["eps"]), store_history=False)
     if float(cfg["eps"]) > 0:
-        result = evolve_mod.evolve_quasilinear_toy(
-            config, lam=lam, slice_s=slice_s or None)
+        result = evolve_mod.evolve_quasilinear_toy(config, lam=lam)
     else:
-        result = evolve_mod.evolve_kg_radial(
-            lam, n, None, config, slice_s=slice_s or None, snapshot=snapshot)
+        result = evolve_mod.evolve_kg_radial(lam, n, None, config, snapshot=snapshot)
     clock.lap("evolve")
     monitors = result.monitors
     _write_csv(outdir / "monitors.csv", ",".join(monitors), zip(*monitors.values()))
@@ -299,10 +295,15 @@ def cmd_schwarzschild(cfg: dict, outdir: Path, clock: _PhaseClock):
     if not 0 < r_lo < r_hi < np.inf:
         raise ConfigError(f"r_lo={r_lo}, r_hi={r_hi}: the radii must satisfy "
                           f"0 < r_lo < r_hi < inf")
+    # the decay fit's own needs; geomspace keeps both ends exact
+    samples = int(cfg["samples"])
+    if samples < 10 or r_hi < 4 * r_lo:
+        raise ConfigError(f"samples={samples}, r_lo={r_lo}, r_hi={r_hi}: the decay fit "
+                          f"needs samples >= 10 and r_hi >= 4 r_lo")
     params = schwarzschild.SchwarzschildParams(int(cfg["n"]), float(cfg["cs"]))
     chart = schwarzschild.HarmonicChart(params)
     clock.lap("chart")
-    radii = np.geomspace(r_lo, r_hi, int(cfg["samples"]))
+    radii = np.geomspace(r_lo, r_hi, samples)
     rows = []
     for r in radii:
         # max |g - eta| from the deviation profiles: subtracting eta from g
@@ -312,12 +313,12 @@ def cmd_schwarzschild(cfg: dict, outdir: Path, clock: _PhaseClock):
         v = schwarzschild.wave_gauge_residual(chart, float(r))
         rows.append((float(r), dev, float(np.max(np.abs(v)))))
     clock.lap("samples")
-    _write_csv(outdir / "gauge.csv", "r,metric_deviation,wave_gauge_residual", rows)
     devs = np.array([row[1] for row in rows])
     zeros = int(np.sum(devs == 0))
     if zeros:
         raise ConfigError(f"cs={params.cs!r}: the metric deviation underflows to 0 "
                           f"at {zeros} of the {len(devs)} radii in [{r_lo:g}, {r_hi:g}]")
+    _write_csv(outdir / "gauge.csv", "r,metric_deviation,wave_gauge_residual", rows)
     fit = energy_mod.decay_fit(radii, devs)
     _write_json(outdir / "schwarzschild-report.json", {
         "n": params.n, "cs": params.cs,

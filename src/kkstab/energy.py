@@ -151,9 +151,6 @@ class GammaBlock:
     dH_t: np.ndarray
     dH_r: np.ndarray
 
-    def euclidean_norm(self) -> np.ndarray:
-        return np.sqrt(self.H[0] ** 2 + 2.0 * self.H[1] ** 2 + self.H[2] ** 2)
-
 
 def quasilinear_gamma(comp_slices: list, eps: float) -> GammaBlock:
     """Gamma block H = (eta+h)^{-1} - eta^{-1} (2nd order) from h = eps u.

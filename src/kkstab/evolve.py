@@ -281,8 +281,8 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _laplacian_spectral_radius(n: int, size: int = 400) -> float:
-    """Spectral radius of `radial_laplacian` at dr = 1 on a size-node block.
+def _laplacian_spectral_radius(n: int) -> float:
+    """Spectral radius of `radial_laplacian` at dr = 1 on a 400-node block.
 
     The operator is tridiagonal on the nodes below the Dirichlet edge, with
     positive products of opposite off-diagonal entries, so it is similar to
@@ -290,6 +290,7 @@ def _laplacian_spectral_radius(n: int, size: int = 400) -> float:
     products.  The largest magnitude sits at the axis, where the weights
     ((k +- 1/2)/k)^(n-1) grow with n.
     """
+    size = 400
     cp, cm, _, _ = _radial_operator(n, 1.0, _pow2(size))
     cp, cm = cp[:size - 1], cm[:size - 2]
     if not np.isfinite(cp).all():
@@ -596,7 +597,7 @@ def _taylor_step(operator, dt):
     return step
 
 
-def _run_sweep(u, v, t0, n_steps, dt, accel, on_row=None, counts=None, operator=None):
+def _run_sweep(u, v, t0, n_steps, dt, accel, on_row, counts, operator=None):
     """Shared stepping loop of du/dt = v, dv/dt = accel(t, u, v).
 
     Given operator, a linear map L of stacked rows, the system is the linear
@@ -620,7 +621,7 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, on_row=None, counts=None, operator=
     map zero data to zero.  Each step writes fresh full-length u and v (the
     rows of one new (2, ...) array); on_row copies what it keeps of a row.
 
-    counts, when given, accumulates "steps", "operator_applications" (Taylor
+    counts, a Counter, accumulates "steps", "operator_applications" (Taylor
     kernel) or "rhs_evals" (stage kernel), "node_steps" (grid nodes times
     steps) and "active_node_steps" (window nodes times steps).
     """
@@ -632,7 +633,7 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, on_row=None, counts=None, operator=
     u, v = y
     nr = y.shape[-1]
     active_cols, j, t = 0, 0, t0
-    stop = on_row is not None and on_row(0, t, u, v, min(_last_occupied(y) + 2, nr))
+    stop = on_row(0, t, u, v, min(_last_occupied(y) + 2, nr))
     while not stop and j < n_steps:
         j += 1
         if (j - 1) % _RESCAN_EVERY == 0:
@@ -647,13 +648,12 @@ def _run_sweep(u, v, t0, n_steps, dt, accel, on_row=None, counts=None, operator=
         u, v = y
         active_cols += w
         t = t0 + j * dt
-        stop = on_row is not None and on_row(j, t, u, v, w)
-    if counts is not None:
-        nodes_per_col = u.size // nr
-        counts["steps"] += j
-        counts[work] += per_step * j
-        counts["node_steps"] += j * nr * nodes_per_col
-        counts["active_node_steps"] += active_cols * nodes_per_col
+        stop = on_row(j, t, u, v, w)
+    nodes_per_col = u.size // nr
+    counts["steps"] += j
+    counts[work] += per_step * j
+    counts["node_steps"] += j * nr * nodes_per_col
+    counts["active_node_steps"] += active_cols * nodes_per_col
     return j
 
 
@@ -897,9 +897,9 @@ def evolve_kg_radial(lam: float, n: int, init=None, config: EvolutionConfig | No
     reversible).  slice_r_cap, a radius, cuts every slice there instead of
     at its default end (`_plan_slices`), where the solution is known to
     vanish beyond it.  snapshot, a path, writes the stored history there as
-    it is recorded (the bytes of `fields.write_snapshot` of the in-memory
-    field), whatever config.store_history says; result.field then maps the
-    finished file read-only instead of holding the history in memory.
+    it is recorded (`fields.SnapshotWriter`), whatever config.store_history
+    says; result.field then maps the finished file read-only instead of
+    holding the history in memory.
     """
     if config is None:
         config = EvolutionConfig(n=n)

@@ -28,7 +28,7 @@ class WindowError(ValueError):
 
 
 class DomainError(ValueError):
-    """Point outside the chart's domain of validity."""
+    """Hyperboloid slice s = const outside the energies' range 2 <= s < inf."""
 
 
 def sphere_area(n: int) -> float:
@@ -175,18 +175,6 @@ class ModeField:
         if self.u.shape != self.v.shape:
             raise ValueError("u and v histories must share one lattice")
 
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.dt * (self.u.shape[0] - 1)
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.dr * np.arange(self.u.shape[1])
-
-    @property
-    def r_max(self) -> float:
-        return self.dr * (self.u.shape[1] - 1)
-
 
 # ---------------------------------------------------------------------------
 # Snapshot format: text header, then row-major float64 payload
@@ -279,13 +267,6 @@ class SnapshotWriter:
             else:
                 os.close(self._fd)
                 self._tmp.unlink()
-
-
-def write_snapshot(path, field_: ModeField) -> None:
-    with SnapshotWriter(path, n=field_.n, lam=field_.lam, t0=field_.t0, dt=field_.dt,
-                        dr=field_.dr, shape=field_.u.shape) as out:
-        out.u[0] = field_.u
-        out.v[0] = field_.v
 
 
 def _shape(text: str) -> tuple[int, int]:

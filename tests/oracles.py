@@ -16,7 +16,8 @@ from scipy.optimize import brentq
 from kkstab import evolve as ev
 from kkstab.cli import REPORT_MAGIC
 from kkstab.energy import GammaBlock, hyperboloidal_energy
-from kkstab.fields import DomainError, SliceData, WindowError, make_slice, sphere_area
+from kkstab.fields import (DomainError, SliceData, SnapshotWriter, WindowError, make_slice,
+                           sphere_area)
 from kkstab.schwarzschild import _christoffels, harmonic_metric
 
 
@@ -451,7 +452,22 @@ def _radial_stencil(g: np.ndarray, b: int, dr: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hyperboloid samples interpolated from a stored history
+# Stored histories: whole-field snapshots, and hyperboloid samples
+# interpolated from the rows
+
+
+def write_snapshot(path, field_) -> None:
+    """The snapshot of a whole ModeField, written in one piece: the bulk
+    reference for the rows that `fields.SnapshotWriter` takes as they come."""
+    with SnapshotWriter(path, n=field_.n, lam=field_.lam, t0=field_.t0, dt=field_.dt,
+                        dr=field_.dr, shape=field_.u.shape) as out:
+        out.u[0] = field_.u
+        out.v[0] = field_.v
+
+
+def field_t1(field) -> float:
+    """The time of a ModeField's last stored row."""
+    return field.t0 + field.dt * (field.u.shape[0] - 1)
 
 
 def interp_rows(field, arr: np.ndarray, tq: np.ndarray, kq: np.ndarray) -> np.ndarray:
@@ -476,13 +492,14 @@ def sample_on_hyperboloid(field, s: float, with_second: bool = True,
     Cubic in t per radial node; r-derivatives by centered differences on
     the stored rows before interpolation (order-preserving O(dr^2)).
     """
+    (nt, nr), t1 = field.u.shape, field_t1(field)
     slc = make_slice(s, field.n, field.dr,
-                     r_cap=r_cap if r_cap is not None else field.r_max)
+                     r_cap=r_cap if r_cap is not None else field.dr * (nr - 1))
     t_needed = slc.t
-    if t_needed.min() < field.t0 + field.dt or t_needed.max() > field.t1 - 2 * field.dt:
+    if t_needed.min() < field.t0 + field.dt or t_needed.max() > t1 - 2 * field.dt:
         raise WindowError(
             f"slice s={s} needs t in [{t_needed.min():.3f}, {t_needed.max():.3f}] "
-            f"outside the stored window [{field.t0}, {field.t1}]"
+            f"outside the stored window [{field.t0}, {t1}]"
         )
     kq = np.round(slc.r / field.dr).astype(int)
 
@@ -646,13 +663,18 @@ class EquivalenceResult:
     within_two_sided: bool
 
 
+def gamma_norm(gamma: GammaBlock) -> np.ndarray:
+    """|gamma|_E at each node: gamma^0r enters twice, as gamma^0i and gamma^i0."""
+    return np.sqrt(gamma.H[0] ** 2 + 2.0 * gamma.H[1] ** 2 + gamma.H[2] ** 2)
+
+
 def equivalence_check(data: SliceData, gamma: GammaBlock,
                       eps_n: float = SMALLNESS_EPS) -> EquivalenceResult:
     """Ratio E[0]/E[gamma] with the smallness hypothesis sup t|gamma|_E."""
     e0 = hyperboloidal_energy(data)
     eg = hyperboloidal_energy(data, gamma)
     ratio = e0 / eg if eg != 0 else np.inf
-    sup_tg = float(np.max(data.t * gamma.euclidean_norm()))
+    sup_tg = float(np.max(data.t * gamma_norm(gamma)))
     return EquivalenceResult(ratio=float(ratio), sup_t_gamma=sup_tg,
                              conclusive=sup_tg <= eps_n,
                              within_two_sided=0.5 <= ratio <= 2.0)

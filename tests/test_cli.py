@@ -206,8 +206,7 @@ class TestEvolve:
     def test_quasilinear_deterministic_byte_identical(self, tmp_path):
         """The eps > 0 surrogate, whose Q goes through a BLAS matrix
         product, also writes the same bytes twice."""
-        args = ["evolve", "--eps", "1e-3", "--n", "9", "--slice-s", "4.5,6",
-                "--t-end", "20", "--dr", "0.0625"]
+        args = ["evolve", "--eps", "1e-3", "--n", "9", "--t-end", "20", "--dr", "0.0625"]
         _, out1 = run_cli(list(args), tmp_path, "a")
         _, out2 = run_cli(list(args), tmp_path, "b")
         _differ_only_in_run_meta(out1, out2)
@@ -504,7 +503,14 @@ class TestDomainErrors:
     with a traceback and the exit 1 of a failed check."""
 
     @pytest.mark.parametrize("args, message", [
-        (["schwarzschild", "--samples", "5"], "need >= 10 positive samples"),
+        (["schwarzschild", "--samples", "5"], "samples=5, r_lo=20.0, r_hi=200.0: the "
+                                              "decay fit needs samples >= 10 and r_hi "
+                                              ">= 4 r_lo"),
+        (["schwarzschild", "--samples", "-3"], "samples=-3, r_lo=20.0, r_hi=200.0: the "
+                                               "decay fit needs samples >= 10"),
+        (["schwarzschild", "--r-lo", "100", "--r-hi", "300"],
+         "samples=12, r_lo=100.0, r_hi=300.0: the decay fit needs samples >= 10 and "
+         "r_hi >= 4 r_lo"),
         (["geodesic", "--r0", "0.1"], "inside the guarded exterior"),
         (["energy", "--slice-s", "30"], "slice s=30.0 needs capture"),
         (["energy", "--slice-s", ""], "slice_s='' names no slice s"),
@@ -574,16 +580,14 @@ class TestDomainErrors:
                                       "39000000000000009 grid nodes: Unable to allocate "
                                       "277. PiB"),
         # refused when the slices are planned, before the first step
-        (["evolve", "--slice-s", "nan"], "energy slices require 2 <= s < inf, got s=nan"),
         (["energy", "--slice-s", "4,nan"], "energy slices require 2 <= s < inf, got s=nan"),
         (["spectrum", "--periods", "1,x"],
          "periods='1,x': could not convert string to float: 'x'"),
-        (["evolve", "--slice-s", "abc"],
-         "slice_s='abc': could not convert string to float: 'abc'"),
         (["energy", "--slice-s", "4,abc"],
          "slice_s='4,abc': could not convert string to float: 'abc'"),
-    ], ids=["schwarzschild", "geodesic", "energy", "energy-slice-s-empty", "evolve-eps",
-            "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
+    ], ids=["schwarzschild", "schwarzschild-samples-negative",
+            "schwarzschild-r-span-below-4", "geodesic", "energy", "energy-slice-s-empty",
+            "evolve-eps", "evolve-lambda", "evolve-eps-lambda", "evolve-lambda-too-stiff", "evolve-dr0",
             "energy-dr0", "evolve-t-end-inf", "energy-t-end-inf",
             "spectrum-period-inf", "geodesic-lam-end-0", "geodesic-lam-end-inf",
             "geodesic-r0-negative", "geodesic-r0-inf", "evolve-t-end-before-t-start",
@@ -596,16 +600,16 @@ class TestDomainErrors:
             "schwarzschild-cs-subnormal", "schwarzschild-cs-partly-subnormal",
             "geodesic-lam-end-1e200", "geodesic-r0-1e300-lam-end-1e308",
             "energy-slice-in-the-backward-cone", "evolve-dr-too-large-to-allocate",
-            "energy-dr-too-large-to-allocate", "evolve-slice-s-nan", "energy-slice-s-nan",
-            "spectrum-periods-not-a-number", "evolve-slice-s-not-a-number",
-            "energy-slice-s-not-a-number"])
+            "energy-dr-too-large-to-allocate", "energy-slice-s-nan",
+            "spectrum-periods-not-a-number", "energy-slice-s-not-a-number"])
     def test_exit_2_with_one_line(self, args, message, tmp_path, capsys):
         code, out = run_cli(args, tmp_path, args[0])
         assert code == 2
         err = stderr_line(capsys)
         assert err.startswith("kkstab: ") and message in err
         assert_run_meta(out, written=False)
-        assert not (out / "final-field.bin").exists()
+        # a refused run leaves no artifact behind, only its resolved config
+        assert [p.name for p in out.iterdir()] == ["resolved-config.ini"]
 
     @pytest.mark.parametrize("route", ["env", "config"])
     def test_comma_list_names_its_key(self, route, tmp_path, capsys, monkeypatch):
@@ -910,7 +914,6 @@ class TestEveryKeyIsRead:
         ("evolve", "t_end"): "9",
         ("evolve", "dr"): "0.0625",
         ("evolve", "eps"): "1e-3",
-        ("evolve", "slice_s"): "2.5",
         ("energy", "n"): "5",
         ("energy", "lam"): "1",
         ("energy", "t_end"): "9",
@@ -926,13 +929,10 @@ class TestEveryKeyIsRead:
         ("geodesic", "r0"): "12",
         ("geodesic", "lam_end"): "3",
     }
-    # the two keys that change no artifact, and what is asserted instead
+    # the key that changes no artifact, and what is asserted instead
     EXCEPTIONS = {
         # a cross-check of periods: a value that disagrees is refused
         ("spectrum", "d"): "exit 2",
-        # no artifact holds evolve's captures yet; s = 2.5 lies before
-        # t_start, so the forward sweep is not lengthened
-        ("evolve", "slice_s"): "same artifacts",
     }
 
     @classmethod
@@ -970,9 +970,7 @@ class TestEveryKeyIsRead:
             assert code == 2
         else:
             assert code in (0, 1)
-            same = artifacts == base_artifacts
-            assert same is (outcome == "same artifacts"), (
-                f"{sub} {key}={value!r} changes {'no' if same else 'an'} artifact")
+            assert artifacts != base_artifacts, f"{sub} {key}={value!r} changes no artifact"
 
 
 class TestUsage:
@@ -984,11 +982,12 @@ class TestUsage:
 
     @pytest.mark.parametrize("args", [["energy", "--d", "2"],
                                       ["geodesic", "--d", "2"],
-                                      ["verify", "--suite", "trivial"]],
-                             ids=["energy-d", "geodesic-d", "verify-suite"])
+                                      ["verify", "--suite", "trivial"],
+                                      ["evolve", "--slice-s", "4"]],
+                             ids=["energy-d", "geodesic-d", "verify-suite", "evolve-slice-s"])
     def test_removed_flag_is_a_usage_error(self, args, tmp_path, capsys):
         """Flags are not abbreviated, so energy's removed --d is not read
-        as --dr."""
+        as --dr.  evolve wrote none of its slices, so its --slice-s went."""
         assert main(args + ["--out", str(tmp_path / "x")]) == 2
         assert "unrecognized arguments: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()

@@ -14,10 +14,9 @@ from kkstab.fields import (
     WindowError,
     make_slice,
     read_snapshot,
-    write_snapshot,
 )
 from oracles import (AliasingError, mode_decompose, mode_reconstruct, sample_on_hyperboloid,
-                     to_hyperboloidal)
+                     to_hyperboloidal, write_snapshot)
 
 
 def _analytic_field(lam=0.0, n=3, t0=2.0, dt=0.01, dr=0.05, nt=600, nr=200):
@@ -32,12 +31,6 @@ def _analytic_field(lam=0.0, n=3, t0=2.0, dt=0.01, dr=0.05, nt=600, nr=200):
 
 
 class TestModeField:
-    def test_lattice_properties(self):
-        f = _analytic_field()
-        assert f.t1 == pytest.approx(2.0 + 0.01 * 599)
-        assert f.r_max == pytest.approx(0.05 * 199)
-        assert len(f.r) == 200
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ModeField(lam=0.0, n=3, t0=2.0, dt=0.1, dr=0.1,

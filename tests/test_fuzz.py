@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from kkstab import cli, internal
-from kkstab.fields import ModeField, read_snapshot, write_snapshot
+from kkstab.fields import ModeField, read_snapshot
+from oracles import write_snapshot
 
 SEED = 20240611
 CASES = 60
